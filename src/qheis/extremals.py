@@ -109,17 +109,21 @@ class SpherePoint:
 
 
 def _family_jets(c: float, nu: float):
-    """Hand-differentiated jets of c[(1 + nu r^2)^2 + nu^2 rho^2]."""
+    """Hand-differentiated jets of c[(1 + nu r^2)^2 + nu^2 rho^2], up to `order`."""
 
-    def jets(pts: np.ndarray):
+    def jets(pts: np.ndarray, order: int = 2):
         q = pts[:, :4]
         w = pts[:, 4:7]
         r2 = np.einsum("ni,ni->n", q, q)
         lin = 1.0 + nu * r2
         val = c * (lin * lin + nu * nu * np.einsum("ni,ni->n", w, w))
+        if order == 0:
+            return (val,)
         grad = np.empty_like(pts)
         grad[:, :4] = (4.0 * c * nu) * lin[:, None] * q
         grad[:, 4:7] = (2.0 * c * nu * nu) * w
+        if order == 1:
+            return val, grad
         hess = np.zeros((pts.shape[0], 7, 7))
         hess[:, :4, :4] = (8.0 * c * nu * nu) * np.einsum("ni,nj->nij", q, q)
         diag = np.arange(4)

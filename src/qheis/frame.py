@@ -203,7 +203,7 @@ def _squeeze(arr: np.ndarray, squeeze: bool):
 def horizontal_gradient(f: ScalarField, p) -> np.ndarray:
     """(T1 f, X1 f, Y1 f, Z1 f) at p; shape (4,) or (N, 4)."""
     pts, squeeze = _as_batch(p)
-    _, grad, _ = f.jet_batch(pts)
+    _, grad = f.jet_batch(pts, 1)
     out = np.einsum("naj,nj->na", frame_rows(pts), grad)
     return _squeeze(out, squeeze)
 
@@ -211,12 +211,12 @@ def horizontal_gradient(f: ScalarField, p) -> np.ndarray:
 def vertical_derivatives(f: ScalarField, p) -> np.ndarray:
     """(xi1 f, xi2 f, xi3 f) = 2 * (d/dx, d/dy, d/dz) f."""
     pts, squeeze = _as_batch(p)
-    _, grad, _ = f.jet_batch(pts)
+    _, grad = f.jet_batch(pts, 1)
     return _squeeze(VERTICAL_SCALE * grad[:, 4:7], squeeze)
 
 
 def _hessian_batch(f: ScalarField, pts: np.ndarray):
-    val, grad, hess = f.jet_batch(pts)
+    val, grad, hess = f.jet_batch(pts, 2)
     rows = frame_rows(pts)
     chc = np.einsum("naj,njk,nbk->nab", rows, hess, rows, optimize=True)
     first_order = np.einsum("sab,ns->nab", _DC, grad[:, 4:7])
@@ -283,11 +283,12 @@ def commutator_audit(a: int, b: int, p) -> float:
 
     The bracket is recomputed honestly from the frame coefficients and their
     exact derivatives at p; the omegas are the import-time constants, so this
-    checks the derived convention at arbitrary points.
+    checks the derived convention at arbitrary points.  A batch of points is
+    audited whole: the result is the maximum over every point.
     """
     pts, _ = _as_batch(p)
-    rows = frame_rows(pts)[0]
-    bracket = rows[a] @ _LIN[b].T - rows[b] @ _LIN[a].T   # (7,)
+    rows = frame_rows(pts)
+    bracket = rows[:, a] @ _LIN[b].T - rows[:, b] @ _LIN[a].T   # (N, 7)
     expected = np.zeros(7)
     for s in range(3):
         expected -= 2.0 * OMEGA[s][a, b] * _VERTICAL[s]

@@ -1,12 +1,21 @@
 """Scalar fields with exact first and second Euclidean derivatives.
 
-A field evaluates batches of points (N, 7) to a value array (N,), a gradient
-array (N, 7) and a symmetric Hessian array (N, 7, 7).  Jets come either from
-hand-differentiated closed forms (the solution families) or from second-order
-forward automatic differentiation with full 7-direction seeding (`Hyper2`,
-a truncated-Taylor number carrying value, gradient and Hessian through
-arithmetic).  Central finite differences are kept as an independent audit and
-never substitute for jets.
+A field evaluates batches of points (N, 7) to jets up to a requested order:
+order 0 gives (value (N,),), order 1 adds the gradient (N, 7) and order 2
+the symmetric Hessian (N, 7, 7).  Each lower-order jet is bitwise the
+matching prefix of the order-2 jet, so a caller that needs only values or
+gradients asks for them and never pays for 7x7 Hessians.  Jets come either
+from hand-differentiated closed forms (the solution families) or from
+second-order forward automatic differentiation with full 7-direction
+seeding (`Hyper2`, a truncated-Taylor number carrying value, gradient and
+Hessian through arithmetic); the forward-mode fields always propagate to
+order 2 and return the requested prefix.
+
+An affine pullback of an affine pullback is folded on construction: the
+maps compose through `AffineMap.after` and the amplitudes multiply, so a
+chain of group motions costs one chain-rule step, not one per motion.
+Central finite differences are kept as an independent audit and never
+substitute for jets.
 """
 
 from __future__ import annotations
@@ -40,8 +49,11 @@ __all__ = [
 
 DIM = 7
 
-# A batch of second-order jets: value (N,), gradient (N,7), Hessian (N,7,7).
-JetBatch = tuple[np.ndarray, np.ndarray, np.ndarray]
+# A batch of jets up to some order: value (N,), gradient (N,7), Hessian
+# (N,7,7), truncated after the requested order.
+JetBatch = tuple[np.ndarray, ...]
+
+JET_ORDERS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -99,11 +111,14 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """An immutable scalar field on R^7 evaluating to second-order jets.
+    """An immutable scalar field on R^7 evaluating to jets of order 0, 1 or 2.
 
-    `jets` maps points (N, 7) to (value (N,), grad (N, 7), hess (N, 7, 7)) and
-    must be deterministic: equal points give bitwise-equal jets.  `domain`
-    is an optional validity mask; evaluating outside raises DomainError.
+    `jets(points, order)` maps points (N, 7) to (value (N,),) for order 0,
+    (value, grad (N, 7)) for order 1 and (value, grad, hess (N, 7, 7)) for
+    order 2.  It must be deterministic, equal points giving bitwise-equal
+    jets, and a lower order must return bitwise the prefix of order 2.
+    `domain` is an optional validity mask; evaluating outside raises
+    DomainError.
 
     `biradial_map`, when set, certifies that the field depends on a point p
     only through (|q|, |w|) of A(p) for the stored affine map A.  Constructors
@@ -114,7 +129,7 @@ class ScalarField:
     """
 
     tag: str
-    jets: Callable[[np.ndarray], JetBatch]
+    jets: Callable[[np.ndarray, int], JetBatch]
     domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     biradial_map: Optional[AffineMap] = AffineMap.identity()
     decay: Optional[tuple[float, float]] = None
@@ -123,14 +138,16 @@ class ScalarField:
         """Values only (same batching convention as `jets`)."""
         pts, squeeze = _as_batch(points)
         self._check_domain(pts)
-        val = self.jets(pts)[0]
+        val = self.jets(pts, 0)[0]
         return float(val[0]) if squeeze else val
 
-    def jet_batch(self, points: np.ndarray) -> JetBatch:
-        """Domain-checked batch evaluation."""
+    def jet_batch(self, points: np.ndarray, order: int = 2) -> JetBatch:
+        """Domain-checked batch evaluation of the jets up to `order`."""
+        if order not in JET_ORDERS:
+            raise ValueError(f"jet order must be one of {JET_ORDERS}, got {order!r}")
         pts, _ = _as_batch(points)
         self._check_domain(pts)
-        return self.jets(pts)
+        return self.jets(pts, order)
 
     def _check_domain(self, pts: np.ndarray) -> None:
         if self.domain is not None:
@@ -153,7 +170,7 @@ def eval_jet(f: ScalarField, p) -> Jet2:
     if pts.shape[0] != 1:
         raise ValueError("eval_jet takes a single point; use jet_batch for batches")
     f._check_domain(pts)
-    val, grad, hess = f.jets(pts)
+    val, grad, hess = f.jets(pts, 2)
     return Jet2(val[0], grad[0], hess[0])
 
 
@@ -331,20 +348,16 @@ def autodiff_lift(g, tag: str = "autodiff", domain=None, biradial_map=None, deca
     `g` receives the 7 coordinates as Hyper2 numbers and must combine them
     with arithmetic and the exp/log/sqrt helpers; no finite differencing is
     involved.  A lifted field is assumed non-bi-radial unless a certificate
-    is passed explicitly.
+    is passed explicitly.  The propagation always runs to order 2; lower
+    orders return the prefix.
     """
 
-    def jets(points: np.ndarray) -> JetBatch:
+    def jets(points: np.ndarray, order: int = 2) -> JetBatch:
         out = g(*Hyper2.seed(points))
         if not isinstance(out, Hyper2):  # constant formula
-            n = points.shape[0]
-            return (
-                np.full(n, float(out)),
-                np.zeros((n, DIM)),
-                np.zeros((n, DIM, DIM)),
-            )
+            return constant_field(out).jets(points, order)
         hess = 0.5 * (out.hess + np.swapaxes(out.hess, 1, 2))
-        return out.val, out.grad, hess
+        return (out.val, out.grad, hess)[: order + 1]
 
     return ScalarField(tag=tag, jets=jets, domain=domain, biradial_map=biradial_map, decay=decay)
 
@@ -352,9 +365,14 @@ def autodiff_lift(g, tag: str = "autodiff", domain=None, biradial_map=None, deca
 def constant_field(c: float, tag: Optional[str] = None) -> ScalarField:
     c = float(c)
 
-    def jets(points: np.ndarray) -> JetBatch:
+    def jets(points: np.ndarray, order: int = 2) -> JetBatch:
         n = points.shape[0]
-        return np.full(n, c), np.zeros((n, DIM)), np.zeros((n, DIM, DIM))
+        out = (np.full(n, c),)
+        if order >= 1:
+            out += (np.zeros((n, DIM)),)
+        if order == 2:
+            out += (np.zeros((n, DIM, DIM)),)
+        return out
 
     return ScalarField(tag=tag or f"const({c})", jets=jets, decay=(0.0, 0.0))
 
@@ -363,22 +381,43 @@ def constant_field(c: float, tag: Optional[str] = None) -> ScalarField:
 # Combinators used by the solution families and transforms.
 
 
+@dataclass(frozen=True, eq=False)
+class _Pullback:
+    """Jets of p -> amplitude * base(A(p)), with the exact affine chain rule."""
+
+    base: ScalarField
+    amap: AffineMap
+    amplitude: float
+
+    def __call__(self, points: np.ndarray, order: int = 2) -> JetBatch:
+        lin = self.amap.linear
+        amp = self.amplitude
+        jet = self.base.jets(self.amap(points), order)
+        out = (amp * jet[0],)
+        if order >= 1:
+            out += (amp * (jet[1] @ lin),)
+        if order == 2:
+            out += (amp * (lin.T @ (jet[2] @ lin)),)  # lin^T H lin, batched
+        return out
+
+
 def affine_pullback(u: ScalarField, amap: AffineMap, amplitude: float = 1.0,
                     tag: Optional[str] = None) -> ScalarField:
-    """amplitude * u(A(p)) with exact chain rule (A affine, so no curvature term)."""
-    lin = amap.linear
+    """amplitude * u(A(p)) with exact chain rule (A affine, so no curvature term).
 
-    def jets(points: np.ndarray) -> JetBatch:
-        val, grad, hess = u.jets(amap(points))
-        return (
-            amplitude * val,
-            amplitude * (grad @ lin),
-            amplitude * (lin.T @ (hess @ lin)),  # lin^T H lin, batched
-        )
+    When u is itself a pullback b1 * v(B(p)), the result is recorded as the
+    single pullback (amplitude * b1) * v((B o A)(p)), so its jets take one
+    chain-rule step however many motions were stacked.
+    """
+    if isinstance(u.jets, _Pullback):
+        inner = u.jets
+        jets = _Pullback(inner.base, inner.amap.after(amap), amplitude * inner.amplitude)
+    else:
+        jets = _Pullback(u, amap, amplitude)
 
     domain = None
-    if u.domain is not None:
-        domain = lambda pts: u.domain(amap(pts))  # noqa: E731
+    if jets.base.domain is not None:
+        domain = lambda pts: jets.base.domain(jets.amap(pts))  # noqa: E731
 
     cert = u.biradial_map.after(amap) if u.biradial_map is not None else None
     return ScalarField(
@@ -394,19 +433,21 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
                   tag: Optional[str] = None) -> ScalarField:
     """coefficient * u**alpha, requiring u > 0 where evaluated (alpha non-integer ok)."""
 
-    def jets(points: np.ndarray) -> JetBatch:
-        val, grad, hess = u.jets(points)
+    def jets(points: np.ndarray, order: int = 2) -> JetBatch:
+        jet = u.jets(points, order)
+        val = jet[0]
         if np.any(val <= 0.0):
             raise DomainError(f"power of non-positive base in '{u.tag}'")
-        f = coefficient * val**alpha
-        fp = coefficient * alpha * val ** (alpha - 1.0)
-        fpp = coefficient * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
-        outer = np.einsum("ni,nj->nij", grad, grad)
-        return (
-            f,
-            fp[:, None] * grad,
-            fp[:, None, None] * hess + fpp[:, None, None] * outer,
-        )
+        out = (coefficient * val**alpha,)
+        if order >= 1:
+            grad = jet[1]
+            fp = coefficient * alpha * val ** (alpha - 1.0)
+            out += (fp[:, None] * grad,)
+        if order == 2:
+            fpp = coefficient * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
+            outer = np.einsum("ni,nj->nij", grad, grad)
+            out += (fp[:, None, None] * jet[2] + fpp[:, None, None] * outer,)
+        return out
 
     decay = None
     if u.decay is not None:
@@ -434,9 +475,10 @@ def compose_through_map(u: ScalarField, map_components, tag: str,
 
     `singular(points) -> bool mask`, if given, marks points where the map
     itself blows up; hitting one raises SingularityError before any division.
+    The jets are always assembled to order 2; lower orders return the prefix.
     """
 
-    def jets(points: np.ndarray) -> JetBatch:
+    def jets(points: np.ndarray, order: int = 2) -> JetBatch:
         if singular is not None:
             mask = np.asarray(singular(points))
             if np.any(mask):
@@ -455,7 +497,7 @@ def compose_through_map(u: ScalarField, map_components, tag: str,
         wh = wh + np.einsum("nk,nkij->nij", ugrad, yhess)
         if prefactor is None:
             hess = 0.5 * (wh + np.swapaxes(wh, 1, 2))
-            return wval, wgrad, hess
+            return (wval, wgrad, hess)[: order + 1]
         phi = prefactor(*Hyper2.seed(points))
         cross = np.einsum("ni,nj->nij", phi.grad, wgrad)
         hess = (
@@ -469,7 +511,7 @@ def compose_through_map(u: ScalarField, map_components, tag: str,
             phi.val * wval,
             phi.grad * wval[:, None] + phi.val[:, None] * wgrad,
             hess,
-        )
+        )[: order + 1]
 
     return ScalarField(tag=tag, jets=jets, domain=domain,
                        biradial_map=biradial_map, decay=decay)
@@ -493,14 +535,16 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
     def value(x):
         return f(x)
 
-    worst = 0.0
+    # collected, then reduced with np.max, so a NaN anywhere surfaces as NaN
+    # instead of vanishing inside Python's max
+    diffs = []
     for i in range(DIM):
         ei = np.zeros(DIM)
         ei[i] = step
         fp, fm = value(p + ei), value(p - ei)
-        worst = max(worst, abs((fp - fm) / (2 * step) - jet.grad[i]))
+        diffs.append((fp - fm) / (2 * step) - jet.grad[i])
         d2 = (fp - 2 * jet.value + fm) / step**2
-        worst = max(worst, abs(d2 - jet.hess[i, i]))
+        diffs.append(d2 - jet.hess[i, i])
         for j in range(i + 1, DIM):
             ej = np.zeros(DIM)
             ej[j] = step
@@ -508,8 +552,8 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
                 value(p + ei + ej) - value(p + ei - ej)
                 - value(p - ei + ej) + value(p - ei - ej)
             ) / (4 * step**2)
-            worst = max(worst, abs(mixed - jet.hess[i, j]))
-    return float(worst)
+            diffs.append(mixed - jet.hess[i, j])
+    return float(np.max(np.abs(diffs)))
 
 
 def haar_jacobian_audit(g0, step: float = 1e-5) -> float:

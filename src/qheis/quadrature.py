@@ -551,7 +551,7 @@ class _ProfileRule:
         return value + gamma * defect
 
     def _evaluate(self, u: ScalarField) -> tuple[float, float]:
-        val, grad, _ = u.jet_batch(self.points)
+        val, grad = u.jet_batch(self.points, 1)
         val = val.reshape(self.n_maps, self.n_nodes)
         grad = grad.reshape(self.n_maps, self.n_nodes, DIM)
         profile = val.mean(axis=0)

@@ -100,12 +100,12 @@ def test_sym_part_vertical_coordinate(box_points):
 def test_sym_part_rejects_inconsistent_jets():
     # a field whose hand-written jets violate the commutation relation
     # cannot produce a symmetric corrected Hessian
-    def jets(pts):
+    def jets(pts, order=2):
         n = pts.shape[0]
         hess = np.zeros((n, 7, 7))
         hess[:, 0, 1] = 1.0
         hess[:, 1, 0] = -1.0
-        return np.ones(n), np.zeros((n, 7)), hess
+        return (np.ones(n), np.zeros((n, 7)), hess)[: order + 1]
 
     broken = ScalarField(tag="broken", jets=jets, biradial_map=None)
     with pytest.raises(ConsistencyError):

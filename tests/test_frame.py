@@ -88,6 +88,19 @@ def test_commutators_everywhere(box_points):
     assert worst <= 1e-13
 
 
+def test_commutator_audit_checks_the_whole_batch(box_points, monkeypatch):
+    assert frame.commutator_audit(0, 1, box_points) <= 1e-13
+    clean_rows = frame.frame_rows
+
+    def last_point_corrupted(points):
+        rows = clean_rows(points).copy()
+        rows[-1] += 1.0
+        return rows
+
+    monkeypatch.setattr(frame, "frame_rows", last_point_corrupted)
+    assert frame.commutator_audit(0, 1, box_points) > 1e-3
+
+
 def test_structure_residuals_clean():
     assert max(frame.structure_residuals().values()) <= 1e-13
 

@@ -9,6 +9,17 @@ import numpy as np
 import pytest
 
 from qheis.errors import DomainError
+from qheis.extremals import (
+    FamilyParams,
+    dilate_field,
+    dilation_map,
+    h_family,
+    kelvin,
+    left_translation_map,
+    translate_field,
+    ubar_field,
+    v_field,
+)
 from qheis.jets import (
     AffineMap,
     ScalarField,
@@ -22,6 +33,8 @@ from qheis.jets import (
     power_compose,
     sqrt,
 )
+from qheis.quadrature import _detransformed
+from qheis.quaternions import group_inv
 
 
 def _transcendental():
@@ -116,3 +129,105 @@ def test_pullback_certificate_composition():
     np.testing.assert_allclose(g.biradial_map.offset, amap.offset, atol=0)
     lifted = autodiff_lift(lambda *c: 0.0, tag="no-cert")
     assert lifted.biradial_map is None
+
+
+# ---------------------------------------------------------------------------
+# The order protocol and pullback folding.
+
+_G0 = np.array([0.3, -0.2, 0.1, 0.4, 0.2, -0.1, 0.3])
+
+
+def _fields_of_every_kind():
+    ubar = ubar_field()
+    positive = autodiff_lift(
+        lambda t1, x1, y1, z1, x, y, z: 1.0 + t1 * t1 + x * x,
+        tag="positive-quadratic",
+    )
+    return {
+        "h_family": h_family(FamilyParams(c=0.7, nu=1.3)),
+        "h_family-centred": h_family(FamilyParams(c=0.7, nu=1.3, center=_G0)),
+        "ubar": ubar,
+        "v": v_field(),
+        "power_compose": power_compose(positive, -1.5, 3.0),
+        "pullback": translate_field(ubar, _G0),
+        "pullback-folded": _detransformed(
+            translate_field(dilate_field(ubar, 1.2), _G0), 1.44, _G0 + 0.01
+        ),
+        "constant_field": constant_field(4.25),
+        "autodiff_lift": _transcendental(),
+        "autodiff_lift-constant": autodiff_lift(lambda *c: 2.5, tag="constant-formula"),
+        "kelvin": kelvin(ubar),
+    }
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_fields_of_every_kind()))
+def test_lower_orders_are_prefixes_of_order_two(kind):
+    f = _fields_of_every_kind()[kind]
+    pts = np.random.default_rng(6).uniform(-1.5, 1.5, (33, 7))
+    full = f.jet_batch(pts, 2)
+    assert len(full) == 3
+    for order in (0, 1):
+        low = f.jet_batch(pts, order)
+        assert len(low) == order + 1
+        for got, want in zip(low, full):
+            assert _bitwise_equal(got, want)
+    value = f(pts)
+    assert _bitwise_equal(value, full[0])
+
+
+def test_jet_order_is_validated():
+    with pytest.raises(ValueError):
+        ubar_field().jet_batch(np.zeros(7), 3)
+
+
+def _nested_pullback(u, amap, amplitude=1.0):
+    """Reference: one closure per motion, each applying its own chain rule."""
+    lin = amap.linear
+
+    def jets(points, order=2):
+        val, grad, hess = u.jets(amap(points), 2)
+        return (
+            amplitude * val,
+            amplitude * (grad @ lin),
+            amplitude * (lin.T @ (hess @ lin)),
+        )[: order + 1]
+
+    return ScalarField(tag=f"nested({u.tag})", jets=jets)
+
+
+def test_folded_pullback_matches_nested_motions():
+    ubar = ubar_field()
+    lam, nu, center = 1.2, 1.44, _G0 + 0.01
+    mu = nu**-0.5
+    motions = [
+        (dilation_map(lam), lam**4),
+        (left_translation_map(_G0), 1.0),
+        (left_translation_map(group_inv(center)).after(dilation_map(mu)), mu**4),
+    ]
+    nested = ubar
+    for amap, amp in motions:
+        nested = _nested_pullback(nested, amap, amp)
+    folded = _detransformed(translate_field(dilate_field(ubar, lam), _G0), nu, center)
+    assert folded.jets.base is ubar  # one chain-rule step onto the base field
+
+    pts = np.random.default_rng(8).uniform(-1.5, 1.5, (200, 7))
+    for got, want in zip(folded.jet_batch(pts, 2), nested.jet_batch(pts, 2)):
+        rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert rel <= 1e-14
+
+
+def test_finite_diff_audit_propagates_nan():
+    clean = ubar_field()
+
+    def jets(points, order=2):
+        val, grad, hess = clean.jets(points, 2)
+        hess[:, 0, 1] = np.nan
+        return (val, grad, hess)[: order + 1]
+
+    poisoned = ScalarField(tag="nan-hessian", jets=jets)
+    assert finite_diff_audit(clean, _G0, step=1e-4) < 1e-1
+    assert np.isnan(finite_diff_audit(poisoned, _G0, step=1e-4))
