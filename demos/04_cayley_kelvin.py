@@ -15,7 +15,9 @@ from qheis.extremals import (
     SpherePoint,
     cayley_contact_factor,
     cayley_forward,
+    cayley_forward_batch,
     cayley_inverse,
+    cayley_inverse_batch,
     kelvin,
     pde_residual,
     sigma,
@@ -28,7 +30,7 @@ rng = np.random.default_rng(3)
 # -- roundtrips ---------------------------------------------------------------
 
 pts = rng.uniform(-2.0, 2.0, (500, 7))
-worst = max(float(np.max(np.abs(cayley_forward(cayley_inverse(p)).array - p))) for p in pts)
+worst = np.max(np.abs(cayley_forward_batch(*cayley_inverse_batch(pts)) - pts))
 print("group -> sphere -> group roundtrip over 500 points:", f"{worst:.3e}")
 
 s = SpherePoint.from_arrays(rng.standard_normal(4), rng.standard_normal(4))

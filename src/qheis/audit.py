@@ -14,11 +14,16 @@ absorb gradient terms of either sign.
 The rest of the module is plumbing: named check suites over the other
 modules (frames, conformal, extremal, cayley, quadrature, qmatrix, all),
 each returning Report records with a pass flag that is definitionally
-max_residual <= tolerance.  Control checks that must *fail to vanish*
-store the shortfall max(0, floor - observed) as their residual so the
-same rule applies.  Suites are deterministic given a seed; wall-clock
-seconds are the only field allowed to differ between runs, and
-`reports_equal` compares everything but them.
+max_residual <= tolerance.  Each check draws its whole sample at once and
+evaluates it in one batched array pass; the only per-item loops left run
+over the family members of `einstein-family-torsion` and over short lists
+of fields.  Every residual is reduced with one NaN-propagating reducer, so
+a NaN anywhere fails its check instead of vanishing inside Python's max.
+Control checks that must *fail to vanish* store the shortfall
+max(0, floor - observed) as their residual so the same rule applies.
+Suites are deterministic given a seed; wall-clock seconds are the only
+field allowed to differ between runs, and `reports_equal` compares
+everything but them.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import conformal, frame
+from .errors import DomainError
 from .extremals import (
     FamilyParams,
-    cayley_forward,
-    cayley_inverse,
+    cayley_forward_batch,
+    cayley_inverse_batch,
     dilate_field,
     h_family,
     kelvin,
@@ -47,7 +53,7 @@ from .extremals import (
     ubar_field,
     v_field,
 )
-from .jets import autodiff_lift
+from .jets import _max_abs, autodiff_lift
 from .quadrature import (
     GAUGE_INTEGRAL_CLOSED_FORM,
     BiRadialIntegrand,
@@ -109,11 +115,12 @@ def q_spectrum() -> np.ndarray:
 
 
 def quadratic_form_audit(V) -> float:
-    """|<QV, V> - cyclic-sum expression| for a 6-block vector of 4-vectors.
+    """|<QV, V> - cyclic-sum expression| for 6-block vectors of 4-vectors.
 
-    The first route contracts the matrix against Euclidean inner products
-    of the blocks.  The second evaluates, per cyclic rotation (i, j, k) of
-    (1, 2, 3),
+    V has shape (6, 4), or (N, 6, 4) for a batch, whose worst case is
+    returned (NaN if any block is NaN).  The first route contracts the
+    matrix against Euclidean inner products of the blocks.  The second
+    evaluates, per cyclic rotation (i, j, k) of (1, 2, 3),
 
         g(D_i, 3 A_i - A_j - A_k + 2 D_i)
       + g(A_i, (22 A_i - 2 A_j - 2 A_k + 11 D_i - D_j - D_k) / 3)
@@ -123,23 +130,25 @@ def quadratic_form_audit(V) -> float:
     itself.
     """
     V = np.asarray(V, dtype=float)
-    if V.shape != (6, 4):
-        raise ValueError(f"expected a (6, 4) block vector, got shape {V.shape}")
-    matrix_route = float(np.einsum("ij,ia,ja->", QMATRIX, V, V))
+    if V.shape[-2:] != (6, 4) or V.ndim not in (2, 3):
+        raise ValueError(f"expected a (6, 4) or (N, 6, 4) block vector, got shape {V.shape}")
+    V = V.reshape(-1, 6, 4)
+    matrix_route = np.einsum("ij,nia,nja->n", QMATRIX, V, V)
 
-    D, A = V[:3], V[3:]
+    def inner(x, y):  # row-wise g(x, y) of (N, 4) stacks
+        return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+    D, A = V[:, :3], V[:, 3:]
     cyclic = 0.0
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        cyclic += float(D[i] @ (3.0 * A[i] - A[j] - A[k] + 2.0 * D[i]))
-        cyclic += float(
-            A[i]
-            @ (
-                (22.0 * A[i] - 2.0 * A[j] - 2.0 * A[k] + 11.0 * D[i] - D[j] - D[k])
-                / 3.0
-            )
+        cyclic = cyclic + inner(D[:, i], 3.0 * A[:, i] - A[:, j] - A[:, k] + 2.0 * D[:, i])
+        cyclic = cyclic + inner(
+            A[:, i],
+            (22.0 * A[:, i] - 2.0 * A[:, j] - 2.0 * A[:, k] + 11.0 * D[:, i] - D[:, j] - D[:, k])
+            / 3.0,
         )
-    return abs(matrix_route - cyclic)
+    return _max_abs(matrix_route - cyclic)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +267,9 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
 
     t0 = time.perf_counter()
     pts = rng.uniform(-2.0, 2.0, size=(n, 7))
-    worst = 0.0
-    for p in pts:
-        for a in range(4):
-            for b in range(a + 1, 4):
-                worst = max(worst, frame.commutator_audit(a, b, p))
+    worst = _max_abs(
+        *(frame.commutator_audit(a, b, pts) for a in range(4) for b in range(a + 1, 4))
+    )
     reports.append(
         _report("frame-commutators", n, worst, 1e-13, "derived", t0, config)
     )
@@ -273,11 +280,12 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
         v_field(),
         h_family(FamilyParams(c=1.3, nu=0.7)),
     ]
-    worst = 0.0
+    asymmetry = []
     for f in fields:
         fj = frame.frame_jets(f, pts)
         corrected = fj.hess + np.einsum("ns,sab->nab", fj.vert, np.stack(frame.OMEGA))
-        worst = max(worst, float(np.max(np.abs(corrected - corrected.transpose(0, 2, 1)))))
+        asymmetry.append(corrected - corrected.transpose(0, 2, 1))
+    worst = _max_abs(*asymmetry)
     reports.append(
         _report(
             "hessian-antisymmetry",
@@ -291,7 +299,7 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
     )
 
     t0 = time.perf_counter()
-    worst = max(frame.structure_residuals().values())
+    worst = _max_abs(*frame.structure_residuals().values())
     reports.append(
         _report("structure-constants", 1, worst, 1e-13, "derived", t0, config)
     )
@@ -304,7 +312,7 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     reports = []
 
     t0 = time.perf_counter()
-    worst = 0.0
+    torsion = []
     family = []
     for idx in range(npairs):
         c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
@@ -313,7 +321,8 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
             h = translate_field(h, rng.uniform(-1.0, 1.0, size=7))
         family.append(h)
         pts = rng.uniform(-2.0, 2.0, size=(20, 7))
-        worst = max(worst, float(np.max(_frobenius(conformal.torsion_T0_deformed(h, pts)))))
+        torsion.append(_frobenius(conformal.torsion_T0_deformed(h, pts)))
+    worst = _max_abs(*torsion)
     reports.append(
         _report(
             "einstein-family-torsion", npairs * 20, worst, 1e-8, "computed", t0, config
@@ -322,16 +331,16 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
 
     t0 = time.perf_counter()
     frob = float(_frobenius(conformal.torsion_T0_deformed(_quartic_control(), _CONTROL_POINT))[0])
-    shortfall = max(0.0, 1e-3 - frob)
+    shortfall = float(np.maximum(0.0, 1e-3 - frob))  # NaN stays NaN
     reports.append(
         _report("torsion-negative-control", 1, shortfall, 0.0, "control", t0, config)
     )
 
     t0 = time.perf_counter()
-    worst = 0.0
     pts = rng.uniform(-2.0, 2.0, size=(20, 7))
-    for h in family[:5] + [_quartic_control()]:
-        worst = max(worst, float(np.max(_frobenius(conformal.U_deformed(h, pts)))))
+    worst = _max_abs(
+        *(_frobenius(conformal.U_deformed(h, pts)) for h in family[:5] + [_quartic_control()])
+    )
     reports.append(
         _report("u-collapse", 6 * 20, worst, 1e-12, "computed", t0, config)
     )
@@ -343,17 +352,17 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     p3 = conformal.casimir_project(m, "[3]")
     pm1 = conformal.casimir_project(m, "[-1]")
     trace_part = (np.trace(m, axis1=1, axis2=2) / 4.0)[:, None, None] * np.eye(4)
-    worst = float(np.max(np.abs(p3 - trace_part)))
+    worst = _max_abs(p3 - trace_part)
     reports.append(
         _report("casimir-trace-projection", nmats, worst, 1e-13, "computed", t0, config)
     )
 
     t0 = time.perf_counter()
-    algebra = max(
-        float(np.max(np.abs(p3 + pm1 - m))),
-        float(np.max(np.abs(conformal.casimir_project(p3, "[3]") - p3))),
-        float(np.max(np.abs(conformal.casimir_project(pm1, "[-1]") - pm1))),
-        float(np.max(np.abs(np.trace(pm1, axis1=1, axis2=2)))),
+    algebra = _max_abs(
+        p3 + pm1 - m,
+        conformal.casimir_project(p3, "[3]") - p3,
+        conformal.casimir_project(pm1, "[-1]") - pm1,
+        np.trace(pm1, axis1=1, axis2=2),
     )
     reports.append(
         _report("casimir-algebra", nmats, algebra, 1e-13, "computed", t0, config)
@@ -363,7 +372,7 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     h6 = h_family(FamilyParams(c=2.0**-6, nu=1.0))
     pts = rng.uniform(-2.0, 2.0, size=(50, 7))
     scal = conformal.scal_deformed(h6, pts, base_scal=0.0)
-    worst = float(np.max(np.abs(np.asarray(scal) / 6.0 - 1.0)))
+    worst = _max_abs(np.asarray(scal) / 6.0 - 1.0)
     reports.append(
         _report(
             "scalar-curvature-constant",
@@ -381,7 +390,7 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
 def _relative_pde_residual(u, pts: np.ndarray) -> float:
     vals = u(pts)
     res = pde_residual(u, pts)
-    return float(np.max(np.abs(res) / np.asarray(vals) ** 1.5))
+    return _max_abs(res / np.asarray(vals) ** 1.5)
 
 
 def _suite_extremal(config: SuiteConfig) -> list[Report]:
@@ -433,33 +442,30 @@ def _suite_cayley(config: SuiteConfig) -> list[Report]:
     n = config.samples or 1000
     pts = rng.uniform(-2.0, 2.0, size=(n, 7))
     pts = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.05]
+    away = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.5]
+    if len(away) == 0:
+        raise DomainError(
+            f"cayley suite: none of the {n} sample points has |q| > 0.5; use more samples"
+        )
     reports = []
 
     t0 = time.perf_counter()
-    worst = 0.0
-    for g in pts:
-        s = cayley_inverse(g)
-        back = np.asarray(cayley_forward(s).array)
-        worst = max(worst, float(np.max(np.abs(back - g))))
-        again = cayley_inverse(back)
-        worst = max(
-            worst,
-            float(np.max(np.abs(again.q.array - s.q.array))),
-            float(np.max(np.abs(again.p.array - s.p.array))),
-        )
+    q, p = cayley_inverse_batch(pts)
+    back = cayley_forward_batch(q, p)
+    again_q, again_p = cayley_inverse_batch(back)
+    worst = _max_abs(back - pts, again_q - q, again_p - p)
     reports.append(
         _report("cayley-roundtrip", len(pts), worst, 1e-12, "computed", t0, config)
     )
 
     t0 = time.perf_counter()
-    worst = float(np.max(np.abs(sigma(sigma(pts)) - pts)))
+    worst = _max_abs(sigma(sigma(pts)) - pts)
     reports.append(
         _report("sigma-involution", len(pts), worst, 1e-12, "computed", t0, config)
     )
 
     t0 = time.perf_counter()
     ku = kelvin(ubar_field())
-    away = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.5]
     reports.append(
         _report(
             "kelvin-pde",
@@ -522,9 +528,7 @@ def _suite_quadrature(config: SuiteConfig) -> list[Report]:
         translate_field(ubar, rng.uniform(-1.5, 1.5, size=7)),
         dilate_field(ubar, 1.7),
     ]
-    worst = max(
-        abs(fs_quotient(u).quotient / base.quotient - 1.0) for u in variants
-    )
+    worst = _max_abs(*(fs_quotient(u).quotient / base.quotient - 1.0 for u in variants))
     reports.append(
         _report("quotient-invariance", len(variants), worst, 1e-5, "computed", t0, config)
     )
@@ -542,7 +546,7 @@ def _suite_qmatrix(config: SuiteConfig) -> list[Report]:
     reports = []
 
     t0 = time.perf_counter()
-    residual = float(np.max(np.abs(q_spectrum() - Q_SPECTRUM)))
+    residual = _max_abs(q_spectrum() - Q_SPECTRUM)
     reports.append(
         _report(
             "q-spectrum",
@@ -557,7 +561,7 @@ def _suite_qmatrix(config: SuiteConfig) -> list[Report]:
 
     t0 = time.perf_counter()
     n = config.samples or 100
-    worst = max(quadratic_form_audit(rng.standard_normal((6, 4))) for _ in range(n))
+    worst = quadratic_form_audit(rng.standard_normal((n, 6, 4)))
     reports.append(
         _report("q-quadratic-form", n, worst, 1e-12, "derived", t0, config)
     )
@@ -659,7 +663,7 @@ def quotient_min_reports(config: Optional[SuiteConfig] = None) -> list[Report]:
     reference = fs_quotient(ubar).quotient
 
     value_res = abs(result.value / reference - 1.0)
-    center_res = float(np.max(np.abs(np.asarray(result.params.center) - g0)))
+    center_res = _max_abs(np.asarray(result.params.center) - g0)
     nu_res = abs(result.params.nu / nu - 1.0)
     third = elapsed / 3.0
 

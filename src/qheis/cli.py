@@ -6,14 +6,13 @@ exit 2 (argparse's convention, shared by unknown suite names).  The
 `--format json` envelope is {suite, seed, reports: [...]}; csv is the
 same table flattened, except for `best-constant`, where csv means the
 quadrature convergence table of the gauge-kernel integral.  Suites are
-deterministic for a fixed seed; `--parallel` only changes wall time.
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import audit
@@ -30,11 +29,21 @@ _SUITE_COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument(
-        "--samples", type=int, default=None,
+        "--samples", type=_positive_int, default=None,
         help="override the primary sample count of each check",
     )
     common.add_argument(
@@ -46,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     common.add_argument("--out", default=None, help="write the report to this path")
-    common.add_argument(
-        "--parallel", action="store_true",
-        help="run the suites of 'all' concurrently (no effect elsewhere)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="qheis",
@@ -77,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_all_parallel(config: audit.SuiteConfig) -> list[audit.Report]:
-    names = [n for n in audit.suite_names() if n != "all"]
-    with ThreadPoolExecutor(max_workers=len(names)) as pool:
-        chunks = list(pool.map(lambda n: audit.run_suite(n, config), names))
-    return [r for chunk in chunks for r in chunk]
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     config = audit.SuiteConfig(seed=args.seed, samples=args.samples, tol=args.tol)
@@ -102,10 +100,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             text = audit.emit(reports, args.fmt, suite="quotient-min", seed=args.seed)
         else:
             suite = _SUITE_COMMANDS[args.command]
-            if suite == "all" and args.parallel:
-                reports = _run_all_parallel(config)
-            else:
-                reports = audit.run_suite(suite, config)
+            reports = audit.run_suite(suite, config)
             text = audit.emit(reports, args.fmt, suite=suite, seed=args.seed)
     except (AccuracyError, ConsistencyError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,7 +183,7 @@ def _vector_ingredients(fj: FrameJet):
     dh = fj.grad
     omdh = [dh @ OMEGA[s].T for s in range(3)]
     twist = [
-        np.einsum("ab,nbc,cd,nd->na", OMEGA[s], fj.hess, IMAT[s], dh, optimize=True)
+        (fj.hess @ (dh @ IMAT[s].T)[:, :, None])[:, :, 0] @ OMEGA[s].T
         for s in range(3)
     ]
     mdh = np.einsum("nab,nb->na", fj.hess, dh)

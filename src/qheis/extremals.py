@@ -37,9 +37,13 @@ from .jets import (
 from .quaternions import (
     GroupPoint,
     Quaternion,
+    _hamilton,
     as_point,
+    as_quat,
     group_mul,
+    quat_conj,
     quat_mul,
+    quat_norm2,
 )
 
 __all__ = [
@@ -55,12 +59,17 @@ __all__ = [
     "dilate_field",
     "cayley_forward",
     "cayley_inverse",
+    "cayley_forward_batch",
+    "cayley_inverse_batch",
     "cayley_contact_factor",
     "sigma",
     "kelvin",
 ]
 
 _E7 = np.eye(7)
+# Rows e_a, then -e_a, then 0: one group product yields a translation's
+# linear part (by central differences, exact) and its offset.
+_TRANSLATION_PROBE = np.vstack([_E7, -_E7, np.zeros((1, 7))])
 
 V_AMPLITUDE = 2.0**11 * math.sqrt(3.0) * math.pi ** (-3.0 / 5.0)
 
@@ -90,13 +99,9 @@ class SpherePoint:
     p: Quaternion
 
     def __post_init__(self):
-        norm2 = float(self.q.array @ self.q.array + self.p.array @ self.p.array)
-        if norm2 == 0.0:
-            raise DomainError("cannot normalize the zero point of H^2")
-        scale = 1.0 / math.sqrt(norm2)
-        if abs(scale - 1.0) > 1e-12:
-            object.__setattr__(self, "q", Quaternion.from_array(self.q.array * scale))
-            object.__setattr__(self, "p", Quaternion.from_array(self.p.array * scale))
+        q, p = _sphere_normalize(self.q.array[None], self.p.array[None])
+        object.__setattr__(self, "q", Quaternion.from_array(q[0]))
+        object.__setattr__(self, "p", Quaternion.from_array(p[0]))
 
     @staticmethod
     def from_arrays(q, p) -> "SpherePoint":
@@ -182,9 +187,9 @@ def pde_residual(u: ScalarField, p):
 
 def left_translation_map(g0) -> AffineMap:
     """The affine map p -> g0 o p, extracted exactly from the group product."""
-    g0 = as_point(g0)
-    linear = (group_mul(g0, _E7) - group_mul(g0, -_E7)).T / 2.0
-    return AffineMap(linear=linear, offset=group_mul(g0, np.zeros(7)))
+    moved = group_mul(as_point(g0), _TRANSLATION_PROBE)
+    linear = (moved[:7] - moved[7:14]).T / 2.0
+    return AffineMap(linear=linear, offset=moved[14])
 
 
 def dilation_map(lam: float) -> AffineMap:
@@ -209,44 +214,71 @@ def dilate_field(u: ScalarField, lam: float, tag: Optional[str] = None) -> Scala
 # Cayley pair, inversion, Kelvin transform.
 
 
-def cayley_forward(s: SpherePoint) -> GroupPoint:
-    """Sphere minus the pole (q=0, p=-1) to the group, through the boundary model.
+def _sphere_normalize(q: np.ndarray, p: np.ndarray):
+    """The SpherePoint rule on (N, 4) halves: rescale rows onto the unit sphere.
+
+    A row is rescaled only when its scale 1/|(q, p)| is off 1 by more than
+    1e-12, so an already normalized point is returned bitwise unchanged.
+    """
+    norm2 = quat_norm2(q) + quat_norm2(p)
+    if np.any(norm2 == 0.0):
+        raise DomainError("cannot normalize the zero point of H^2")
+    scale = 1.0 / np.sqrt(norm2)
+    scale[np.abs(scale - 1.0) <= 1e-12] = 1.0
+    return q * scale[:, None], p * scale[:, None]
+
+
+def _one_plus_inverse(p: np.ndarray, where: str) -> np.ndarray:
+    """(1 + p)^{-1} row by row; a row with p = -1 is the transform's pole."""
+    one_plus = p.copy()
+    one_plus[:, 0] += 1.0
+    n2 = quat_norm2(one_plus)
+    if np.any(n2 == 0.0):
+        raise SingularityError(f"{where} has its pole at (q=0, p=-1)")
+    return quat_conj(one_plus) / n2[:, None]
+
+
+def cayley_forward_batch(q, p) -> np.ndarray:
+    """Sphere to group on (N, 4) halves (q, p), normalized first; returns (N, 7).
 
     q1 = (1+p)^{-1} q and p1 = (1+p)^{-1}(1-p) land on Re p1 = |q1|^2; the
-    group point is (q1, -Im p1).
+    group point is (q1, -Im p1).  Any row at the pole (q=0, p=-1) raises
+    SingularityError.
     """
-    p = s.p.array
-    one_plus = p.copy()
-    one_plus[0] += 1.0
-    n2 = float(one_plus @ one_plus)
-    if n2 == 0.0:
-        raise SingularityError("the Cayley transform has its pole at (q=0, p=-1)")
-    inv = np.array([one_plus[0], -one_plus[1], -one_plus[2], -one_plus[3]]) / n2
-    q1 = quat_mul(inv, s.q.array)
+    q, p = _sphere_normalize(np.atleast_2d(as_quat(q)), np.atleast_2d(as_quat(p)))
+    inv = _one_plus_inverse(p, "the Cayley transform")
     one_minus = -p
-    one_minus[0] += 1.0
-    p1 = quat_mul(inv, one_minus)
-    out = np.concatenate([q1, -p1[1:4]])
-    return GroupPoint.from_array(out)
+    one_minus[:, 0] += 1.0
+    return np.concatenate([quat_mul(inv, q), -quat_mul(inv, one_minus)[:, 1:4]], axis=1)
+
+
+def cayley_inverse_batch(g) -> tuple[np.ndarray, np.ndarray]:
+    """Group to sphere on an (N, 7) batch; returns the normalized halves (q, p).
+
+    Each point (q, w) is lifted to the boundary point p1 = |q|^2 - w first.
+    """
+    pts, _ = _as_batch(g)
+    q1 = pts[:, :4]
+    p1 = np.concatenate([quat_norm2(q1)[:, None], -pts[:, 4:7]], axis=1)
+    # |1 + p1|^2 = (1+|q|^2)^2 + |w|^2 >= 1 on the group; the guard is for form only.
+    inv = _one_plus_inverse(p1, "the inverse Cayley transform")
+    one_minus = -p1
+    one_minus[:, 0] += 1.0
+    return _sphere_normalize(2.0 * quat_mul(inv, q1), quat_mul(one_minus, inv))
+
+
+def cayley_forward(s: SpherePoint) -> GroupPoint:
+    """Sphere minus the pole (q=0, p=-1) to the group; see `cayley_forward_batch`."""
+    return GroupPoint.from_array(cayley_forward_batch(s.q.array, s.p.array)[0])
 
 
 def cayley_inverse(g) -> SpherePoint:
-    """Group to sphere: lift (q, w) to the boundary point p1 = |q|^2 - w first."""
+    """Group to sphere for one point; see `cayley_inverse_batch`."""
     arr = as_point(g)
-    q1 = arr[:4]
-    p1 = np.array([float(q1 @ q1), -arr[4], -arr[5], -arr[6]])
-    one_plus = p1.copy()
-    one_plus[0] += 1.0
-    n2 = float(one_plus @ one_plus)
-    # n2 = (1+|q|^2)^2 + |w|^2 >= 1 on the group; the guard is for form only.
-    if n2 == 0.0:
-        raise SingularityError("inverse Cayley transform evaluated at its pole")
-    inv = np.array([one_plus[0], -one_plus[1], -one_plus[2], -one_plus[3]]) / n2
-    q = 2.0 * quat_mul(inv, q1)
-    one_minus = -p1
-    one_minus[0] += 1.0
-    p = quat_mul(one_minus, inv)
-    return SpherePoint.from_arrays(q, p)
+    if arr.ndim != 1:
+        raise ValueError("cayley_inverse takes a single point; use cayley_inverse_batch")
+    q, p = cayley_inverse_batch(arr)
+    return SpherePoint.from_arrays(q[0], p[0])
 
 
 def cayley_contact_factor(g):
@@ -284,22 +316,12 @@ def sigma(g):
     return out[0] if squeeze else out
 
 
-def _qmul_h(a, b):
-    """Hamilton product on 4-tuples of Hyper2/scalars (i*j = k convention)."""
-    return (
-        a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
-        a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
-        a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
-        a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0],
-    )
-
-
 def _sigma_components(t1, x1, y1, z1, x, y, z):
     r2 = t1 * t1 + x1 * x1 + y1 * y1 + z1 * z1
     denom = r2 * r2 + x * x + y * y + z * z
     inv = denom**-1.0
     pinv = (r2 * inv, x * inv, y * inv, z * inv)
-    q2 = _qmul_h(pinv, (t1, x1, y1, z1))
+    q2 = _hamilton(pinv, (t1, x1, y1, z1))
     return (-q2[0], -q2[1], -q2[2], -q2[3], -x * inv, -y * inv, -z * inv)
 
 

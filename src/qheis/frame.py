@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .jets import ScalarField, _as_batch
+from .jets import ScalarField, _as_batch, _max_abs
 from .quaternions import group_mul
 
 __all__ = [
@@ -137,15 +137,13 @@ def _verify_structures() -> dict[str, float]:
     eye = np.eye(4)
     res = {}
     i1, i2, i3 = IMAT
-    res["square"] = max(np.max(np.abs(m @ m + eye)) for m in IMAT)
-    res["i1i2_i3"] = np.max(np.abs(i1 @ i2 - i3))
-    res["skew"] = max(np.max(np.abs(m + m.T)) for m in IMAT)
-    res["orthogonal"] = max(np.max(np.abs(m.T @ m - eye)) for m in IMAT)
-    res["form_vs_structure"] = max(
-        np.max(np.abs(OMEGA[s] - IMAT[s].T)) for s in range(3)
-    )
-    worst = max(res.values())
-    if worst > 1e-14:
+    res["square"] = _max_abs(*(m @ m + eye for m in IMAT))
+    res["i1i2_i3"] = _max_abs(i1 @ i2 - i3)
+    res["skew"] = _max_abs(*(m + m.T for m in IMAT))
+    res["orthogonal"] = _max_abs(*(m.T @ m - eye for m in IMAT))
+    res["form_vs_structure"] = _max_abs(*(OMEGA[s] - IMAT[s].T for s in range(3)))
+    worst = _max_abs(*res.values())
+    if not worst <= 1e-14:
         raise ConsistencyError(f"complex structure audit failed: {res}")
     return res
 
@@ -218,7 +216,7 @@ def vertical_derivatives(f: ScalarField, p) -> np.ndarray:
 def _hessian_batch(f: ScalarField, pts: np.ndarray):
     val, grad, hess = f.jet_batch(pts, 2)
     rows = frame_rows(pts)
-    chc = np.einsum("naj,njk,nbk->nab", rows, hess, rows, optimize=True)
+    chc = rows @ hess @ np.swapaxes(rows, 1, 2)
     first_order = np.einsum("sab,ns->nab", _DC, grad[:, 4:7])
     return val, chc + first_order, grad, hess, rows
 

@@ -164,6 +164,15 @@ def _as_batch(points) -> tuple[np.ndarray, bool]:
     return pts, False
 
 
+def _max_abs(*parts) -> float:
+    """Largest |entry| over every part; a NaN anywhere gives NaN.
+
+    The one reducer for residuals: Python's max(worst, x) keeps `worst`
+    when x is NaN, so a broken check would read as a pass.
+    """
+    return float(np.max([np.max(np.abs(part)) for part in parts]))
+
+
 def eval_jet(f: ScalarField, p) -> Jet2:
     """Evaluate one point to a Jet2 (accepts a GroupPoint or a 7-array)."""
     pts, _ = _as_batch(p)
@@ -493,7 +502,7 @@ def compose_through_map(u: ScalarField, map_components, tag: str,
         uval, ugrad, uhess = u.jet_batch(yval)
         wval = uval
         wgrad = np.einsum("nk,nki->ni", ugrad, ygrad)
-        wh = np.einsum("nkl,nki,nlj->nij", uhess, ygrad, ygrad, optimize=True)
+        wh = np.swapaxes(ygrad, 1, 2) @ uhess @ ygrad
         wh = wh + np.einsum("nk,nkij->nij", ugrad, yhess)
         if prefactor is None:
             hess = 0.5 * (wh + np.swapaxes(wh, 1, 2))
@@ -535,8 +544,6 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
     def value(x):
         return f(x)
 
-    # collected, then reduced with np.max, so a NaN anywhere surfaces as NaN
-    # instead of vanishing inside Python's max
     diffs = []
     for i in range(DIM):
         ei = np.zeros(DIM)
@@ -553,7 +560,7 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
                 - value(p - ei + ej) + value(p - ei - ej)
             ) / (4 * step**2)
             diffs.append(mixed - jet.hess[i, j])
-    return float(np.max(np.abs(diffs)))
+    return _max_abs(diffs)
 
 
 def haar_jacobian_audit(g0, step: float = 1e-5) -> float:

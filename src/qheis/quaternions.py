@@ -53,21 +53,28 @@ def as_point(g) -> np.ndarray:
     return g
 
 
+def _hamilton(a, b) -> tuple:
+    """Hamilton product on 4-tuples of components (i*j = k convention).
+
+    The one copy of the formula: the components may be floats, arrays or
+    forward-mode jets, so `quat_mul` and the Kelvin map share it.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a*b, broadcasting over leading axes."""
     a = as_quat(a)
     b = as_quat(b)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    parts = _hamilton([a[..., i] for i in range(4)], [b[..., i] for i in range(4)])
+    return np.stack(parts, axis=-1)
 
 
 def quat_conj(a) -> np.ndarray:

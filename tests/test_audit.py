@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qheis import audit
 from qheis.audit import (
     QMATRIX,
     Q_SPECTRUM,
@@ -20,6 +21,9 @@ from qheis.audit import (
     run_suite,
     suite_names,
 )
+from qheis.cli import main
+from qheis.extremals import v_field
+from qheis.jets import ScalarField
 
 # ---------------------------------------------------------------------------
 # The matrix itself.
@@ -65,8 +69,60 @@ def test_quadratic_form_audit_random(rng):
 
 
 def test_quadratic_form_audit_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        quadratic_form_audit(np.zeros((4, 6)))
+    for shape in [(4, 6), (3, 4, 6), (6, 4, 1), (2, 3, 6, 4), (6,)]:
+        with pytest.raises(ValueError):
+            quadratic_form_audit(np.zeros(shape))
+
+
+def test_quadratic_form_audit_batch_equals_per_sample_calls(rng):
+    blocks = rng.standard_normal((500, 6, 4))
+    per_sample = [quadratic_form_audit(v) for v in blocks]
+    assert quadratic_form_audit(blocks) == max(per_sample)
+
+
+def test_quadratic_form_audit_propagates_nan(rng):
+    blocks = rng.standard_normal((50, 6, 4))
+    blocks[17, 4, 2] = math.nan
+    assert math.isnan(quadratic_form_audit(blocks))
+
+
+def test_perturbed_qmatrix_fails_the_quadratic_form(monkeypatch):
+    wrong = QMATRIX.copy()
+    wrong[0, 3] = wrong[3, 0] = QMATRIX[0, 3] + 1e-6
+    monkeypatch.setattr(audit, "QMATRIX", wrong)
+    verdicts = {r.check: r.passed for r in run_suite("qmatrix")}
+    assert verdicts["q-quadratic-form"] is False
+
+
+def test_sign_flip_in_the_cayley_kernel_fails_the_roundtrip(monkeypatch):
+    forward = audit.cayley_forward_batch
+
+    def flipped(q, p):
+        out = forward(q, p)
+        out[:, 5] *= -1.0
+        return out
+
+    monkeypatch.setattr(audit, "cayley_forward_batch", flipped)
+    verdicts = {r.check: r.passed for r in run_suite("cayley", SuiteConfig(samples=200))}
+    assert verdicts["cayley-roundtrip"] is False
+
+
+def test_nan_hessian_fails_hessian_antisymmetry(monkeypatch, capsys):
+    def nan_hessian_v():
+        v = v_field()
+
+        def jets(pts, order=2):
+            out = v.jets(pts, order)
+            return out[:2] + (np.full_like(out[2], math.nan),) if order == 2 else out
+
+        return ScalarField(tag="v-nan-hessian", jets=jets, decay=v.decay)
+
+    monkeypatch.setattr(audit, "v_field", nan_hessian_v)
+    reports = {r.check: r for r in run_suite("frames", SuiteConfig(samples=20))}
+    assert math.isnan(reports["hessian-antisymmetry"].max_residual)
+    assert not reports["hessian-antisymmetry"].passed
+    assert main(["verify-frames", "--samples", "20"]) == 1
+    assert "[FAIL] hessian-antisymmetry" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

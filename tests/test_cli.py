@@ -58,12 +58,20 @@ def test_runs_are_deterministic(capsys):
     assert drop_seconds(first) == drop_seconds(second)
 
 
-def test_parallel_matches_sequential(capsys):
-    assert main(["all", "--format", "json"]) == 0
-    seq = json.loads(capsys.readouterr().out)
-    assert main(["all", "--format", "json", "--parallel"]) == 0
-    par = json.loads(capsys.readouterr().out)
-    assert drop_seconds(seq) == drop_seconds(par)
+@pytest.mark.parametrize("samples", ["-3", "0", "ten"])
+def test_samples_must_be_a_positive_integer(samples, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["qmatrix", "--samples", samples])
+    assert info.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_empty_cayley_point_set_is_an_error_not_a_usage_error(capsys):
+    # seed 414 draws a single point with |q| = 0.36, so the Kelvin check,
+    # which keeps only |q| > 0.5, is left without points
+    assert main(["verify-cayley", "--samples", "1", "--seed", "414"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "|q| > 0.5" in err
 
 
 def test_best_constant_csv_is_convergence_table(capsys):

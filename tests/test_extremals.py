@@ -14,7 +14,9 @@ from qheis.extremals import (
     SpherePoint,
     cayley_contact_factor,
     cayley_forward,
+    cayley_forward_batch,
     cayley_inverse,
+    cayley_inverse_batch,
     dilate_field,
     h_family,
     kelvin,
@@ -145,6 +147,45 @@ def test_cayley_roundtrip_sphere_side(rng):
 def test_cayley_pole():
     with pytest.raises(SingularityError):
         cayley_forward(SpherePoint.from_arrays([0.0, 0, 0, 0], [-1.0, 0, 0, 0]))
+
+
+def test_cayley_batch_kernels_equal_single_point_calls(rng):
+    pts = rng.uniform(-2.0, 2.0, (300, 7))
+    q, p = cayley_inverse_batch(pts)
+    back = cayley_forward_batch(q, p)
+    raw_q, raw_p = rng.standard_normal((2, 300, 4))
+    forward_raw = cayley_forward_batch(raw_q, raw_p)
+    for i, g in enumerate(pts):
+        s = cayley_inverse(g)
+        np.testing.assert_array_equal(s.q.array, q[i])
+        np.testing.assert_array_equal(s.p.array, p[i])
+        np.testing.assert_array_equal(cayley_forward(s).array, back[i])
+        t = SpherePoint.from_arrays(raw_q[i], raw_p[i])
+        np.testing.assert_array_equal(cayley_forward(t).array, forward_raw[i])
+
+
+def test_cayley_batch_roundtrip(rng):
+    pts = rng.uniform(-2.0, 2.0, (10_000, 7))
+    q, p = cayley_inverse_batch(pts)
+    np.testing.assert_allclose(np.sum(q * q + p * p, axis=1), 1.0, rtol=1e-12)
+    back = cayley_forward_batch(q, p)
+    again_q, again_p = cayley_inverse_batch(back)
+    worst = np.max([np.max(np.abs(back - pts)), np.max(np.abs(again_q - q)),
+                    np.max(np.abs(again_p - p))])
+    assert worst <= 1e-12
+
+
+def test_cayley_batch_with_the_pole_raises(rng):
+    q, p = rng.standard_normal((2, 5, 4))
+    q[3], p[3] = 0.0, [-1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(SingularityError):
+        cayley_forward_batch(q, p)
+    cayley_forward_batch(np.delete(q, 3, axis=0), np.delete(p, 3, axis=0))
+
+
+def test_cayley_inverse_takes_one_point(rng):
+    with pytest.raises(ValueError):
+        cayley_inverse(rng.uniform(-1.0, 1.0, (3, 7)))
 
 
 def test_contact_factor_frozen():
