@@ -13,12 +13,12 @@ import numpy as np
 from qheis import (
     commutator_audit,
     dilation,
-    frame_at,
     group_inv,
     group_mul,
     sub_laplacian,
     ubar_field,
 )
+from qheis.frame import frame_rows
 from qheis.jets import haar_jacobian_audit
 
 rng = np.random.default_rng(0)
@@ -41,25 +41,24 @@ gh = group_mul(g, h)
 print("\ndelta(g o h) - delta(g) o delta(h) =",
       np.max(np.abs(dilation(lam, gh) - group_mul(dilation(lam, g), dilation(lam, h)))))
 print("Haar Jacobian audit (5 random translations):",
-      max(haar_jacobian_audit(rng.uniform(-2, 2, 7)) for _ in range(5)))
+      np.max([haar_jacobian_audit(rng.uniform(-2, 2, 7)) for _ in range(5)]))
 
 # -- the frame --------------------------------------------------------------
 
 p = np.array([0.5, -0.3, 0.2, 0.1, 0.4, -0.6, 0.7])
-coeffs = frame_at(p)
 print("\nhorizontal frame at p (rows = fields, columns = coordinate coefficients):")
-print(np.array2string(coeffs.horizontal, precision=3, suppress_small=True))
+print(np.array2string(frame_rows(p)[0], precision=3, suppress_small=True))
 
-worst = max(
-    float(np.max(commutator_audit(a, b, rng.uniform(-2, 2, (50, 7)))))
+worst = np.max([
+    commutator_audit(a, b, rng.uniform(-2, 2, (50, 7)))
     for a in range(4)
     for b in range(a + 1, 4)
-)
+])
 print("commutator audit over 50 random points:", f"{worst:.3e}",
       " ([X_a, X_b] = -2 sum_s omega_s(X_a, X_b) xi_s)")
 
 # -- the sub-Laplacian on the reference bubble ------------------------------
 
 ubar = ubar_field()
-print("\nsub-Laplacian of the bubble at the origin:", sub_laplacian(ubar, np.zeros(7)))
+print("\nsub-Laplacian of the bubble at the origin:", sub_laplacian(ubar, np.zeros(7))[0])
 print("equals -u(0)^{3/2} = -1024^{3/2}        :", -(1024.0**1.5))

@@ -30,16 +30,7 @@ from .jets import (
     eval_jet,
     power_compose,
 )
-from .frame import (
-    FrameJet,
-    commutator_audit,
-    frame_at,
-    frame_jets,
-    horizontal_gradient,
-    horizontal_hessian,
-    sub_laplacian,
-    vertical_derivatives,
-)
+from .frame import FrameJet, commutator_audit, frame_jets, sub_laplacian
 from .conformal import (
     casimir_project,
     scal_deformed,

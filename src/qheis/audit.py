@@ -32,6 +32,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -42,12 +43,12 @@ from . import conformal, frame
 from .errors import DomainError
 from .extremals import (
     FamilyParams,
+    _yamabe_residual,
     cayley_forward_batch,
     cayley_inverse_batch,
     dilate_field,
     h_family,
     kelvin,
-    pde_residual,
     sigma,
     translate_field,
     ubar_field,
@@ -199,6 +200,16 @@ class SuiteConfig:
     samples: Optional[int] = None
     tol: Optional[float] = None
 
+    def __post_init__(self):
+        n = self.samples
+        integral = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+        if not (n is None or (integral and n > 0)):
+            raise ValueError(f"samples must be None or a positive integer, got {n!r}")
+
+    def samples_or(self, default: int) -> int:
+        """The overriding sample count, or `default` when none is set."""
+        return default if self.samples is None else self.samples
+
 
 def _report(
     check: str,
@@ -262,7 +273,7 @@ def _frobenius(mats: np.ndarray) -> np.ndarray:
 
 def _suite_frames(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
-    n = config.samples or 100
+    n = config.samples_or(100)
     reports = []
 
     t0 = time.perf_counter()
@@ -282,8 +293,7 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
     ]
     asymmetry = []
     for f in fields:
-        fj = frame.frame_jets(f, pts)
-        corrected = fj.hess + np.einsum("ns,sab->nab", fj.vert, np.stack(frame.OMEGA))
+        corrected = frame.corrected_hessian(frame.frame_jets(f, pts))
         asymmetry.append(corrected - corrected.transpose(0, 2, 1))
     worst = _max_abs(*asymmetry)
     reports.append(
@@ -308,7 +318,7 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
 
 def _suite_conformal(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
-    npairs = config.samples or 20
+    npairs = config.samples_or(20)
     reports = []
 
     t0 = time.perf_counter()
@@ -346,7 +356,7 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     )
 
     t0 = time.perf_counter()
-    nmats = config.samples or 100
+    nmats = config.samples_or(100)
     m = rng.standard_normal((nmats, 4, 4))
     m = m + m.transpose(0, 2, 1)
     p3 = conformal.casimir_project(m, "[3]")
@@ -388,14 +398,13 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
 
 
 def _relative_pde_residual(u, pts: np.ndarray) -> float:
-    vals = u(pts)
-    res = pde_residual(u, pts)
-    return _max_abs(res / np.asarray(vals) ** 1.5)
+    fj = frame.frame_jets(u, pts)
+    return _max_abs(_yamabe_residual(fj, u.tag, pts) / fj.value**1.5)
 
 
 def _suite_extremal(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
-    n = config.samples or 1000
+    n = config.samples_or(1000)
     ubar = ubar_field()
     reports = []
 
@@ -439,7 +448,7 @@ def _suite_extremal(config: SuiteConfig) -> list[Report]:
 
 def _suite_cayley(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
-    n = config.samples or 1000
+    n = config.samples_or(1000)
     pts = rng.uniform(-2.0, 2.0, size=(n, 7))
     pts = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.05]
     away = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.5]
@@ -514,7 +523,7 @@ def _suite_quadrature(config: SuiteConfig) -> list[Report]:
 
     ubar = ubar_field()
     t0 = time.perf_counter()
-    n = max(1000, config.samples or 200_000)
+    n = max(1000, config.samples_or(200_000))
     mass_field = power_compose(ubar, 2.5, tag="ubar-mass")
     mc = integrate_mc(mass_field, n, seed=config.seed)
     closed = 2.0**25 * math.pi**4 / 384.0
@@ -560,7 +569,7 @@ def _suite_qmatrix(config: SuiteConfig) -> list[Report]:
     )
 
     t0 = time.perf_counter()
-    n = config.samples or 100
+    n = config.samples_or(100)
     worst = quadratic_form_audit(rng.standard_normal((n, 6, 4)))
     reports.append(
         _report("q-quadratic-form", n, worst, 1e-12, "derived", t0, config)
@@ -616,7 +625,7 @@ def best_constant_reports(config: Optional[SuiteConfig] = None):
     config = config or SuiteConfig()
     t0 = time.perf_counter()
     record = best_constant_report(
-        seed=config.seed, mc_samples=max(1000, config.samples or 200_000)
+        seed=config.seed, mc_samples=max(1000, config.samples_or(200_000))
     )
     seconds = time.perf_counter() - t0
     reports = []

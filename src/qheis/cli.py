@@ -1,8 +1,9 @@
 """Command-line front end over the verification suites.
 
 Every subcommand prints a structured report and exits 0 only if every
-executed check passed; any failure exits 1, and malformed invocations
-exit 2 (argparse's convention, shared by unknown suite names).  The
+executed check passed.  A failed check, or an error raised inside the
+library (a typed qheis error or any ValueError), exits 1; only argparse
+rejects an invocation, with exit 2.  The
 `--format json` envelope is {suite, seed, reports: [...]}; csv is the
 same table flattened, except for `best-constant`, where csv means the
 quadrature convergence table of the gauge-kernel integral.  Suites are
@@ -16,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import audit
-from .errors import AccuracyError, ConsistencyError, DomainError
+from .errors import AccuracyError, ConsistencyError
 from .quadrature import convergence_csv
 
 _SUITE_COMMANDS = {
@@ -102,12 +103,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             suite = _SUITE_COMMANDS[args.command]
             reports = audit.run_suite(suite, config)
             text = audit.emit(reports, args.fmt, suite=suite, seed=args.seed)
-    except (AccuracyError, ConsistencyError, DomainError) as exc:
+    except (AccuracyError, ConsistencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
     if args.out:
         with open(args.out, "w") as fh:

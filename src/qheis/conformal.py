@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .frame import IMAT, OMEGA, FrameJet, frame_jets
+from .frame import IMAT, OMEGA, FrameJet, corrected_hessian, frame_jets
 from .jets import ScalarField, _as_batch
 
 __all__ = [
@@ -56,13 +56,11 @@ __all__ = [
 
 _SYM_TOL = 1e-9
 _EYE4 = np.eye(4)
-_OMEGA_STACK = np.stack(OMEGA)
 
 
-def _pack(h: ScalarField, p, positive: bool) -> tuple[bool, FrameJet]:
+def _pack(h: ScalarField, p, positive: bool, order: int = 2) -> tuple[bool, FrameJet]:
     pts, squeeze = _as_batch(p)
-    h._check_domain(pts)
-    fj = frame_jets(h, pts)
+    fj = frame_jets(h, pts, order)
     if positive and np.any(fj.value <= 0.0):
         bad = pts[fj.value <= 0.0][0]
         raise DomainError(f"conformal factor '{h.tag}' is not positive at {bad}")
@@ -77,15 +75,20 @@ def _gradsq(fj: FrameJet) -> np.ndarray:
     return np.einsum("na,na->n", fj.grad, fj.grad)
 
 
+def _sphere_term(fj: FrameJet) -> np.ndarray:
+    """2 - 4h + 3h^{-1}|grad h|^2, the sphere-normalized zeroth-order term."""
+    return 2.0 - 4.0 * fj.value + 3.0 * _gradsq(fj) / fj.value
+
+
 def _twist(m: np.ndarray) -> np.ndarray:
     """Average over the complex structures: sum_s m(I_s ., I_s .)."""
     return sum(OMEGA[s] @ m @ IMAT[s] for s in range(3))
 
 
 def _sym_from_jet(fj: FrameJet) -> np.ndarray:
-    s = fj.hess + np.einsum("ns,sab->nab", fj.vert, _OMEGA_STACK)
+    s = corrected_hessian(fj)
     worst = np.max(np.abs(s - np.swapaxes(s, 1, 2)))
-    if worst > _SYM_TOL:
+    if not worst <= _SYM_TOL:  # a NaN asymmetry fails too
         raise ConsistencyError(
             f"corrected Hessian asymmetry {worst:.3e} exceeds {_SYM_TOL}"
         )
@@ -155,8 +158,8 @@ def scal_deformed(h: ScalarField, p, base_scal: float = 0.0):
 
 def sphere_scal_term(h: ScalarField, p):
     """The zeroth-order term 2 - 4h + 3h^{-1}|grad h|^2 of the sphere-normalized equation."""
-    squeeze, fj = _pack(h, p, positive=True)
-    out = 2.0 - 4.0 * fj.value + 3.0 * _gradsq(fj) / fj.value
+    squeeze, fj = _pack(h, p, positive=True, order=1)
+    out = _sphere_term(fj)
     return float(out[0]) if squeeze else out
 
 
@@ -169,7 +172,7 @@ def yamabe_residual_sphere_norm(h: ScalarField, p):
     """
     squeeze, fj = _pack(h, p, positive=True)
     lap = np.trace(fj.hess, axis1=1, axis2=2)
-    out = lap - (2.0 - 4.0 * fj.value + 3.0 * _gradsq(fj) / fj.value)
+    out = lap - _sphere_term(fj)
     return float(out[0]) if squeeze else out
 
 
@@ -201,7 +204,7 @@ def divergence_identity_residual(h: ScalarField, x, p):
     squeeze, fj = _pack(h, p, positive=True)
     x = np.asarray(x, dtype=float)
     dh, _, twist, mdh = _vector_ingredients(fj)
-    scal = 2.0 - 4.0 * fj.value + 3.0 * _gradsq(fj) / fj.value
+    scal = _sphere_term(fj)
     evec = mdh + twist[0] + twist[1] + twist[2] - scal[:, None] * dh
     out = evec @ x
     return float(out[0]) if squeeze else out
@@ -217,7 +220,7 @@ def divergence_identity_casimir(h: ScalarField, x, p):
     squeeze, fj = _pack(h, p, positive=True)
     x = np.asarray(x, dtype=float)
     p3 = casimir_project(_sym_from_jet(fj), "[3]")
-    scal = 2.0 - 4.0 * fj.value + 3.0 * _gradsq(fj) / fj.value
+    scal = _sphere_term(fj)
     evec = 4.0 * np.einsum("nab,nb->na", p3, fj.grad) - scal[:, None] * fj.grad
     out = evec @ x
     return float(out[0]) if squeeze else out
@@ -251,7 +254,7 @@ def vector_D(h: ScalarField, p) -> DParts:
     squeeze, fj = _pack(h, p, positive=True)
     dh, omdh, twist, _ = _vector_ingredients(fj)
     inv2 = fj.value**-2
-    scal = 2.0 - 4.0 * fj.value + 3.0 * _gradsq(fj) / fj.value
+    scal = _sphere_term(fj)
     parts = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -293,7 +296,7 @@ def vector_F(d1, d2, d3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def scalar_f(h: ScalarField, p):
     """The scalar 1/2 + h + 1/4 h^{-1}|grad h|^2 entering the divergence identity."""
-    squeeze, fj = _pack(h, p, positive=True)
+    squeeze, fj = _pack(h, p, positive=True, order=1)
     out = 0.5 + fj.value + 0.25 * _gradsq(fj) / fj.value
     return float(out[0]) if squeeze else out
 

@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .frame import frame_jets
+from .frame import FrameJet, frame_jets
 from .jets import (
     AffineMap,
     ScalarField,
@@ -173,12 +173,16 @@ def v_field() -> ScalarField:
 def pde_residual(u: ScalarField, p):
     """Residual laplacian(u) + u^{3/2} of the entire-solution equation."""
     pts, squeeze = _as_batch(p)
-    fj = frame_jets(u, pts)
+    out = _yamabe_residual(frame_jets(u, pts), u.tag, pts)
+    return float(out[0]) if squeeze else out
+
+
+def _yamabe_residual(fj: FrameJet, tag: str, pts: np.ndarray) -> np.ndarray:
+    """laplacian(u) + u^{3/2} from the order-2 frame jets of u at pts."""
     if np.any(fj.value < 0.0):
         bad = pts[fj.value < 0.0][0]
-        raise DomainError(f"field '{u.tag}' is negative at {bad}; u^(3/2) undefined")
-    out = np.trace(fj.hess, axis1=1, axis2=2) + fj.value**1.5
-    return float(out[0]) if squeeze else out
+        raise DomainError(f"field '{tag}' is negative at {bad}; u^(3/2) undefined")
+    return np.trace(fj.hess, axis1=1, axis2=2) + fj.value**1.5
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,21 @@ Convention fixed by the commutators: [e_a, e_b] = -2 sum_s omega_s(e_a, e_b) xi_
 with xi_s = 2 d/dw_s, which lands on omega_1(T1, X1) = omega_1(Y1, Z1) = 1 and
 cyclic; the I_s act as left multiplication by i, j, k on the frame basis.
 
+Every frame derivative of a field comes from one call, `frame_jets(f, p,
+order)`: a single jet evaluation projected onto the frame rows, giving the
+value, e_a f and xi_s f at order 1 and adding e_a(e_b f) and e_a(xi_s f) at
+order 2.  The sub-Laplacian and the corrected Hessian are read off it.
+
 The covariant Hessian uses the canonical connection of the flat model, in
 which the left-invariant frame is parallel, so hess(f)(e_a, e_b) = e_a(e_b f).
-The antisymmetry audit (`horizontal_hessian` vs the commutator relation) is
+The antisymmetry audit (`corrected_hessian` vs the commutator relation) is
 the runtime guard for that choice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -31,17 +37,12 @@ from .jets import ScalarField, _as_batch, _max_abs
 from .quaternions import group_mul
 
 __all__ = [
-    "FrameCoeffs",
     "ComplexStructures",
     "FrameJet",
-    "frame_at",
     "frame_rows",
     "frame_jets",
     "complex_structures",
-    "horizontal_gradient",
-    "vertical_derivatives",
-    "horizontal_hessian",
-    "mixed_vertical_hessian",
+    "corrected_hessian",
     "sub_laplacian",
     "commutator_audit",
     "structure_residuals",
@@ -131,6 +132,7 @@ _BRACKET, OMEGA, IMAT = _derive_structures()
 # e_a(c_b^{w_s}) as constant 4x4 matrices, one per vertical direction:
 # the only surviving first-order term of the frame Hessian.
 _DC = np.array([[[_LIN[b, 4 + s, a] for b in range(4)] for a in range(4)] for s in range(3)])
+_OMEGA_STACK = np.stack(OMEGA)
 
 
 def _verify_structures() -> dict[str, float]:
@@ -157,18 +159,6 @@ def structure_residuals() -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class FrameCoeffs:
-    """Coefficient rows of the frame at one point.
-
-    horizontal[a] holds the 7 coordinate coefficients of the a-th horizontal
-    field; vertical holds the constant rows 2*d/dx, 2*d/dy, 2*d/dz.
-    """
-
-    horizontal: np.ndarray
-    vertical: np.ndarray
-
-
-@dataclass(frozen=True)
 class ComplexStructures:
     """The three almost complex structures and fundamental 2-forms.
 
@@ -180,13 +170,6 @@ class ComplexStructures:
     forms: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def frame_at(p) -> FrameCoeffs:
-    pts, _ = _as_batch(p)
-    if pts.shape[0] != 1:
-        raise ValueError("frame_at takes a single point; use frame_rows for batches")
-    return FrameCoeffs(horizontal=frame_rows(pts)[0], vertical=_VERTICAL.copy())
-
-
 def complex_structures() -> ComplexStructures:
     return ComplexStructures(
         matrices=tuple(m.copy() for m in IMAT),
@@ -194,86 +177,60 @@ def complex_structures() -> ComplexStructures:
     )
 
 
-def _squeeze(arr: np.ndarray, squeeze: bool):
-    return arr[0] if squeeze else arr
-
-
-def horizontal_gradient(f: ScalarField, p) -> np.ndarray:
-    """(T1 f, X1 f, Y1 f, Z1 f) at p; shape (4,) or (N, 4)."""
-    pts, squeeze = _as_batch(p)
-    _, grad = f.jet_batch(pts, 1)
-    out = np.einsum("naj,nj->na", frame_rows(pts), grad)
-    return _squeeze(out, squeeze)
-
-
-def vertical_derivatives(f: ScalarField, p) -> np.ndarray:
-    """(xi1 f, xi2 f, xi3 f) = 2 * (d/dx, d/dy, d/dz) f."""
-    pts, squeeze = _as_batch(p)
-    _, grad = f.jet_batch(pts, 1)
-    return _squeeze(VERTICAL_SCALE * grad[:, 4:7], squeeze)
-
-
-def _hessian_batch(f: ScalarField, pts: np.ndarray):
-    val, grad, hess = f.jet_batch(pts, 2)
-    rows = frame_rows(pts)
-    chc = rows @ hess @ np.swapaxes(rows, 1, 2)
-    first_order = np.einsum("sab,ns->nab", _DC, grad[:, 4:7])
-    return val, chc + first_order, grad, hess, rows
-
-
-def horizontal_hessian(f: ScalarField, p) -> np.ndarray:
-    """Frame Hessian M[a, b] = e_a(e_b f); shape (4, 4) or (N, 4, 4).
-
-    Not symmetric in general: the antisymmetric part carries the commutators,
-    M[a,b] - M[b,a] = -2 sum_s omega_s(e_a, e_b) * (xi_s f).
-    """
-    pts, squeeze = _as_batch(p)
-    _, m, _, _, _ = _hessian_batch(f, pts)
-    return _squeeze(m, squeeze)
-
-
-def mixed_vertical_hessian(f: ScalarField, p) -> np.ndarray:
-    """hess(f)(e_a, xi_s) = e_a(xi_s f); shape (4, 3) or (N, 4, 3)."""
-    pts, squeeze = _as_batch(p)
-    _, _, _, hess, rows = _hessian_batch(f, pts)
-    out = VERTICAL_SCALE * np.einsum("naj,njk->nak", rows, hess)[:, :, 4:7]
-    return _squeeze(out, squeeze)
-
-
 @dataclass(frozen=True)
 class FrameJet:
-    """All frame derivatives of a field at a batch of points, in one pass.
+    """Frame derivatives of a field at a batch of points, from one jet call.
 
-    value (N,); grad (N, 4) = e_a f; vert (N, 3) = xi_s f;
-    hess (N, 4, 4) = e_a(e_b f); mixed (N, 4, 3) = e_a(xi_s f).
+    value (N,); grad (N, 4) = e_a f; vert (N, 3) = xi_s f; and at order 2
+    hess (N, 4, 4) = e_a(e_b f) and mixed (N, 4, 3) = e_a(xi_s f), which are
+    None at order 1.
     """
 
     value: np.ndarray
     grad: np.ndarray
     vert: np.ndarray
-    hess: np.ndarray
-    mixed: np.ndarray
+    hess: Optional[np.ndarray] = None
+    mixed: Optional[np.ndarray] = None
 
 
-def frame_jets(f: ScalarField, pts: np.ndarray) -> FrameJet:
-    """Batched evaluation of every frame derivative from a single jet call."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    val, m, grad, hess, rows = _hessian_batch(f, pts)
-    return FrameJet(
-        value=val,
+def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
+    """Every frame derivative of f up to `order` (1 or 2) at p.
+
+    p is one point or an (N, 7) batch; the arrays are batched either way.
+    The frame Hessian is not symmetric: its antisymmetric part carries the
+    commutators, hess[a,b] - hess[b,a] = -2 sum_s omega_s(e_a, e_b) (xi_s f).
+    """
+    if order not in (1, 2):
+        raise ValueError(f"frame jet order must be 1 or 2, got {order!r}")
+    pts, _ = _as_batch(p)
+    jet = f.jet_batch(pts, order)
+    value, grad = jet[0], jet[1]
+    rows = frame_rows(pts)
+    fj = FrameJet(
+        value=value,
         grad=np.einsum("naj,nj->na", rows, grad),
         vert=VERTICAL_SCALE * grad[:, 4:7],
-        hess=m,
+    )
+    if order == 1:
+        return fj
+    hess = jet[2]
+    chc = rows @ hess @ np.swapaxes(rows, 1, 2)
+    first_order = np.einsum("sab,ns->nab", _DC, grad[:, 4:7])
+    return replace(
+        fj,
+        hess=chc + first_order,
         mixed=VERTICAL_SCALE * np.einsum("naj,njk->nak", rows, hess)[:, :, 4:7],
     )
 
 
+def corrected_hessian(fj: FrameJet) -> np.ndarray:
+    """hess + sum_s (xi_s f) omega_s, symmetric when the conventions hold."""
+    return fj.hess + np.einsum("ns,sab->nab", fj.vert, _OMEGA_STACK)
+
+
 def sub_laplacian(f: ScalarField, p) -> np.ndarray:
-    """Trace of the horizontal Hessian: (T1^2 + X1^2 + Y1^2 + Z1^2) f."""
-    pts, squeeze = _as_batch(p)
-    _, m, _, _, _ = _hessian_batch(f, pts)
-    out = np.trace(m, axis1=1, axis2=2)
-    return float(out[0]) if squeeze else out
+    """(T1^2 + X1^2 + Y1^2 + Z1^2) f, the trace of the frame Hessian; shape (N,)."""
+    return np.trace(frame_jets(f, p).hess, axis1=1, axis2=2)
 
 
 def commutator_audit(a: int, b: int, p) -> float:

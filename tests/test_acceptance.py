@@ -14,8 +14,8 @@ from scipy import special
 from qheis import audit, conformal, frame
 from qheis.extremals import (
     FamilyParams,
-    cayley_forward,
-    cayley_inverse,
+    cayley_forward_batch,
+    cayley_inverse_batch,
     dilate_field,
     h_family,
     kelvin,
@@ -55,11 +55,9 @@ def rel_residual(u, pts):
 def test_criterion_1_entire_solution(announce, ubar, rng):
     t0 = time.perf_counter()
     pts = rng.uniform(-3.0, 3.0, (1000, 7))
-    worst = rel_residual(ubar, pts)
     moved = translate_field(ubar, np.array([0.7, -0.3, 0.2, 0.5, -0.8, 0.4, 1.1]))
-    worst = max(worst, rel_residual(moved, pts))
-    for lam in (0.3, 0.77, 1.9, 3.0):
-        worst = max(worst, rel_residual(dilate_field(ubar, lam), pts))
+    fields = [ubar, moved] + [dilate_field(ubar, lam) for lam in (0.3, 0.77, 1.9, 3.0)]
+    worst = np.max([rel_residual(u, pts) for u in fields])
     dt = time.perf_counter() - t0
     ok = worst <= 1e-9 and dt < 5.0
     announce(1, ok, f"PDE relative residual {worst:.2e} (tol 1e-9) on 1000 points, "
@@ -68,7 +66,7 @@ def test_criterion_1_entire_solution(announce, ubar, rng):
 
 def test_criterion_2_family_torsion(announce, rng):
     t0 = time.perf_counter()
-    worst = 0.0
+    norms = []
     for i in range(20):
         c, nu = 10.0 ** rng.uniform(-1.0, 1.0, 2)
         h = h_family(FamilyParams(c=c, nu=nu))
@@ -76,7 +74,8 @@ def test_criterion_2_family_torsion(announce, rng):
             h = translate_field(h, rng.uniform(-1.0, 1.0, 7))
         pts = rng.uniform(-2.0, 2.0, (20, 7))
         t = conformal.torsion_T0_deformed(h, pts)
-        worst = max(worst, float(np.max(np.sqrt(np.einsum("nab,nab->n", t, t)))))
+        norms.append(np.sqrt(np.einsum("nab,nab->n", t, t)))
+    worst = np.max(norms)
     control = autodiff_lift(
         lambda t1, x1, y1, z1, x, y, z: 1.0 + (t1**2 + x1**2 + y1**2 + z1**2) ** 2,
         tag="one-plus-q4",
@@ -90,12 +89,12 @@ def test_criterion_2_family_torsion(announce, rng):
 
 
 def test_criterion_3_u_tensor_and_projection(announce, rng):
-    worst_u = 0.0
+    u_tensors = []
     for c, nu in [(1.0, 1.0), (4.0, 0.3), (0.2, 5.0)]:
         h = h_family(FamilyParams(c=c, nu=nu))
         pts = rng.uniform(-2.0, 2.0, (30, 7))
-        u = conformal.U_deformed(h, pts)
-        worst_u = max(worst_u, float(np.max(np.abs(u))))
+        u_tensors.append(conformal.U_deformed(h, pts))
+    worst_u = np.max(np.abs(u_tensors))
     m = rng.standard_normal((100, 4, 4))
     m = m + m.transpose(0, 2, 1)
     p3 = conformal.casimir_project(m, "[3]")
@@ -146,22 +145,24 @@ def test_criterion_6_quotient_and_search(announce, ubar):
         translate_field(ubar, np.array([0.9, 0.1, -0.5, 0.3, -0.2, 0.8, 0.4])),
         dilate_field(ubar, 1.7),
     ]
-    worst_inv = max(abs(fs_quotient(u).quotient / ref.quotient - 1.0) for u in variants)
+    worst_inv = np.max([abs(fs_quotient(u).quotient / ref.quotient - 1.0) for u in variants])
     parts = abs(ref.numerator / ref.mass - 1.0)
 
     g0 = np.array([0.3, -0.2, 0.1, 0.4, 0.2, -0.1, 0.3])
     nu_true = 1.44
     target = translate_field(dilate_field(ubar, math.sqrt(nu_true)), g0)
     rng = np.random.default_rng(11)
-    worst_val = worst_center = 0.0
+    values, centers = [], []
     for _ in range(10):
         start = FamilyParams(
             nu=nu_true * float(np.exp(rng.uniform(-0.2, 0.2))),
             center=g0 + rng.uniform(-0.12, 0.12, 7),
         )
         res = minimize_quotient(start, target, seed=0)
-        worst_val = max(worst_val, abs(res.value / ref.quotient - 1.0))
-        worst_center = max(worst_center, float(np.max(np.abs(np.asarray(res.params.center) - g0))))
+        values.append(abs(res.value / ref.quotient - 1.0))
+        centers.append(np.asarray(res.params.center) - g0)
+    worst_val = np.max(values)
+    worst_center = np.max(np.abs(centers))
     dt = time.perf_counter() - t0
     ok = worst_inv <= 1e-5 and parts <= 1e-4 and worst_val <= 1e-4 and worst_center <= 1e-3 and dt < 60.0
     announce(6, ok, f"quotient invariances {worst_inv:.2e} (tol 1e-5); parts identity "
@@ -171,7 +172,9 @@ def test_criterion_6_quotient_and_search(announce, ubar):
 
 def test_criterion_7_coupling_matrix(announce, rng):
     spec_dev = float(np.max(np.abs(audit.q_spectrum() - audit.Q_SPECTRUM)))
-    form_dev = max(audit.quadratic_form_audit(rng.standard_normal((6, 4))) for _ in range(100))
+    form_dev = np.max(
+        [audit.quadratic_form_audit(rng.standard_normal((6, 4))) for _ in range(100)]
+    )
     ok = spec_dev <= 1e-12 and form_dev <= 1e-12
     announce(7, ok, f"spectrum deviation {spec_dev:.2e} (tol 1e-12); quadratic form vs "
                     f"cyclic expansion {form_dev:.2e} (tol 1e-12) on 100 random vectors")
@@ -179,9 +182,7 @@ def test_criterion_7_coupling_matrix(announce, rng):
 
 def test_criterion_8_cayley_and_kelvin(announce, ubar, rng):
     pts = rng.uniform(-2.0, 2.0, (1000, 7))
-    worst_round = max(
-        float(np.max(np.abs(cayley_forward(cayley_inverse(p)).array - p))) for p in pts
-    )
+    worst_round = np.max(np.abs(cayley_forward_batch(*cayley_inverse_batch(pts)) - pts))
     nonzero = pts[np.einsum("ni,ni->n", pts[:, :4], pts[:, :4]) > 1e-4]
     worst_sigma = float(np.max(np.abs(sigma(sigma(nonzero)) - nonzero)))
     far = pts[np.einsum("ni,ni->n", pts[:, :4], pts[:, :4]) > 0.25]
@@ -194,10 +195,9 @@ def test_criterion_8_cayley_and_kelvin(announce, ubar, rng):
 
 def test_criterion_9_frame_audits(announce, ubar, rng):
     pts = rng.uniform(-2.0, 2.0, (100, 7))
-    worst_comm = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            worst_comm = max(worst_comm, float(np.max(frame.commutator_audit(a, b, pts))))
+    worst_comm = np.max(
+        [frame.commutator_audit(a, b, pts) for a in range(4) for b in range(a + 1, 4)]
+    )
     shipped = [
         ubar,
         h_family(FamilyParams(c=0.5, nu=2.0)),
@@ -208,11 +208,12 @@ def test_criterion_9_frame_audits(announce, ubar, rng):
         ),
     ]
     omega_stack = np.stack(frame.OMEGA)
-    worst_sym = 0.0
+    asymmetry = []
     for u in shipped:
         fj = frame.frame_jets(u, pts)
         m = fj.hess + np.einsum("ns,sab->nab", fj.vert, omega_stack)
-        worst_sym = max(worst_sym, float(np.max(np.abs(m - m.transpose(0, 2, 1)))))
+        asymmetry.append(m - m.transpose(0, 2, 1))
+    worst_sym = np.max(np.abs(asymmetry))
     ok = worst_comm <= 1e-13 and worst_sym <= 1e-10
     announce(9, ok, f"frame commutator audit {worst_comm:.2e} (tol 1e-13) at 100 points; "
                     f"corrected-Hessian asymmetry {worst_sym:.2e} (tol 1e-10) on "

@@ -125,6 +125,18 @@ def test_nan_hessian_fails_hessian_antisymmetry(monkeypatch, capsys):
     assert "[FAIL] hessian-antisymmetry" in capsys.readouterr().out
 
 
+def test_pde_residual_check_evaluates_the_field_once(ubar, box_points):
+    orders = []
+
+    def jets(pts, order=2):
+        orders.append(order)
+        return ubar.jets(pts, order)
+
+    counted = ScalarField(tag="counted-ubar", jets=jets, decay=ubar.decay)
+    assert audit._relative_pde_residual(counted, box_points) <= 1e-9
+    assert orders == [2]
+
+
 # ---------------------------------------------------------------------------
 # The report contract.
 
@@ -178,6 +190,19 @@ def test_suite_determinism():
     b = run_suite("frames", SuiteConfig(seed=42))
     assert reports_equal(a, b)
     assert not reports_equal(a, run_suite("frames", SuiteConfig(seed=43)))
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5])
+def test_suite_config_rejects_bad_samples(samples):
+    with pytest.raises(ValueError, match="positive integer"):
+        SuiteConfig(samples=samples)
+
+
+def test_suite_config_samples_override():
+    reports = {r.check: r for r in run_suite("qmatrix", SuiteConfig(samples=2))}
+    assert reports["q-quadratic-form"].samples == 2
+    reports = {r.check: r for r in run_suite("qmatrix", SuiteConfig())}
+    assert reports["q-quadratic-form"].samples == 100
 
 
 def test_tol_override_can_fail_a_suite():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qheis import audit
 from qheis.cli import build_parser, main
 
 
@@ -72,6 +73,15 @@ def test_empty_cayley_point_set_is_an_error_not_a_usage_error(capsys):
     assert main(["verify-cayley", "--samples", "1", "--seed", "414"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "|q| > 0.5" in err
+
+
+def test_library_value_error_is_an_error_not_a_usage_error(monkeypatch, capsys):
+    def broken(name, config):
+        raise ValueError("raised inside the library")
+
+    monkeypatch.setattr(audit, "run_suite", broken)
+    assert main(["qmatrix"]) == 1
+    assert capsys.readouterr().err == "error: raised inside the library\n"
 
 
 def test_best_constant_csv_is_convergence_table(capsys):

@@ -112,6 +112,16 @@ def test_sym_part_rejects_inconsistent_jets():
         conformal.sym_part(broken, np.zeros(7))
 
 
+def test_sym_part_rejects_a_nan_hessian():
+    def jets(pts, order=2):
+        n = pts.shape[0]
+        return (np.ones(n), np.zeros((n, 7)), np.full((n, 7, 7), np.nan))[: order + 1]
+
+    broken = ScalarField(tag="nan-hessian", jets=jets, biradial_map=None)
+    with pytest.raises(ConsistencyError):
+        conformal.sym_part(broken, np.zeros(7))
+
+
 # ---------------------------------------------------------------------------
 # Torsion and the family.
 

@@ -74,16 +74,18 @@ def test_pinned_rows():
 def test_vertical_scale():
     assert frame.VERTICAL_SCALE == 2.0
     f = autodiff_lift(lambda t1, x1, y1, z1, x, y, z: x + 3.0 * z, tag="vertical-linear")
-    vert = frame.vertical_derivatives(f, np.zeros(7))
-    np.testing.assert_allclose(vert, [2.0, 0.0, 6.0], atol=0)
+    vert = frame.frame_jets(f, np.zeros(7), 1).vert
+    np.testing.assert_allclose(vert, [[2.0, 0.0, 6.0]], atol=0)
 
 
 def test_commutators_everywhere(box_points):
-    worst = max(
-        frame.commutator_audit(a, b, p)
-        for p in box_points[:25]
-        for a in range(4)
-        for b in range(a + 1, 4)
+    worst = np.max(
+        [
+            frame.commutator_audit(a, b, p)
+            for p in box_points[:25]
+            for a in range(4)
+            for b in range(a + 1, 4)
+        ]
     )
     assert worst <= 1e-13
 
@@ -102,7 +104,7 @@ def test_commutator_audit_checks_the_whole_batch(box_points, monkeypatch):
 
 
 def test_structure_residuals_clean():
-    assert max(frame.structure_residuals().values()) <= 1e-13
+    assert np.max(list(frame.structure_residuals().values())) <= 1e-13
 
 
 def test_sublaplacian_of_q_squared_is_eight(box_points):
@@ -113,12 +115,29 @@ def test_sublaplacian_of_q_squared_is_eight(box_points):
     np.testing.assert_allclose(frame.sub_laplacian(qsq, box_points), 8.0, atol=1e-11)
 
 
-def test_horizontal_gradient_shape_and_value():
+def test_frame_jets_gradient_shape_and_value():
     f = autodiff_lift(lambda t1, x1, y1, z1, x, y, z: x, tag="omega-1")
     p = np.array([1.0, 0, 0, 0, 0, 0, 0])
     # dx against the frame rows at p: T1 -> 2*x1 = 0, X1 -> -2*t1 = -2,
     # Y1 -> 2*z1 = 0, Z1 -> -2*y1 = 0
-    np.testing.assert_allclose(frame.horizontal_gradient(f, p), [0, -2, 0, 0], atol=0)
+    grad = frame.frame_jets(f, p, 1).grad
+    assert grad.shape == (1, 4)
+    np.testing.assert_allclose(grad, [[0, -2, 0, 0]], atol=0)
+
+
+def test_frame_jets_order_one_is_a_prefix_of_order_two(ubar, box_points):
+    one = frame.frame_jets(ubar, box_points, 1)
+    two = frame.frame_jets(ubar, box_points, 2)
+    assert one.hess is None and one.mixed is None
+    assert two.hess.shape == (100, 4, 4) and two.mixed.shape == (100, 4, 3)
+    for name in ("value", "grad", "vert"):
+        np.testing.assert_array_equal(getattr(one, name), getattr(two, name))
+
+
+@pytest.mark.parametrize("order", [0, 3, 1.5])
+def test_frame_jets_order_is_validated(ubar, order):
+    with pytest.raises(ValueError, match="order"):
+        frame.frame_jets(ubar, np.zeros(7), order)
 
 
 def test_ubar_origin_jets(ubar):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from qheis.errors import AccuracyError, DomainError
+from qheis.errors import AccuracyError, ConsistencyError, DomainError
 from qheis.extremals import (
     FamilyParams,
     dilate_field,
@@ -21,7 +21,7 @@ from qheis.extremals import (
     translate_field,
     ubar_field,
 )
-from qheis.frame import horizontal_gradient
+from qheis.frame import frame_jets
 from qheis.jets import constant_field, power_compose
 from qheis.quadrature import (
     GAUGE_INTEGRAL_CLOSED_FORM,
@@ -32,6 +32,7 @@ from qheis.quadrature import (
     integrate_biradial,
     integrate_field,
     integrate_mc,
+    _energy_biradial_audit,
     minimize_quotient,
     spin_rotation_map,
 )
@@ -197,12 +198,25 @@ def test_quotient_invariances(ubar):
         assert abs(fs_quotient(u).quotient / ref - 1.0) <= 1e-5
 
 
+def test_energy_audit_rejects_a_nan_gradient(ubar):
+    def jets(pts, order=2):
+        out = ubar.jets(pts, order)
+        if order == 0:
+            return out
+        return (out[0], np.full_like(out[1], math.nan)) + out[2:]
+
+    broken = dataclasses.replace(ubar, tag="ubar-nan-gradient", jets=jets)
+    _energy_biradial_audit(ubar)
+    with pytest.raises(ConsistencyError, match="not bi-radial"):
+        _energy_biradial_audit(broken)
+
+
 def test_energy_profile_identity(ubar, rng):
     # |grad_H ubar|^2 against the hand-written profile derivatives of
     # F(r, rho) = 1024 [(1+r^2)^2 + rho^2]^{-2}:
     # |grad_H u|^2 = F_r^2 + 4 r^2 F_rho^2
     pts = rng.uniform(-2.0, 2.0, (200, 7))
-    g = horizontal_gradient(ubar, pts)
+    g = frame_jets(ubar, pts, 1).grad
     lhs = np.einsum("na,na->n", g, g)
     r2 = np.einsum("ni,ni->n", pts[:, :4], pts[:, :4])
     rho2 = np.einsum("ni,ni->n", pts[:, 4:7], pts[:, 4:7])
