@@ -22,12 +22,10 @@ from .quaternions import (
 )
 from .jets import (
     AffineMap,
-    Jet2,
     ScalarField,
     affine_pullback,
     autodiff_lift,
     constant_field,
-    eval_jet,
     power_compose,
 )
 from .frame import FrameJet, commutator_audit, frame_jets, sub_laplacian

@@ -31,7 +31,8 @@ from .jets import (
     ScalarField,
     _as_batch,
     affine_pullback,
-    compose_through_map,
+    autodiff_lift,
+    compose,
     power_compose,
 )
 from .quaternions import (
@@ -295,55 +296,48 @@ def cayley_contact_factor(g):
     return float(out[0]) if squeeze else out
 
 
-def _sigma_arrays(pts: np.ndarray) -> np.ndarray:
-    q = pts[:, :4]
-    w = pts[:, 4:7]
-    r2 = np.einsum("ni,ni->n", q, q)
-    denom = r2 * r2 + np.einsum("ni,ni->n", w, w)  # |p'|^2 with p' = |q|^2 - w
-    if np.any(denom == 0.0):
+def _sigma_components(t1, x1, y1, z1, x, y, z):
+    """The inversion on coordinates, arrays or Hyper2 alike: (image, |q|^4+|w|^2).
+
+    The one copy of the formula, shared by `sigma` and `kelvin`.  A point
+    where the denominator vanishes (the group identity) raises
+    SingularityError before any division.
+    """
+    r2 = t1 * t1 + x1 * x1 + y1 * y1 + z1 * z1
+    denom = r2 * r2 + x * x + y * y + z * z  # |p'|^2 with p' = |q|^2 - w
+    if np.any(getattr(denom, "val", denom) == 0.0):
         raise SingularityError("sigma is undefined at the group identity")
+    inv = denom**-1.0
     # (p')^{-1} = conj(p')/|p'|^2 and conj(p') = |q|^2 + w.
-    pinv = np.concatenate([r2[:, None], w], axis=1) / denom[:, None]
-    out = np.empty_like(pts)
-    out[:, :4] = -quat_mul(pinv, q)
-    out[:, 4:7] = -w / denom[:, None]
-    return out
+    q2 = _hamilton((r2 * inv, x * inv, y * inv, z * inv), (t1, x1, y1, z1))
+    return (-q2[0], -q2[1], -q2[2], -q2[3], -x * inv, -y * inv, -z * inv), denom
 
 
 def sigma(g):
     """The inversion q -> -(|q|^2 - w)^{-1} q, w -> -w/(|q|^4+|w|^2); an involution."""
     arr = as_point(g)
     pts, squeeze = _as_batch(arr)
-    out = _sigma_arrays(pts)
+    image, _ = _sigma_components(*pts.T)
+    out = np.stack(image, axis=1)
     if isinstance(g, GroupPoint):
         return GroupPoint.from_array(out[0])
     return out[0] if squeeze else out
-
-
-def _sigma_components(t1, x1, y1, z1, x, y, z):
-    r2 = t1 * t1 + x1 * x1 + y1 * y1 + z1 * z1
-    denom = r2 * r2 + x * x + y * y + z * z
-    inv = denom**-1.0
-    pinv = (r2 * inv, x * inv, y * inv, z * inv)
-    q2 = _hamilton(pinv, (t1, x1, y1, z1))
-    return (-q2[0], -q2[1], -q2[2], -q2[3], -x * inv, -y * inv, -z * inv)
 
 
 def kelvin(u: ScalarField, tag: Optional[str] = None) -> ScalarField:
     """The Kelvin transform (|q|^4 + |w|^2)^{-2} u(sigma(g)).
 
     Maps entire solutions to solutions away from the origin; evaluating the
-    result at the identity raises SingularityError.  The bi-radial
+    result at the identity raises SingularityError.  It is the lifted formula
+    denom**-2 * compose(u, sigma(x)), sharing sigma's code, so its jets at
+    order k ask u for order k and build nothing above it.  The bi-radial
     certificate survives only in the untranslated gauge, where sigma acts
     radially on (|q|, |w|).
     """
 
-    def prefactor(t1, x1, y1, z1, x, y, z):
-        r2 = t1 * t1 + x1 * x1 + y1 * y1 + z1 * z1
-        return (r2 * r2 + x * x + y * y + z * z) ** -2.0
-
-    def at_identity(pts: np.ndarray) -> np.ndarray:
-        return ~np.any(pts != 0.0, axis=1)
+    def formula(*coords):
+        image, denom = _sigma_components(*coords)
+        return denom**-2.0 * compose(u, image)
 
     cert = None
     decay = None
@@ -355,12 +349,9 @@ def kelvin(u: ScalarField, tag: Optional[str] = None) -> ScalarField:
             at0 = 0.0
         if at0 > 0.0:
             decay = (8.0, 4.0)
-    return compose_through_map(
-        u,
-        _sigma_components,
+    return autodiff_lift(
+        formula,
         tag=tag or f"kelvin({u.tag})",
-        prefactor=prefactor,
         biradial_map=cert,
         decay=decay,
-        singular=at_identity,
     )

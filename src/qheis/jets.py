@@ -6,10 +6,11 @@ the symmetric Hessian (N, 7, 7).  Each lower-order jet is bitwise the
 matching prefix of the order-2 jet, so a caller that needs only values or
 gradients asks for them and never pays for 7x7 Hessians.  Jets come either
 from hand-differentiated closed forms (the solution families) or from
-second-order forward automatic differentiation with full 7-direction
-seeding (`Hyper2`, a truncated-Taylor number carrying value, gradient and
-Hessian through arithmetic); the forward-mode fields always propagate to
-order 2 and return the requested prefix.
+forward automatic differentiation with full 7-direction seeding
+(`Hyper2`, a truncated-Taylor number carrying value, gradient and Hessian
+through arithmetic).  Forward mode is seeded at the requested order and
+builds nothing above it; `compose` carries it through a smooth map, so a
+transform such as Kelvin's is an ordinary lifted formula.
 
 An affine pullback of an affine pullback is folded on construction: the
 maps compose through `AffineMap.after` and the amplitudes multiply, so a
@@ -20,28 +21,25 @@ substitute for jets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .quaternions import as_point
 
 __all__ = [
-    "Jet2",
     "JetBatch",
     "ScalarField",
     "AffineMap",
     "Hyper2",
-    "eval_jet",
     "autodiff_lift",
     "finite_diff_audit",
     "constant_field",
     "affine_pullback",
     "power_compose",
-    "compose_through_map",
+    "compose",
     "exp",
     "log",
     "sqrt",
@@ -54,28 +52,6 @@ DIM = 7
 JetBatch = tuple[np.ndarray, ...]
 
 JET_ORDERS = (0, 1, 2)
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Value, Euclidean gradient and Hessian of a scalar field at one point.
-
-    The Hessian is rebuilt from its upper triangle on construction, so the
-    stored matrix is exactly symmetric bit for bit.
-    """
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-    def __post_init__(self):
-        grad = np.asarray(self.grad, dtype=float).reshape(DIM)
-        hess = np.asarray(self.hess, dtype=float).reshape(DIM, DIM)
-        upper = np.triu(hess)
-        hess = upper + upper.T - np.diag(np.diag(upper))
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "grad", grad)
-        object.__setattr__(self, "hess", hess)
 
 
 @dataclass(frozen=True)
@@ -173,26 +149,20 @@ def _max_abs(*parts) -> float:
     return float(np.max([np.max(np.abs(part)) for part in parts]))
 
 
-def eval_jet(f: ScalarField, p) -> Jet2:
-    """Evaluate one point to a Jet2 (accepts a GroupPoint or a 7-array)."""
-    pts, _ = _as_batch(p)
-    if pts.shape[0] != 1:
-        raise ValueError("eval_jet takes a single point; use jet_batch for batches")
-    f._check_domain(pts)
-    val, grad, hess = f.jets(pts, 2)
-    return Jet2(val[0], grad[0], hess[0])
-
-
 # ---------------------------------------------------------------------------
-# Second-order forward mode.
+# Forward mode, truncated at the seeded order.
 
 
 class Hyper2:
     """Batched truncated-Taylor scalar: value (N,), gradient (N,7), Hessian (N,7,7).
 
-    Supports +, -, *, /, ** with floats and other Hyper2 operands, plus
-    exp/log/sqrt through the module-level functions.  All 7 directions are
-    seeded at once, so one pass through a formula yields the full jet.
+    Parts above the order the coordinates were seeded with are None and are
+    never built: order 0 carries the value only, order 1 adds the gradient.
+    Supports +, -, *, /, ** with floats, arrays and other Hyper2 operands of
+    the same order, plus exp/log/sqrt through the module-level functions.
+    All 7 directions are seeded at once, so one pass through a formula yields
+    the jet.  Each part is computed by the same arithmetic at every order, so
+    a lower order is bitwise the prefix of a higher one.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -203,25 +173,27 @@ class Hyper2:
         self.grad = grad
         self.hess = hess
 
+    @property
+    def order(self) -> int:
+        return 0 if self.grad is None else 1 if self.hess is None else 2
+
     # -- seeding ---------------------------------------------------------
 
     @staticmethod
-    def seed(points: np.ndarray) -> tuple["Hyper2", ...]:
-        """One Hyper2 per coordinate with unit gradient seeds."""
+    def seed(points: np.ndarray, order: int) -> tuple["Hyper2", ...]:
+        """One Hyper2 per coordinate, with unit gradient seeds from order 1."""
         points = np.asarray(points, dtype=float)
         n = points.shape[0]
         out = []
         for i in range(DIM):
-            grad = np.zeros((n, DIM))
-            grad[:, i] = 1.0
-            out.append(Hyper2(points[:, i].copy(), grad, np.zeros((n, DIM, DIM))))
+            grad = hess = None
+            if order >= 1:
+                grad = np.zeros((n, DIM))
+                grad[:, i] = 1.0
+            if order == 2:
+                hess = np.zeros((n, DIM, DIM))
+            out.append(Hyper2(points[:, i].copy(), grad, hess))
         return tuple(out)
-
-    @staticmethod
-    def constant(c, n: int) -> "Hyper2":
-        return Hyper2(
-            np.full(n, float(c)), np.zeros((n, DIM)), np.zeros((n, DIM, DIM))
-        )
 
     def _coerce(self, other) -> "Hyper2":
         if isinstance(other, Hyper2):
@@ -229,7 +201,11 @@ class Hyper2:
         if np.isscalar(other) or isinstance(other, np.ndarray):
             val = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape).copy()
             n = val.shape[0]
-            return Hyper2(val, np.zeros((n, DIM)), np.zeros((n, DIM, DIM)))
+            return Hyper2(
+                val,
+                None if self.grad is None else np.zeros((n, DIM)),
+                None if self.hess is None else np.zeros((n, DIM, DIM)),
+            )
         return NotImplemented
 
     # -- ring operations --------------------------------------------------
@@ -238,18 +214,26 @@ class Hyper2:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Hyper2(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        return Hyper2(
+            self.val + o.val,
+            None if self.grad is None else self.grad + o.grad,
+            None if self.hess is None else self.hess + o.hess,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Hyper2(-self.val, -self.grad, -self.hess)
+        return Hyper2(
+            -self.val,
+            None if self.grad is None else -self.grad,
+            None if self.hess is None else -self.hess,
+        )
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Hyper2(self.val - o.val, self.grad - o.grad, self.hess - o.hess)
+        return self + (-o)  # IEEE a - b is a + (-b), bit for bit
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -258,15 +242,18 @@ class Hyper2:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        cross = np.einsum("ni,nj->nij", self.grad, o.grad)
-        return Hyper2(
-            self.val * o.val,
-            self.grad * o.val[:, None] + o.grad * self.val[:, None],
-            self.hess * o.val[:, None, None]
-            + o.hess * self.val[:, None, None]
-            + cross
-            + np.swapaxes(cross, 1, 2),
-        )
+        grad = hess = None
+        if self.grad is not None:
+            grad = self.grad * o.val[:, None] + o.grad * self.val[:, None]
+        if self.hess is not None:
+            cross = np.einsum("ni,nj->nij", self.grad, o.grad)
+            hess = (
+                self.hess * o.val[:, None, None]
+                + o.hess * self.val[:, None, None]
+                + cross
+                + np.swapaxes(cross, 1, 2)
+            )
+        return Hyper2(self.val * o.val, grad, hess)
 
     __rmul__ = __mul__
 
@@ -274,10 +261,7 @@ class Hyper2:
         if np.any(self.val == 0.0):
             raise DomainError("division by a zero value in forward-mode evaluation")
         iv = 1.0 / self.val
-        grad = -self.grad * (iv * iv)[:, None]
-        outer = np.einsum("ni,nj->nij", self.grad, self.grad)
-        hess = -self.hess * (iv * iv)[:, None, None] + 2.0 * outer * (iv**3)[:, None, None]
-        return Hyper2(iv, grad, hess)
+        return self._chain(iv, lambda: -(iv * iv), lambda: 2.0 * iv**3)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -295,30 +279,35 @@ class Hyper2:
             return self._coerce(1.0)
         if r == 1.0:
             return self
-        if not r.is_integer() and np.any(self.val <= 0.0):
+        v = self.val
+        if not r.is_integer() and np.any(v <= 0.0):
             raise DomainError(f"non-integer power {r} of a non-positive value")
-        if r.is_integer() and np.any(self.val == 0.0) and r < 0:
+        if r.is_integer() and np.any(v == 0.0) and r < 0:
             raise DomainError("negative power of zero")
         return self._chain(
-            self.val**r,
-            r * self.val ** (r - 1.0),
-            r * (r - 1.0) * self.val ** (r - 2.0),
+            v**r,
+            lambda: r * v ** (r - 1.0),
+            lambda: r * (r - 1.0) * v ** (r - 2.0),
         )
 
     def _chain(self, f, fp, fpp) -> "Hyper2":
-        """Compose with a scalar function given f(v), f'(v), f''(v)."""
-        outer = np.einsum("ni,nj->nij", self.grad, self.grad)
-        return Hyper2(
-            f,
-            fp[:, None] * self.grad,
-            fp[:, None, None] * self.hess + fpp[:, None, None] * outer,
-        )
+        """Compose with a scalar function: f(v), and thunks for f'(v), f''(v).
+
+        A derivative is evaluated only when the order carries it.
+        """
+        grad = hess = None
+        if self.grad is not None:
+            d1 = fp()
+            grad = d1[:, None] * self.grad
+        if self.hess is not None:
+            outer = np.einsum("ni,nj->nij", self.grad, self.grad)
+            hess = d1[:, None, None] * self.hess + fpp()[:, None, None] * outer
+        return Hyper2(f, grad, hess)
 
     # Method forms so np.exp / np.log / np.sqrt work on object arrays and
     # inside lifted formulas written with the numpy names.
     def exp(self):
-        e = np.exp(self.val)
-        return self._chain(e, e, e)
+        return exp(self)
 
     def log(self):
         return log(self)
@@ -330,7 +319,7 @@ class Hyper2:
 def exp(x):
     if isinstance(x, Hyper2):
         e = np.exp(x.val)
-        return x._chain(e, e, e)
+        return x._chain(e, lambda: e, lambda: e)
     return np.exp(x)
 
 
@@ -338,7 +327,7 @@ def log(x):
     if isinstance(x, Hyper2):
         if np.any(x.val <= 0.0):
             raise DomainError("log of a non-positive value")
-        return x._chain(np.log(x.val), 1.0 / x.val, -1.0 / x.val**2)
+        return x._chain(np.log(x.val), lambda: 1.0 / x.val, lambda: -1.0 / x.val**2)
     return np.log(x)
 
 
@@ -347,28 +336,50 @@ def sqrt(x):
         if np.any(x.val < 0.0):
             raise DomainError("sqrt of a negative value")
         s = np.sqrt(x.val)
-        return x._chain(s, 0.5 / s, -0.25 / (s * x.val))
+        return x._chain(s, lambda: 0.5 / s, lambda: -0.25 / (s * x.val))
     return np.sqrt(x)
 
 
 def autodiff_lift(g, tag: str = "autodiff", domain=None, biradial_map=None, decay=None) -> ScalarField:
     """Lift a plain function of 7 reals to a ScalarField by forward propagation.
 
-    `g` receives the 7 coordinates as Hyper2 numbers and must combine them
-    with arithmetic and the exp/log/sqrt helpers; no finite differencing is
-    involved.  A lifted field is assumed non-bi-radial unless a certificate
-    is passed explicitly.  The propagation always runs to order 2; lower
-    orders return the prefix.
+    `g` receives the 7 coordinates as Hyper2 numbers seeded at the requested
+    order and must combine them with arithmetic, the exp/log/sqrt helpers
+    and `compose`; no finite differencing is involved, and nothing above the
+    requested order is built.  A lifted field is assumed non-bi-radial unless
+    a certificate is passed explicitly.
     """
 
     def jets(points: np.ndarray, order: int = 2) -> JetBatch:
-        out = g(*Hyper2.seed(points))
+        out = g(*Hyper2.seed(points, order))
         if not isinstance(out, Hyper2):  # constant formula
             return constant_field(out).jets(points, order)
-        hess = 0.5 * (out.hess + np.swapaxes(out.hess, 1, 2))
-        return (out.val, out.grad, hess)[: order + 1]
+        if order < 2:
+            return (out.val, out.grad)[: order + 1]
+        return out.val, out.grad, 0.5 * (out.hess + np.swapaxes(out.hess, 1, 2))
 
     return ScalarField(tag=tag, jets=jets, domain=domain, biradial_map=biradial_map, decay=decay)
+
+
+def compose(u: ScalarField, coords) -> Hyper2:
+    """u(y) as a Hyper2, for a map y given by 7 Hyper2 coordinates.
+
+    `u` is asked for the order the coordinates carry, and the chain rule is
+    assembled exactly up to it:
+        w_i  = sum_k u_k y_k,i
+        w_ij = sum_kl u_kl y_k,i y_l,j + sum_k u_k y_k,ij.
+    """
+    order = coords[0].order
+    jet = u.jet_batch(np.stack([c.val for c in coords], axis=1), order)
+    grad = hess = None
+    if order >= 1:
+        ygrad = np.stack([c.grad for c in coords], axis=1)  # [n,k,i] = dy_k/dx_i
+        grad = np.einsum("nk,nki->ni", jet[1], ygrad)
+    if order == 2:
+        yhess = np.stack([c.hess for c in coords], axis=1)  # (N,7,7,7)
+        hess = np.swapaxes(ygrad, 1, 2) @ jet[2] @ ygrad
+        hess = hess + np.einsum("nk,nkij->nij", jet[1], yhess)
+    return Hyper2(jet[0], grad, hess)
 
 
 def constant_field(c: float, tag: Optional[str] = None) -> ScalarField:
@@ -471,61 +482,6 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
     )
 
 
-def compose_through_map(u: ScalarField, map_components, tag: str,
-                        domain=None, prefactor=None, biradial_map=None,
-                        decay=None, singular=None) -> ScalarField:
-    """Field p -> prefactor(p) * u(y(p)) for a smooth map y given coordinatewise.
-
-    `map_components(x0..x6 as Hyper2) -> sequence of 7 Hyper2` supplies the
-    map's jets by forward propagation; `prefactor`, if given, is a plain
-    7-real function lifted the same way.  The chain rule is assembled exactly:
-        w_i  = sum_k u_k y_k,i
-        w_ij = sum_kl u_kl y_k,i y_l,j + sum_k u_k y_k,ij.
-
-    `singular(points) -> bool mask`, if given, marks points where the map
-    itself blows up; hitting one raises SingularityError before any division.
-    The jets are always assembled to order 2; lower orders return the prefix.
-    """
-
-    def jets(points: np.ndarray, order: int = 2) -> JetBatch:
-        if singular is not None:
-            mask = np.asarray(singular(points))
-            if np.any(mask):
-                raise SingularityError(
-                    f"field '{tag}' evaluated at a singular point {points[mask][0]}"
-                )
-        seeds = Hyper2.seed(points)
-        comps = map_components(*seeds)
-        yval = np.stack([c.val for c in comps], axis=1)          # (N,7)
-        ygrad = np.stack([c.grad for c in comps], axis=1)        # (N,7,7): [n,k,i] = dy_k/dx_i
-        yhess = np.stack([c.hess for c in comps], axis=1)        # (N,7,7,7)
-        uval, ugrad, uhess = u.jet_batch(yval)
-        wval = uval
-        wgrad = np.einsum("nk,nki->ni", ugrad, ygrad)
-        wh = np.swapaxes(ygrad, 1, 2) @ uhess @ ygrad
-        wh = wh + np.einsum("nk,nkij->nij", ugrad, yhess)
-        if prefactor is None:
-            hess = 0.5 * (wh + np.swapaxes(wh, 1, 2))
-            return (wval, wgrad, hess)[: order + 1]
-        phi = prefactor(*Hyper2.seed(points))
-        cross = np.einsum("ni,nj->nij", phi.grad, wgrad)
-        hess = (
-            phi.hess * wval[:, None, None]
-            + cross
-            + np.swapaxes(cross, 1, 2)
-            + phi.val[:, None, None] * wh
-        )
-        hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-        return (
-            phi.val * wval,
-            phi.grad * wval[:, None] + phi.val[:, None] * wgrad,
-            hess,
-        )[: order + 1]
-
-    return ScalarField(tag=tag, jets=jets, domain=domain,
-                       biradial_map=biradial_map, decay=decay)
-
-
 # ---------------------------------------------------------------------------
 # Independent oracle.
 
@@ -539,7 +495,7 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
     if step <= 0.0:
         raise ValueError("step must be positive")
     p = as_point(p).reshape(DIM)
-    jet = eval_jet(f, p)
+    val, grad, hess = (part[0] for part in f.jet_batch(p, 2))
 
     def value(x):
         return f(x)
@@ -549,9 +505,9 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
         ei = np.zeros(DIM)
         ei[i] = step
         fp, fm = value(p + ei), value(p - ei)
-        diffs.append((fp - fm) / (2 * step) - jet.grad[i])
-        d2 = (fp - 2 * jet.value + fm) / step**2
-        diffs.append(d2 - jet.hess[i, i])
+        diffs.append((fp - fm) / (2 * step) - grad[i])
+        d2 = (fp - 2 * val + fm) / step**2
+        diffs.append(d2 - hess[i, i])
         for j in range(i + 1, DIM):
             ej = np.zeros(DIM)
             ej[j] = step
@@ -559,7 +515,7 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
                 value(p + ei + ej) - value(p + ei - ej)
                 - value(p - ei + ej) + value(p - ei - ej)
             ) / (4 * step**2)
-            diffs.append(mixed - jet.hess[i, j])
+            diffs.append(mixed - hess[i, j])
     return _max_abs(diffs)
 
 

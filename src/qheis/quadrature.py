@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from . import frame
 from .errors import AccuracyError, ConsistencyError, DomainError
@@ -617,6 +616,8 @@ def _peak_seed(
     members the seed is already the answer and Nelder-Mead only has to
     confirm it.  For anything else it is still a sensible warm start.
     """
+    from scipy import optimize  # deferred: `import qheis` loads no scipy
+
     center0 = np.zeros(DIM) if init.center is None else np.asarray(init.center, dtype=float)
     # the candidate center undoes a left translation, so the bubble
     # translated by g peaks at inv(g); search near the inverse and
@@ -691,6 +692,8 @@ def minimize_quotient(
     jittered-simplex restarts.  The reported value re-evaluates the
     pure profile quotient at the optimum on a finer rule.
     """
+    from scipy import optimize  # deferred: `import qheis` loads no scipy
+
     if target is None:
         target = ubar_field()
     bounds = np.concatenate([[_LOG_NU_BOUND], np.full(DIM, _CENTER_BOUND)])
@@ -846,10 +849,10 @@ def best_constant_report(
         tol=tol,
     )
     ubar = ubar_field()
-    mass = integrate_field(ubar, power=2.5, tol=tol)
+    quot = fs_quotient(ubar, tol=tol)
+    mass = quot.mass_result  # the ubar^{5/2} integral, computed once
     mass_closed = 2.0**25 * GAUGE_INTEGRAL_CLOSED_FORM
     mc = integrate_mc(power_compose(ubar, 2.5, tag="ubar^2.5"), mc_samples, seed=seed)
-    quot = fs_quotient(ubar, tol=tol)
 
     s2 = 2.0 * math.sqrt(3.0) * math.pi ** (-0.6)
     s2_alt = 15.0**0.1 / (math.pi**0.4 * 2.0 * math.sqrt(2.0))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qheis import audit
+from qheis import audit, extremals
 from qheis.audit import (
     QMATRIX,
     Q_SPECTRUM,
@@ -105,6 +105,60 @@ def test_sign_flip_in_the_cayley_kernel_fails_the_roundtrip(monkeypatch):
     monkeypatch.setattr(audit, "cayley_forward_batch", flipped)
     verdicts = {r.check: r.passed for r in run_suite("cayley", SuiteConfig(samples=200))}
     assert verdicts["cayley-roundtrip"] is False
+
+
+def _cli_verdicts(command, capsys) -> tuple[int, dict]:
+    """Exit code and {check: pass} of one CLI suite run at its defaults."""
+    code = main([command, "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    return code, {r["check"]: r["pass"] for r in doc["reports"]}
+
+
+def _flip_vertical_hessian(monkeypatch):
+    """Seed a sign flip on the (w, w) block of the family's hand Hessian."""
+    family_jets = extremals._family_jets
+
+    def faulty(c, nu):
+        jets = family_jets(c, nu)
+
+        def flipped(pts, order=2):
+            out = jets(pts, order)
+            if order == 2:
+                out[2][:, 4:7, 4:7] *= -1.0
+            return out
+
+        return flipped
+
+    monkeypatch.setattr(extremals, "_family_jets", faulty)
+
+
+def test_flipped_vertical_hessian_fails_the_conformal_suite(monkeypatch, capsys):
+    _flip_vertical_hessian(monkeypatch)
+    code, verdicts = _cli_verdicts("verify-conformal", capsys)
+    assert verdicts["einstein-family-torsion"] is False
+    assert verdicts["scalar-curvature-constant"] is False
+    assert code == 1
+
+
+def test_flipped_vertical_hessian_fails_the_extremal_suite(monkeypatch, capsys):
+    _flip_vertical_hessian(monkeypatch)
+    code, verdicts = _cli_verdicts("verify-extremal", capsys)
+    assert verdicts["yamabe-pde"] is False
+    assert verdicts["yamabe-pde-moved"] is False
+    assert code == 1
+
+
+def test_reflection_in_sigma_fails_the_involution(monkeypatch, capsys):
+    components = extremals._sigma_components
+
+    def reflected(*coords):
+        image, denom = components(*coords)
+        return image[:6] + (-image[6],), denom
+
+    monkeypatch.setattr(extremals, "_sigma_components", reflected)
+    code, verdicts = _cli_verdicts("verify-cayley", capsys)
+    assert verdicts["sigma-involution"] is False
+    assert code == 1
 
 
 def test_nan_hessian_fails_hessian_antisymmetry(monkeypatch, capsys):

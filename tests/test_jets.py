@@ -5,6 +5,8 @@ field's own values, so these tests cannot inherit a bug from the jet
 arithmetic they are checking.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from qheis.jets import (
     affine_pullback,
     autodiff_lift,
     constant_field,
-    eval_jet,
     exp,
     finite_diff_audit,
     log,
@@ -62,9 +63,9 @@ def test_jet_shapes_and_symmetry():
 
 def test_constant_field():
     c = constant_field(4.25)
-    j = eval_jet(c, np.ones(7))
-    assert j.value == 4.25
-    assert not j.grad.any() and not j.hess.any()
+    val, grad, hess = c.jet_batch(np.ones(7), 2)
+    assert val.shape == (1,) and val[0] == 4.25
+    assert not grad.any() and not hess.any()
     assert c.decay == (0.0, 0.0)
 
 
@@ -177,6 +178,42 @@ def test_lower_orders_are_prefixes_of_order_two(kind):
             assert _bitwise_equal(got, want)
     value = f(pts)
     assert _bitwise_equal(value, full[0])
+
+
+def test_lifted_formula_is_seeded_at_the_requested_order():
+    seen = []
+
+    def g(t1, x1, y1, z1, x, y, z):
+        out = exp(-t1 * x1) / (2.0 + y1 * y1) - sqrt(1.0 + z1 * z1) * log(3.0 + x)
+        out = (1.0 - out) ** 1.5 + 4.0 / (5.0 + y * y) - z
+        seen.append((t1.grad is None, t1.hess is None, out.grad is None, out.hess is None))
+        return out
+
+    f = autodiff_lift(g, tag="order-probe")
+    pts = np.random.default_rng(9).uniform(-0.5, 0.5, (5, 7))
+    for order in (0, 1, 2):
+        assert len(f.jet_batch(pts, order)) == order + 1
+    assert seen == [
+        (True, True, True, True),
+        (False, True, False, True),
+        (False, False, False, False),
+    ]
+
+
+def test_kelvin_asks_its_field_only_for_the_requested_order():
+    ubar = ubar_field()
+    asked = []
+
+    def spy(points, order=2):
+        asked.append(order)
+        return ubar.jets(points, order)
+
+    ku = kelvin(dataclasses.replace(ubar, jets=spy))
+    asked.clear()  # construction reads u at the identity for the decay
+    pts = np.random.default_rng(10).uniform(-1.5, 1.5, (5, 7))
+    for order in (0, 1, 2):
+        assert len(ku.jet_batch(pts, order)) == order + 1
+    assert asked == [0, 1, 2]
 
 
 def test_jet_order_is_validated():

@@ -6,6 +6,10 @@ scipy's Beta function, not copied from the module under test.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import qheis
+from qheis import quadrature
 from qheis.errors import AccuracyError, ConsistencyError, DomainError
 from qheis.extremals import (
     FamilyParams,
@@ -337,3 +343,33 @@ def test_best_constant_text_rendering(record):
     assert "computed:" in text and "printed:" in text
     for line in record.ratios:
         assert line.name in text
+
+
+def test_best_constant_reduces_the_mass_integrand_once(monkeypatch):
+    reduce = quadrature.reduced_integrand
+    powers = []
+
+    def counted(u, power=1.0):
+        powers.append(power)
+        return reduce(u, power)
+
+    monkeypatch.setattr(quadrature, "reduced_integrand", counted)
+    rec = best_constant_report(mc_samples=1000)
+    assert powers.count(2.5) == 1
+    assert rec.mass_integral == rec.quotient_report.mass
+    assert rec.mass_table == rec.quotient_report.mass_result.table
+
+
+# ---------------------------------------------------------------------------
+# Import cost.
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(qheis.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, qheis; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
