@@ -1,8 +1,10 @@
 """Recovering a hidden translation and dilation from the quotient alone.
 
 Plant a bubble moved by an unknown group element and concentration,
-then hand the search only the field and a rough starting guess.  The
-objective de-transforms by the candidate motion, symmetrizes over a few
+then hand the search only the field and a rough starting guess.  A
+damped Newton ascent finds the field's peak, which seeds the center and
+the concentration; BFGS then descends over the center.  Its objective
+de-transforms by the candidate motion, symmetrizes over a few
 origin-fixing rotations, and scores the bi-radial profile; the
 symmetrization defect supplies the curvature that the bare quotient
 (which is invariant along the family) cannot.
@@ -41,5 +43,6 @@ ref = fs_quotient(ubar).quotient
 print(f"\nobjective value at the optimum : {result.value:.12f}")
 print(f"quotient of the centered bubble: {ref:.12f}")
 print(f"relative gap                   : {abs(result.value / ref - 1.0):.2e}")
-print(f"\nconverged = {result.converged}  restarts = {result.restarts}  "
-      f"evaluations = {result.nfev}  wall = {dt:.1f}s")
+print(f"\nconverged = {result.converged}: {result.message}")
+print(f"evaluations = {result.nfev} (peak jet calls plus objective-and-gradient "
+      f"calls)  descents = {result.restarts}  wall = {dt:.2f}s")

@@ -192,7 +192,7 @@ def _yamabe_residual(fj: FrameJet, tag: str, pts: np.ndarray) -> np.ndarray:
 
 def left_translation_map(g0) -> AffineMap:
     """The affine map p -> g0 o p, extracted exactly from the group product."""
-    moved = group_mul(as_point(g0), _TRANSLATION_PROBE)
+    moved = group_mul(g0, _TRANSLATION_PROBE)
     linear = (moved[:7] - moved[7:14]).T / 2.0
     return AffineMap(linear=linear, offset=moved[14])
 

@@ -123,7 +123,11 @@ def _derive_structures():
 
 def frame_rows(points) -> np.ndarray:
     """Horizontal frame coefficient rows at each point: shape (N, 4, 7)."""
-    pts, _ = _as_batch(points)
+    return _rows(_as_batch(points)[0])
+
+
+def _rows(pts: np.ndarray) -> np.ndarray:
+    """`frame_rows` on an already validated (N, 7) batch."""
     return _BASE + np.einsum("ajc,nc->naj", _LIN, pts)
 
 
@@ -205,7 +209,7 @@ def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
     pts, _ = _as_batch(p)
     jet = f.jet_batch(pts, order)
     value, grad = jet[0], jet[1]
-    rows = frame_rows(pts)
+    rows = _rows(pts)
     fj = FrameJet(
         value=value,
         grad=np.einsum("naj,nj->na", rows, grad),

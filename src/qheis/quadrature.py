@@ -26,9 +26,10 @@ The quotient of interest is
 invariant under amplitude scaling, left translation and the parabolic
 dilations.  `fs_quotient` evaluates it with the gradient computed
 honestly in the left-invariant frame; `minimize_quotient` searches the
-concentration/center family for it by symmetrizing the target over
-origin-fixing rotations and driving the symmetrized profile's quotient
-down with Nelder-Mead.
+concentration/center family for it: a damped Newton ascent on the
+target's order-2 jets finds the peak, and BFGS with the exact center
+gradient drives the quotient of the target's rotation-symmetrized
+profile down from there.  Both are plain numpy.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .extremals import (
     ubar_field,
 )
 from .jets import DIM, AffineMap, ScalarField, affine_pullback, power_compose
-from .quaternions import group_inv, quat_conj, quat_mul
+from .quaternions import as_point, group_inv, quat_conj, quat_mul
 
 __all__ = [
     "BiRadialIntegrand",
@@ -510,14 +511,42 @@ def spin_rotation_map(a, b) -> AffineMap:
     return AffineMap(lin, np.zeros(DIM))
 
 
+# -2 Im(c conj(u)) = M(u) c, with M(u) = sum_b u_b _TWIST[b] and
+# _TWIST[b, s, a] = -2 Im(e_a conj(e_b))_s: the group law's twist term as
+# constant 3x4 matrices, so derivatives through it are matrix products.
+_E4 = np.eye(4)
+_TWIST = -2.0 * np.moveaxis(quat_mul(_E4[None], quat_conj(_E4)[:, None])[..., 1:], 2, 1)
+
+
+def _twist(u: np.ndarray) -> np.ndarray:
+    """M(u) (..., 3, 4) for quaternions u (..., 4)."""
+    return np.tensordot(u, _TWIST, axes=1)
+
+
+def _detransform_map(nu: float, center: np.ndarray) -> AffineMap:
+    """x -> center^{-1} . delta_mu(x), mu = nu^{-1/2}: the motion a candidate undoes."""
+    return left_translation_map(group_inv(center)).after(dilation_map(nu**-0.5))
+
+
+def _detransformed(target: ScalarField, nu: float, center: np.ndarray) -> ScalarField:
+    """Undo a candidate (nu, center): shift back, then widen by nu^{-1/2}.
+
+    The two motions compose into one affine pullback, so the result keeps
+    the target's bi-radial certificate for the quotient report.
+    """
+    mu = nu**-0.5
+    amap = _detransform_map(nu, center)
+    return affine_pullback(target, amap, amplitude=mu**4, tag="search-detransform")
+
+
 class _ProfileRule:
     """Precomputed rotated-slice geometry for the search objective.
 
     The objective symmetrizes a field over a fixed set of rotations and
     takes the quotient of the resulting bi-radial profile F(r, rho); for
     a bi-radial function the horizontal energy density is exactly
-    F_r^2 + 4 r^2 F_rho^2, so values and Euclidean gradients on the
-    rotated slices are all that is needed.
+    F_r^2 + 4 r^2 F_rho^2, so values and derivatives along the two slice
+    directions of each rotation are all that is needed.
     """
 
     def __init__(self, level: int, n_nodes: int, rotations: int, seed: int):
@@ -527,44 +556,71 @@ class _ProfileRule:
         maps = [spin_rotation_map(_unit_quaternion(rng), _unit_quaternion(rng))
                 for _ in range(rotations)]
         self.points = np.concatenate([slices @ k.linear.T for k in maps])
-        # d/dr and d/drho of the rotated slice point, one direction per map
-        self.dirs_r = np.stack([k.linear[:, 0] for k in maps])
-        self.dirs_rho = np.stack([k.linear[:, 6] for k in maps])
+        # d/dr and d/drho of the rotated slice point, (maps, 2, 7)
+        self.dirs = np.stack([k.linear[:, [0, 6]].T for k in maps])
+        # M(e_q) of both directions of each map, laid out as (maps, 3, 2 * 4)
+        self.dir_twist = np.moveaxis(_twist(self.dirs[..., :4]), 1, 2).reshape(rotations, 3, 8)
         self.n_maps = rotations
         self.n_nodes = self.r.size
 
-    def quotient(self, u: ScalarField) -> float:
-        value, _ = self._evaluate(u)
-        return value
+    def objective(self, target: ScalarField, nu: float, center: np.ndarray,
+                  gamma: float = 0.0, gradient: bool = False):
+        """Profile quotient of the de-transformed target plus gamma times its defect.
 
-    def objective(self, u: ScalarField, gamma: float) -> float:
-        """Profile quotient plus gamma times the symmetrization defect.
+        The candidate (nu, center) is undone as in `_detransformed`: the
+        target is read at y = center^{-1} . delta_mu(x), mu = nu^{-1/2},
+        times mu^4.  The defect is the rotation variance of the field on
+        the slice, integrated and normalized like the quotient.  It
+        vanishes identically when the field is bi-radial, so it adds
+        nothing at the answer (not even quadrature noise, since the
+        integrand is zero there rather than small-by-cancellation), while
+        restoring strong convexity in the vertical center directions,
+        where the averaged profile alone responds only at second order
+        with a tiny constant.  gamma = 0 gives the profile quotient.
 
-        The defect is the rotation variance of the field on the slice,
-        integrated and normalized like the quotient.  It vanishes
-        identically when the field is bi-radial, so it adds nothing at
-        the answer (not even quadrature noise, since the integrand is
-        zero there rather than small-by-cancellation), while restoring
-        strong convexity in the vertical center directions, where the
-        averaged profile alone responds only at second order with a
-        tiny constant.
+        With `gradient`, one order-2 pass of the target also yields the
+        exact gradient in `center`, returned as (value, gradient).
         """
-        value, defect = self._evaluate(u)
-        return value + gamma * defect
-
-    def _evaluate(self, u: ScalarField) -> tuple[float, float]:
-        val, grad = u.jet_batch(self.points, 1)
-        val = val.reshape(self.n_maps, self.n_nodes)
-        grad = grad.reshape(self.n_maps, self.n_nodes, DIM)
+        mu = nu**-0.5
+        amp = mu**4
+        m, n = self.n_maps, self.n_nodes
+        motion = _detransform_map(nu, center)
+        jet = target.jet_batch(motion(self.points), 2 if gradient else 1)
+        dirs_t = np.swapaxes(self.dirs @ motion.linear.T, 1, 2)  # directions at y, (m, 7, 2)
+        t = jet[1].reshape(m, n, DIM)
+        val = amp * jet[0].reshape(m, n)
+        slope = amp * (t @ dirs_t)  # d/dr, d/drho per map, (m, n, 2)
         profile = val.mean(axis=0)
-        d_r = np.einsum("mnj,mj->mn", grad, self.dirs_r).mean(axis=0)
-        d_rho = np.einsum("mnj,mj->mn", grad, self.dirs_rho).mean(axis=0)
-        energy = d_r**2 + 4.0 * self.r**2 * d_rho**2
+        p_r, p_rho = slope.mean(axis=0).T
+        energy = p_r**2 + 4.0 * self.r**2 * p_rho**2
         num = float(self.w @ energy)
         mass = float(self.w @ profile**2.5)
         denom = mass**0.8
-        defect = float(self.w @ val.var(axis=0)) / denom
-        return num / denom, defect
+        spread = float(self.w @ val.var(axis=0))
+        value = num / denom + gamma * (spread / denom)
+        if not gradient:
+            return value
+
+        # dy/dcenter = [[-I4, 0], [M(z_q), -I3]] with z = delta_mu(x); pull
+        # the columns t, H e_r, H e_rho back through it
+        h_dirs = jet[2].reshape(m, n, DIM, DIM) @ dirs_t[:, None]
+        cols = np.concatenate([t[..., None], h_dirs], axis=3)
+        twist = _twist(mu * self.points[:, :4]).reshape(m, n, 3, 4)
+        pulled = amp * np.concatenate(
+            [np.swapaxes(twist, 2, 3) @ cols[:, :, 4:] - cols[:, :, :4], -cols[:, :, 4:]], axis=2
+        )
+        # the directions turn with the center: d(e at y)/dcenter_q = [0; M(mu e_q)]
+        turn = (t[:, :, 4:] @ self.dir_twist).reshape(m, n, 2, 4)
+        pulled[:, :, :4, 1:] += (amp * mu) * np.swapaxes(turn, 2, 3)
+        d_val = pulled[..., 0]
+        d_r, d_rho = np.moveaxis(pulled[..., 1:].mean(axis=0), 2, 0)
+        d_num = 2.0 * (self.w @ (p_r[:, None] * d_r + (4.0 * self.r**2 * p_rho)[:, None] * d_rho))
+        d_mass = 2.5 * (self.w @ (profile[:, None] ** 1.5 * d_val.mean(axis=0)))
+        d_spread = 2.0 * (self.w @ ((val - profile)[..., None] * d_val).mean(axis=0))
+        d_denom = 0.8 * mass**-0.2 * d_mass
+        grad = (d_num - num * d_denom / denom) / denom
+        grad += gamma * (d_spread - spread * d_denom / denom) / denom
+        return value, grad
 
 
 _LOG_NU_BOUND = 4.0
@@ -582,6 +638,10 @@ class MinimizeResult:
     target, which for any exact family member equals the extremal value
     identically (the quotient is invariant under the family motions),
     so it serves as a consistency reference rather than a fit measure.
+    `nfev` counts the peak search's jet calls plus the descent's
+    objective-and-gradient evaluations; `restarts` is the number of
+    descents run.  `converged` says whether the descent met its gradient
+    tolerance, and `message` why it stopped.
     """
 
     params: FamilyParams
@@ -594,66 +654,126 @@ class MinimizeResult:
     message: str
 
 
-def _detransformed(target: ScalarField, nu: float, center: np.ndarray) -> ScalarField:
-    """Undo a candidate (nu, center): shift back, then widen by nu^{-1/2}.
+def _newton_peak(target: ScalarField, start: np.ndarray, maxiter: int = 30):
+    """Maximize `target` from `start` by damped Newton on order-2 jets.
 
-    The two motions compose into one affine pullback so the evaluation
-    chain stays short inside the optimizer's inner loop.
+    Levenberg-Marquardt damping: the step solves (shift I - H) s = g with
+    shift = lam plus H's largest eigenvalue when that is positive, so the
+    step always points uphill.  A trial that does not climb, or leaves the
+    domain, is refused and lam grows tenfold; an accepted one shrinks it
+    tenfold.  Plain Newton diverges from starts a tenth away, where the
+    Hessian is indefinite.  `maxiter` bounds the trials; the search stops
+    once an accepted step is below 1e-14 relative size.  Returns (peak,
+    height, accepted steps, jet calls); the height is NaN when the start
+    itself is outside the domain.
     """
-    mu = nu**-0.5
-    amap = left_translation_map(group_inv(center)).after(dilation_map(mu))
-    return affine_pullback(target, amap, amplitude=mu**4, tag="search-detransform")
+    p = np.array(start, dtype=float)
+    try:
+        val, g, hess = (part[0] for part in target.jet_batch(p, 2))
+    except DomainError:
+        return p, math.nan, 0, 1
+    calls = 1
+    steps = 0
+    scale = float(np.max(np.abs(hess))) or 1.0
+    lam = 1e-3 * scale
+    for _ in range(maxiter):
+        shift = max(float(np.linalg.eigvalsh(hess)[-1]), 0.0) + lam
+        step = np.linalg.solve(shift * np.eye(DIM) - hess, g)
+        trial = p + step
+        calls += 1
+        try:
+            jet = [part[0] for part in target.jet_batch(trial, 2)]
+        except DomainError:
+            jet = None
+        if jet is None or not jet[0] >= val:  # refused, also on a NaN
+            lam = max(10.0 * lam, 1e-12 * scale)
+            continue
+        p, (val, g, hess) = trial, jet
+        steps += 1
+        lam *= 0.1
+        if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(p))):
+            break
+    return p, float(val), steps, calls
 
 
 def _peak_seed(
     target: ScalarField, init: FamilyParams, bounds: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Starting point from the target's maximum and its curvature there.
+    """Starting point [log nu, center] from the target's peak and its curvature.
 
     A translated, dilated bubble peaks exactly at its center, and the
     ratio of the sub-Laplacian to the value at the peak scales linearly
     with the concentration (it is amplitude-free), so for family
-    members the seed is already the answer and Nelder-Mead only has to
-    confirm it.  For anything else it is still a sensible warm start.
+    members the seed is already the answer to rounding and the descent
+    only has to confirm it.  For anything else it is still a sensible
+    warm start.  Returns the seed clipped to the box, and the jet calls
+    of the peak search.
     """
-    from scipy import optimize  # deferred: `import qheis` loads no scipy
-
-    center0 = np.zeros(DIM) if init.center is None else np.asarray(init.center, dtype=float)
+    center0 = np.zeros(DIM) if init.center is None else as_point(init.center)
     # the candidate center undoes a left translation, so the bubble
     # translated by g peaks at inv(g); search near the inverse and
     # invert the location found
-    loc0 = group_inv(center0)
-
-    def negval(p: np.ndarray) -> float:
-        try:
-            return -float(target(p))
-        except DomainError:
-            return math.inf
-
-    peak = optimize.minimize(
-        negval,
-        loc0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": np.vstack([loc0, loc0 + 0.05 * np.eye(DIM)]),
-            "fatol": 1e-13,
-            "xatol": 1e-8,
-            "maxfev": 2000,
-        },
-    )
-    height = -peak.fun
-    center = group_inv(peak.x)
+    peak, height, _, calls = _newton_peak(target, group_inv(center0))
+    center = group_inv(peak)
     log_nu = math.log(init.nu)
     if math.isfinite(height) and height > 0.0:
         # the unit bubble has sub_laplacian/value = -32 at its peak and
         # the ratio scales by nu along the family
         unit = ubar_field()
         peak_ratio = frame.sub_laplacian(unit, np.zeros(DIM))[0] / unit(np.zeros(DIM))
-        ratio = frame.sub_laplacian(target, peak.x)[0] / height
+        ratio = frame.sub_laplacian(target, peak)[0] / height
         if ratio < 0.0:
             log_nu = math.log(ratio / peak_ratio)
     theta = np.concatenate([[log_nu], center])
-    return np.clip(theta, -bounds, bounds), int(peak.nfev)
+    return np.clip(theta, -bounds, bounds), calls
+
+
+def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
+    """Minimize `fun` (x -> value, gradient) by BFGS with Armijo backtracking.
+
+    The inverse-Hessian estimate starts from the scaled identity
+    (s.y / y.y) I after the first step (Nocedal & Wright, eq. 6.20) and
+    skips any update whose curvature s.y is not positive.  The first step
+    moves the largest coordinate by 1e-2.  Stops when max |gradient| <=
+    gtol.  Returns (x, value, evaluations, converged, message).
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev = 1
+    hinv = None
+    for it in range(maxiter + 1):
+        gmax = float(np.max(np.abs(g)))
+        if gmax <= gtol:
+            return x, f, nfev, True, f"gradient {gmax:.2e} <= gtol {gtol:.1e} after {it} iterations"
+        if not (math.isfinite(f) and math.isfinite(gmax)):
+            return x, f, nfev, False, f"non-finite objective or gradient after {it} iterations"
+        if it == maxiter:
+            break
+        direction = -(hinv @ g) if hinv is not None else -(1e-2 / gmax) * g
+        slope = float(g @ direction)
+        alpha = 1.0
+        while True:
+            x_new = x + alpha * direction
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if f_new <= f + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+            if alpha < 1e-10:
+                return x, f, nfev, False, (
+                    f"line search found no decrease after {it} iterations "
+                    f"(gradient {gmax:.2e} > gtol {gtol:.1e})"
+                )
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if hinv is None:
+                hinv = (sy / float(y @ y)) * np.eye(x.size)
+            v = np.eye(x.size) - np.outer(s, y) / sy
+            hinv = v @ hinv @ v.T + np.outer(s, s) / sy
+        x, f, g = x_new, f_new, g_new
+    message = f"maxiter {maxiter} reached with gradient {gmax:.2e} > gtol {gtol:.1e}"
+    return x, f, nfev, False, message
 
 
 def minimize_quotient(
@@ -664,10 +784,8 @@ def minimize_quotient(
     rotations: int = 3,
     level: int = 2,
     n_nodes: int = 10,
-    restarts: int = 3,
-    maxiter: int = 2000,
-    fatol: float = 2e-7,
-    xatol: float = 2e-5,
+    maxiter: int = 200,
+    gtol: float = 1e-5,
     gamma: float = 10.0,
 ) -> MinimizeResult:
     """Recover the concentration and center of a translated, dilated bubble.
@@ -687,74 +805,42 @@ def minimize_quotient(
     (exact for family members, amplitude-free in general) and the
     descent runs over the center alone.
 
-    `init` seeds a cheap peak search on raw target values; Nelder-Mead
-    then descends over the center from the peak estimate, with
-    jittered-simplex restarts.  The reported value re-evaluates the
-    pure profile quotient at the optimum on a finer rule.
+    `init` starts a damped Newton ascent to the target's peak (see
+    _newton_peak); BFGS then descends over the center from the peak
+    estimate, with the exact gradient, for at most `maxiter` iterations
+    and until max |gradient| <= `gtol`.  The reported value re-evaluates
+    the pure profile quotient at the optimum on a finer rule.
     """
-    from scipy import optimize  # deferred: `import qheis` loads no scipy
-
     if target is None:
         target = ubar_field()
     bounds = np.concatenate([[_LOG_NU_BOUND], np.full(DIM, _CENTER_BOUND)])
-    center0 = np.zeros(DIM) if init.center is None else np.asarray(init.center, dtype=float)
+    center0 = np.zeros(DIM) if init.center is None else as_point(init.center)
     if abs(math.log(init.nu)) > _LOG_NU_BOUND or np.any(np.abs(center0) > _CENTER_BOUND):
         raise ValueError("initial guess outside the search box")
 
     theta0, nfev = _peak_seed(target, init, bounds)
     nu_opt = math.exp(theta0[0])
     rule = _ProfileRule(level, n_nodes, rotations, seed)
-    rng = np.random.default_rng(seed)
 
-    def objective(theta: np.ndarray) -> float:
-        value = rule.objective(_detransformed(target, nu_opt, theta), gamma)
-        excess = np.maximum(0.0, np.abs(theta) - _CENTER_BOUND)
-        return value + 1e3 * float(excess @ excess)
+    def objective(center: np.ndarray):
+        value, grad = rule.objective(target, nu_opt, center, gamma, gradient=True)
+        excess = np.maximum(0.0, np.abs(center) - _CENTER_BOUND)
+        return value + 1e3 * float(excess @ excess), grad + 2e3 * excess * np.sign(center)
 
-    best = None
-    used = 0
-    message = ""
-    start = theta0[1:]
-    for attempt in range(restarts + 1):
-        step = 5e-4 if attempt == 0 else 2e-4 * rng.uniform(0.5, 1.5)
-        simplex = np.vstack([start, start + step * np.eye(DIM)])
-        res = optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "fatol": fatol,
-                "xatol": xatol,
-                "maxiter": maxiter,
-                "maxfev": maxiter,
-            },
-        )
-        nfev += res.nfev
-        used += 1
-        improved = best is None or best.fun - res.fun > fatol
-        if best is None or res.fun < best.fun:
-            best = res
-            message = res.message
-            start = res.x
-        if not improved:
-            break
-
-    center_opt = best.x.copy()
+    center_opt, best, evals, converged, message = _bfgs(objective, theta0[1:], gtol, maxiter)
     fine = _ProfileRule(level + 1, n_nodes + 2, rotations, seed)
-    value = fine.quotient(_detransformed(target, nu_opt, center_opt))
+    value = fine.objective(target, nu_opt, center_opt)
     report = fs_quotient(_detransformed(target, nu_opt, center_opt))
     return MinimizeResult(
         params=FamilyParams(c=1.0, nu=nu_opt, center=center_opt),
         value=value,
-        objective_value=float(best.fun),
+        objective_value=float(best),
         report=report,
-        converged=bool(best.success),
-        nfev=nfev,
-        restarts=used,
+        converged=converged,
+        nfev=nfev + evals,
+        restarts=1,
         message=message,
     )
-
 
 # ---------------------------------------------------------------------------
 # The best-constant reconciliation report.

@@ -46,10 +46,16 @@ def as_quat(a) -> np.ndarray:
 
 
 def as_point(g) -> np.ndarray:
-    """Coerce a GroupPoint / array-like to a float array of shape (..., 7)."""
+    """Coerce a GroupPoint / array-like to a float array of shape (..., 7).
+
+    A NaN or infinite coordinate is no point of the group: DomainError.
+    """
     g = np.asarray(getattr(g, "array", g), dtype=float)
     if g.shape[-1] != 7:
         raise ValueError(f"group point needs 7 coordinates, got shape {g.shape}")
+    # count_nonzero: the cheapest all() on the small batches of the suites
+    if np.count_nonzero(np.isfinite(g)) != g.size:
+        raise DomainError("group point has a NaN or infinite coordinate")
     return g
 
 

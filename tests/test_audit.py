@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qheis import audit, extremals
+from qheis import audit, extremals, quadrature
 from qheis.audit import (
     QMATRIX,
     Q_SPECTRUM,
@@ -24,6 +24,7 @@ from qheis.audit import (
 from qheis.cli import main
 from qheis.extremals import v_field
 from qheis.jets import ScalarField
+from qheis.quadrature import BiRadialIntegrand
 
 # ---------------------------------------------------------------------------
 # The matrix itself.
@@ -159,6 +160,36 @@ def test_reflection_in_sigma_fails_the_involution(monkeypatch, capsys):
     code, verdicts = _cli_verdicts("verify-cayley", capsys)
     assert verdicts["sigma-involution"] is False
     assert code == 1
+
+
+def _flip_energy_density(monkeypatch):
+    """Seed a sign flip into the horizontal energy density |grad_H u|^2."""
+    density = quadrature._energy_density
+    monkeypatch.setattr(quadrature, "_energy_density", lambda u, pts: -density(u, pts))
+
+
+def _inflate_reduced_integrand(monkeypatch):
+    """Seed a wrong amplitude, 1 + 1e-3, into every certified reduction."""
+    reduce = quadrature.reduced_integrand
+
+    def inflated(u, power=1.0):
+        good = reduce(u, power)
+        return BiRadialIntegrand(
+            fn=lambda r, rho: 1.001 * good.fn(r, rho), decay=good.decay, tag=good.tag
+        )
+
+    monkeypatch.setattr(quadrature, "reduced_integrand", inflated)
+
+
+@pytest.mark.parametrize("fault", [_flip_energy_density, _inflate_reduced_integrand])
+def test_seeded_fault_fails_the_quadrature_suite(fault, monkeypatch, capsys):
+    fault(monkeypatch)
+    reports = {r.check: r for r in run_suite("quadrature", SuiteConfig(samples=1000))}
+    assert not reports["parts-identity"].passed
+    assert reports["gaussian-closed-form"].passed  # the fault is local
+    assert main(["all", "--samples", "1000", "--format", "json"]) == 1
+    verdicts = {r["check"]: r["pass"] for r in json.loads(capsys.readouterr().out)["reports"]}
+    assert verdicts["parts-identity"] is False
 
 
 def test_nan_hessian_fails_hessian_antisymmetry(monkeypatch, capsys):

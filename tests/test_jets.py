@@ -35,7 +35,7 @@ from qheis.jets import (
     sqrt,
 )
 from qheis.quadrature import _detransformed
-from qheis.quaternions import group_inv
+from qheis.quaternions import as_point, group_inv
 
 
 def _transcendental():
@@ -268,3 +268,17 @@ def test_finite_diff_audit_propagates_nan():
     poisoned = ScalarField(tag="nan-hessian", jets=jets)
     assert finite_diff_audit(clean, _G0, step=1e-4) < 1e-1
     assert np.isnan(finite_diff_audit(poisoned, _G0, step=1e-4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_rejected(ubar, bad):
+    point = np.zeros(7)
+    point[5] = bad
+    batch = np.zeros((4, 7))
+    batch[2] = point
+    with pytest.raises(DomainError):
+        as_point(point)
+    with pytest.raises(DomainError):
+        ubar(point)  # used to return nan
+    with pytest.raises(DomainError):
+        ubar.jet_batch(batch, 1)

@@ -4,6 +4,7 @@ The closed forms used as oracles here are re-derived from scratch through
 scipy's Beta function, not copied from the module under test.
 """
 
+import ast
 import dataclasses
 import math
 import os
@@ -298,6 +299,82 @@ def test_minimize_rejects_out_of_box_start(ubar):
         minimize_quotient(FamilyParams(center=np.full(7, 40.0)), ubar)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_minimize_rejects_a_non_finite_start(ubar, bad):
+    # abs(nan) > 5 is False, so a box check alone lets a NaN center through
+    center = np.zeros(7)
+    center[3] = bad
+    with pytest.raises(DomainError):
+        minimize_quotient(FamilyParams(center=center), ubar)
+
+
+_G0 = np.array([0.3, -0.2, 0.1, 0.4, 0.2, -0.1, 0.3])
+_NU = 1.44
+
+
+@pytest.fixture(scope="module")
+def planted():
+    return translate_field(dilate_field(ubar_field(), math.sqrt(_NU)), _G0)
+
+
+def test_center_gradient_matches_central_differences(planted):
+    rule = quadrature._ProfileRule(2, 10, 3, 0)
+    rng = np.random.default_rng(2)
+    h = 1e-5
+    for _ in range(3):
+        center = _G0 + rng.uniform(-0.1, 0.1, 7)
+        value, grad = rule.objective(planted, _NU, center, 10.0, gradient=True)
+        assert value == rule.objective(planted, _NU, center, 10.0)
+        fd = np.empty(7)
+        for i in range(7):
+            e = np.zeros(7)
+            e[i] = h
+            fd[i] = (
+                rule.objective(planted, _NU, center + e, 10.0)
+                - rule.objective(planted, _NU, center - e, 10.0)
+            ) / (2.0 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def _displaced_seed(monkeypatch):
+    """Make the peak seed return the planted center + 0.1 at the true nu."""
+
+    def seed(target, init, bounds):
+        return np.concatenate([[math.log(_NU)], _G0 + 0.1]), 0
+
+    monkeypatch.setattr(quadrature, "_peak_seed", seed)
+
+
+def test_descent_recovers_the_center_from_a_displaced_seed(planted, monkeypatch):
+    _displaced_seed(monkeypatch)
+    result = minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0)
+    assert result.converged, result.message
+    assert result.nfev > 2  # the descent really moved
+    assert np.max(np.abs(np.asarray(result.params.center) - _G0)) <= 1e-3
+    assert abs(result.value / QUOTIENT_REF - 1.0) <= 1e-4
+
+
+def test_maxiter_stops_the_descent_unconverged(planted, monkeypatch):
+    _displaced_seed(monkeypatch)
+    result = minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0, maxiter=1)
+    assert result.converged is False
+    assert "maxiter 1 reached" in result.message and "gtol" in result.message
+    assert result.restarts == 1
+
+
+def test_newton_peak_recovers_planted_centers(ubar):
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        g0 = rng.uniform(-0.5, 0.5, 7)
+        nu = float(np.exp(rng.uniform(-0.5, 0.5)))
+        target = translate_field(dilate_field(ubar, math.sqrt(nu)), g0)
+        start = -(g0 + rng.uniform(-0.12, 0.12, 7))  # the peak sits at inv(g0)
+        peak, height, steps, calls = quadrature._newton_peak(target, start)
+        assert np.max(np.abs(-peak - g0)) <= 1e-12
+        assert steps <= 15 and calls >= steps + 1
+        np.testing.assert_allclose(height, 2.0**10 * nu**2, rtol=1e-14)
+
+
 def test_centered_bubble_is_extremal(ubar, rng):
     # jiggled family members never beat the centered one by more than rule noise
     ref = fs_quotient(ubar).quotient
@@ -362,6 +439,22 @@ def test_best_constant_reduces_the_mass_integrand_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Import cost.
+
+
+def test_no_module_imports_scipy():
+    # sees deferred imports inside functions too, which the import probe cannot
+    package = Path(qheis.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_import_loads_no_scipy():
