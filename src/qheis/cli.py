@@ -13,6 +13,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -40,6 +41,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):  # nan, inf and words alike
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -48,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the primary sample count of each check",
     )
     common.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_tolerance, default=None,
         help="override every tolerance in the command (exploratory runs)",
     )
     common.add_argument(
@@ -64,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "verify-frames": "frame derivation, commutators, Hessian symmetry",
-        "verify-conformal": "torsion/curvature of conformal deformations",
+        "verify-conformal": "torsion, curvature and divergence identity of conformal deformations",
         "verify-extremal": "entire-solution PDE residuals and normalizations",
         "verify-cayley": "sphere transforms: roundtrips, involution, Kelvin",
         "qmatrix": "coupling-matrix spectrum and quadratic-form audit",

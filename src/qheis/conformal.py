@@ -4,19 +4,29 @@ Everything below deforms the standard structure by eta -> (2h)^{-1} eta for a
 positive conformal factor h and evaluates, pointwise and in closed form, the
 tensors that decide whether the deformed structure is Einstein-type: the
 symmetric corrected Hessian, its invariant [3] / [-1] split under the
-averaged action of the three complex structures, the deformed torsion pieces,
-the deformed scalar curvature, and the first-order vector quantities built
-from them.  All coefficients are the seven-dimensional ones; nothing here
-generalizes to higher quaternionic dimension.
+averaged action of the three complex structures, the deformed torsion pieces
+and the deformed scalar curvature.  All coefficients are the
+seven-dimensional ones; nothing here generalizes to higher quaternionic
+dimension.
+
+Two identities of the divergence formula behind the sharp constant (the
+argument Jerison and Lee gave on the CR Heisenberg group) are checked by
+independent routes, each evaluated from one order-2 `FrameJet`:
+
+* the divergence-identity covector, from the raw twist-averaged Hessian and
+  from the Casimir projection of the corrected Hessian;
+* the sum of the covectors D_1 + D_2 + D_3 against its closed form, which
+  differ by exactly 3/4 h^{-2} times the sphere-normalized Yamabe residual
+  times dh.
 
 Two conventions fixed once:
 
 * nabla-dh means the covariant Hessian of the canonical connection, in which
   the left-invariant frame is parallel, so its horizontal block is the plain
   frame Hessian e_a(e_b h).  It is not symmetric; the symmetric correction is
-  `sym_part`.  In the twist-averaged combinations used by the vector
-  quantities the difference between the two is killed by the averaging, which
-  `test_conformal` pins down.
+  `sym_part`.  In the twist-averaged combinations of the divergence
+  covectors the difference between the two is killed by the averaging, which
+  the `divergence-identity-routes` check of `verify-conformal` pins down.
 * |grad h|^2 is the horizontal gradient squared norm, xi-directions excluded.
 
 Scalar-curvature normalization: the flat structure has qc-scalar curvature 0
@@ -26,8 +36,6 @@ constants 2 - 4h + 3h^{-1}|grad h|^2 (sphere scalar curvature scaled to
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,28 +50,36 @@ __all__ = [
     "U_deformed",
     "scal_deformed",
     "yamabe_residual_sphere_norm",
-    "sphere_scal_term",
     "divergence_identity_residual",
     "divergence_identity_casimir",
-    "DParts",
     "vector_D",
     "divergence_total_closed_form",
-    "vector_F",
-    "scalar_f",
-    "vector_A",
-    "vector_A_aggregate",
 ]
 
 _SYM_TOL = 1e-9
 _EYE4 = np.eye(4)
 
 
-def _pack(h: ScalarField, p, positive: bool, order: int = 2) -> tuple[bool, FrameJet]:
+def _require_positive(fj: FrameJet, what: str = "conformal factor") -> None:
+    """DomainError unless the factor is positive at every point; NaN is not.
+
+    Every formula here reads the Hessian, so an order-1 jet is a ValueError.
+    """
+    if fj.hess is None:
+        raise ValueError("the conformal formulas need an order-2 FrameJet")
+    bad = np.flatnonzero(~(fj.value > 0.0))
+    if bad.size:
+        raise DomainError(
+            f"{what} is not positive at batch index {bad[0]} (value {fj.value[bad[0]]!r})"
+        )
+
+
+def _pack(h: ScalarField, p, positive: bool) -> tuple[bool, FrameJet]:
+    """One order-2 FrameJet of h for the (h, p) entry points."""
     pts, squeeze = _as_batch(p)
-    fj = frame_jets(h, pts, order)
-    if positive and np.any(fj.value <= 0.0):
-        bad = pts[fj.value <= 0.0][0]
-        raise DomainError(f"conformal factor '{h.tag}' is not positive at {bad}")
+    fj = frame_jets(h, pts)
+    if positive:
+        _require_positive(fj, f"conformal factor '{h.tag}'")
     return squeeze, fj
 
 
@@ -156,28 +172,23 @@ def scal_deformed(h: ScalarField, p, base_scal: float = 0.0):
     return float(out[0]) if squeeze else out
 
 
-def sphere_scal_term(h: ScalarField, p):
-    """The zeroth-order term 2 - 4h + 3h^{-1}|grad h|^2 of the sphere-normalized equation."""
-    squeeze, fj = _pack(h, p, positive=True, order=1)
-    out = _sphere_term(fj)
-    return float(out[0]) if squeeze else out
+# ---------------------------------------------------------------------------
+# The divergence identity, evaluated on one order-2 FrameJet per batch.
 
 
-def yamabe_residual_sphere_norm(h: ScalarField, p):
-    """laplacian(h) - (2 - 4h + 3h^{-1}|grad h|^2); plain formula evaluation.
+def yamabe_residual_sphere_norm(fj: FrameJet) -> np.ndarray:
+    """laplacian(h) - (2 - 4h + 3h^{-1}|grad h|^2) at each point, shape (N,).
 
     Vanishing at every point means the deformation by h has constant scalar
     curvature equal to the sphere value; this is not a residual of the flat
     family, which satisfies a different normalization.
     """
-    squeeze, fj = _pack(h, p, positive=True)
-    lap = np.trace(fj.hess, axis1=1, axis2=2)
-    out = lap - _sphere_term(fj)
-    return float(out[0]) if squeeze else out
+    _require_positive(fj)
+    return np.trace(fj.hess, axis1=1, axis2=2) - _sphere_term(fj)
 
 
 def _vector_ingredients(fj: FrameJet):
-    """Shared contractions for the D / A / E quantities.
+    """Shared contractions for the divergence covectors.
 
     omdh[s]  = omega_s-image of the horizontal gradient, (N, 4)
     twist[s] = omega_s nabla-dh I_s applied to the gradient, (N, 4)
@@ -193,166 +204,65 @@ def _vector_ingredients(fj: FrameJet):
     return dh, omdh, twist, mdh
 
 
-def divergence_identity_residual(h: ScalarField, x, p):
-    """The divergence-identity integrand against direction x.
+def divergence_identity_residual(fj: FrameJet) -> np.ndarray:
+    """The divergence-identity integrand as a covector, shape (N, 4).
 
-    nabla-dh(x, grad h) + sum_s nabla-dh(I_s x, I_s grad h)
-    - (2 - 4h + 3h^{-1}|grad h|^2) dh(x).  Zero for every x whenever the
-    sphere-normalized equation holds; in general it is the equation residual
-    times dh(x), which `test_conformal` uses as a cross-check.
+    Against a direction x it reads nabla-dh(x, grad h)
+    + sum_s nabla-dh(I_s x, I_s grad h) - (2 - 4h + 3h^{-1}|grad h|^2) dh(x),
+    so it vanishes for every x exactly when this covector does.  It is zero
+    whenever the sphere-normalized equation holds; in general it is the
+    equation residual times dh.
     """
-    squeeze, fj = _pack(h, p, positive=True)
-    x = np.asarray(x, dtype=float)
+    _require_positive(fj)
     dh, _, twist, mdh = _vector_ingredients(fj)
-    scal = _sphere_term(fj)
-    evec = mdh + twist[0] + twist[1] + twist[2] - scal[:, None] * dh
-    out = evec @ x
-    return float(out[0]) if squeeze else out
+    return mdh + twist[0] + twist[1] + twist[2] - _sphere_term(fj)[:, None] * dh
 
 
-def divergence_identity_casimir(h: ScalarField, x, p):
+def divergence_identity_casimir(fj: FrameJet) -> np.ndarray:
     """Independent route to `divergence_identity_residual` through the projections.
 
     Uses 4 P_{[3]}(sym_part) applied to the gradient in place of the raw
     twist-averaged Hessian; equality of the two routes is the algebraic
     content of the [3]-projection being the trace part.
     """
-    squeeze, fj = _pack(h, p, positive=True)
-    x = np.asarray(x, dtype=float)
+    _require_positive(fj)
     p3 = casimir_project(_sym_from_jet(fj), "[3]")
-    scal = _sphere_term(fj)
-    evec = 4.0 * np.einsum("nab,nb->na", p3, fj.grad) - scal[:, None] * fj.grad
-    out = evec @ x
-    return float(out[0]) if squeeze else out
+    return 4.0 * np.einsum("nab,nb->na", p3, fj.grad) - _sphere_term(fj)[:, None] * fj.grad
 
 
-@dataclass(frozen=True)
-class DParts:
-    """The three divergence covectors and their sum, components against e_a."""
-
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.d1 + self.d2 + self.d3
-
-    @property
-    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.d1, self.d2, self.d3)
-
-
-def vector_D(h: ScalarField, p) -> DParts:
-    """The three divergence-formula covectors D_1, D_2, D_3.
+def vector_D(fj: FrameJet) -> np.ndarray:
+    """The three divergence-formula covectors D_1, D_2, D_3, stacked (3, N, 4).
 
     D_i(e_a) = 1/4 h^{-2} (2 - 4h + 3h^{-1}|grad h|^2) dh(e_a)
              + h^{-2} dh(xi_i) dh(I_i e_a)
              - 1/2 h^{-2} [nabla-dh(I_j e_a, I_j grad h) + nabla-dh(I_k e_a, I_k grad h)]
     for (i, j, k) cyclic.
     """
-    squeeze, fj = _pack(h, p, positive=True)
+    _require_positive(fj)
     dh, omdh, twist, _ = _vector_ingredients(fj)
     inv2 = fj.value**-2
     scal = _sphere_term(fj)
     parts = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        d = (
+        parts.append(
             0.25 * (inv2 * scal)[:, None] * dh
             + inv2[:, None] * fj.vert[:, i : i + 1] * omdh[i]
             - 0.5 * inv2[:, None] * (twist[j] + twist[k])
         )
-        parts.append(_sq(d, squeeze))
-    return DParts(*parts)
+    return np.stack(parts)
 
 
-def divergence_total_closed_form(h: ScalarField, p) -> np.ndarray:
-    """Closed form of the total divergence covector.
+def divergence_total_closed_form(fj: FrameJet) -> np.ndarray:
+    """Closed form of the total divergence covector, shape (N, 4).
 
     1/4 h^{-2} [3 nabla-dh(X, grad h) - sum_s nabla-dh(I_s X, I_s grad h)]
-    + h^{-2} sum_s dh(xi_s) dh(I_s X).  Differs from vector_D(...).total by
+    + h^{-2} sum_s dh(xi_s) dh(I_s X).  Differs from vector_D(...).sum(0) by
     exactly 3/4 h^{-2} times the Yamabe residual times dh(X); equal on
     solutions.
     """
-    squeeze, fj = _pack(h, p, positive=True)
+    _require_positive(fj)
     dh, omdh, twist, mdh = _vector_ingredients(fj)
     inv2 = (fj.value**-2)[:, None]
     out = 0.25 * inv2 * (3.0 * mdh - (twist[0] + twist[1] + twist[2]))
-    out = out + inv2 * sum(fj.vert[:, s : s + 1] * omdh[s] for s in range(3))
-    return _sq(out, squeeze)
-
-
-def vector_F(d1, d2, d3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F_s from the D_s: F_1(X) = (-D_1 + D_2 + D_3)(I_1 X), indices cyclic."""
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    d3 = np.asarray(d3, dtype=float)
-    f1 = (-d1 + d2 + d3) @ OMEGA[0].T
-    f2 = (d1 - d2 + d3) @ OMEGA[1].T
-    f3 = (d1 + d2 - d3) @ OMEGA[2].T
-    return f1, f2, f3
-
-
-def scalar_f(h: ScalarField, p):
-    """The scalar 1/2 + h + 1/4 h^{-1}|grad h|^2 entering the divergence identity."""
-    squeeze, fj = _pack(h, p, positive=True, order=1)
-    out = 0.5 + fj.value + 0.25 * _gradsq(fj) / fj.value
-    return float(out[0]) if squeeze else out
-
-
-def vector_A(h: ScalarField, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three stated covectors A_1, A_2, A_3; formula evaluation only.
-
-    A_i(e_a) = -1/2 h^{-2} dh(e_a) - 1/2 h^{-3}|grad h|^2 dh(e_a)
-             - 1/2 h^{-1} sum_{s in {j,k}} nabla-dh(I_s e_a, xi_s)
-             + 1/2 h^{-2} sum_{s in {j,k}} dh(xi_s) dh(I_s e_a)
-             + 1/4 h^{-2} sum_{s in {j,k}} nabla-dh(I_s e_a, I_s grad h)
-    with (i, j, k) cyclic.  No geometric claim on the flat model is attached.
-    """
-    squeeze, fj = _pack(h, p, positive=True)
-    dh, omdh, twist, _ = _vector_ingredients(fj)
-    inv1 = fj.value**-1
-    inv2 = fj.value**-2
-    inv3 = fj.value**-3
-    gsq = _gradsq(fj)
-    mixrot = [fj.mixed[:, :, s] @ OMEGA[s].T for s in range(3)]
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        a = (
-            -0.5 * inv2[:, None] * dh
-            - 0.5 * (inv3 * gsq)[:, None] * dh
-            - 0.5 * inv1[:, None] * (mixrot[j] + mixrot[k])
-            + 0.5
-            * inv2[:, None]
-            * (fj.vert[:, j : j + 1] * omdh[j] + fj.vert[:, k : k + 1] * omdh[k])
-            + 0.25 * inv2[:, None] * (twist[j] + twist[k])
-        )
-        out.append(_sq(a, squeeze))
-    return tuple(out)
-
-
-def vector_A_aggregate(h: ScalarField, p) -> np.ndarray:
-    """The displayed aggregate A = A_1 + A_2 + A_3, assembled independently.
-
-    Each twist sum runs over all three structures with doubled weight relative
-    to the per-part formula; kept as a separate code path so agreement with
-    summing `vector_A` is a real test.
-    """
-    squeeze, fj = _pack(h, p, positive=True)
-    dh, omdh, twist, _ = _vector_ingredients(fj)
-    inv1 = (fj.value**-1)[:, None]
-    inv2 = (fj.value**-2)[:, None]
-    inv3 = (fj.value**-3)[:, None]
-    gsq = _gradsq(fj)[:, None]
-    mixrot_sum = sum(fj.mixed[:, :, s] @ OMEGA[s].T for s in range(3))
-    vert_sum = sum(fj.vert[:, s : s + 1] * omdh[s] for s in range(3))
-    out = (
-        -1.5 * inv2 * dh
-        - 1.5 * inv3 * gsq * dh
-        - inv1 * mixrot_sum
-        + inv2 * vert_sum
-        + 0.5 * inv2 * (twist[0] + twist[1] + twist[2])
-    )
-    return _sq(out, squeeze)
+    return out + inv2 * sum(fj.vert[:, s : s + 1] * omdh[s] for s in range(3))

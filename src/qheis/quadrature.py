@@ -84,6 +84,12 @@ _MIN_DECAY_R = 4.0
 _MIN_DECAY_RHO = 3.0
 
 _EVAL_BLOCK = 1 << 17  # nodes per evaluation block, keeps jets bounded
+_MC_CHUNK = 1 << 17    # Monte Carlo samples per block, for the same reason
+
+# The reduced rule: refinement starts at 2 panels per half-line, each
+# panel a 12-node Gauss-Legendre rule.
+_MIN_LEVEL = 1
+_N_NODES = 12
 
 
 def _beta(a: float, b: float) -> float:
@@ -142,7 +148,7 @@ def _panel_nodes(level: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
-def biradial_rule(level: int, n_nodes: int = 12):
+def biradial_rule(level: int, n_nodes: int = _N_NODES):
     """Tensor quadrature rule for dH on the (r, rho) quarter-plane.
 
     Returns flat arrays (r, rho, weight); the weight already contains
@@ -184,9 +190,7 @@ class QuadratureResult:
 def integrate_biradial(
     integrand: BiRadialIntegrand,
     tol: float = 1e-9,
-    min_level: int = 1,
     max_level: int = 7,
-    n_nodes: int = 12,
 ) -> QuadratureResult:
     """Adaptive dyadic refinement until successive estimates agree.
 
@@ -195,8 +199,8 @@ def integrate_biradial(
     """
     rows = []
     prev: Optional[float] = None
-    for level in range(min_level, max_level + 1):
-        r, rho, w = biradial_rule(level, n_nodes)
+    for level in range(_MIN_LEVEL, max_level + 1):
+        r, rho, w = biradial_rule(level, _N_NODES)
         est = _rule_sum(integrand, r, rho, w)
         err = math.nan if prev is None else abs(est - prev)
         rows.append((level, est, err, r.size))
@@ -310,7 +314,6 @@ def integrate_mc(
     u: ScalarField,
     samples: int,
     seed: int = 0,
-    chunk: int = 1 << 17,
 ) -> MCResult:
     """Monte Carlo integral of u dH for fields of inverse-polynomial decay.
 
@@ -329,7 +332,7 @@ def integrate_mc(
     htot = htotsq = 0.0
     done = 0
     while done < samples:
-        k = min(chunk, samples - done)
+        k = min(_MC_CHUNK, samples - done)
         r = np.abs(rng.standard_t(2, k))
         rho = np.abs(rng.standard_t(1, k))
         qdir = rng.standard_normal((k, 4))
@@ -450,24 +453,16 @@ def _energy_biradial_audit(u: ScalarField, seed: int = 0) -> None:
 def fs_quotient(
     u: ScalarField,
     tol: float = 1e-9,
-    max_level: int = 7,
-    n_nodes: int = 12,
-    audit: bool = True,
 ) -> QuotientReport:
     """Sobolev quotient of a certified, positive, decaying field.
 
     The numerator uses the honest frame gradient at the pulled-back
     nodes; nothing is assumed about the field beyond its certificate,
-    which is itself probed unless `audit` is switched off.
+    which is itself probed first.
     """
-    if audit:
-        _energy_biradial_audit(u)
-    num = integrate_biradial(
-        _energy_integrand(u), tol=tol, max_level=max_level, n_nodes=n_nodes
-    )
-    mass = integrate_biradial(
-        reduced_integrand(u, 2.5), tol=tol, max_level=max_level, n_nodes=n_nodes
-    )
+    _energy_biradial_audit(u)
+    num = integrate_biradial(_energy_integrand(u), tol=tol)
+    mass = integrate_biradial(reduced_integrand(u, 2.5), tol=tol)
     denom = mass.value**0.8
     quotient = num.value / denom
     err = num.error / denom + 0.8 * num.value * mass.error / mass.value**1.8
@@ -626,6 +621,15 @@ class _ProfileRule:
 _LOG_NU_BOUND = 4.0
 _CENTER_BOUND = 5.0
 
+# The search rule: 3 rotations of the level-2, 10-node reduced rule; the
+# reported value re-evaluates on level 3 with 12 nodes.  The defect weight
+# is the objective's gamma; the descent stops at max |gradient| <= _GTOL.
+_SEARCH_ROTATIONS = 3
+_SEARCH_LEVEL = 2
+_SEARCH_NODES = 10
+_DEFECT_WEIGHT = 10.0
+_GTOL = 1e-5
+
 
 @dataclass(frozen=True)
 class MinimizeResult:
@@ -781,24 +785,19 @@ def minimize_quotient(
     target: Optional[ScalarField] = None,
     *,
     seed: int = 0,
-    rotations: int = 3,
-    level: int = 2,
-    n_nodes: int = 10,
     maxiter: int = 200,
-    gtol: float = 1e-5,
-    gamma: float = 10.0,
 ) -> MinimizeResult:
     """Recover the concentration and center of a translated, dilated bubble.
 
     The objective at a candidate center undoes the candidate motion,
     symmetrizes the result over a fixed set of origin-fixing rotations,
-    and takes the quotient of that bi-radial profile, plus `gamma`
-    times the symmetrization defect (see _ProfileRule.objective).  Both
-    terms vanish above the extremal baseline exactly when the
-    de-transformed target is the centered bubble, so the minimum
-    recovers the planted center; the defect term supplies the
-    vertical-direction curvature that the averaged profile alone
-    lacks.  Recalibrating nu merely slides the de-transformed field
+    and takes the quotient of that bi-radial profile, plus
+    `_DEFECT_WEIGHT` times the symmetrization defect (see
+    _ProfileRule.objective).  Both terms vanish above the extremal
+    baseline exactly when the de-transformed target is the centered
+    bubble, so the minimum recovers the planted center; the defect term
+    supplies the vertical-direction curvature that the averaged profile
+    alone lacks.  Recalibrating nu merely slides the de-transformed field
     along the dilation family, so neither term can see it: the descent
     would random-walk along that flat valley if allowed.  The
     concentration is therefore fixed to the peak-curvature estimate
@@ -808,7 +807,7 @@ def minimize_quotient(
     `init` starts a damped Newton ascent to the target's peak (see
     _newton_peak); BFGS then descends over the center from the peak
     estimate, with the exact gradient, for at most `maxiter` iterations
-    and until max |gradient| <= `gtol`.  The reported value re-evaluates
+    and until max |gradient| <= `_GTOL`.  The reported value re-evaluates
     the pure profile quotient at the optimum on a finer rule.
     """
     if target is None:
@@ -820,15 +819,15 @@ def minimize_quotient(
 
     theta0, nfev = _peak_seed(target, init, bounds)
     nu_opt = math.exp(theta0[0])
-    rule = _ProfileRule(level, n_nodes, rotations, seed)
+    rule = _ProfileRule(_SEARCH_LEVEL, _SEARCH_NODES, _SEARCH_ROTATIONS, seed)
 
     def objective(center: np.ndarray):
-        value, grad = rule.objective(target, nu_opt, center, gamma, gradient=True)
+        value, grad = rule.objective(target, nu_opt, center, _DEFECT_WEIGHT, gradient=True)
         excess = np.maximum(0.0, np.abs(center) - _CENTER_BOUND)
         return value + 1e3 * float(excess @ excess), grad + 2e3 * excess * np.sign(center)
 
-    center_opt, best, evals, converged, message = _bfgs(objective, theta0[1:], gtol, maxiter)
-    fine = _ProfileRule(level + 1, n_nodes + 2, rotations, seed)
+    center_opt, best, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, maxiter)
+    fine = _ProfileRule(_SEARCH_LEVEL + 1, _SEARCH_NODES + 2, _SEARCH_ROTATIONS, seed)
     value = fine.objective(target, nu_opt, center_opt)
     report = fs_quotient(_detransformed(target, nu_opt, center_opt))
     return MinimizeResult(

@@ -2,11 +2,12 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qheis import audit, extremals, quadrature
+from qheis import audit, conformal, extremals, quadrature
 from qheis.audit import (
     QMATRIX,
     Q_SPECTRUM,
@@ -162,6 +163,86 @@ def test_reflection_in_sigma_fails_the_involution(monkeypatch, capsys):
     assert code == 1
 
 
+_DIVERGENCE_CHECKS = ("divergence-identity-routes", "divergence-closed-form")
+
+
+def _flip_one_twist(monkeypatch):
+    """Seed a sign flip into one twist-averaged Hessian term, twist[1]."""
+    ingredients = conformal._vector_ingredients
+
+    def flipped(fj):
+        dh, omdh, twist, mdh = ingredients(fj)
+        return dh, omdh, [twist[0], -twist[1], twist[2]], mdh
+
+    monkeypatch.setattr(conformal, "_vector_ingredients", flipped)
+
+
+def _inflate_d3(monkeypatch):
+    """Seed a wrong amplitude, 1 + 1e-3, into the covector D_3."""
+    vector_d = conformal.vector_D
+
+    def inflated(fj):
+        d = vector_d(fj)
+        d[2] *= 1.001
+        return d
+
+    monkeypatch.setattr(conformal, "vector_D", inflated)
+
+
+@pytest.mark.parametrize(
+    "fault, failing",
+    [
+        (_flip_one_twist, set(_DIVERGENCE_CHECKS)),
+        (_inflate_d3, {"divergence-closed-form"}),
+    ],
+)
+def test_seeded_fault_fails_the_divergence_checks(fault, failing, monkeypatch, capsys):
+    fault(monkeypatch)
+    reports = run_suite("conformal")
+    assert {r.check for r in reports if not r.passed} == failing
+    code, verdicts = _cli_verdicts("verify-conformal", capsys)
+    assert code == 1
+    assert {check for check, ok in verdicts.items() if not ok} == failing
+
+
+def test_nan_sphere_term_fails_both_divergence_checks(monkeypatch, capsys):
+    sphere_term = conformal._sphere_term
+
+    def poisoned(fj):
+        out = sphere_term(fj)
+        out[0] = math.nan
+        return out
+
+    monkeypatch.setattr(conformal, "_sphere_term", poisoned)
+    reports = {r.check: r for r in run_suite("conformal", SuiteConfig(samples=4))}
+    for check in _DIVERGENCE_CHECKS:
+        assert math.isnan(reports[check].max_residual)
+        assert not reports[check].passed
+    code, verdicts = _cli_verdicts("verify-conformal", capsys)
+    assert code == 1
+    assert not any(verdicts[check] for check in _DIVERGENCE_CHECKS)
+
+
+def test_conformal_suite_reaches_every_public_name(monkeypatch):
+    # sym_part is the (h, p) entry to the corrected Hessian that the
+    # torsion and U checks run through _sym_from_jet
+    calls = Counter()
+    for name in conformal.__all__:
+        original = getattr(conformal, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(conformal, name, counted)
+    reports = run_suite("conformal", SuiteConfig(samples=2))
+    assert all(r.passed for r in reports)
+    assert {name for name in conformal.__all__ if not calls[name]} <= {"sym_part"}
+    for gone in ("vector_A", "vector_A_aggregate", "vector_F", "scalar_f",
+                 "sphere_scal_term", "DParts"):
+        assert not hasattr(conformal, gone)
+
+
 def _flip_energy_density(monkeypatch):
     """Seed a sign flip into the horizontal energy density |grad_H u|^2."""
     density = quadrature._energy_density
@@ -283,6 +364,12 @@ def test_suite_config_rejects_bad_samples(samples):
         SuiteConfig(samples=samples)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, "abc"])
+def test_suite_config_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        SuiteConfig(tol=tol)
+
+
 def test_suite_config_samples_override():
     reports = {r.check: r for r in run_suite("qmatrix", SuiteConfig(samples=2))}
     assert reports["q-quadratic-form"].samples == 2
@@ -344,6 +431,8 @@ def test_best_constant_reports_structure():
         else:
             assert r.passed
     assert any(not line.consistent for line in record.ratios)
+    # every line grades the one record: one measured time, not a share of it
+    assert len({r.seconds for r in reports}) == 1 and reports[0].seconds > 0.0
 
 
 def test_quotient_min_reports_pass():
@@ -352,3 +441,4 @@ def test_quotient_min_reports_pass():
         "quotient-min-value", "quotient-min-center", "quotient-min-concentration",
     ]
     assert all(r.passed for r in reports)
+    assert len({r.seconds for r in reports}) == 1 and reports[0].seconds > 0.0

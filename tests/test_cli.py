@@ -67,6 +67,23 @@ def test_samples_must_be_a_positive_integer(samples, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
+def test_tol_must_be_a_finite_nonnegative_number(tol, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["qmatrix", "--tol", tol])
+    assert info.value.code == 2
+    assert "finite number >= 0" in capsys.readouterr().err
+
+
+def test_tol_override_leaves_the_informational_lines_passing(capsys):
+    code = main(["best-constant", "--tol", "1e-30", "--samples", "20000", "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    informational = [r for r in reports if r["provenance"] == "informational"]
+    assert informational and all(r["pass"] and r["tolerance"] == 1e9 for r in informational)
+    assert code == 1  # the computed lines fail the impossible tolerance
+    assert len({r["seconds"] for r in reports}) == 1
+
+
 def test_empty_cayley_point_set_is_an_error_not_a_usage_error(capsys):
     # seed 414 draws a single point with |q| = 0.36, so the Kelvin check,
     # which keeps only |q| > 0.5, is left without points

@@ -1,4 +1,4 @@
-"""Conformal deformation tensors: projections, torsion, curvature, covectors."""
+"""Conformal deformation tensors: projections, torsion, curvature, divergence identity."""
 
 import numpy as np
 import pytest
@@ -194,121 +194,86 @@ def test_scal_six_normalization():
 
 
 # ---------------------------------------------------------------------------
-# Sphere-normalized residual and the divergence identity.
+# Sphere-normalized residual and the divergence identity, on one FrameJet.
 
 
 def test_yamabe_residual_frozen_examples():
     p = np.zeros(7)
-    assert conformal.yamabe_residual_sphere_norm(constant_field(0.5), p) == 0.0
-    assert conformal.yamabe_residual_sphere_norm(constant_field(1.0), p) == 2.0
+
+    def residual(h):
+        return conformal.yamabe_residual_sphere_norm(frame.frame_jets(h, p))[0]
+
+    assert residual(constant_field(0.5)) == 0.0
+    assert residual(constant_field(1.0)) == 2.0
     shifted = autodiff_lift(
         lambda t1, x1, y1, z1, x, y, z: t1 * t1 + x1 * x1 + y1 * y1 + z1 * z1 + 0.5,
         tag="q-squared-shifted",
     )
-    np.testing.assert_allclose(conformal.yamabe_residual_sphere_norm(shifted, p), 8.0, atol=1e-12)
+    np.testing.assert_allclose(residual(shifted), 8.0, atol=1e-12)
 
 
-def test_divergence_identity_two_routes(rng, box_points):
-    # raw twist evaluation vs the Casimir-projection route
+def test_divergence_identity_two_routes(box_points):
+    # raw twist evaluation vs the Casimir-projection route; equal covectors
+    # mean equal values against every direction x
     for h in (h_family(FamilyParams(c=0.8, nu=1.7)), quartic_control()):
-        for _ in range(5):
-            x = rng.standard_normal(4)
-            a = conformal.divergence_identity_residual(h, x, box_points)
-            b = conformal.divergence_identity_casimir(h, x, box_points)
-            np.testing.assert_allclose(a, b, atol=1e-9)
+        fj = frame.frame_jets(h, box_points)
+        a = conformal.divergence_identity_residual(fj)
+        b = conformal.divergence_identity_casimir(fj)
+        assert a.shape == (len(box_points), 4)
+        np.testing.assert_allclose(a, b, atol=1e-9)
 
 
-def test_scalar_f_frozen():
-    p = np.zeros(7)
-    assert conformal.scalar_f(constant_field(0.5), p) == 1.0
-    assert conformal.scalar_f(constant_field(1.0), p) == 1.5
-    np.testing.assert_allclose(conformal.scalar_f(h_family(FamilyParams()), p), 1.5, atol=1e-14)
+_FRAME_JET_FORMULAS = (
+    conformal.yamabe_residual_sphere_norm,
+    conformal.divergence_identity_residual,
+    conformal.divergence_identity_casimir,
+    conformal.vector_D,
+    conformal.divergence_total_closed_form,
+)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan])
+@pytest.mark.parametrize("formula", _FRAME_JET_FORMULAS, ids=lambda f: f.__name__)
+def test_frame_jet_formulas_reject_a_non_positive_factor(formula, value, box_points):
+    fj = frame.frame_jets(h_family(FamilyParams()), box_points[:5])
+    fj.value[3] = value
+    with pytest.raises(DomainError, match="batch index 3"):
+        formula(fj)
+
+
+@pytest.mark.parametrize("formula", _FRAME_JET_FORMULAS, ids=lambda f: f.__name__)
+def test_frame_jet_formulas_need_order_two(formula, box_points):
+    with pytest.raises(ValueError, match="order-2"):
+        formula(frame.frame_jets(h_family(FamilyParams()), box_points[:5], 1))
 
 
 # ---------------------------------------------------------------------------
-# The covectors D, F, A.
+# The divergence covectors D.
 
 
 def test_vector_d_constant_is_zero(box_points):
-    d = conformal.vector_D(constant_field(1.5), box_points)
-    for part in d.parts:
+    d = conformal.vector_D(frame.frame_jets(constant_field(1.5), box_points))
+    assert d.shape == (3, len(box_points), 4)
+    for part in d:
         assert np.max(np.abs(part)) == 0.0
 
 
-def test_vector_d_total_vs_closed_form(rng, box_points):
+def test_vector_d_total_vs_closed_form(box_points):
     # the closed form differs from the assembled total by exactly
     # (3/4) h^{-2} (sphere residual) dh
     for h in (h_family(FamilyParams(c=1.1, nu=0.6)), quartic_control()):
-        d = conformal.vector_D(h, box_points)
-        closed = conformal.divergence_total_closed_form(h, box_points)
         fj = frame.frame_jets(h, box_points)
-        res = np.asarray(conformal.yamabe_residual_sphere_norm(h, box_points))
+        d = conformal.vector_D(fj)
+        closed = conformal.divergence_total_closed_form(fj)
+        res = conformal.yamabe_residual_sphere_norm(fj)
         corr = 0.75 * (fj.value**-2 * res)[:, None] * fj.grad
-        np.testing.assert_allclose(d.total, closed - corr, atol=1e-12)
+        np.testing.assert_allclose(d.sum(0), closed - corr, atol=1e-12)
 
 
 def test_vector_d_purely_vertical_field():
     # horizontal gradient vanishes, so every term carrying dh drops and the
     # vertical product term dh(xi_i) dh(I_i e_a) is zero for the same reason
     h = autodiff_lift(lambda t1, x1, y1, z1, x, y, z: 1.0 + 0.25 * x, tag="vertical-eps")
-    d = conformal.vector_D(h, np.zeros(7))
-    for part in d.parts:
-        np.testing.assert_allclose(part, np.zeros(4), atol=1e-14)
-
-
-def test_vector_f_single_term():
-    i1 = frame.complex_structures().matrices[0]
-    e1 = np.array([1.0, 0, 0, 0])
-    f1, f2, f3 = conformal.vector_F(e1, np.zeros(4), np.zeros(4))
-    # F_1(X) = -D_1(I_1 X): as a covector, component a is -(e1 . I_1 e_a)
-    np.testing.assert_allclose(f1, -(e1 @ i1), atol=1e-14)
-
-
-def test_vector_f_sign_pattern(rng):
-    d1, d2, d3 = rng.standard_normal((3, 4))
-    f1, f2, f3 = conformal.vector_F(d1, d2, d3)
-    mats = frame.complex_structures().matrices
-    om = [m.T for m in mats]
-    np.testing.assert_allclose(f2, (d1 - d2 + d3) @ om[1].T, atol=1e-13)
-    np.testing.assert_allclose(f3, (d1 + d2 - d3) @ om[2].T, atol=1e-13)
-
-
-def test_vector_a_aggregate_is_sum_of_parts(rng, box_points):
-    for h in (h_family(FamilyParams(c=0.9, nu=1.4)), quartic_control()):
-        a1, a2, a3 = conformal.vector_A(h, box_points)
-        agg = conformal.vector_A_aggregate(h, box_points)
-        np.testing.assert_allclose(a1 + a2 + a3, agg, atol=1e-11)
-
-
-def test_vector_a_constant_is_zero(box_points):
-    for part in conformal.vector_A(constant_field(0.5), box_points):
-        assert np.max(np.abs(part)) == 0.0
-
-
-def test_vector_a_explicit_loop_oracle():
-    # term-by-term scalar-loop evaluation of the five-term formula straight
-    # from the frame jets, no einsum, no shared helper
-    h = autodiff_lift(
-        lambda t1, x1, y1, z1, x, y, z: 1.0 + 0.1 * t1 * t1 + 0.2 * x + 0.05 * x1 * y,
-        tag="mixed-profile",
-    )
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(-1, 1, (6, 7))
-    fj = frame.frame_jets(h, pts)
-    mats = frame.complex_structures().matrices
-    parts = conformal.vector_A(h, pts)
-    for n in range(pts.shape[0]):
-        v = fj.value[n]
-        g = fj.grad[n]
-        gsq = float(g @ g)
-        for i in range(3):
-            cyc = [(i + 1) % 3, (i + 2) % 3]
-            for a in range(4):
-                want = -0.5 * v**-2 * g[a] - 0.5 * v**-3 * gsq * g[a]
-                for s in cyc:
-                    isa = mats[s][:, a]
-                    want -= 0.5 / v * sum(isa[b] * fj.mixed[n, b, s] for b in range(4))
-                    want += 0.5 * v**-2 * fj.vert[n, s] * float(isa @ g)
-                    isg = mats[s] @ g
-                    want += 0.25 * v**-2 * float(isa @ fj.hess[n] @ isg)
-                np.testing.assert_allclose(parts[i][n, a], want, atol=1e-11)
+    d = conformal.vector_D(frame.frame_jets(h, np.zeros(7)))
+    for part in d:
+        np.testing.assert_allclose(part, np.zeros((1, 4)), atol=1e-14)
