@@ -15,9 +15,13 @@ with xi_s = 2 d/dw_s, which lands on omega_1(T1, X1) = omega_1(Y1, Z1) = 1 and
 cyclic; the I_s act as left multiplication by i, j, k on the frame basis.
 
 Every frame derivative of a field comes from one call, `frame_jets(f, p,
-order)`: a single jet evaluation projected onto the frame rows, giving the
+order)`: a single jet evaluation projected onto the frame, giving the
 value, e_a f and xi_s f at order 1 and adding e_a(e_b f) and e_a(xi_s f) at
 order 2.  The sub-Laplacian and the corrected Hessian are read off it.
+The rows are [I4 | B(q)] with B linear in q, so the horizontal gradient
+is g_q + (q (x) g_w) K with one constant 12x4 matrix K and never builds
+the (N, 4, 7) rows; `frame_rows` stays as the audited reference, and the
+order-2 blocks still contract against it.
 
 The covariant Hessian uses the canonical connection of the flat model, in
 which the left-invariant frame is parallel, so hess(f)(e_a, e_b) = e_a(e_b f).
@@ -91,6 +95,10 @@ def _derive_affine_frame():
 
 
 _BASE, _LIN, _VERTICAL = _derive_affine_frame()
+
+# grad_a = g_a + sum_{c,s} q_c g_{w_s} _LIN[a, 4+s, c]: _GRAD_K[(c, s), a]
+# contracts the flattened outer product q (x) g_w, shape (N, 12).
+_GRAD_K = _LIN[:, 4:7, :4].transpose(2, 1, 0).reshape(12, 4)
 
 
 def _derive_structures():
@@ -209,15 +217,16 @@ def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
     pts, _ = _as_batch(p)
     jet = f.jet_batch(pts, order)
     value, grad = jet[0], jet[1]
-    rows = _rows(pts)
+    twisted = (pts[:, :4, None] * grad[:, None, 4:7]).reshape(-1, 12)
     fj = FrameJet(
         value=value,
-        grad=np.einsum("naj,nj->na", rows, grad),
+        grad=grad[:, :4] + twisted @ _GRAD_K,
         vert=VERTICAL_SCALE * grad[:, 4:7],
     )
     if order == 1:
         return fj
     hess = jet[2]
+    rows = _rows(pts)
     chc = rows @ hess @ np.swapaxes(rows, 1, 2)
     first_order = np.einsum("sab,ns->nab", _DC, grad[:, 4:7])
     return replace(

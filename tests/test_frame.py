@@ -13,6 +13,7 @@ import sympy as sp
 from qheis import frame
 from qheis.extremals import ubar_field
 from qheis.jets import autodiff_lift
+from test_jets import _fields_of_every_kind
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +126,32 @@ def test_frame_jets_gradient_shape_and_value():
     np.testing.assert_allclose(grad, [[0, -2, 0, 0]], atol=0)
 
 
-def test_frame_jets_order_one_is_a_prefix_of_order_two(ubar, box_points):
-    one = frame.frame_jets(ubar, box_points, 1)
-    two = frame.frame_jets(ubar, box_points, 2)
+@pytest.mark.parametrize("kind", sorted(_fields_of_every_kind()))
+def test_frame_jets_order_one_is_a_prefix_of_order_two(kind, box_points):
+    f = _fields_of_every_kind()[kind]
+    one = frame.frame_jets(f, box_points, 1)
+    two = frame.frame_jets(f, box_points, 2)
     assert one.hess is None and one.mixed is None
     assert two.hess.shape == (100, 4, 4) and two.mixed.shape == (100, 4, 3)
     for name in ("value", "grad", "vert"):
         np.testing.assert_array_equal(getattr(one, name), getattr(two, name))
+        assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
+
+
+_PINNED = np.array([0.5, -1.0, 2.0, 0.25, 7.0, -3.0, 1.5])
+
+
+@pytest.mark.parametrize("kind", sorted(_fields_of_every_kind()))
+def test_row_free_gradient_matches_the_frame_rows(kind):
+    # the contraction with the constant 12x4 matrix against the audited
+    # rows, point by point, relative to the largest component
+    f = _fields_of_every_kind()[kind]
+    for seed in range(3):
+        pts = np.vstack([_PINNED, np.random.default_rng(seed).uniform(-2.0, 2.0, (200, 7))])
+        want = np.einsum("naj,nj->na", frame.frame_rows(pts), f.jet_batch(pts, 1)[1])
+        got = frame.frame_jets(f, pts, 1).grad
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("order", [0, 3, 1.5])

@@ -43,7 +43,7 @@ from qheis.quadrature import (
     minimize_quotient,
     spin_rotation_map,
 )
-from qheis.quaternions import group_mul
+from qheis.quaternions import group_mul, quat_conj, quat_mul
 
 # ---------------------------------------------------------------------------
 # Oracles.  Both half-line reductions of the gauge integral are instances of
@@ -113,6 +113,89 @@ def test_accuracy_error_carries_estimate():
         integrate_biradial(integrand, tol=1e-16, max_level=3)
     assert info.value.value == pytest.approx(GAUGE, rel=1e-8)
     assert info.value.error is not None
+
+
+def _gate_integrands():
+    ubar = ubar_field()
+    return {
+        "gauge": (
+            BiRadialIntegrand(
+                fn=lambda r, rho: ((1.0 + r * r) ** 2 + rho * rho) ** -5.0,
+                decay=(20.0, 10.0),
+                tag="gauge",
+            ),
+            GAUGE,
+        ),
+        "mass": (quadrature.reduced_integrand(ubar, 2.5), MASS),
+        "gaussian": (
+            BiRadialIntegrand(
+                fn=lambda r, rho: np.exp(-r * r - rho * rho), decay=(50.0, 50.0), tag="gaussian"
+            ),
+            GAUSSIAN_7D,
+        ),
+        # integrating the equation against ubar by parts makes the numerator the mass
+        "numerator": (quadrature._energy_integrand(ubar), MASS),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, tol, accepted",
+    [
+        ("gauge", 1e-9, 3),
+        ("gauge", 1e-11, 3),
+        ("mass", 1e-9, 3),
+        ("mass", 1e-11, 3),
+        ("gaussian", 1e-9, 3),
+        ("gaussian", 1e-11, 3),
+        ("numerator", 1e-9, 3),
+        ("numerator", 1e-11, 4),
+    ],
+)
+def test_error_estimate_bounds_the_true_error(name, tol, accepted):
+    # the geometric estimate alone undershoots where rounding dominates
+    # (gauge at level 3, numerator at level 4); the floor must cover it
+    integrand, exact = _gate_integrands()[name]
+    res = integrate_biradial(integrand, tol=tol)
+    assert res.table[-1][0] == accepted
+    assert res.error <= tol * abs(res.value)
+    for level, est, err, _ in res.table:
+        if level >= 3:
+            assert err >= abs(est - exact), (level, err, abs(est - exact))
+
+
+@pytest.mark.parametrize("poisoned", ["every-level", "level-3-only"])
+def test_a_nan_node_is_never_accepted(poisoned):
+    # a NaN at level 3 alone leaves levels 4 and 5 finite and in
+    # agreement, but both estimates lean on the NaN delta of level 4
+    def fn(r, rho):
+        vals = np.exp(-r * r - rho * rho)
+        if poisoned == "every-level" or r.size == 9216:
+            vals[r.size // 2] = math.nan
+        return vals
+
+    integrand = BiRadialIntegrand(fn=fn, decay=(50.0, 50.0), tag="nan-node")
+    with pytest.raises(AccuracyError) as info:
+        integrate_biradial(integrand, max_level=5)
+    assert math.isnan(info.value.error)
+
+
+def test_a_zero_previous_delta_falls_back_to_the_delta(monkeypatch):
+    # levels 1 and 2 agree exactly, so level 3 has no ratio to extrapolate
+    script = {576: 1.0, 2304: 1.0, 9216: 1.0 + 1e-3}
+    monkeypatch.setattr(quadrature, "_rule_sum", lambda integrand, r, rho, w: script[r.size])
+    integrand = BiRadialIntegrand(fn=lambda r, rho: r, decay=(9.0, 9.0), tag="scripted")
+    with pytest.raises(AccuracyError) as info:
+        integrate_biradial(integrand, tol=1e-16, max_level=3)
+    assert info.value.table[2][2] == abs((1.0 + 1e-3) - 1.0)
+
+
+def test_the_cached_panel_rule_cannot_be_poisoned():
+    t, wt = quadrature._panel_nodes(2, 12)
+    for arr in (t, wt):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    again = quadrature._panel_nodes(2, 12)
+    assert again[0] is t and again[1] is wt
 
 
 def test_convergence_csv_format():
@@ -258,6 +341,26 @@ def test_spin_rotation_properties(a, b):
     np.testing.assert_allclose(
         amap(group_mul(g, h)), group_mul(amap(g), amap(h)), atol=1e-12
     )
+
+
+def _spin_rotation_loop(a, b):
+    """The column-by-column form: image of each basis quaternion in turn."""
+    lin = np.zeros((7, 7))
+    eye4 = np.eye(4)
+    for j in range(4):
+        lin[:4, j] = quat_mul(quat_mul(a, eye4[j]), quat_conj(b))
+    for s in range(3):
+        lin[4:7, 4 + s] = quat_mul(quat_mul(a, eye4[1 + s]), quat_conj(a))[1:4]
+    return lin
+
+
+def test_spin_rotation_map_matches_the_loop_form():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        a, b = rng.standard_normal((2, 4))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        got = spin_rotation_map(a, b).linear
+        assert got.tobytes() == _spin_rotation_loop(a, b).tobytes()
 
 
 def test_spin_rotation_fixes_ubar(ubar, rng):
