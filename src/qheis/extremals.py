@@ -71,6 +71,9 @@ _E7 = np.eye(7)
 # Rows e_a, then -e_a, then 0: one group product yields a translation's
 # linear part (by central differences, exact) and its offset.
 _TRANSLATION_PROBE = np.vstack([_E7, -_E7, np.zeros((1, 7))])
+# _TWIST[a] is the 3x4 matrix of q -> 2 Im(e_a conj q): left translation by
+# (q0, w0) has the linear part [[I4, 0], [sum_a q0_a _TWIST[a], I3]].
+_TWIST = group_mul(_E7[:4, None], _E7[None, :4])[..., 4:7].transpose(0, 2, 1)
 
 V_AMPLITUDE = 2.0**11 * math.sqrt(3.0) * math.pi ** (-3.0 / 5.0)
 
@@ -114,8 +117,12 @@ class SpherePoint:
 # The conformal-factor family and its powers.
 
 
-def _family_jets(c: float, nu: float):
-    """Hand-differentiated jets of c[(1 + nu r^2)^2 + nu^2 rho^2], up to `order`."""
+def _family_jets(c, nu):
+    """Hand-differentiated jets of c[(1 + nu r^2)^2 + nu^2 rho^2], up to `order`;
+    c and nu are scalars, or arrays giving each of the N rows its own member."""
+    b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
+    if np.ndim(c):  # per-row coefficients, broadcast against the trailing axes
+        b, e = b[:, None], e[:, None, None]
 
     def jets(pts: np.ndarray, order: int = 2):
         q = pts[:, :4]
@@ -126,16 +133,16 @@ def _family_jets(c: float, nu: float):
         if order == 0:
             return (val,)
         grad = np.empty_like(pts)
-        grad[:, :4] = (4.0 * c * nu) * lin[:, None] * q
-        grad[:, 4:7] = (2.0 * c * nu * nu) * w
+        grad[:, :4] = ((4.0 * c * nu) * lin)[:, None] * q
+        grad[:, 4:7] = b * w
         if order == 1:
             return val, grad
         hess = np.zeros((pts.shape[0], 7, 7))
-        hess[:, :4, :4] = (8.0 * c * nu * nu) * np.einsum("ni,nj->nij", q, q)
+        hess[:, :4, :4] = e * np.einsum("ni,nj->nij", q, q)
         diag = np.arange(4)
-        hess[:, diag, diag] += (4.0 * c * nu) * lin[:, None]
+        hess[:, diag, diag] += ((4.0 * c * nu) * lin)[:, None]
         vdiag = np.arange(4, 7)
-        hess[:, vdiag, vdiag] = 2.0 * c * nu * nu
+        hess[:, vdiag, vdiag] = b
         return val, grad, hess
 
     return jets
@@ -207,6 +214,29 @@ def translate_field(u: ScalarField, g0, tag: Optional[str] = None) -> ScalarFiel
     """The pullback p -> u(g0 o p); centers the bump of u at inverse(g0)."""
     amap = left_translation_map(g0)
     return affine_pullback(u, amap, tag=tag or f"translate({u.tag})")
+
+
+def _translated_family(c, nu, g0) -> ScalarField:
+    """Row i is the member (c_i, nu_i) pulled back by left translation by g0_i.
+
+    The batched translate_field(h_family(FamilyParams(c_i, nu_i)), g0_i), for
+    (N, 7) points with N = len(c); a row with g0_i = 0 is not translated.
+    """
+    c, nu, g0 = (np.asarray(a, dtype=float) for a in (c, nu, g0))
+    twist = (g0[:, :4] @ _TWIST.reshape(4, 12)).reshape(-1, 3, 4)
+
+    def jets(pts: np.ndarray, order: int = 2):
+        if not len(c) == len(nu) == len(g0) == len(pts):
+            raise ValueError(f"{len(c)}, {len(nu)}, {len(g0)} members for {len(pts)} points")
+        jet = _family_jets(c, nu)(group_mul(g0, pts), order)
+        if order >= 1:  # grad_y L
+            jet[1][:, :4] += (jet[1][:, None, 4:7] @ twist)[:, 0]
+        if order == 2:  # L^T H L: the columns, then the rows
+            jet[2][:, :, :4] += jet[2][:, :, 4:7] @ twist
+            jet[2][:, :4, :] += np.swapaxes(twist, 1, 2) @ jet[2][:, 4:7, :]
+        return jet
+
+    return ScalarField(tag=f"h[{len(c)} members]", jets=jets, biradial_map=None)
 
 
 def dilate_field(u: ScalarField, lam: float, tag: Optional[str] = None) -> ScalarField:

@@ -1,7 +1,9 @@
 """The coupling matrix, the report contract, and the named suites."""
 
+import dataclasses
 import json
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -140,6 +142,35 @@ def test_flipped_vertical_hessian_fails_the_conformal_suite(monkeypatch, capsys)
     assert verdicts["einstein-family-torsion"] is False
     assert verdicts["scalar-curvature-constant"] is False
     assert code == 1
+
+
+def test_fault_in_the_last_partial_block_fails_the_family_torsion(monkeypatch):
+    # 150 members run as one full block and a 50-member tail, where a block
+    # loop drops rows; the fault sits in the first point of member 149.
+    config = SuiteConfig(samples=150)
+    assert {r.check: r.passed for r in run_suite("conformal", config)}["einstein-family-torsion"]
+    batched = audit._translated_family
+    target = 149 * 20
+    handed = [0]  # rows handed to the batched family so far, in member order
+
+    def faulty(c, nu, g0):
+        field = batched(c, nu, g0)
+        first = handed[0]
+        handed[0] += len(c)
+
+        def jets(pts, order=2):
+            out = field.jets(pts, order)
+            if order == 2 and first <= target < first + len(c):
+                out[2][target - first, 4:7, 4:7] *= -1.0
+            return out
+
+        return dataclasses.replace(field, jets=jets)
+
+    monkeypatch.setattr(audit, "_translated_family", faulty)
+    reports = {r.check: r for r in run_suite("conformal", config)}
+    assert handed[0] == 150 * 20
+    assert math.isfinite(reports["einstein-family-torsion"].max_residual)
+    assert not reports["einstein-family-torsion"].passed
 
 
 def test_flipped_vertical_hessian_fails_the_extremal_suite(monkeypatch, capsys):
@@ -303,6 +334,23 @@ def test_pde_residual_check_evaluates_the_field_once(ubar, box_points):
     assert orders == [2]
 
 
+def test_family_torsion_runs_in_blocks_over_the_whole_sample(monkeypatch):
+    # 1,000 members in blocks of 100, plus the negative control: a per-member
+    # loop would make 1,001 calls
+    torsion = conformal.torsion_T0_deformed
+    points = []
+
+    def counted(h, p):
+        points.append(len(np.atleast_2d(p)))
+        return torsion(h, p)
+
+    monkeypatch.setattr(conformal, "torsion_T0_deformed", counted)
+    reports = {r.check: r for r in run_suite("conformal", SuiteConfig(samples=1000))}
+    assert reports["einstein-family-torsion"].passed
+    assert len(points) <= 11
+    assert sum(points) == 1000 * 20 + 1
+
+
 # ---------------------------------------------------------------------------
 # The report contract.
 
@@ -433,6 +481,14 @@ def test_best_constant_reports_structure():
     assert any(not line.consistent for line in record.ratios)
     # every line grades the one record: one measured time, not a share of it
     assert len({r.seconds for r in reports}) == 1 and reports[0].seconds > 0.0
+
+
+def test_report_seconds_are_measured_times():
+    t0 = time.perf_counter()
+    reports = run_suite("all", SuiteConfig(samples=20))
+    wall = time.perf_counter() - t0
+    for r in reports:
+        assert math.isfinite(r.seconds) and 0.0 <= r.seconds <= wall, r.check
 
 
 def test_quotient_min_reports_pass():

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from qheis.errors import DomainError, SingularityError
 from qheis.extremals import (
+    _TWIST,
     V_AMPLITUDE,
     FamilyParams,
     SpherePoint,
+    _translated_family,
     cayley_contact_factor,
     cayley_forward,
     cayley_forward_batch,
@@ -20,6 +22,7 @@ from qheis.extremals import (
     dilate_field,
     h_family,
     kelvin,
+    left_translation_map,
     pde_residual,
     sigma,
     translate_field,
@@ -106,6 +109,62 @@ def test_family_center_is_left_translation(rng, box_points):
     np.testing.assert_allclose(
         values(centered, box_points), values(shifted, box_points), rtol=1e-13
     )
+
+
+def _seeded_members(rng, n=40):
+    """n members with one point each; odd members are left-translated."""
+    c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, n))
+    g0 = rng.uniform(-1.0, 1.0, size=(n, 7))
+    g0[::2] = 0.0
+    return c, nu, g0, rng.uniform(-2.0, 2.0, size=(n, 7))
+
+
+def test_translated_family_rows_are_the_per_member_fields(rng):
+    c, nu, g0, pts = _seeded_members(rng)
+    batch = _translated_family(c, nu, g0)
+    for order in (0, 1, 2):
+        jet = batch.jet_batch(pts, order)
+        for i in range(len(c)):
+            member = h_family(FamilyParams(c[i], nu[i]))
+            if i % 2:
+                member = translate_field(member, g0[i])
+            ref = member.jet_batch(pts[i], order)
+            for part, expected in zip(jet, ref):
+                if i % 2:
+                    scale = np.max(np.abs(expected))
+                    assert np.max(np.abs(part[i] - expected[0])) <= 1e-15 * scale
+                else:
+                    np.testing.assert_array_equal(part[i], expected[0])
+
+
+def test_translated_family_lower_orders_are_prefixes(rng):
+    c, nu, g0, pts = _seeded_members(rng)
+    batch = _translated_family(c, nu, g0)
+    full = batch.jet_batch(pts, 2)
+    for order in (0, 1):
+        jet = batch.jet_batch(pts, order)
+        assert len(jet) == order + 1
+        for part, prefix in zip(jet, full):
+            np.testing.assert_array_equal(part, prefix)
+
+
+def test_translated_family_rejects_a_mismatched_batch(rng):
+    c, nu, g0, pts = _seeded_members(rng)
+    with pytest.raises(ValueError):
+        _translated_family(c, nu, g0).jet_batch(pts[:-1])
+    with pytest.raises(ValueError):
+        _translated_family(c, nu[:-1], g0).jet_batch(pts)
+    with pytest.raises(ValueError):
+        _translated_family(c, nu, g0[:-1]).jet_batch(pts)
+
+
+def test_closed_form_translation_is_the_probed_map(rng):
+    for g0 in rng.uniform(-2.0, 2.0, size=(50, 7)):
+        probed = left_translation_map(g0)
+        linear = np.eye(7)
+        linear[4:, :4] = np.einsum("a,ajk->jk", g0[:4], _TWIST)
+        np.testing.assert_allclose(linear, probed.linear, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(g0, probed.offset)
 
 
 @pytest.mark.parametrize("c,nu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
