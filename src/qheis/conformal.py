@@ -96,9 +96,17 @@ def _sphere_term(fj: FrameJet) -> np.ndarray:
     return 2.0 - 4.0 * fj.value + 3.0 * _gradsq(fj) / fj.value
 
 
+# Row-major flattening turns OMEGA[s] @ m @ IMAT[s] into kron(OMEGA[s],
+# IMAT[s]^T) @ vec(m), so flattened matrices are twisted by one product
+# with the transpose of the sum.  It is stored C-contiguous because then
+# one matrix (a BLAS gemv) and a stack (gemm) add each entry's three terms
+# in the same order; through a transposed view they did not, bitwise.
+_TWIST_T = np.ascontiguousarray(sum(np.kron(OMEGA[s], IMAT[s].T) for s in range(3)).T)
+
+
 def _twist(m: np.ndarray) -> np.ndarray:
     """Average over the complex structures: sum_s m(I_s ., I_s .)."""
-    return sum(OMEGA[s] @ m @ IMAT[s] for s in range(3))
+    return (m.reshape(-1, 16) @ _TWIST_T).reshape(m.shape)
 
 
 def _sym_from_jet(fj: FrameJet) -> np.ndarray:
@@ -128,9 +136,11 @@ def casimir_project(m, part: str) -> np.ndarray:
     part "[3]" is (twist + 1)/4, part "[-1]" is (3 - twist)/4; they are
     complementary idempotents on the symmetric 4x4 matrices, and in this
     dimension the "[3]" image is spanned by the identity.  Accepts a single
-    matrix or a stack.
+    matrix or a stack, shaped (..., 4, 4); any other shape is a ValueError.
     """
     m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"casimir_project needs (..., 4, 4) matrices, got shape {m.shape}")
     tw = _twist(m)
     if part == "[3]":
         return (m + tw) / 4.0

@@ -18,10 +18,13 @@ Every frame derivative of a field comes from one call, `frame_jets(f, p,
 order)`: a single jet evaluation projected onto the frame, giving the
 value, e_a f and xi_s f at order 1 and adding e_a(e_b f) and e_a(xi_s f) at
 order 2.  The sub-Laplacian and the corrected Hessian are read off it.
-The rows are [I4 | B(q)] with B linear in q, so the horizontal gradient
-is g_q + (q (x) g_w) K with one constant 12x4 matrix K and never builds
-the (N, 4, 7) rows; `frame_rows` stays as the audited reference, and the
-order-2 blocks still contract against it.
+The rows are [I4 | B(q)] with B linear in q, so no order builds the
+(N, 4, 7) rows.  The horizontal gradient is g_q + (q (x) g_w) K with one
+constant 12x4 matrix K.  At order 2, B comes from one constant 4x12
+matrix and rows @ H is H_q + B H_w, the q- and w-rows of the coordinate
+Hessian H: its w-columns are the mixed block, and its q-columns plus its
+w-columns times B^T, plus a constant first-order term, are the frame
+Hessian.  `frame_rows` stays as the audited reference.
 
 The covariant Hessian uses the canonical connection of the flat model, in
 which the left-invariant frame is parallel, so hess(f)(e_a, e_b) = e_a(e_b f).
@@ -99,6 +102,9 @@ _BASE, _LIN, _VERTICAL = _derive_affine_frame()
 # grad_a = g_a + sum_{c,s} q_c g_{w_s} _LIN[a, 4+s, c]: _GRAD_K[(c, s), a]
 # contracts the flattened outer product q (x) g_w, shape (N, 12).
 _GRAD_K = _LIN[:, 4:7, :4].transpose(2, 1, 0).reshape(12, 4)
+# B[a, s] = sum_c q_c _LIN[a, 4+s, c], the w-columns of the rows:
+# B = (q @ _ROWS_K).reshape(4, 3), with _ROWS_K[c, (a, s)].
+_ROWS_K = _LIN[:, 4:7, :4].transpose(2, 0, 1).reshape(4, 12)
 
 
 def _derive_structures():
@@ -130,13 +136,11 @@ def _derive_structures():
 
 
 def frame_rows(points) -> np.ndarray:
-    """Horizontal frame coefficient rows at each point: shape (N, 4, 7)."""
-    return _rows(_as_batch(points)[0])
+    """Horizontal frame coefficient rows at each point: shape (N, 4, 7).
 
-
-def _rows(pts: np.ndarray) -> np.ndarray:
-    """`frame_rows` on an already validated (N, 7) batch."""
-    return _BASE + np.einsum("ajc,nc->naj", _LIN, pts)
+    The audited reference for `frame_jets`, which never builds them.
+    """
+    return _BASE + np.einsum("ajc,nc->naj", _LIN, _as_batch(points)[0])
 
 
 _BRACKET, OMEGA, IMAT = _derive_structures()
@@ -195,7 +199,9 @@ class FrameJet:
 
     value (N,); grad (N, 4) = e_a f; vert (N, 3) = xi_s f; and at order 2
     hess (N, 4, 4) = e_a(e_b f) and mixed (N, 4, 3) = e_a(xi_s f), which are
-    None at order 1.
+    None at order 1.  Every block is contracted from the coordinate jet
+    through the constant matrices of the rows' linear part, never through
+    the (N, 4, 7) rows of `frame_rows`.
     """
 
     value: np.ndarray
@@ -226,13 +232,13 @@ def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
     if order == 1:
         return fj
     hess = jet[2]
-    rows = _rows(pts)
-    chc = rows @ hess @ np.swapaxes(rows, 1, 2)
-    first_order = np.einsum("sab,ns->nab", _DC, grad[:, 4:7])
+    b = (pts[:, :4] @ _ROWS_K).reshape(-1, 4, 3)
+    row_hess = hess[:, :4, :] + b @ hess[:, 4:, :]  # rows @ hess
+    first_order = (grad[:, 4:7] @ _DC.reshape(3, 16)).reshape(-1, 4, 4)
     return replace(
         fj,
-        hess=chc + first_order,
-        mixed=VERTICAL_SCALE * np.einsum("naj,njk->nak", rows, hess)[:, :, 4:7],
+        hess=row_hess[:, :, :4] + row_hess[:, :, 4:] @ np.swapaxes(b, 1, 2) + first_order,
+        mixed=VERTICAL_SCALE * row_hess[:, :, 4:],
     )
 
 

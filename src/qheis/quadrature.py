@@ -387,12 +387,13 @@ def integrate_mc(
             htotsq += float(wgt[:m] @ wgt[:m])
         done += k
 
+    # np.maximum, unlike max, keeps a NaN variance NaN instead of 0.0
     mean = tot / samples
-    var = max(0.0, (totsq - samples * mean * mean) / (samples - 1))
+    var = float(np.maximum(0.0, (totsq - samples * mean * mean) / (samples - 1)))
     stderr = math.sqrt(var / samples)
 
     hmean = htot / half
-    hvar = max(0.0, (htotsq - half * hmean * hmean) / max(1, half - 1))
+    hvar = float(np.maximum(0.0, (htotsq - half * hmean * hmean) / max(1, half - 1)))
     hstderr = math.sqrt(hvar / half)
 
     warning = None

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qheis import audit, conformal, extremals, quadrature
+from qheis import audit, conformal, extremals, frame, quadrature
 from qheis.audit import (
     QMATRIX,
     Q_SPECTRUM,
@@ -141,6 +141,17 @@ def test_flipped_vertical_hessian_fails_the_conformal_suite(monkeypatch, capsys)
     code, verdicts = _cli_verdicts("verify-conformal", capsys)
     assert verdicts["einstein-family-torsion"] is False
     assert verdicts["scalar-curvature-constant"] is False
+    assert code == 1
+
+
+def test_flipped_row_constant_fails_the_family_torsion(monkeypatch, capsys):
+    # one sign of the constant 4x12 matrix that builds the frame rows'
+    # w-columns B(q) for the order-2 blocks: (c, a, s) = (1, 0, 0)
+    rows_k = frame._ROWS_K.copy()
+    rows_k[1, 0] *= -1.0
+    monkeypatch.setattr(frame, "_ROWS_K", rows_k)
+    code, verdicts = _cli_verdicts("verify-conformal", capsys)
+    assert verdicts["einstein-family-torsion"] is False
     assert code == 1
 
 
@@ -302,6 +313,35 @@ def test_seeded_fault_fails_the_quadrature_suite(fault, monkeypatch, capsys):
     assert main(["all", "--samples", "1000", "--format", "json"]) == 1
     verdicts = {r["check"]: r["pass"] for r in json.loads(capsys.readouterr().out)["reports"]}
     assert verdicts["parts-identity"] is False
+
+
+@pytest.mark.parametrize("poison", [math.nan, 0.0])
+def test_degenerate_mass_samples_fail_the_mc_agreement(poison, monkeypatch, capsys):
+    # one NaN sample makes the estimate and its stderr NaN; an all-zero
+    # field has stderr 0 and no error estimate: both are a FAIL line, not
+    # a ZeroDivisionError out of the CLI
+    mc = audit.integrate_mc
+
+    def poisoned(u, samples, seed=0):
+        def jets(pts, order=2):
+            out = u.jets(pts, order)
+            value = out[0].copy()
+            if math.isnan(poison):
+                value[0] = poison
+            else:
+                value[:] = poison
+            return (value,) + out[1:]
+
+        return mc(dataclasses.replace(u, jets=jets), samples, seed)
+
+    monkeypatch.setattr(audit, "integrate_mc", poisoned)
+    reports = {r.check: r for r in run_suite("quadrature", SuiteConfig(samples=1000))}
+    residual = reports["mass-mc-agreement"].max_residual
+    assert math.isnan(residual) if math.isnan(poison) else residual == math.inf
+    assert not reports["mass-mc-agreement"].passed
+    assert reports["gaussian-closed-form"].passed  # the fault is local
+    assert main(["all", "--samples", "1000"]) == 1
+    assert "[FAIL] mass-mc-agreement" in capsys.readouterr().out
 
 
 def test_nan_hessian_fails_hessian_antisymmetry(monkeypatch, capsys):

@@ -42,6 +42,32 @@ def test_casimir_unknown_part():
         conformal.casimir_project(np.eye(4), "[2]")
 
 
+@pytest.mark.parametrize("shape", [(2, 8), (3, 3), (16,), (4,)])
+def test_casimir_rejects_anything_but_four_by_four(shape):
+    # a (2, 8) array has the 16 entries of one matrix per row, so a flat
+    # reshape inside the twist would take it silently
+    with pytest.raises(ValueError, match=r"\(\.\.\., 4, 4\)"):
+        conformal.casimir_project(np.ones(shape), "[3]")
+
+
+def test_one_matrix_twist_is_the_three_product_sum(rng):
+    m = rng.standard_normal((500, 4, 4)) * 10.0 ** rng.uniform(-6, 6, (500, 1, 1))
+    want = sum(frame.OMEGA[s] @ m @ frame.IMAT[s] for s in range(3))
+    got = conformal._twist(m)
+    scale = np.max(np.abs(want), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("part", ["[3]", "[-1]"])
+def test_casimir_of_one_matrix_is_its_row_of_the_stack(rng, part):
+    m = rng.standard_normal((64, 4, 4))
+    stacked = conformal.casimir_project(m, part)
+    for i in (0, 17, 63):
+        one = conformal.casimir_project(m[i], part)
+        assert one.shape == (4, 4)
+        assert one.tobytes() == stacked[i].tobytes()
+
+
 def test_casimir_trace_projection(rng):
     m = rng.standard_normal((100, 4, 4))
     m = m + m.transpose(0, 2, 1)

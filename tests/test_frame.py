@@ -154,6 +154,39 @@ def test_row_free_gradient_matches_the_frame_rows(kind):
         assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-15 * scale)
 
 
+@pytest.mark.parametrize("kind", sorted(_fields_of_every_kind()))
+def test_row_free_order_two_blocks_match_the_frame_rows(kind):
+    # rows @ hess @ rows^T plus the first-order term e_a(c_b^{w_s}) xi_s f,
+    # and the w-columns of rows @ hess, against the row-free expansion,
+    # point by point, relative to the largest entry of each block
+    f = _fields_of_every_kind()[kind]
+    for seed in range(3):
+        pts = np.vstack([_PINNED, np.random.default_rng(seed).uniform(-2.0, 2.0, (200, 7))])
+        _, g, h = f.jet_batch(pts, 2)
+        rows = frame.frame_rows(pts)
+        first_order = np.einsum("bsa,ns->nab", frame._LIN[:, 4:7, :4], g[:, 4:7])
+        want = {
+            "hess": rows @ h @ np.swapaxes(rows, 1, 2) + first_order,
+            "mixed": frame.VERTICAL_SCALE * (rows @ h)[:, :, 4:7],
+        }
+        fj = frame.frame_jets(f, pts, 2)
+        for name, block in want.items():
+            scale = np.max(np.abs(block), axis=(1, 2))
+            err = np.max(np.abs(getattr(fj, name) - block), axis=(1, 2))
+            assert np.all(err <= 1e-15 * scale), (name, seed, np.max(err / scale))
+
+
+def test_frame_jets_builds_no_rows(ubar, box_points, monkeypatch):
+    def refuse(points):
+        raise AssertionError("frame_jets contracted against the (N, 4, 7) rows")
+
+    monkeypatch.setattr(frame, "frame_rows", refuse)
+    for order in (1, 2):
+        fj = frame.frame_jets(ubar, box_points, order)
+        assert fj.grad.shape == (100, 4)
+    assert fj.hess.shape == (100, 4, 4) and fj.mixed.shape == (100, 4, 3)
+
+
 @pytest.mark.parametrize("order", [0, 3, 1.5])
 def test_frame_jets_order_is_validated(ubar, order):
     with pytest.raises(ValueError, match="order"):

@@ -29,7 +29,7 @@ from qheis.extremals import (
     ubar_field,
 )
 from qheis.frame import frame_jets
-from qheis.jets import constant_field, power_compose
+from qheis.jets import ScalarField, constant_field, power_compose
 from qheis.quadrature import (
     GAUGE_INTEGRAL_CLOSED_FORM,
     BiRadialIntegrand,
@@ -255,6 +255,20 @@ def test_mc_translation_invariance(ubar):
 def test_mc_zero_field():
     mc = integrate_mc(constant_field(0.0), 2000, seed=0)
     assert mc.value == 0.0 and mc.stderr == 0.0
+
+
+@pytest.mark.parametrize("where", [0, 1999])
+def test_mc_nan_weight_is_a_nan_stderr(where):
+    # sample 0 sits in the half-sample statistics too, sample 1999 only in
+    # the full ones; max(0.0, nan) would have read either as stderr 0.0
+    def jets(pts, order=2):
+        value = np.ones(len(pts))
+        value[where] = math.nan
+        return (value,)
+
+    field = ScalarField(tag="one-nan-sample", jets=jets, decay=(0.0, 0.0))
+    mc = integrate_mc(field, 2000, seed=0)
+    assert math.isnan(mc.value) and math.isnan(mc.stderr)
 
 
 def test_mc_minimum_sample_size(ubar):
