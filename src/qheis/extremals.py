@@ -84,15 +84,15 @@ V_AMPLITUDE = 2.0**11 * math.sqrt(3.0) * math.pi ** (-3.0 / 5.0)
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Scale, concentration and center of one family member; c, nu > 0."""
+    """Scale, concentration and center of one family member; c, nu finite and > 0."""
 
     c: float = 1.0
     nu: float = 1.0
     center: Optional[Union[GroupPoint, np.ndarray]] = None
 
     def __post_init__(self):
-        if not (self.c > 0.0 and self.nu > 0.0):
-            raise DomainError(f"family parameters must be positive, got c={self.c}, nu={self.nu}")
+        if not (0.0 < self.c < math.inf and 0.0 < self.nu < math.inf):  # False on NaN
+            raise DomainError(f"need finite c, nu > 0, got c={self.c}, nu={self.nu}")
 
 
 @dataclass(frozen=True)

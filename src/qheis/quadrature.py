@@ -40,6 +40,7 @@ import io
 import csv
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -181,6 +182,17 @@ def biradial_rule(level: int, n_nodes: int = _N_NODES):
     return r, rho, w
 
 
+def _whole(value, name: str, minimum: int) -> int:
+    """`value` as an int of at least `minimum`; ValueError for anything else."""
+    try:
+        n = operator.index(value)
+    except TypeError:  # a float, NaN included, or no number at all
+        n = minimum - 1
+    if n < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return n
+
+
 def _rule_sum(integrand: BiRadialIntegrand, r, rho, w) -> float:
     total = 0.0
     for lo in range(0, r.size, _EVAL_BLOCK):
@@ -261,15 +273,6 @@ def convergence_csv(table) -> str:
 # Reduction of certified fields.
 
 
-def _certificate(u: ScalarField) -> AffineMap:
-    if u.biradial_map is None:
-        raise DomainError(
-            f"field '{u.tag}' carries no bi-radial certificate; "
-            "integrate_mc handles general fields"
-        )
-    return u.biradial_map
-
-
 def _require_decay(u: ScalarField) -> tuple[float, float]:
     if u.decay is None:
         raise DomainError(f"field '{u.tag}' declares no decay exponents")
@@ -284,25 +287,29 @@ def _slice_points(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _node_map(cert: AffineMap) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], float]:
-    """Pull slice points back through the certificate; weight factor 1/|det|."""
+def _node_map(u: ScalarField) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """Pull points back through u's certificate; weight factor 1/|det|."""
+    cert = u.biradial_map
+    if cert is None:
+        raise DomainError(
+            f"field '{u.tag}' carries no bi-radial certificate; "
+            "integrate_mc handles general fields"
+        )
     inv = np.linalg.inv(cert.linear)
-    offset = cert.offset
 
-    def nodes(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        return (_slice_points(r, rho) - offset) @ inv.T
+    def pull(pts: np.ndarray) -> np.ndarray:
+        return (pts - cert.offset) @ inv.T
 
-    return nodes, 1.0 / abs(cert.det)
+    return pull, 1.0 / abs(cert.det)
 
 
 def reduced_integrand(u: ScalarField, power: float = 1.0) -> BiRadialIntegrand:
     """Two-dimensional integrand of u**power for a certified field."""
-    cert = _certificate(u)
+    pull, scale = _node_map(u)
     d_r, d_rho = _require_decay(u)
-    nodes, scale = _node_map(cert)
 
     def fn(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        vals = u(nodes(r, rho))
+        vals = u(pull(_slice_points(r, rho)))
         return scale * vals if power == 1.0 else scale * vals**power
 
     tag = u.tag if power == 1.0 else f"({u.tag})^{power:g}"
@@ -351,10 +358,10 @@ def integrate_mc(
     the weight variance finite down to the integrability threshold.  The
     directions are uniform on the spheres.  A split-half comparison of
     the standard error flags estimators whose tails are too heavy for
-    the central limit theorem to have kicked in.
+    the central limit theorem to have kicked in.  `samples` must be an
+    integer of at least 1000; anything else raises ValueError.
     """
-    if samples < 1000:
-        raise ValueError("Monte Carlo needs at least 1000 samples")
+    samples = _whole(samples, "Monte Carlo samples", 1000)
     rng = np.random.default_rng(seed)
     half = samples // 2
     tot = totsq = 0.0
@@ -434,12 +441,11 @@ def _energy_density(u: ScalarField, pts: np.ndarray) -> np.ndarray:
 
 def _energy_integrand(u: ScalarField) -> BiRadialIntegrand:
     """|grad_H u|^2 as a reduced integrand, via the certificate."""
-    cert = _certificate(u)
+    pull, scale = _node_map(u)
     d_r, d_rho = _require_decay(u)
-    nodes, scale = _node_map(cert)
 
     def fn(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        return scale * _energy_density(u, nodes(r, rho))
+        return scale * _energy_density(u, pull(_slice_points(r, rho)))
 
     # each horizontal derivative gains one order in r and, through the
     # linear-in-q frame coefficients, one in rho as well
@@ -458,19 +464,16 @@ def _energy_biradial_audit(u: ScalarField, seed: int = 0) -> None:
     constant on the same level sets; that holds for certificates built
     from group motions but not for arbitrary affine maps, so probe it.
     """
-    cert = _certificate(u)
-    inv = np.linalg.inv(cert.linear)
+    pull, _ = _node_map(u)
     rng = np.random.default_rng(seed)
     base = np.array([[0.7, 0.3, -0.4, 0.2, 0.5, -0.3, 0.6],
                      [1.4, -0.2, 0.8, -0.5, -0.9, 0.4, 1.1]])
-    ref_pts = (base - cert.offset) @ inv.T
-    ref = _energy_density(u, ref_pts)
+    ref = _energy_density(u, pull(base))
     for _ in range(2):
         a = _unit_quaternion(rng)
         b = _unit_quaternion(rng)
         k = spin_rotation_map(a, b)
-        rot_pts = (base @ k.linear.T - cert.offset) @ inv.T
-        rot = _energy_density(u, rot_pts)
+        rot = _energy_density(u, pull(base @ k.linear.T))
         resid = float(np.max(np.abs(rot - ref) / np.maximum(np.abs(ref), 1e-300)))
         if not resid <= 1e-8:  # a NaN spread fails too
             raise ConsistencyError(
@@ -556,7 +559,7 @@ def _detransformed(target: ScalarField, nu: float, center: np.ndarray) -> Scalar
     """Undo a candidate (nu, center): shift back, then widen by nu^{-1/2}.
 
     The two motions compose into one affine pullback, so the result keeps
-    the target's bi-radial certificate for the quotient report.
+    the target's bi-radial certificate and `fs_quotient` can take it.
     """
     mu = nu**-0.5
     amap = _detransform_map(nu, center)
@@ -586,6 +589,8 @@ class _ProfileRule:
         self.dir_twist = np.moveaxis(_twist(self.dirs[..., :4]), 1, 2).reshape(rotations, 3, 8)
         self.n_maps = rotations
         self.n_nodes = self.r.size
+        for arr in (self.r, self.rho, self.w, self.points, self.dirs, self.dir_twist):
+            arr.flags.writeable = False  # shared through _profile_rule
 
     def objective(self, target: ScalarField, nu: float, center: np.ndarray,
                   gamma: float = 0.0, gradient: bool = False):
@@ -647,6 +652,10 @@ class _ProfileRule:
         return value, grad
 
 
+#: One `_ProfileRule` per (level, n_nodes, rotations, seed), built once per
+#: process and shared, hence read-only; a search uses two keys per seed.
+_profile_rule = functools.lru_cache(maxsize=4)(_ProfileRule)
+
 _LOG_NU_BOUND = 4.0
 _CENTER_BOUND = 5.0
 
@@ -664,23 +673,17 @@ _GTOL = 1e-5
 class MinimizeResult:
     """Outcome of the concentration/center search.
 
-    `value` re-evaluates the symmetrized-profile objective at the
-    optimum on a finer rule; it exceeds the extremal quotient exactly
-    to the extent the recovered motion fails to center the target.
-    `report` is the certificate-route quotient of the de-transformed
-    target, which for any exact family member equals the extremal value
-    identically (the quotient is invariant under the family motions),
-    so it serves as a consistency reference rather than a fit measure.
-    `nfev` counts the peak search's jet calls plus the descent's
+    `value` is the symmetrized-profile quotient at the optimum on a finer
+    rule than the search's; it exceeds the extremal quotient exactly to
+    the extent the recovered motion fails to center the target.  `nfev`
+    counts the peak search's jet calls plus the descent's
     objective-and-gradient evaluations; `restarts` is the number of
     descents run.  `converged` says whether the descent met its gradient
     tolerance, and `message` why it stopped.
     """
 
     params: FamilyParams
-    value: float            # objective at the optimum, fine rule
-    objective_value: float  # objective at the optimum, search rule
-    report: QuotientReport
+    value: float  # profile quotient at the optimum, fine rule
     converged: bool
     nfev: int
     restarts: int
@@ -730,7 +733,7 @@ def _newton_peak(target: ScalarField, start: np.ndarray, maxiter: int = 30):
 
 
 def _peak_seed(
-    target: ScalarField, init: FamilyParams, bounds: np.ndarray
+    target: ScalarField, nu0: float, center0: np.ndarray, bounds: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Starting point [log nu, center] from the target's peak and its curvature.
 
@@ -742,21 +745,18 @@ def _peak_seed(
     warm start.  Returns the seed clipped to the box, and the jet calls
     of the peak search.
     """
-    center0 = np.zeros(DIM) if init.center is None else as_point(init.center)
     # the candidate center undoes a left translation, so the bubble
     # translated by g peaks at inv(g); search near the inverse and
     # invert the location found
     peak, height, _, calls = _newton_peak(target, group_inv(center0))
     center = group_inv(peak)
-    log_nu = math.log(init.nu)
+    log_nu = math.log(nu0)
     if math.isfinite(height) and height > 0.0:
         # the unit bubble has sub_laplacian/value = -32 at its peak and
         # the ratio scales by nu along the family
-        unit = ubar_field()
-        peak_ratio = frame.sub_laplacian(unit, np.zeros(DIM))[0] / unit(np.zeros(DIM))
         ratio = frame.sub_laplacian(target, peak)[0] / height
         if ratio < 0.0:
-            log_nu = math.log(ratio / peak_ratio)
+            log_nu = math.log(ratio / -32.0)
     theta = np.concatenate([[log_nu], center])
     return np.clip(theta, -bounds, bounds), calls
 
@@ -836,9 +836,12 @@ def minimize_quotient(
     `init` starts a damped Newton ascent to the target's peak (see
     _newton_peak); BFGS then descends over the center from the peak
     estimate, with the exact gradient, for at most `maxiter` iterations
-    and until max |gradient| <= `_GTOL`.  The reported value re-evaluates
-    the pure profile quotient at the optimum on a finer rule.
+    and until max |gradient| <= `_GTOL`.  The reported value is the pure
+    profile quotient at the optimum on a finer rule, and nothing else is
+    integrated.  `maxiter` and `seed` (the rotations) are integers >= 0.
     """
+    maxiter = _whole(maxiter, "maxiter", 0)
+    seed = _whole(seed, "seed", 0)  # also the key of the cached rules
     if target is None:
         target = ubar_field()
     bounds = np.concatenate([[_LOG_NU_BOUND], np.full(DIM, _CENTER_BOUND)])
@@ -846,24 +849,20 @@ def minimize_quotient(
     if abs(math.log(init.nu)) > _LOG_NU_BOUND or np.any(np.abs(center0) > _CENTER_BOUND):
         raise ValueError("initial guess outside the search box")
 
-    theta0, nfev = _peak_seed(target, init, bounds)
+    theta0, nfev = _peak_seed(target, init.nu, center0, bounds)
     nu_opt = math.exp(theta0[0])
-    rule = _ProfileRule(_SEARCH_LEVEL, _SEARCH_NODES, _SEARCH_ROTATIONS, seed)
+    rule = _profile_rule(_SEARCH_LEVEL, _SEARCH_NODES, _SEARCH_ROTATIONS, seed)
 
     def objective(center: np.ndarray):
         value, grad = rule.objective(target, nu_opt, center, _DEFECT_WEIGHT, gradient=True)
         excess = np.maximum(0.0, np.abs(center) - _CENTER_BOUND)
         return value + 1e3 * float(excess @ excess), grad + 2e3 * excess * np.sign(center)
 
-    center_opt, best, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, maxiter)
-    fine = _ProfileRule(_SEARCH_LEVEL + 1, _SEARCH_NODES + 2, _SEARCH_ROTATIONS, seed)
-    value = fine.objective(target, nu_opt, center_opt)
-    report = fs_quotient(_detransformed(target, nu_opt, center_opt))
+    center_opt, _, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, maxiter)
+    fine = _profile_rule(_SEARCH_LEVEL + 1, _SEARCH_NODES + 2, _SEARCH_ROTATIONS, seed)
     return MinimizeResult(
         params=FamilyParams(c=1.0, nu=nu_opt, center=center_opt),
-        value=value,
-        objective_value=float(best),
-        report=report,
+        value=fine.objective(target, nu_opt, center_opt),
         converged=converged,
         nfev=nfev + evals,
         restarts=1,

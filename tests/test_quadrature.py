@@ -28,7 +28,7 @@ from qheis.extremals import (
     translate_field,
     ubar_field,
 )
-from qheis.frame import frame_jets
+from qheis.frame import frame_jets, sub_laplacian
 from qheis.jets import ScalarField, constant_field, power_compose
 from qheis.quadrature import (
     GAUGE_INTEGRAL_CLOSED_FORM,
@@ -276,6 +276,20 @@ def test_mc_minimum_sample_size(ubar):
         integrate_mc(ubar, 999)
 
 
+# nan < 1000 is False, so a bare comparison would let NaN through
+@pytest.mark.parametrize("bad", [math.nan, 1000.5, 2000.0, "2000", None])
+def test_mc_rejects_a_non_integer_sample_count(ubar, bad):
+    with pytest.raises(ValueError, match="samples"):
+        integrate_mc(ubar, bad)
+
+
+def test_mc_takes_a_numpy_integer_sample_count(ubar):
+    mass = power_compose(ubar, 2.5, tag="mass")
+    mc = integrate_mc(mass, np.int64(1000), seed=0)
+    assert mc.samples == 1000 and type(mc.samples) is int
+    assert mc == integrate_mc(mass, 1000, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # The quotient.
 
@@ -400,7 +414,49 @@ def test_minimize_recovers_planted_motion(ubar):
     assert np.max(np.abs(np.asarray(result.params.center) - g0)) <= 1e-3
     assert abs(result.value / QUOTIENT_REF - 1.0) <= 1e-4
     # certificate-route quotient of the de-transformed target
-    np.testing.assert_allclose(result.report.quotient, QUOTIENT_REF, rtol=1e-8)
+    moved_back = quadrature._detransformed(target, result.params.nu, result.params.center)
+    np.testing.assert_allclose(fs_quotient(moved_back).quotient, QUOTIENT_REF, rtol=1e-8)
+
+
+def test_minimize_takes_no_certificate_quotient(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search integrated a certificate-route quotient")
+
+    monkeypatch.setattr(quadrature, "fs_quotient", forbidden)
+    g0 = np.array([0.2, 0.1, -0.3, 0.1, -0.2, 0.3, 0.1])
+    target = translate_field(dilate_field(ubar_field(), math.sqrt(0.8)), g0)
+    result = minimize_quotient(FamilyParams(nu=0.9, center=g0 - 0.05), target, seed=0)
+    assert result.converged
+    assert np.max(np.abs(np.asarray(result.params.center) - g0)) <= 1e-3
+
+
+def test_profile_rule_is_built_once_and_read_only():
+    rule = quadrature._profile_rule(2, 10, 3, 0)
+    assert quadrature._profile_rule(2, 10, 3, 0) is rule
+    for name in ("r", "rho", "w", "points", "dirs", "dir_twist"):
+        with pytest.raises(ValueError):
+            getattr(rule, name)[0] = 1.0
+    other = quadrature._profile_rule(2, 10, 3, 1)
+    assert other is not rule
+    assert not np.array_equal(other.points, rule.points)
+
+
+@pytest.mark.parametrize("bad", [-1, -5, 1.0, 2.5, math.nan, "3"])
+def test_minimize_rejects_a_bad_maxiter(ubar, bad):
+    with pytest.raises(ValueError, match="maxiter"):
+        minimize_quotient(FamilyParams(), ubar, maxiter=bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 0.0, [1, 2], None])
+def test_minimize_rejects_a_bad_seed(ubar, bad):
+    with pytest.raises(ValueError, match="seed"):
+        minimize_quotient(FamilyParams(), ubar, seed=bad)
+
+
+def test_minimize_with_maxiter_zero_only_evaluates_the_seed(ubar):
+    result = minimize_quotient(FamilyParams(), ubar, maxiter=np.int64(0))
+    assert result.converged  # the exact seed already meets the gradient tolerance
+    assert result.restarts == 1
 
 
 def test_minimize_from_the_truth(ubar):
@@ -435,7 +491,7 @@ def planted():
 
 
 def test_center_gradient_matches_central_differences(planted):
-    rule = quadrature._ProfileRule(2, 10, 3, 0)
+    rule = quadrature._profile_rule(2, 10, 3, 0)
     rng = np.random.default_rng(2)
     h = 1e-5
     for _ in range(3):
@@ -456,7 +512,7 @@ def test_center_gradient_matches_central_differences(planted):
 def _displaced_seed(monkeypatch):
     """Make the peak seed return the planted center + 0.1 at the true nu."""
 
-    def seed(target, init, bounds):
+    def seed(target, nu0, center0, bounds):
         return np.concatenate([[math.log(_NU)], _G0 + 0.1]), 0
 
     monkeypatch.setattr(quadrature, "_peak_seed", seed)
@@ -490,6 +546,12 @@ def test_newton_peak_recovers_planted_centers(ubar):
         assert np.max(np.abs(-peak - g0)) <= 1e-12
         assert steps <= 15 and calls >= steps + 1
         np.testing.assert_allclose(height, 2.0**10 * nu**2, rtol=1e-14)
+
+
+def test_unit_bubble_peak_ratio_is_minus_32(ubar):
+    # the peak seed reads nu off sub_laplacian/value against this constant
+    origin = np.zeros(7)
+    assert sub_laplacian(ubar, origin)[0] / ubar(origin) == -32.0
 
 
 def test_centered_bubble_is_extremal(ubar, rng):
