@@ -173,7 +173,9 @@ def test_family_params_must_be_positive(c, nu):
         FamilyParams(c=c, nu=nu)
 
 
-@pytest.mark.parametrize("c,nu", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize(
+    "c,nu", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]
+)
 def test_family_params_must_be_finite(c, nu):
     with pytest.raises(DomainError):
         FamilyParams(c=c, nu=nu)

@@ -453,12 +453,6 @@ def test_minimize_rejects_a_bad_seed(ubar, bad):
         minimize_quotient(FamilyParams(), ubar, seed=bad)
 
 
-def test_minimize_with_maxiter_zero_only_evaluates_the_seed(ubar):
-    result = minimize_quotient(FamilyParams(), ubar, maxiter=np.int64(0))
-    assert result.converged  # the exact seed already meets the gradient tolerance
-    assert result.restarts == 1
-
-
 def test_minimize_from_the_truth(ubar):
     g0 = np.array([-0.1, 0.2, 0.0, 0.1, -0.3, 0.2, 0.1])
     target = translate_field(ubar, g0)
@@ -533,6 +527,15 @@ def test_maxiter_stops_the_descent_unconverged(planted, monkeypatch):
     assert result.converged is False
     assert "maxiter 1 reached" in result.message and "gtol" in result.message
     assert result.restarts == 1
+
+
+def test_maxiter_zero_only_evaluates_the_seed(planted, monkeypatch):
+    _displaced_seed(monkeypatch)  # its peak search counts no jet calls
+    start = FamilyParams(nu=_NU, center=_G0)
+    result = minimize_quotient(start, planted, seed=0, maxiter=np.int64(0))
+    assert result.converged is False and result.nfev == 1
+    assert "maxiter 0 reached" in result.message
+    np.testing.assert_array_equal(result.params.center, _G0 + 0.1)
 
 
 def test_newton_peak_recovers_planted_centers(ubar):
