@@ -40,6 +40,7 @@ import io
 import csv
 import functools
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -93,6 +94,7 @@ _MC_CHUNK = 1 << 17    # Monte Carlo samples per block, for the same reason
 # The reduced rule: refinement starts at 2 panels per half-line, each
 # panel a 12-node Gauss-Legendre rule.
 _MIN_LEVEL = 1
+_MAX_LEVEL = 7
 _N_NODES = 12
 
 # The error estimate's rounding floor is sqrt(nodes) * _ROUNDING * |I_k|: a
@@ -183,9 +185,13 @@ def biradial_rule(level: int, n_nodes: int = _N_NODES):
 
 
 def _whole(value, name: str, minimum: int) -> int:
-    """`value` as an int of at least `minimum`; ValueError for anything else."""
+    """`value` as an int of at least `minimum`; ValueError for anything else.
+
+    A bool is refused although `operator.index` takes it, as
+    `audit.SuiteConfig` refuses it.
+    """
     try:
-        n = operator.index(value)
+        n = minimum - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:  # a float, NaN included, or no number at all
         n = minimum - 1
     if n < minimum:
@@ -193,13 +199,31 @@ def _whole(value, name: str, minimum: int) -> int:
     return n
 
 
-def _rule_sum(integrand: BiRadialIntegrand, r, rho, w) -> float:
-    total = 0.0
+def _refinement_limits(tol, max_level) -> tuple[float, int]:
+    """`tol` a finite number > 0 and `max_level` an integer >= 1, else ValueError.
+
+    Checked before anything is evaluated: a NaN or negative tolerance
+    could never be met, so every level would be computed in vain.
+    """
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    return float(tol), _whole(max_level, "max_level", _MIN_LEVEL)
+
+
+def _rule_sums(fn, r, rho, w) -> list[float]:
+    """The rule's sum of each row of fn(r, rho), evaluated in node blocks."""
+    totals = None
     for lo in range(0, r.size, _EVAL_BLOCK):
         hi = lo + _EVAL_BLOCK
-        vals = np.asarray(integrand.fn(r[lo:hi], rho[lo:hi]), dtype=float)
-        total += float(w[lo:hi] @ vals)
-    return total
+        rows = fn(r[lo:hi], rho[lo:hi])
+        if totals is None:
+            totals = [0.0] * len(rows)
+        totals = [
+            total + float(w[lo:hi] @ np.asarray(row, dtype=float))
+            for total, row in zip(totals, rows)
+        ]
+    return totals
 
 
 @dataclass(frozen=True)
@@ -212,10 +236,51 @@ class QuadratureResult:
     converged: bool = True
 
 
+def _refine(fn, tags, tol: float, max_level: int) -> tuple[QuadratureResult, ...]:
+    """The refinement loop for the rows of one integrand on shared nodes.
+
+    fn(r, rho) returns one array of values per entry of `tags`.  Each row
+    is accepted at its own first passing level and its table ends there,
+    so it reads exactly what `integrate_biradial` gives that row alone;
+    the loop stops once every row is accepted.  The first row that no
+    level accepts raises AccuracyError.
+    """
+    tables = [[] for _ in tags]
+    accepted = [False] * len(tags)
+    for level in range(_MIN_LEVEL, max_level + 1):
+        r, rho, w = biradial_rule(level, _N_NODES)
+        for i, est in enumerate(_rule_sums(fn, r, rho, w)):
+            if accepted[i]:
+                continue
+            rows = tables[i]
+            err = math.nan
+            if rows:
+                delta = abs(est - rows[-1][1])
+                prev_delta = abs(rows[-1][1] - rows[-2][1]) if len(rows) > 1 else None
+                raw = delta if not prev_delta else delta * delta / prev_delta
+                # np.maximum, not the builtin max, so that a NaN propagates: a
+                # NaN level and the two after it can never be accepted
+                err = float(np.maximum(raw, math.sqrt(r.size) * _ROUNDING * abs(est)))
+            rows.append((level, est, err, r.size))
+            accepted[i] = err <= tol * abs(est)  # False on the first level, whose err is NaN
+        if all(accepted):
+            return tuple(QuadratureResult(rows[-1][1], rows[-1][2], tuple(rows)) for rows in tables)
+    i = accepted.index(False)
+    last_level, est, err, _ = tables[i][-1]
+    exc = AccuracyError(
+        f"integrand '{tags[i]}' did not converge to rtol {tol:g} "
+        f"by level {last_level} (error estimate {err:.3e})",
+        value=est,
+        error=err,
+    )
+    exc.table = tuple(tables[i])
+    raise exc
+
+
 def integrate_biradial(
     integrand: BiRadialIntegrand,
     tol: float = 1e-9,
-    max_level: int = 7,
+    max_level: int = _MAX_LEVEL,
 ) -> QuadratureResult:
     """Adaptive dyadic refinement until the estimated error is small enough.
 
@@ -224,35 +289,12 @@ def integrate_biradial(
     is no d_{k-1} or it is 0), the D1^2/D2 estimate of Bailey, Jeyabalan
     and Li (Exp. Math. 14, 2005) with a rounding floor.  Convergence means
     that estimate is <= tol * |I_k|.  On failure raises AccuracyError
-    carrying the best estimate, its error and the table.
+    carrying the best estimate, its error and the table.  `tol` must be a
+    finite number > 0 and `max_level` an integer >= 1; anything else
+    raises ValueError before the integrand is evaluated.
     """
-    rows = []
-    prev: Optional[float] = None
-    prev_delta: Optional[float] = None
-    for level in range(_MIN_LEVEL, max_level + 1):
-        r, rho, w = biradial_rule(level, _N_NODES)
-        est = _rule_sum(integrand, r, rho, w)
-        err = math.nan
-        if prev is not None:
-            delta = abs(est - prev)
-            raw = delta if not prev_delta else delta * delta / prev_delta
-            # np.maximum, not the builtin max, so that a NaN propagates: a
-            # NaN level and the two after it can never be accepted
-            err = float(np.maximum(raw, math.sqrt(r.size) * _ROUNDING * abs(est)))
-            prev_delta = delta
-        rows.append((level, est, err, r.size))
-        if err <= tol * abs(est):  # False on the first level, whose err is NaN
-            return QuadratureResult(est, err, tuple(rows))
-        prev = est
-    last_level, est, err, _ = rows[-1]
-    exc = AccuracyError(
-        f"integrand '{integrand.tag}' did not converge to rtol {tol:g} "
-        f"by level {last_level} (error estimate {err:.3e})",
-        value=est,
-        error=err,
-    )
-    exc.table = tuple(rows)
-    raise exc
+    tol, max_level = _refinement_limits(tol, max_level)
+    return _refine(lambda r, rho: (integrand.fn(r, rho),), (integrand.tag,), tol, max_level)[0]
 
 
 def convergence_csv(table) -> str:
@@ -304,12 +346,16 @@ def _node_map(u: ScalarField) -> tuple[Callable[[np.ndarray], np.ndarray], float
 
 
 def reduced_integrand(u: ScalarField, power: float = 1.0) -> BiRadialIntegrand:
-    """Two-dimensional integrand of u**power for a certified field."""
+    """Two-dimensional integrand of u**power for a certified field.
+
+    Its `fn` also takes `values`, u at the pulled-back nodes, so that a
+    pass which has already evaluated u there need not evaluate it again.
+    """
     pull, scale = _node_map(u)
     d_r, d_rho = _require_decay(u)
 
-    def fn(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        vals = u(pull(_slice_points(r, rho)))
+    def fn(r: np.ndarray, rho: np.ndarray, values: Optional[np.ndarray] = None) -> np.ndarray:
+        vals = u(pull(_slice_points(r, rho))) if values is None else values
         return scale * vals if power == 1.0 else scale * vals**power
 
     tag = u.tag if power == 1.0 else f"({u.tag})^{power:g}"
@@ -325,14 +371,11 @@ def integrate_field(u: ScalarField, power: float = 1.0, **kwargs) -> QuadratureR
 # Monte Carlo for fields without a certificate.
 
 
-def _fold_t2_weight(r: np.ndarray) -> np.ndarray:
-    # reciprocal of the folded Student-t(2) density 2^{-1/2} (1+r^2/2)^{-3/2}
-    return math.sqrt(2.0) * (1.0 + 0.5 * r * r) ** 1.5
-
-
-def _fold_cauchy_weight(rho: np.ndarray) -> np.ndarray:
-    # reciprocal of the folded Cauchy density (2/pi) (1+rho^2)^{-1}
-    return (0.5 * math.pi) * (1.0 + rho * rho)
+# The reciprocal proposal density, up to the radial factors: the sphere
+# areas 2 pi^2 and 4 pi times the reciprocal folded Student-t(2) density
+# constant sqrt(2) (of 2^{-1/2} (1+r^2/2)^{-3/2}) and folded Cauchy
+# constant pi/2 (of (2/pi) (1+rho^2)^{-1}).
+_MC_WEIGHT = _SPHERE3 * _SPHERE2 * math.sqrt(2.0) * (0.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -360,6 +403,13 @@ def integrate_mc(
     the standard error flags estimators whose tails are too heavy for
     the central limit theorem to have kicked in.  `samples` must be an
     integer of at least 1000; anything else raises ValueError.
+
+    Each block of at most `_MC_CHUNK` samples draws, in this order,
+    standard_t(2, k), standard_t(1, k), standard_normal((k, 4)) and
+    standard_normal((k, 3)).  The Gaussian rows become the directions:
+    each is scaled by radius / norm straight into one (k, 7) array of
+    points.  The weight is u times the reciprocal proposal density
+    _MC_WEIGHT r^3 t^{3/2} rho^2 (1 + rho^2), t = 1 + r^2/2.
     """
     samples = _whole(samples, "Monte Carlo samples", 1000)
     rng = np.random.default_rng(seed)
@@ -372,20 +422,17 @@ def integrate_mc(
         r = np.abs(rng.standard_t(2, k))
         rho = np.abs(rng.standard_t(1, k))
         qdir = rng.standard_normal((k, 4))
-        qdir /= np.linalg.norm(qdir, axis=1, keepdims=True)
         wdir = rng.standard_normal((k, 3))
-        wdir /= np.linalg.norm(wdir, axis=1, keepdims=True)
-        pts = np.concatenate([r[:, None] * qdir, rho[:, None] * wdir], axis=1)
+        pts = np.empty((k, DIM))
+        np.multiply(qdir, (r / np.sqrt(np.einsum("ij,ij->i", qdir, qdir)))[:, None], out=pts[:, :4])
+        np.multiply(wdir, (rho / np.sqrt(np.einsum("ij,ij->i", wdir, wdir)))[:, None], out=pts[:, 4:])
         vals = np.asarray(u(pts), dtype=float)
         # weight = u / proposal density; written multiplicatively so the
         # r -> 0 limit (weight -> 0) never divides by zero
-        wgt = (
-            vals
-            * (_SPHERE3 * r**3)
-            * _fold_t2_weight(r)
-            * (_SPHERE2 * rho**2)
-            * _fold_cauchy_weight(rho)
-        )
+        r2 = r * r
+        rho2 = rho * rho
+        t = 1.0 + 0.5 * r2
+        wgt = vals * _MC_WEIGHT * (r2 * r) * (t * np.sqrt(t)) * (rho2 * (1.0 + rho2))
         tot += float(wgt.sum())
         totsq += float(wgt @ wgt)
         m = min(k, max(0, half - done))
@@ -433,19 +480,24 @@ class QuotientReport:
     mass_result: QuadratureResult
 
 
-def _energy_density(u: ScalarField, pts: np.ndarray) -> np.ndarray:
+def _energy_density(jet: frame.FrameJet) -> np.ndarray:
     """|grad_H u|^2 at each point, from order-1 frame jets."""
-    g = frame.frame_jets(u, pts, 1).grad
-    return np.einsum("na,na->n", g, g)
+    return np.einsum("na,na->n", jet.grad, jet.grad)
 
 
 def _energy_integrand(u: ScalarField) -> BiRadialIntegrand:
-    """|grad_H u|^2 as a reduced integrand, via the certificate."""
+    """|grad_H u|^2 as a reduced integrand, via the certificate.
+
+    Its `fn` also takes `jet`, the order-1 frame jet of u at the
+    pulled-back nodes, so that a pass which has it need not take another.
+    """
     pull, scale = _node_map(u)
     d_r, d_rho = _require_decay(u)
 
-    def fn(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        return scale * _energy_density(u, pull(_slice_points(r, rho)))
+    def fn(r: np.ndarray, rho: np.ndarray, jet: Optional[frame.FrameJet] = None) -> np.ndarray:
+        if jet is None:
+            jet = frame.frame_jets(u, pull(_slice_points(r, rho)), 1)
+        return scale * _energy_density(jet)
 
     # each horizontal derivative gains one order in r and, through the
     # linear-in-q frame coefficients, one in rho as well
@@ -468,12 +520,12 @@ def _energy_biradial_audit(u: ScalarField, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
     base = np.array([[0.7, 0.3, -0.4, 0.2, 0.5, -0.3, 0.6],
                      [1.4, -0.2, 0.8, -0.5, -0.9, 0.4, 1.1]])
-    ref = _energy_density(u, pull(base))
+    ref = _energy_density(frame.frame_jets(u, pull(base), 1))
     for _ in range(2):
         a = _unit_quaternion(rng)
         b = _unit_quaternion(rng)
         k = spin_rotation_map(a, b)
-        rot = _energy_density(u, pull(base @ k.linear.T))
+        rot = _energy_density(frame.frame_jets(u, pull(base @ k.linear.T), 1))
         resid = float(np.max(np.abs(rot - ref) / np.maximum(np.abs(ref), 1e-300)))
         if not resid <= 1e-8:  # a NaN spread fails too
             raise ConsistencyError(
@@ -491,11 +543,24 @@ def fs_quotient(
 
     The numerator uses the honest frame gradient at the pulled-back
     nodes; nothing is assumed about the field beyond its certificate,
-    which is itself probed first.
+    which is itself probed first.  One order-1 frame pass per level
+    gives both rows: the gradient makes the numerator and the value,
+    raised to 5/2, the mass.  Each row stops at its own first accepted
+    level, so its result is bitwise that of `integrate_biradial` on
+    `_energy_integrand(u)` or `reduced_integrand(u, 2.5)` alone.  `tol`
+    is checked as there, before anything is evaluated.
     """
+    tol, max_level = _refinement_limits(tol, _MAX_LEVEL)
     _energy_biradial_audit(u)
-    num = integrate_biradial(_energy_integrand(u), tol=tol)
-    mass = integrate_biradial(reduced_integrand(u, 2.5), tol=tol)
+    energy = _energy_integrand(u)
+    mass_row = reduced_integrand(u, 2.5)
+    pull, _ = _node_map(u)
+
+    def rows(r: np.ndarray, rho: np.ndarray):
+        jet = frame.frame_jets(u, pull(_slice_points(r, rho)), 1)
+        return energy.fn(r, rho, jet), mass_row.fn(r, rho, jet.value)
+
+    num, mass = _refine(rows, (energy.tag, mass_row.tag), tol, max_level)
     denom = mass.value**0.8
     quotient = num.value / denom
     err = num.error / denom + 0.8 * num.value * mass.error / mass.value**1.8

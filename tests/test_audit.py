@@ -288,7 +288,7 @@ def test_conformal_suite_reaches_every_public_name(monkeypatch):
 def _flip_energy_density(monkeypatch):
     """Seed a sign flip into the horizontal energy density |grad_H u|^2."""
     density = quadrature._energy_density
-    monkeypatch.setattr(quadrature, "_energy_density", lambda u, pts: -density(u, pts))
+    monkeypatch.setattr(quadrature, "_energy_density", lambda jet: -density(jet))
 
 
 def _inflate_reduced_integrand(monkeypatch):
@@ -298,7 +298,9 @@ def _inflate_reduced_integrand(monkeypatch):
     def inflated(u, power=1.0):
         good = reduce(u, power)
         return BiRadialIntegrand(
-            fn=lambda r, rho: 1.001 * good.fn(r, rho), decay=good.decay, tag=good.tag
+            fn=lambda r, rho, values=None: 1.001 * good.fn(r, rho, values),
+            decay=good.decay,
+            tag=good.tag,
         )
 
     monkeypatch.setattr(quadrature, "reduced_integrand", inflated)

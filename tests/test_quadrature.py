@@ -10,13 +10,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 import qheis
 from qheis import quadrature
@@ -182,7 +183,7 @@ def test_a_nan_node_is_never_accepted(poisoned):
 def test_a_zero_previous_delta_falls_back_to_the_delta(monkeypatch):
     # levels 1 and 2 agree exactly, so level 3 has no ratio to extrapolate
     script = {576: 1.0, 2304: 1.0, 9216: 1.0 + 1e-3}
-    monkeypatch.setattr(quadrature, "_rule_sum", lambda integrand, r, rho, w: script[r.size])
+    monkeypatch.setattr(quadrature, "_rule_sums", lambda fn, r, rho, w: [script[r.size]])
     integrand = BiRadialIntegrand(fn=lambda r, rho: r, decay=(9.0, 9.0), tag="scripted")
     with pytest.raises(AccuracyError) as info:
         integrate_biradial(integrand, tol=1e-16, max_level=3)
@@ -196,6 +197,48 @@ def test_the_cached_panel_rule_cannot_be_poisoned():
             arr[0] = 0.5
     again = quadrature._panel_nodes(2, 12)
     assert again[0] is t and again[1] is wt
+
+
+def _unevaluable_integrand():
+    def fn(r, rho):
+        raise AssertionError("the integrand was evaluated")
+
+    return BiRadialIntegrand(fn=fn, decay=(9.0, 9.0), tag="unevaluable")
+
+
+def _unevaluable_field(ubar):
+    def jets(pts, order=2):
+        raise AssertionError("the field was evaluated")
+
+    return dataclasses.replace(ubar, tag="unevaluable", jets=jets)
+
+
+# a NaN or negative tol can never be met, so the loop would run every level
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf, -math.inf, True, "1e-9", None])
+def test_a_bad_tolerance_is_refused_before_any_evaluation(ubar, bad, monkeypatch):
+    with pytest.raises(ValueError, match="tol"):
+        integrate_biradial(_unevaluable_integrand(), tol=bad)
+    with pytest.raises(ValueError, match="tol"):
+        integrate_field(_unevaluable_field(ubar), 2.5, tol=bad)
+    with pytest.raises(ValueError, match="tol"):
+        fs_quotient(_unevaluable_field(ubar), tol=bad)
+    monkeypatch.setattr(quadrature, "biradial_rule", _unevaluable_integrand().fn)
+    with pytest.raises(ValueError, match="tol"):
+        best_constant_report(tol=bad, mc_samples=1000)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, 0, -1, math.nan, True, "3", None])
+def test_a_bad_max_level_is_refused_before_any_evaluation(ubar, bad):
+    with pytest.raises(ValueError, match="max_level"):
+        integrate_biradial(_unevaluable_integrand(), max_level=bad)
+    with pytest.raises(ValueError, match="max_level"):
+        integrate_field(_unevaluable_field(ubar), 2.5, max_level=bad)
+
+
+def test_max_level_one_is_the_first_level_alone():
+    with pytest.raises(AccuracyError) as info:
+        integrate_biradial(_gate_integrands()["gauge"][0], max_level=np.int64(1))
+    assert [row[0] for row in info.value.table] == [1]
 
 
 def test_convergence_csv_format():
@@ -252,6 +295,62 @@ def test_mc_translation_invariance(ubar):
     assert abs(mc.value - MASS) <= 3.0 * mc.stderr
 
 
+def _mc_textbook(u, samples, seed, chunk):
+    """The estimate by the textbook route: u over the proposal density of the point.
+
+    The point (r theta, rho phi) has the density of r, twice scipy's t(2)
+    density, over the area 2 pi^2 r^3 of its sphere, times the same for
+    rho with t(1) and 4 pi rho^2; the directions are normalized Gaussians.
+    """
+    rng = np.random.default_rng(seed)
+    weights = []
+    for lo in range(0, samples, chunk):
+        k = min(chunk, samples - lo)
+        r = np.abs(rng.standard_t(2, k))
+        rho = np.abs(rng.standard_t(1, k))
+        q = rng.standard_normal((k, 4))
+        w = rng.standard_normal((k, 3))
+        pts = np.hstack([
+            r[:, None] * q / np.linalg.norm(q, axis=1)[:, None],
+            rho[:, None] * w / np.linalg.norm(w, axis=1)[:, None],
+        ])
+        density_q = 2.0 * stats.t.pdf(r, 2) / (2.0 * math.pi**2 * r**3)
+        density_w = 2.0 * stats.t.pdf(rho, 1) / (4.0 * math.pi * rho**2)
+        weights.append(u(pts) / (density_q * density_w))
+    weights = np.concatenate(weights)
+    half = weights[: samples // 2]
+    return (
+        weights.mean(),
+        weights.std(ddof=1) / math.sqrt(samples),
+        half.std(ddof=1) / math.sqrt(half.size),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_mc_matches_the_textbook_importance_weight(ubar, seed, monkeypatch):
+    # chunks of 1024 over 3000 samples: two block boundaries, and the
+    # half-sample split (1500) falls inside the second block
+    monkeypatch.setattr(quadrature, "_MC_CHUNK", 1024)
+    u = power_compose(translate_field(ubar, np.array([0.4, -0.3, 0.2, 0.1, 0.5, -0.2, 0.3])), 2.5)
+    value, stderr, half_stderr = _mc_textbook(u, 3000, seed, 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mc = integrate_mc(u, 3000, seed=seed)
+    np.testing.assert_allclose(mc.value, value, rtol=1e-12)
+    np.testing.assert_allclose(mc.stderr, stderr, rtol=1e-12)
+    assert (mc.warning is not None) == (stderr > 0.9 * half_stderr)
+
+
+def test_mc_mass_reading_is_pinned(ubar):
+    # the best-constant report's reading: a change to the draws, their
+    # order or their block size moves it by far more than rounding.  The
+    # stderr's sum of squares is a BLAS dot, whose rounding can depend on
+    # the thread count, hence the tolerance there.
+    mc = integrate_mc(power_compose(ubar, 2.5, tag="ubar^2.5"), 200_000, seed=0)
+    assert mc.value == 8497417.487648623
+    np.testing.assert_allclose(mc.stderr, 30786.680910576997, rtol=1e-13)
+
+
 def test_mc_zero_field():
     mc = integrate_mc(constant_field(0.0), 2000, seed=0)
     assert mc.value == 0.0 and mc.stderr == 0.0
@@ -302,6 +401,47 @@ def test_quotient_of_ubar(ubar):
     # for this field the numerator is the mass: integrate the equation
     # against u and integrate by parts
     np.testing.assert_allclose(rep.numerator, rep.mass, rtol=1e-8)
+
+
+def _recorded(u, calls):
+    """u with every jet evaluation recorded as (order, points).
+
+    Recorded at `jets`, which both `jet_batch` and a value-only call reach.
+    """
+    def jets(pts, order=2):
+        calls.append((order, len(pts)))
+        return u.jets(pts, order)
+
+    return dataclasses.replace(u, jets=jets)
+
+
+@pytest.mark.parametrize(
+    "motion, tol, levels",
+    [
+        ("none", 1e-9, (3, 3)),
+        ("translate", 1e-9, (3, 3)),
+        ("dilate", 1e-9, (3, 3)),
+        ("none", 1e-11, (4, 3)),
+    ],
+)
+def test_quotient_rows_are_the_single_integrals_from_one_pass(ubar, motion, tol, levels):
+    u = {
+        "none": ubar,
+        "translate": translate_field(ubar, np.array([0.9, 0.1, -0.5, 0.3, -0.2, 0.8, 0.4])),
+        "dilate": dilate_field(ubar, 1.7),
+    }[motion]
+    calls = []
+    rep = fs_quotient(_recorded(u, calls), tol=tol)
+    num = integrate_biradial(quadrature._energy_integrand(u), tol=tol)
+    mass = integrate_biradial(quadrature.reduced_integrand(u, 2.5), tol=tol)
+    assert rep.numerator_result.table == num.table
+    assert rep.mass_result.table == mass.table
+    assert (rep.numerator, rep.mass) == (num.value, mass.value)
+    assert (num.table[-1][0], mass.table[-1][0]) == levels
+    # three two-point probes of the energy audit, then one order-1 pass
+    # per level up to the later row's last; no value-only pass
+    nodes = [row[3] for row in max(num.table, mass.table, key=len)]
+    assert calls == [(1, 2)] * 3 + [(1, n) for n in nodes]
 
 
 def test_quotient_invariances(ubar):
@@ -441,13 +581,13 @@ def test_profile_rule_is_built_once_and_read_only():
     assert not np.array_equal(other.points, rule.points)
 
 
-@pytest.mark.parametrize("bad", [-1, -5, 1.0, 2.5, math.nan, "3"])
+@pytest.mark.parametrize("bad", [-1, -5, 1.0, 2.5, math.nan, "3", True, False])
 def test_minimize_rejects_a_bad_maxiter(ubar, bad):
     with pytest.raises(ValueError, match="maxiter"):
         minimize_quotient(FamilyParams(), ubar, maxiter=bad)
 
 
-@pytest.mark.parametrize("bad", [-1, 0.0, [1, 2], None])
+@pytest.mark.parametrize("bad", [-1, 0.0, [1, 2], None, True, False])
 def test_minimize_rejects_a_bad_seed(ubar, bad):
     with pytest.raises(ValueError, match="seed"):
         minimize_quotient(FamilyParams(), ubar, seed=bad)
