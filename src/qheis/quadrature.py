@@ -378,6 +378,36 @@ def integrate_field(u: ScalarField, power: float = 1.0, **kwargs) -> QuadratureR
 _MC_WEIGHT = _SPHERE3 * _SPHERE2 * math.sqrt(2.0) * (0.5 * math.pi)
 
 
+def _mc_points(rng: np.random.Generator, k: int):
+    """k samples of the proposal: the radii r, rho and the points, (k, 7).
+
+    The draws, in this order: standard_t(2, k), standard_t(1, k),
+    standard_normal((k, 4)) and standard_normal((k, 3)).  Each Gaussian
+    row is scaled by radius / norm straight into the points; the Gaussian
+    blocks are dropped on return, before the field is evaluated.
+    """
+    r = np.abs(rng.standard_t(2, k))
+    rho = np.abs(rng.standard_t(1, k))
+    qdir = rng.standard_normal((k, 4))
+    wdir = rng.standard_normal((k, 3))
+    pts = np.empty((k, DIM))
+    np.multiply(qdir, (r / np.sqrt(np.einsum("ij,ij->i", qdir, qdir)))[:, None], out=pts[:, :4])
+    np.multiply(wdir, (rho / np.sqrt(np.einsum("ij,ij->i", wdir, wdir)))[:, None], out=pts[:, 4:])
+    return r, rho, pts
+
+
+def _mc_weights(u: ScalarField, rng: np.random.Generator, k: int) -> np.ndarray:
+    """u / proposal density at k fresh samples; only the weights outlive the call."""
+    r, rho, pts = _mc_points(rng, k)
+    vals = np.asarray(u(pts), dtype=float)
+    # written multiplicatively so the r -> 0 limit (weight -> 0) never
+    # divides by zero
+    r2 = r * r
+    rho2 = rho * rho
+    t = 1.0 + 0.5 * r2
+    return vals * _MC_WEIGHT * (r2 * r) * (t * np.sqrt(t)) * (rho2 * (1.0 + rho2))
+
+
 @dataclass(frozen=True)
 class MCResult:
     """Importance-sampling estimate with a plain standard error."""
@@ -404,11 +434,8 @@ def integrate_mc(
     the central limit theorem to have kicked in.  `samples` must be an
     integer of at least 1000; anything else raises ValueError.
 
-    Each block of at most `_MC_CHUNK` samples draws, in this order,
-    standard_t(2, k), standard_t(1, k), standard_normal((k, 4)) and
-    standard_normal((k, 3)).  The Gaussian rows become the directions:
-    each is scaled by radius / norm straight into one (k, 7) array of
-    points.  The weight is u times the reciprocal proposal density
+    The samples are drawn in blocks of at most `_MC_CHUNK` (see
+    _mc_points).  The weight is u times the reciprocal proposal density
     _MC_WEIGHT r^3 t^{3/2} rho^2 (1 + rho^2), t = 1 + r^2/2.
     """
     samples = _whole(samples, "Monte Carlo samples", 1000)
@@ -419,20 +446,7 @@ def integrate_mc(
     done = 0
     while done < samples:
         k = min(_MC_CHUNK, samples - done)
-        r = np.abs(rng.standard_t(2, k))
-        rho = np.abs(rng.standard_t(1, k))
-        qdir = rng.standard_normal((k, 4))
-        wdir = rng.standard_normal((k, 3))
-        pts = np.empty((k, DIM))
-        np.multiply(qdir, (r / np.sqrt(np.einsum("ij,ij->i", qdir, qdir)))[:, None], out=pts[:, :4])
-        np.multiply(wdir, (rho / np.sqrt(np.einsum("ij,ij->i", wdir, wdir)))[:, None], out=pts[:, 4:])
-        vals = np.asarray(u(pts), dtype=float)
-        # weight = u / proposal density; written multiplicatively so the
-        # r -> 0 limit (weight -> 0) never divides by zero
-        r2 = r * r
-        rho2 = rho * rho
-        t = 1.0 + 0.5 * r2
-        wgt = vals * _MC_WEIGHT * (r2 * r) * (t * np.sqrt(t)) * (rho2 * (1.0 + rho2))
+        wgt = _mc_weights(u, rng, k)
         tot += float(wgt.sum())
         totsq += float(wgt @ wgt)
         m = min(k, max(0, half - done))
@@ -520,19 +534,17 @@ def _energy_biradial_audit(u: ScalarField, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
     base = np.array([[0.7, 0.3, -0.4, 0.2, 0.5, -0.3, 0.6],
                      [1.4, -0.2, 0.8, -0.5, -0.9, 0.4, 1.1]])
-    ref = _energy_density(frame.frame_jets(u, pull(base), 1))
-    for _ in range(2):
-        a = _unit_quaternion(rng)
-        b = _unit_quaternion(rng)
-        k = spin_rotation_map(a, b)
-        rot = _energy_density(frame.frame_jets(u, pull(base @ k.linear.T), 1))
-        resid = float(np.max(np.abs(rot - ref) / np.maximum(np.abs(ref), 1e-300)))
-        if not resid <= 1e-8:  # a NaN spread fails too
-            raise ConsistencyError(
-                f"horizontal energy of '{u.tag}' is not bi-radial under its "
-                f"declared certificate (relative spread {resid:.3e}); the "
-                "reduced quadrature would be wrong"
-            )
+    # the base points and two rotations of them, in one frame pass
+    turns = [spin_rotation_map(_unit_quaternion(rng), _unit_quaternion(rng)) for _ in range(2)]
+    pts = np.concatenate([base] + [base @ k.linear.T for k in turns])
+    ref, *rotated = _energy_density(frame.frame_jets(u, pull(pts), 1)).reshape(3, len(base))
+    resid = float(np.max(np.abs(np.array(rotated) - ref) / np.maximum(np.abs(ref), 1e-300)))
+    if not resid <= 1e-8:  # a NaN spread fails too
+        raise ConsistencyError(
+            f"horizontal energy of '{u.tag}' is not bi-radial under its "
+            f"declared certificate (relative spread {resid:.3e}); the "
+            "reduced quadrature would be wrong"
+        )
 
 
 def fs_quotient(

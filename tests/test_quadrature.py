@@ -438,10 +438,10 @@ def test_quotient_rows_are_the_single_integrals_from_one_pass(ubar, motion, tol,
     assert rep.mass_result.table == mass.table
     assert (rep.numerator, rep.mass) == (num.value, mass.value)
     assert (num.table[-1][0], mass.table[-1][0]) == levels
-    # three two-point probes of the energy audit, then one order-1 pass
-    # per level up to the later row's last; no value-only pass
+    # the energy audit's six probe points, then one order-1 pass per level
+    # up to the later row's last; no value-only pass
     nodes = [row[3] for row in max(num.table, mass.table, key=len)]
-    assert calls == [(1, 2)] * 3 + [(1, n) for n in nodes]
+    assert calls == [(1, 6)] + [(1, n) for n in nodes]
 
 
 def test_quotient_invariances(ubar):
