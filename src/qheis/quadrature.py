@@ -378,7 +378,7 @@ def integrate_field(u: ScalarField, power: float = 1.0, **kwargs) -> QuadratureR
 _MC_WEIGHT = _SPHERE3 * _SPHERE2 * math.sqrt(2.0) * (0.5 * math.pi)
 
 
-def _mc_points(rng: np.random.Generator, k: int):
+def _mc_points(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k samples of the proposal: the radii r, rho and the points, (k, 7).
 
     The draws, in this order: standard_t(2, k), standard_t(1, k),
@@ -537,8 +537,9 @@ def _energy_biradial_audit(u: ScalarField, seed: int = 0) -> None:
     # the base points and two rotations of them, in one frame pass
     turns = [spin_rotation_map(_unit_quaternion(rng), _unit_quaternion(rng)) for _ in range(2)]
     pts = np.concatenate([base] + [base @ k.linear.T for k in turns])
-    ref, *rotated = _energy_density(frame.frame_jets(u, pull(pts), 1)).reshape(3, len(base))
-    resid = float(np.max(np.abs(np.array(rotated) - ref) / np.maximum(np.abs(ref), 1e-300)))
+    density = _energy_density(frame.frame_jets(u, pull(pts), 1)).reshape(3, len(base))
+    ref = density[0]
+    resid = float(np.max(np.abs(density[1:] - ref) / np.maximum(np.abs(ref), 1e-300)))
     if not resid <= 1e-8:  # a NaN spread fails too
         raise ConsistencyError(
             f"horizontal energy of '{u.tag}' is not bi-radial under its "
