@@ -36,8 +36,10 @@ from .jets import (
     power_compose,
 )
 from .quaternions import (
+    TWIST,
     GroupPoint,
     Quaternion,
+    _dilation_factor,
     _hamilton,
     as_point,
     as_quat,
@@ -66,14 +68,6 @@ __all__ = [
     "sigma",
     "kelvin",
 ]
-
-_E7 = np.eye(7)
-# Rows e_a, then -e_a, then 0: one group product yields a translation's
-# linear part (by central differences, exact) and its offset.
-_TRANSLATION_PROBE = np.vstack([_E7, -_E7, np.zeros((1, 7))])
-# _TWIST[a] is the 3x4 matrix of q -> 2 Im(e_a conj q): left translation by
-# (q0, w0) has the linear part [[I4, 0], [sum_a q0_a _TWIST[a], I3]].
-_TWIST = group_mul(_E7[:4, None], _E7[None, :4])[..., 4:7].transpose(0, 2, 1)
 
 V_AMPLITUDE = 2.0**11 * math.sqrt(3.0) * math.pi ** (-3.0 / 5.0)
 
@@ -198,15 +192,22 @@ def _yamabe_residual(fj: FrameJet, tag: str, pts: np.ndarray) -> np.ndarray:
 
 
 def left_translation_map(g0) -> AffineMap:
-    """The affine map p -> g0 o p, extracted exactly from the group product."""
-    moved = group_mul(g0, _TRANSLATION_PROBE)
-    linear = (moved[:7] - moved[7:14]).T / 2.0
-    return AffineMap(linear=linear, offset=moved[14])
+    """p -> g0 o p: linear part [[I4, 0], [q0 . TWIST, I3]], offset a copy of g0.
+
+    g0 is one point, shape (7,) or (1, 7); a batch is a ValueError.
+    """
+    g0 = as_point(g0)
+    if g0.size != 7:
+        raise ValueError(f"left_translation_map takes one centre, got shape {g0.shape}")
+    g0 = g0.reshape(7).copy()
+    linear = np.eye(7)
+    linear[4:, :4] = np.tensordot(g0[:4], TWIST, axes=1)
+    return AffineMap(linear=linear, offset=g0)
 
 
 def dilation_map(lam: float) -> AffineMap:
-    if lam <= 0.0:
-        raise DomainError(f"dilation factor must be positive, got {lam}")
+    """The linear map delta_lam = diag(lam I4, lam^2 I3); lam finite and > 0."""
+    lam = _dilation_factor(lam)
     return AffineMap(linear=np.diag([lam] * 4 + [lam * lam] * 3), offset=np.zeros(7))
 
 
@@ -223,7 +224,7 @@ def _translated_family(c, nu, g0) -> ScalarField:
     (N, 7) points with N = len(c); a row with g0_i = 0 is not translated.
     """
     c, nu, g0 = (np.asarray(a, dtype=float) for a in (c, nu, g0))
-    twist = (g0[:, :4] @ _TWIST.reshape(4, 12)).reshape(-1, 3, 4)
+    twist = np.tensordot(g0[:, :4], TWIST, axes=1)
 
     def jets(pts: np.ndarray, order: int = 2):
         if not len(c) == len(nu) == len(g0) == len(pts):

@@ -2,13 +2,13 @@
 
 The horizontal frame (T1, X1, Y1, Z1) and the vertical frame (xi1, xi2, xi3)
 are obtained by left-translating the coordinate directions at the identity.
-Nothing here is transcribed by hand: the group product is affine in its
-second argument, so exact difference quotients of `group_mul` recover the
-translation Jacobian, and the frame's affine coefficient rows, the structure
-constants, the fundamental 2-forms and the almost complex structures are all
-derived from it when the module is imported.  A startup audit checks the
-quaternion relations (I_s^2 = -1, I1 I2 = I3, skewness, orthogonality) and
-raises ConsistencyError on any failure.
+Nothing here is transcribed by hand: the translation Jacobian is
+[[I4, 0], [q . TWIST, I3]], read from `quaternions.TWIST`, audited against
+`group_mul` at import, and the frame's affine coefficient rows, the
+structure constants, the fundamental 2-forms and the almost complex
+structures are all derived from it when the module is imported.  A startup
+audit checks the quaternion relations (I_s^2 = -1, I1 I2 = I3, skewness,
+orthogonality) and raises ConsistencyError on any failure.
 
 Convention fixed by the commutators: [e_a, e_b] = -2 sum_s omega_s(e_a, e_b) xi_s
 with xi_s = 2 d/dw_s, which lands on omega_1(T1, X1) = omega_1(Y1, Z1) = 1 and
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .jets import ScalarField, _as_batch, _max_abs
-from .quaternions import group_mul
+from .quaternions import TWIST
 
 __all__ = [
     "ComplexStructures",
@@ -61,50 +61,21 @@ _E7 = np.eye(7)
 VERTICAL_SCALE = 2.0
 
 
-def _translation_jacobian(g0: np.ndarray) -> np.ndarray:
-    """d(g0 o y)/dy, exact because the product is affine in y.
+# Row a of the horizontal frame at p is column a of the translation
+# Jacobian [[I4, 0], [q . TWIST, I3]]: e_a plus the w-coefficients
+# sum_c q_c TWIST[c, s, a].  _LIN[a, j, c] is the dependence of coefficient
+# j of row a on coordinate c; only the w-coefficients depend, and only on q.
+_BASE = _E7[:4]
+_LIN = np.zeros((4, 7, 7))
+_LIN[:, 4:7, :4] = TWIST.T
+_VERTICAL = VERTICAL_SCALE * _E7[4:7]  # (3,7), constant rows
 
-    Column a is (g0 o e_a - g0 o (-e_a)) / 2.
-    """
-    plus = group_mul(g0, _E7)        # rows: g0 o e_a
-    minus = group_mul(g0, -_E7)
-    return (plus - minus).T / 2.0
-
-
-def _derive_affine_frame():
-    """Affine decomposition of the frame rows from the group law.
-
-    Row a of the horizontal frame at p is column a of the translation
-    Jacobian J(p); J is affine in p, so J(p) = J0 + sum_c p_c * JC[c], with
-    all pieces extracted exactly from J at 0 and at the coordinate points.
-    """
-    j0 = _translation_jacobian(np.zeros(7))
-    jc = np.array([_translation_jacobian(_E7[c]) - j0 for c in range(7)])
-    # Affinity check at a point that is not a coordinate vector.
-    probe = np.array([0.3, -1.1, 0.7, 2.0, -0.4, 1.3, 0.9])
-    recon = j0 + np.einsum("c,cjk->jk", probe, jc)
-    if np.max(np.abs(recon - _translation_jacobian(probe))) > 1e-14:
-        raise ConsistencyError("translation Jacobian is not affine in the base point")
-    base = j0[:, :4].T                      # (4,7): row a = e_a coefficients at 0
-    # lin[a, j, c]: dependence of coefficient j of row a on coordinate c
-    lin = np.transpose(jc[:, :, :4], (2, 1, 0))
-    vertical = VERTICAL_SCALE * j0[:, 4:7].T  # (3,7), constant rows
-    if np.any(jc[:, :, 4:7] != 0.0):
-        raise ConsistencyError("vertical translation directions are not constant")
-    if np.any(lin[:, :4, :] != 0.0) or np.any(lin[:, :, 4:] != 0.0):
-        # Needed for the constant first-order Hessian correction below.
-        raise ConsistencyError("frame rows have unexpected coordinate dependence")
-    return base, lin, vertical
-
-
-_BASE, _LIN, _VERTICAL = _derive_affine_frame()
-
-# grad_a = g_a + sum_{c,s} q_c g_{w_s} _LIN[a, 4+s, c]: _GRAD_K[(c, s), a]
+# grad_a = g_a + sum_{c,s} q_c g_{w_s} TWIST[c, s, a]: _GRAD_K[(c, s), a]
 # contracts the flattened outer product q (x) g_w, shape (N, 12).
-_GRAD_K = _LIN[:, 4:7, :4].transpose(2, 1, 0).reshape(12, 4)
-# B[a, s] = sum_c q_c _LIN[a, 4+s, c], the w-columns of the rows:
+_GRAD_K = TWIST.reshape(12, 4)
+# B[a, s] = sum_c q_c TWIST[c, s, a], the w-columns of the rows:
 # B = (q @ _ROWS_K).reshape(4, 3), with _ROWS_K[c, (a, s)].
-_ROWS_K = _LIN[:, 4:7, :4].transpose(2, 0, 1).reshape(4, 12)
+_ROWS_K = TWIST.transpose(0, 2, 1).reshape(4, 12)
 
 
 def _derive_structures():
@@ -145,9 +116,9 @@ def frame_rows(points) -> np.ndarray:
 
 _BRACKET, OMEGA, IMAT = _derive_structures()
 
-# e_a(c_b^{w_s}) as constant 4x4 matrices, one per vertical direction:
-# the only surviving first-order term of the frame Hessian.
-_DC = np.array([[[_LIN[b, 4 + s, a] for b in range(4)] for a in range(4)] for s in range(3)])
+# e_a(c_b^{w_s}) = TWIST[a, s, b] as constant 4x4 matrices, one per vertical
+# direction: the only surviving first-order term of the frame Hessian.
+_DC = TWIST.transpose(1, 0, 2).copy()
 _OMEGA_STACK = np.stack(OMEGA)
 
 

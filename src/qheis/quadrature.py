@@ -57,7 +57,7 @@ from .extremals import (
     ubar_field,
 )
 from .jets import DIM, AffineMap, ScalarField, affine_pullback, power_compose
-from .quaternions import as_point, group_inv, quat_conj, quat_mul
+from .quaternions import TWIST, as_point, group_inv, quat_conj, quat_mul
 
 __all__ = [
     "BiRadialIntegrand",
@@ -617,17 +617,6 @@ def spin_rotation_map(a, b) -> AffineMap:
     return AffineMap(lin, np.zeros(DIM))
 
 
-# -2 Im(c conj(u)) = M(u) c, with M(u) = sum_b u_b _TWIST[b] and
-# _TWIST[b, s, a] = -2 Im(e_a conj(e_b))_s: the group law's twist term as
-# constant 3x4 matrices, so derivatives through it are matrix products.
-_TWIST = -2.0 * np.moveaxis(quat_mul(_E4[None], quat_conj(_E4)[:, None])[..., 1:], 2, 1)
-
-
-def _twist(u: np.ndarray) -> np.ndarray:
-    """M(u) (..., 3, 4) for quaternions u (..., 4)."""
-    return np.tensordot(u, _TWIST, axes=1)
-
-
 def _detransform_map(nu: float, center: np.ndarray) -> AffineMap:
     """x -> center^{-1} . delta_mu(x), mu = nu^{-1/2}: the motion a candidate undoes."""
     return left_translation_map(group_inv(center)).after(dilation_map(nu**-0.5))
@@ -663,8 +652,9 @@ class _ProfileRule:
         self.points = np.concatenate([slices @ k.linear.T for k in maps])
         # d/dr and d/drho of the rotated slice point, (maps, 2, 7)
         self.dirs = np.stack([k.linear[:, [0, 6]].T for k in maps])
-        # M(e_q) of both directions of each map, laid out as (maps, 3, 2 * 4)
-        self.dir_twist = np.moveaxis(_twist(self.dirs[..., :4]), 1, 2).reshape(rotations, 3, 8)
+        # e_q . TWIST of both directions of each map, laid out as (maps, 3, 2 * 4)
+        dir_twist = np.einsum("mka,asb->mskb", self.dirs[..., :4], TWIST)
+        self.dir_twist = dir_twist.reshape(rotations, 3, 8)
         self.n_maps = rotations
         self.n_nodes = self.r.size
         for arr in (self.r, self.rho, self.w, self.points, self.dirs, self.dir_twist):
@@ -708,15 +698,15 @@ class _ProfileRule:
         if not gradient:
             return value
 
-        # dy/dcenter = [[-I4, 0], [M(z_q), -I3]] with z = delta_mu(x); pull
+        # dy/dcenter = [[-I4, 0], [z_q . TWIST, -I3]] with z = delta_mu(x); pull
         # the columns t, H e_r, H e_rho back through it
         h_dirs = jet[2].reshape(m, n, DIM, DIM) @ dirs_t[:, None]
         cols = np.concatenate([t[..., None], h_dirs], axis=3)
-        twist = _twist(mu * self.points[:, :4]).reshape(m, n, 3, 4)
+        twist = np.tensordot(mu * self.points[:, :4], TWIST, axes=1).reshape(m, n, 3, 4)
         pulled = amp * np.concatenate(
             [np.swapaxes(twist, 2, 3) @ cols[:, :, 4:] - cols[:, :, :4], -cols[:, :, 4:]], axis=2
         )
-        # the directions turn with the center: d(e at y)/dcenter_q = [0; M(mu e_q)]
+        # the directions turn with the center: d(e at y)/dcenter_q = [0; mu e_q . TWIST]
         turn = (t[:, :, 4:] @ self.dir_twist).reshape(m, n, 2, 4)
         pulled[:, :, :4, 1:] += (amp * mu) * np.swapaxes(turn, 2, 3)
         d_val = pulled[..., 0]
@@ -846,7 +836,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
     (s.y / y.y) I after the first step (Nocedal & Wright, eq. 6.20) and
     skips any update whose curvature s.y is not positive.  The first step
     moves the largest coordinate by 1e-2.  Stops when max |gradient| <=
-    gtol.  Returns (x, value, evaluations, converged, message).
+    gtol.  Returns (x, evaluations, converged, message).
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -855,9 +845,9 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
     for it in range(maxiter + 1):
         gmax = float(np.max(np.abs(g)))
         if gmax <= gtol:
-            return x, f, nfev, True, f"gradient {gmax:.2e} <= gtol {gtol:.1e} after {it} iterations"
+            return x, nfev, True, f"gradient {gmax:.2e} <= gtol {gtol:.1e} after {it} iterations"
         if not (math.isfinite(f) and math.isfinite(gmax)):
-            return x, f, nfev, False, f"non-finite objective or gradient after {it} iterations"
+            return x, nfev, False, f"non-finite objective or gradient after {it} iterations"
         if it == maxiter:
             break
         direction = -(hinv @ g) if hinv is not None else -(1e-2 / gmax) * g
@@ -871,7 +861,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
                 break
             alpha *= 0.5
             if alpha < 1e-10:
-                return x, f, nfev, False, (
+                return x, nfev, False, (
                     f"line search found no decrease after {it} iterations "
                     f"(gradient {gmax:.2e} > gtol {gtol:.1e})"
                 )
@@ -884,7 +874,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
             hinv = v @ hinv @ v.T + np.outer(s, s) / sy
         x, f, g = x_new, f_new, g_new
     message = f"maxiter {maxiter} reached with gradient {gmax:.2e} > gtol {gtol:.1e}"
-    return x, f, nfev, False, message
+    return x, nfev, False, message
 
 
 def minimize_quotient(
@@ -936,7 +926,7 @@ def minimize_quotient(
         excess = np.maximum(0.0, np.abs(center) - _CENTER_BOUND)
         return value + 1e3 * float(excess @ excess), grad + 2e3 * excess * np.sign(center)
 
-    center_opt, _, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, maxiter)
+    center_opt, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, maxiter)
     fine = _profile_rule(_SEARCH_LEVEL + 1, _SEARCH_NODES + 2, _SEARCH_ROTATIONS, seed)
     return MinimizeResult(
         params=FamilyParams(c=1.0, nu=nu_opt, center=center_opt),

@@ -8,7 +8,13 @@ Conventions used everywhere in the package:
   (t1, x1, y1, z1, x, y, z): columns 0:4 are the quaternion part q,
   columns 4:7 the vertical (imaginary-quaternion) part w;
 * the group product is (q0, w0) o (q, w) = (q0 + q, w + w0 + 2 Im(q0 * conj(q)))
-  and the parabolic dilation scales q by lam and w by lam**2.
+  and the parabolic dilation, for a finite lam > 0, scales q by lam and w by lam**2;
+* the twist is bilinear, 2 Im(q0 conj(q)) = q0 . TWIST . q with the constant
+  TWIST[a, s, b] = 2 Im(e_a conj(e_b))_s, so left translation by (q0, w0) has
+  the linear part [[I4, 0], [q0 . TWIST, I3]], q0 . TWIST being
+  np.tensordot(q0, TWIST, axes=1).  TWIST is read off `group_mul` and
+  audited against it at import; the frame, the translates of the extremal
+  and the bubble search all read it.
 
 All functions broadcast over leading axes and are pure.
 """
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 
 __all__ = [
     "Quaternion",
@@ -32,6 +38,7 @@ __all__ = [
     "group_mul",
     "group_inv",
     "dilation",
+    "TWIST",
     "as_quat",
     "as_point",
 ]
@@ -120,11 +127,37 @@ def group_inv(g) -> np.ndarray:
     return -as_point(g)
 
 
-def dilation(lam, g) -> np.ndarray:
-    """Parabolic dilation (q, w) -> (lam*q, lam^2*w), lam > 0."""
+_E7 = np.eye(7)
+
+# TWIST[a, s, b] = 2 Im(e_a conj(e_b))_s: the w-part of e_a o e_b, shape (4, 3, 4).
+TWIST = np.ascontiguousarray(group_mul(_E7[:4, None], _E7[None, :4])[..., 4:7].swapaxes(1, 2))
+TWIST.flags.writeable = False  # shared by frame, extremals and quadrature
+
+
+def _audit_twist(twist: np.ndarray) -> None:
+    """ConsistencyError unless `group_mul` is (q0 + q, w0 + w + q0 . twist . q) to 1e-13."""
+    g0, g = np.random.default_rng(0).uniform(-2.0, 2.0, (2, 8, 7))
+    affine = g0 + g
+    affine[:, 4:7] += np.einsum("na,asb,nb->ns", g0[:, :4], twist, g[:, :4])
+    worst = float(np.max(np.abs(group_mul(g0, g) - affine)))
+    if not worst <= 1e-13:  # a NaN fails too
+        raise ConsistencyError(f"group law is not its affine form through TWIST: {worst:.3e}")
+
+
+_audit_twist(TWIST)
+
+
+def _dilation_factor(lam) -> float:
+    """A dilation factor as a float: finite and > 0, else DomainError."""
     lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError(f"dilation factor must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:  # False on NaN
+        raise DomainError(f"dilation factor must be finite and positive, got {lam}")
+    return lam
+
+
+def dilation(lam, g) -> np.ndarray:
+    """Parabolic dilation (q, w) -> (lam*q, lam^2*w), lam finite and > 0."""
+    lam = _dilation_factor(lam)
     g = as_point(g)
     out = g.copy()
     out[..., 0:4] *= lam

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qheis.errors import DomainError, SingularityError
 from qheis.extremals import (
-    _TWIST,
     V_AMPLITUDE,
     FamilyParams,
     SpherePoint,
@@ -20,6 +19,7 @@ from qheis.extremals import (
     cayley_inverse,
     cayley_inverse_batch,
     dilate_field,
+    dilation_map,
     h_family,
     kelvin,
     left_translation_map,
@@ -30,7 +30,7 @@ from qheis.extremals import (
     v_field,
 )
 from qheis.frame import frame_jets, sub_laplacian
-from qheis.quaternions import GroupPoint, dilation, group_inv, group_mul
+from qheis.quaternions import TWIST, GroupPoint, dilation, group_inv, group_mul
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -158,13 +158,51 @@ def test_translated_family_rejects_a_mismatched_batch(rng):
         _translated_family(c, nu, g0[:-1]).jet_batch(pts)
 
 
-def test_closed_form_translation_is_the_probed_map(rng):
-    for g0 in rng.uniform(-2.0, 2.0, size=(50, 7)):
-        probed = left_translation_map(g0)
+def test_left_translation_map_is_the_twist_matrix(rng):
+    # bitwise [[I4, 0], [q0 . TWIST, I3]] with offset g0, and the group law
+    # on a batch to rounding
+    pts = rng.uniform(-3.0, 3.0, size=(200, 7))
+    for g0 in rng.uniform(-3.0, 3.0, size=(50, 7)):
+        amap = left_translation_map(g0)
         linear = np.eye(7)
-        linear[4:, :4] = np.einsum("a,ajk->jk", g0[:4], _TWIST)
-        np.testing.assert_allclose(linear, probed.linear, rtol=0.0, atol=1e-15)
-        np.testing.assert_array_equal(g0, probed.offset)
+        linear[4:, :4] = np.einsum("a,asb->sb", g0[:4], TWIST)
+        np.testing.assert_array_equal(amap.linear, linear)
+        np.testing.assert_array_equal(amap.offset, g0)
+        want = group_mul(g0, pts)
+        assert np.max(np.abs(amap(pts) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(7,), (1, 7)])
+def test_left_translation_map_takes_one_centre(shape):
+    g0 = np.arange(1.0, 8.0).reshape(shape)
+    amap = left_translation_map(g0)
+    np.testing.assert_array_equal(amap.offset, g0.reshape(7))
+    g0[..., 0] = 100.0  # the offset is a copy, not an alias of the caller's array
+    assert amap.offset[0] == 1.0
+
+
+def test_left_translation_map_rejects_a_batch_of_centres():
+    with pytest.raises(ValueError, match=r"\(2, 7\)"):
+        left_translation_map(np.zeros((2, 7)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_left_translation_map_rejects_non_finite_centres(bad):
+    g0 = np.zeros(7)
+    g0[5] = bad
+    with pytest.raises(DomainError):
+        left_translation_map(g0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "entry",
+    [lambda lam: dilation(lam, np.zeros(7)), dilation_map, lambda lam: dilate_field(ubar_field(), lam)],
+    ids=["dilation", "dilation_map", "dilate_field"],
+)
+def test_dilation_factor_must_be_finite_and_positive(entry, lam):
+    with pytest.raises(DomainError):
+        entry(lam)
 
 
 @pytest.mark.parametrize("c,nu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])

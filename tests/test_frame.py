@@ -11,7 +11,7 @@ import pytest
 import sympy as sp
 
 from qheis import frame
-from qheis.extremals import ubar_field
+from qheis.extremals import left_translation_map, ubar_field
 from qheis.jets import autodiff_lift
 from test_jets import _fields_of_every_kind
 
@@ -70,6 +70,16 @@ def test_pinned_rows():
         ]
     )
     np.testing.assert_allclose(frame.frame_rows(p[None])[0], expected, atol=0)
+
+
+def test_frame_rows_are_the_translation_columns(rng):
+    # one encoding of the group law: row a at p is column a of the linear
+    # part of y -> p o y, bitwise; beyond |coords| = 2, difference quotients
+    # of the group product would round
+    pts = rng.uniform(-3.0, 3.0, size=(200, 7))
+    rows = frame.frame_rows(pts)
+    for p, row in zip(pts, rows):
+        np.testing.assert_array_equal(row, left_translation_map(p).linear[:, :4].T)
 
 
 def test_vertical_scale():

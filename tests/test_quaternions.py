@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qheis import quaternions
+from qheis.errors import ConsistencyError
 from qheis.jets import haar_jacobian_audit
 from qheis.quaternions import (
+    TWIST,
     as_point,
     dilation,
     group_inv,
@@ -110,3 +113,23 @@ def test_left_translation_preserves_haar():
     rng = np.random.default_rng(5)
     for _ in range(5):
         assert haar_jacobian_audit(rng.uniform(-2, 2, 7)) < 1e-9
+
+
+def test_twist_is_the_group_law_on_basis_pairs():
+    # TWIST[a, s, b] = 2 Im(e_a conj(e_b))_s, shared read-only
+    e = np.eye(4)
+    for a in range(4):
+        for b in range(4):
+            want = 2.0 * quat_mul(e[a], quat_conj(e[b]))[1:]
+            np.testing.assert_array_equal(TWIST[a, :, b], want)
+    assert not TWIST.flags.writeable
+    quaternions._audit_twist(TWIST)
+
+
+def test_twist_audit_catches_every_single_entry_fault():
+    # seeded faults: change any one of the 48 entries and the import audit fails
+    for idx in np.ndindex(TWIST.shape):
+        twist = TWIST.copy()
+        twist[idx] = -twist[idx] if twist[idx] else 2.0
+        with pytest.raises(ConsistencyError):
+            quaternions._audit_twist(twist)
