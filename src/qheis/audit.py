@@ -38,8 +38,10 @@ Control checks that must *fail to vanish* store the shortfall
 max(0, floor - observed) as their residual so the same rule applies.
 Suites are deterministic given a seed; wall-clock seconds are the only
 field allowed to differ between runs, and `reports_equal` compares
-everything but them.  Seconds are measured once per computation; lines
-graded from one computation share its time.
+everything but them.  One recorder, `_Checks`, builds every line: a line's
+seconds run from the previous check's lines (or the start of the suite) to
+its own, so they cover the work between checks too, such as sample draws,
+and lines graded from one computation share one time.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,6 +77,9 @@ from .jets import _max_abs, autodiff_lift
 from .quadrature import (
     GAUGE_INTEGRAL_CLOSED_FORM,
     BiRadialIntegrand,
+    _GAUGE_KERNEL,
+    _MASS_CLOSED_FORM,
+    _RATIO_TOL,
     best_constant_report,
     fs_quotient,
     integrate_biradial,
@@ -232,32 +237,39 @@ class SuiteConfig:
         return default if self.samples is None else self.samples
 
 
-def _report(
-    check: str,
-    samples: int,
-    residual: float,
-    tolerance: float,
-    provenance: str,
-    seconds: float,
-    config: SuiteConfig,
-) -> Report:
-    """The one Report builder: applies `config.tol` and the pass rule.
+class _Checks:
+    """The one place report lines are timed, overridden and graded.
 
-    `seconds` is the measured wall time of the computation the line grades;
-    lines graded from one computation share it.
+    `add(*lines)` takes (check, samples, residual, tolerance, provenance)
+    tuples.  Its lines share one lap of the clock, the time since the
+    previous `add` (or since construction), so the laps of a run add up to
+    its wall time.  `config.tol` replaces every tolerance except an
+    informational line's, and the pass rule is residual <= tolerance.
     """
-    if config.tol is not None:
-        tolerance = config.tol
-    residual = float(residual)
-    return Report(
-        check=check,
-        samples=int(samples),
-        max_residual=residual,
-        tolerance=float(tolerance),
-        passed=bool(residual <= tolerance),
-        provenance=provenance,
-        seconds=seconds,
-    )
+
+    def __init__(self, config: SuiteConfig):
+        self.config = config
+        self.reports: list[Report] = []
+        self._lap = time.perf_counter()
+
+    def add(self, *lines) -> None:
+        now = time.perf_counter()
+        seconds, self._lap = now - self._lap, now
+        for check, samples, residual, tolerance, provenance in lines:
+            if self.config.tol is not None and provenance != "informational":
+                tolerance = self.config.tol
+            residual = float(residual)
+            self.reports.append(
+                Report(
+                    check=check,
+                    samples=int(samples),
+                    max_residual=residual,
+                    tolerance=float(tolerance),
+                    passed=bool(residual <= tolerance),
+                    provenance=provenance,
+                    seconds=seconds,
+                )
+            )
 
 
 def reports_equal(a, b) -> bool:
@@ -304,18 +316,14 @@ def _frobenius(mats: np.ndarray) -> np.ndarray:
 def _suite_frames(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
     n = config.samples_or(100)
-    reports = []
+    checks = _Checks(config)
 
-    t0 = time.perf_counter()
     pts = rng.uniform(-2.0, 2.0, size=(n, 7))
     worst = _max_abs(
         *(frame.commutator_audit(a, b, pts) for a in range(4) for b in range(a + 1, 4))
     )
-    reports.append(
-        _report("frame-commutators", n, worst, 1e-13, "derived", time.perf_counter() - t0, config)
-    )
+    checks.add(("frame-commutators", n, worst, 1e-13, "derived"))
 
-    t0 = time.perf_counter()
     fields = [
         ubar_field(),
         v_field(),
@@ -325,33 +333,18 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
     for f in fields:
         corrected = frame.corrected_hessian(frame.frame_jets(f, pts))
         asymmetry.append(corrected - corrected.transpose(0, 2, 1))
-    worst = _max_abs(*asymmetry)
-    reports.append(
-        _report(
-            "hessian-antisymmetry",
-            n * len(fields),
-            worst,
-            1e-10,
-            "derived",
-            time.perf_counter() - t0,
-            config,
-        )
-    )
+    checks.add(("hessian-antisymmetry", n * len(fields), _max_abs(*asymmetry), 1e-10, "derived"))
 
-    t0 = time.perf_counter()
     worst = _max_abs(*frame.structure_residuals().values())
-    reports.append(
-        _report("structure-constants", 1, worst, 1e-13, "derived", time.perf_counter() - t0, config)
-    )
-    return reports
+    checks.add(("structure-constants", 1, worst, 1e-13, "derived"))
+    return checks.reports
 
 
 def _suite_conformal(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
     npairs = config.samples_or(20)
-    reports = []
+    checks = _Checks(config)
 
-    t0 = time.perf_counter()
     members, family = [], []
     for idx in range(npairs):
         c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
@@ -365,31 +358,20 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
         c, nu, g0, pts = zip(*members[start:start + _FAMILY_BLOCK])
         h = _translated_family(np.repeat(c, 20), np.repeat(nu, 20), np.repeat(g0, 20, axis=0))
         torsion.append(_frobenius(conformal.torsion_T0_deformed(h, np.concatenate(pts))))
-    reports.append(
-        _report("einstein-family-torsion", npairs * 20, _max_abs(*torsion), 1e-8, "computed",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("einstein-family-torsion", npairs * 20, _max_abs(*torsion), 1e-8, "computed"))
 
-    t0 = time.perf_counter()
     frob = float(_frobenius(conformal.torsion_T0_deformed(_quartic_control(), _CONTROL_POINT))[0])
     shortfall = float(np.maximum(0.0, 1e-3 - frob))  # NaN stays NaN
-    reports.append(
-        _report("torsion-negative-control", 1, shortfall, 0.0, "control",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("torsion-negative-control", 1, shortfall, 0.0, "control"))
 
-    t0 = time.perf_counter()
     pts = rng.uniform(-2.0, 2.0, size=(20, 7))
     fields = family[:5] + [_quartic_control()]
     worst = _max_abs(*(_frobenius(conformal.U_deformed(h, pts)) for h in fields))
-    reports.append(
-        _report("u-collapse", 6 * 20, worst, 1e-12, "computed", time.perf_counter() - t0, config)
-    )
+    checks.add(("u-collapse", 6 * 20, worst, 1e-12, "computed"))
 
     # The divergence identity by two routes, and the D covectors' total
     # against its closed form, which differ by 3/4 h^-2 (sphere residual) dh;
     # both from one FrameJet per field, normalised per field.
-    t0 = time.perf_counter()
     routes, closed = [], []
     for h in fields:
         fj = frame.frame_jets(h, pts)
@@ -401,58 +383,38 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
             0.75 * (fj.value**-2 * sphere)[:, None] * fj.grad
         )
         closed.append(_max_abs(total - expected) / _max_abs(total))
-    seconds = time.perf_counter() - t0
-    reports.append(
-        _report("divergence-identity-routes", 6 * 20, _max_abs(*routes), 1e-12,
-                "cross-check", seconds, config)
-    )
-    reports.append(
-        _report("divergence-closed-form", 6 * 20, _max_abs(*closed), 1e-12,
-                "closed-form", seconds, config)
+    checks.add(
+        ("divergence-identity-routes", 6 * 20, _max_abs(*routes), 1e-12, "cross-check"),
+        ("divergence-closed-form", 6 * 20, _max_abs(*closed), 1e-12, "closed-form"),
     )
 
-    t0 = time.perf_counter()
     nmats = config.samples_or(100)
     m = rng.standard_normal((nmats, 4, 4))
     m = m + m.transpose(0, 2, 1)
     p3 = conformal.casimir_project(m, "[3]")
     pm1 = conformal.casimir_project(m, "[-1]")
     trace_part = (np.trace(m, axis1=1, axis2=2) / 4.0)[:, None, None] * np.eye(4)
-    worst = _max_abs(p3 - trace_part)
-    reports.append(
-        _report("casimir-trace-projection", nmats, worst, 1e-13, "computed",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("casimir-trace-projection", nmats, _max_abs(p3 - trace_part), 1e-13, "computed"))
 
-    t0 = time.perf_counter()
     algebra = _max_abs(
         p3 + pm1 - m,
         conformal.casimir_project(p3, "[3]") - p3,
         conformal.casimir_project(pm1, "[-1]") - pm1,
         np.trace(pm1, axis1=1, axis2=2),
     )
-    reports.append(
-        _report("casimir-algebra", nmats, algebra, 1e-13, "computed",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("casimir-algebra", nmats, algebra, 1e-13, "computed"))
 
-    t0 = time.perf_counter()
     h6 = h_family(FamilyParams(c=2.0**-6, nu=1.0))
     pts = rng.uniform(-2.0, 2.0, size=(50, 7))
     scal = conformal.scal_deformed(h6, pts, base_scal=0.0)
-    worst = _max_abs(np.asarray(scal) / 6.0 - 1.0)
-    reports.append(
-        _report(
-            "scalar-curvature-constant",
-            50,
-            worst,
-            1e-8,
-            "closed-form 6 = 4(Q+2)/(Q-2), Q = 10",
-            time.perf_counter() - t0,
-            config,
-        )
-    )
-    return reports
+    checks.add((
+        "scalar-curvature-constant",
+        50,
+        _max_abs(np.asarray(scal) / 6.0 - 1.0),
+        1e-8,
+        "closed-form 6 = 4(Q+2)/(Q-2), Q = 10",
+    ))
+    return checks.reports
 
 
 def _relative_pde_residual(u, pts: np.ndarray) -> float:
@@ -464,50 +426,25 @@ def _suite_extremal(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
     n = config.samples_or(1000)
     ubar = ubar_field()
-    reports = []
+    checks = _Checks(config)
 
-    t0 = time.perf_counter()
     pts = rng.uniform(-3.0, 3.0, size=(n, 7))
-    reports.append(
-        _report(
-            "yamabe-pde",
-            n,
-            _relative_pde_residual(ubar, pts),
-            1e-9,
-            "computed",
-            time.perf_counter() - t0,
-            config,
-        )
-    )
+    checks.add(("yamabe-pde", n, _relative_pde_residual(ubar, pts), 1e-9, "computed"))
 
-    t0 = time.perf_counter()
     g0 = rng.uniform(-2.0, 2.0, size=7)
     lam = rng.uniform(0.3, 3.0)
     moved = translate_field(dilate_field(ubar, lam), g0)
-    reports.append(
-        _report(
-            "yamabe-pde-moved",
-            n,
-            _relative_pde_residual(moved, pts),
-            1e-9,
-            "computed",
-            time.perf_counter() - t0,
-            config,
-        )
-    )
+    checks.add(("yamabe-pde-moved", n, _relative_pde_residual(moved, pts), 1e-9, "computed"))
 
-    t0 = time.perf_counter()
     residual = abs(ubar(np.zeros(7)) / 1024.0 - 1.0)
-    reports.append(
-        _report("peak-amplitude", 1, residual, 1e-13, "closed-form",
-                time.perf_counter() - t0, config)
-    )
-    return reports
+    checks.add(("peak-amplitude", 1, residual, 1e-13, "closed-form"))
+    return checks.reports
 
 
 def _suite_cayley(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
     n = config.samples_or(1000)
+    checks = _Checks(config)
     pts = rng.uniform(-2.0, 2.0, size=(n, 7))
     pts = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.05]
     away = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.5]
@@ -515,46 +452,25 @@ def _suite_cayley(config: SuiteConfig) -> list[Report]:
         raise DomainError(
             f"cayley suite: none of the {n} sample points has |q| > 0.5; use more samples"
         )
-    reports = []
 
-    t0 = time.perf_counter()
     q, p = cayley_inverse_batch(pts)
     back = cayley_forward_batch(q, p)
     again_q, again_p = cayley_inverse_batch(back)
     worst = _max_abs(back - pts, again_q - q, again_p - p)
-    reports.append(
-        _report("cayley-roundtrip", len(pts), worst, 1e-12, "computed",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("cayley-roundtrip", len(pts), worst, 1e-12, "computed"))
 
-    t0 = time.perf_counter()
     worst = _max_abs(sigma(sigma(pts)) - pts)
-    reports.append(
-        _report("sigma-involution", len(pts), worst, 1e-12, "computed",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("sigma-involution", len(pts), worst, 1e-12, "computed"))
 
-    t0 = time.perf_counter()
     ku = kelvin(ubar_field())
-    reports.append(
-        _report(
-            "kelvin-pde",
-            len(away),
-            _relative_pde_residual(ku, away),
-            1e-8,
-            "computed",
-            time.perf_counter() - t0,
-            config,
-        )
-    )
-    return reports
+    checks.add(("kelvin-pde", len(away), _relative_pde_residual(ku, away), 1e-8, "computed"))
+    return checks.reports
 
 
 def _suite_quadrature(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
-    reports = []
+    checks = _Checks(config)
 
-    t0 = time.perf_counter()
     gauss = integrate_biradial(
         BiRadialIntegrand(
             lambda r, rho: np.exp(-r * r - rho * rho),
@@ -564,38 +480,20 @@ def _suite_quadrature(config: SuiteConfig) -> list[Report]:
         tol=1e-10,
     )
     residual = abs(gauss.value / math.pi**3.5 - 1.0)
-    reports.append(
-        _report("gaussian-closed-form", gauss.table[-1][3], residual, 1e-8, "closed-form",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("gaussian-closed-form", gauss.table[-1][3], residual, 1e-8, "closed-form"))
 
-    t0 = time.perf_counter()
-    gauge = integrate_biradial(
-        BiRadialIntegrand(
-            lambda r, rho: ((1.0 + r * r) ** 2 + rho * rho) ** -5.0,
-            decay=(20.0, 10.0),
-            tag="gauge-kernel",
-        ),
-        tol=1e-10,
-    )
+    gauge = integrate_biradial(_GAUGE_KERNEL, tol=1e-10)
     residual = abs(gauge.value / GAUGE_INTEGRAL_CLOSED_FORM - 1.0)
-    reports.append(
-        _report("gauge-closed-form", gauge.table[-1][3], residual, 1e-8, "closed-form",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("gauge-closed-form", gauge.table[-1][3], residual, 1e-8, "closed-form"))
 
     ubar = ubar_field()
-    t0 = time.perf_counter()
     n = max(1000, config.samples_or(200_000))
     mass_field = power_compose(ubar, 2.5, tag="ubar-mass")
     mc = integrate_mc(mass_field, n, seed=config.seed)
-    closed = 2.0**25 * math.pi**4 / 384.0
     # no error estimate (stderr 0) cannot certify agreement; NaN stays NaN
-    z = abs(mc.value - closed) / mc.stderr if mc.stderr else math.inf
-    reports.append(_report("mass-mc-agreement", n, z, 3.0, "cross-check",
-                           time.perf_counter() - t0, config))
+    z = abs(mc.value - _MASS_CLOSED_FORM) / mc.stderr if mc.stderr else math.inf
+    checks.add(("mass-mc-agreement", n, z, 3.0, "cross-check"))
 
-    t0 = time.perf_counter()
     base = fs_quotient(ubar)
     variants = [
         power_compose(ubar, 1.0, 7.3, tag="amplitude"),
@@ -603,44 +501,26 @@ def _suite_quadrature(config: SuiteConfig) -> list[Report]:
         dilate_field(ubar, 1.7),
     ]
     worst = _max_abs(*(fs_quotient(u).quotient / base.quotient - 1.0 for u in variants))
-    reports.append(
-        _report("quotient-invariance", len(variants), worst, 1e-5, "computed",
-                time.perf_counter() - t0, config)
-    )
+    checks.add(("quotient-invariance", len(variants), worst, 1e-5, "computed"))
 
-    t0 = time.perf_counter()
     residual = abs(base.numerator / base.mass - 1.0)
-    reports.append(
-        _report("parts-identity", 1, residual, 1e-4, "derived", time.perf_counter() - t0, config)
-    )
-    return reports
+    checks.add(("parts-identity", 1, residual, 1e-4, "derived"))
+    return checks.reports
 
 
 def _suite_qmatrix(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
-    reports = []
+    checks = _Checks(config)
 
-    t0 = time.perf_counter()
     residual = _max_abs(q_spectrum() - Q_SPECTRUM)
-    reports.append(
-        _report(
-            "q-spectrum",
-            6,
-            residual,
-            1e-12,
-            "closed-form {0, 0, 2(2-sqrt2), 2(2+sqrt2), 10, 10}",
-            time.perf_counter() - t0,
-            config,
-        )
+    checks.add(
+        ("q-spectrum", 6, residual, 1e-12, "closed-form {0, 0, 2(2-sqrt2), 2(2+sqrt2), 10, 10}")
     )
 
-    t0 = time.perf_counter()
     n = config.samples_or(100)
     worst = quadratic_form_audit(rng.standard_normal((n, 6, 4)))
-    reports.append(
-        _report("q-quadratic-form", n, worst, 1e-12, "derived", time.perf_counter() - t0, config)
-    )
-    return reports
+    checks.add(("q-quadratic-form", n, worst, 1e-12, "derived"))
+    return checks.reports
 
 
 _SUITES: dict[str, Callable[[SuiteConfig], list[Report]]] = {
@@ -681,37 +561,32 @@ def run_suite(name: str, config: Optional[SuiteConfig] = None) -> list[Report]:
 def best_constant_reports(config: Optional[SuiteConfig] = None):
     """The reconciliation record plus its ratio lines as Report records.
 
-    Ratios between computed quantities are asserted at 1e-3.  Ratios that
-    involve the printed reference constants are informational: the
-    mismatch there is the finding the report exists to display, so those
-    lines carry a sentinel tolerance that `config.tol` does not replace,
-    and always pass.  Every line carries the measured time of the one
-    record.  Returns the full record (for its text rendering and
-    convergence tables) alongside the reports.
+    Ratios between computed quantities are asserted at the record's own
+    consistency tolerance.  Ratios that involve the printed reference
+    constants are informational: the mismatch there is the finding the
+    report exists to display, so those lines carry a sentinel tolerance
+    that `config.tol` does not replace, and always pass.  Every line
+    carries the measured time of the one record.  Returns the full record
+    (for its text rendering and convergence tables) alongside the reports.
     """
     config = config or SuiteConfig()
-    t0 = time.perf_counter()
+    checks = _Checks(config)
     record = best_constant_report(
         seed=config.seed, mc_samples=max(1000, config.samples_or(200_000))
     )
-    seconds = time.perf_counter() - t0
-    sentinel = replace(config, tol=None)
-    reports = []
-    for line in record.ratios:
-        residual = abs(line.ratio - 1.0)
-        if "printed" in line.name:
-            reports.append(
-                _report(line.name, 1, residual, 1e9, "informational", seconds, sentinel)
-            )
-        else:
-            reports.append(_report(line.name, 1, residual, 1e-3, "computed", seconds, config))
-    return record, reports
+    checks.add(*(
+        (line.name, 1, abs(line.ratio - 1.0), 1e9, "informational") if line.informational
+        else (line.name, 1, abs(line.ratio - 1.0), _RATIO_TOL, "computed")
+        for line in record.ratios
+    ))
+    return record, checks.reports
 
 
 def quotient_min_reports(config: Optional[SuiteConfig] = None) -> list[Report]:
     """Plant a translated, dilated bubble and grade the search that recovers it."""
     config = config or SuiteConfig()
     rng = np.random.default_rng(config.seed)
+    checks = _Checks(config)
     ubar = ubar_field()
 
     g0 = rng.uniform(-0.5, 0.5, size=7)
@@ -721,20 +596,15 @@ def quotient_min_reports(config: Optional[SuiteConfig] = None) -> list[Report]:
         nu=nu * float(np.exp(rng.uniform(-0.15, 0.15))),
         center=g0 + rng.uniform(-0.1, 0.1, size=7),
     )
-
-    t0 = time.perf_counter()
     result = minimize_quotient(start, target, seed=config.seed)
-    seconds = time.perf_counter() - t0
     reference = fs_quotient(ubar).quotient
-
-    value_res = abs(result.value / reference - 1.0)
     center_res = _max_abs(np.asarray(result.params.center) - g0)
-    nu_res = abs(result.params.nu / nu - 1.0)
-    return [
-        _report("quotient-min-value", 1, value_res, 1e-4, "computed", seconds, config),
-        _report("quotient-min-center", 1, center_res, 1e-3, "computed", seconds, config),
-        _report("quotient-min-concentration", 1, nu_res, 1e-6, "computed", seconds, config),
-    ]
+    checks.add(
+        ("quotient-min-value", 1, abs(result.value / reference - 1.0), 1e-4, "computed"),
+        ("quotient-min-center", 1, center_res, 1e-3, "computed"),
+        ("quotient-min-concentration", 1, abs(result.params.nu / nu - 1.0), 1e-6, "computed"),
+    )
+    return checks.reports
 
 
 # ---------------------------------------------------------------------------

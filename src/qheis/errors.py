@@ -2,7 +2,7 @@
 
 
 class DomainError(ValueError):
-    """A field or map was evaluated outside its declared domain."""
+    """A field or map was evaluated outside its domain."""
 
 
 class SingularityError(DomainError):

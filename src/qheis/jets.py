@@ -93,8 +93,6 @@ class ScalarField:
     (value, grad (N, 7)) for order 1 and (value, grad, hess (N, 7, 7)) for
     order 2.  It must be deterministic, equal points giving bitwise-equal
     jets, and a lower order must return bitwise the prefix of order 2.
-    `domain` is an optional validity mask; evaluating outside raises
-    DomainError.
 
     `biradial_map`, when set, certifies that the field depends on a point p
     only through (|q|, |w|) of A(p) for the stored affine map A.  Constructors
@@ -106,31 +104,21 @@ class ScalarField:
 
     tag: str
     jets: Callable[[np.ndarray, int], JetBatch]
-    domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     biradial_map: Optional[AffineMap] = AffineMap.identity()
     decay: Optional[tuple[float, float]] = None
 
     def __call__(self, points) -> np.ndarray:
         """Values only (same batching convention as `jets`)."""
         pts, squeeze = _as_batch(points)
-        self._check_domain(pts)
         val = self.jets(pts, 0)[0]
         return float(val[0]) if squeeze else val
 
     def jet_batch(self, points: np.ndarray, order: int = 2) -> JetBatch:
-        """Domain-checked batch evaluation of the jets up to `order`."""
+        """Batch evaluation of the jets up to `order`."""
         if order not in JET_ORDERS:
             raise ValueError(f"jet order must be one of {JET_ORDERS}, got {order!r}")
         pts, _ = _as_batch(points)
-        self._check_domain(pts)
         return self.jets(pts, order)
-
-    def _check_domain(self, pts: np.ndarray) -> None:
-        if self.domain is not None:
-            ok = np.asarray(self.domain(pts))
-            if not np.all(ok):
-                bad = pts[~ok][0]
-                raise DomainError(f"field '{self.tag}' evaluated outside its domain at {bad}")
 
 
 def _as_batch(points) -> tuple[np.ndarray, bool]:
@@ -340,7 +328,7 @@ def sqrt(x):
     return np.sqrt(x)
 
 
-def autodiff_lift(g, tag: str = "autodiff", domain=None, biradial_map=None, decay=None) -> ScalarField:
+def autodiff_lift(g, tag: str = "autodiff", biradial_map=None, decay=None) -> ScalarField:
     """Lift a plain function of 7 reals to a ScalarField by forward propagation.
 
     `g` receives the 7 coordinates as Hyper2 numbers seeded at the requested
@@ -358,7 +346,7 @@ def autodiff_lift(g, tag: str = "autodiff", domain=None, biradial_map=None, deca
             return (out.val, out.grad)[: order + 1]
         return out.val, out.grad, 0.5 * (out.hess + np.swapaxes(out.hess, 1, 2))
 
-    return ScalarField(tag=tag, jets=jets, domain=domain, biradial_map=biradial_map, decay=decay)
+    return ScalarField(tag=tag, jets=jets, biradial_map=biradial_map, decay=decay)
 
 
 def compose(u: ScalarField, coords) -> Hyper2:
@@ -435,15 +423,10 @@ def affine_pullback(u: ScalarField, amap: AffineMap, amplitude: float = 1.0,
     else:
         jets = _Pullback(u, amap, amplitude)
 
-    domain = None
-    if jets.base.domain is not None:
-        domain = lambda pts: jets.base.domain(jets.amap(pts))  # noqa: E731
-
     cert = u.biradial_map.after(amap) if u.biradial_map is not None else None
     return ScalarField(
         tag=tag or f"pullback({u.tag})",
         jets=jets,
-        domain=domain,
         biradial_map=cert,
         decay=u.decay,
     )
@@ -476,7 +459,6 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
     return ScalarField(
         tag=tag or f"{coefficient}*({u.tag})^{alpha}",
         jets=jets,
-        domain=u.domain,
         biradial_map=u.biradial_map,
         decay=decay,
     )

@@ -115,6 +115,9 @@ GAUGE_INTEGRAL_CLOSED_FORM = (
     8.0 * math.pi**3 * (0.5 * _beta(1.5, 3.5)) * (0.5 * _beta(2.0, 5.0))
 )
 
+#: integral of ubar^{5/2} dH, whose integrand is 2^25 times the gauge kernel
+_MASS_CLOSED_FORM = 2.0**25 * GAUGE_INTEGRAL_CLOSED_FORM
+
 
 # ---------------------------------------------------------------------------
 # Reduced two-dimensional quadrature.
@@ -233,7 +236,6 @@ class QuadratureResult:
     value: float
     error: float
     table: tuple  # rows (level, estimate, error estimate, cells)
-    converged: bool = True
 
 
 def _refine(fn, tags, tol: float, max_level: int) -> tuple[QuadratureResult, ...]:
@@ -735,6 +737,7 @@ _SEARCH_LEVEL = 2
 _SEARCH_NODES = 10
 _DEFECT_WEIGHT = 10.0
 _GTOL = 1e-5
+_PEAK_TRIALS = 30  # damped Newton trials of the peak search
 
 
 @dataclass(frozen=True)
@@ -758,7 +761,7 @@ class MinimizeResult:
     message: str
 
 
-def _newton_peak(target: ScalarField, start: np.ndarray, maxiter: int = 30):
+def _newton_peak(target: ScalarField, start: np.ndarray):
     """Maximize `target` from `start` by damped Newton on order-2 jets.
 
     Levenberg-Marquardt damping: the step solves (shift I - H) s = g with
@@ -766,7 +769,7 @@ def _newton_peak(target: ScalarField, start: np.ndarray, maxiter: int = 30):
     step always points uphill.  A trial that does not climb, or leaves the
     domain, is refused and lam grows tenfold; an accepted one shrinks it
     tenfold.  Plain Newton diverges from starts a tenth away, where the
-    Hessian is indefinite.  `maxiter` bounds the trials; the search stops
+    Hessian is indefinite.  _PEAK_TRIALS bounds the trials; the search stops
     once an accepted step is below 1e-14 relative size.  Returns (peak,
     height, accepted steps, jet calls); the height is NaN when the start
     itself is outside the domain.
@@ -780,7 +783,7 @@ def _newton_peak(target: ScalarField, start: np.ndarray, maxiter: int = 30):
     steps = 0
     scale = float(np.max(np.abs(hess))) or 1.0
     lam = 1e-3 * scale
-    for _ in range(maxiter):
+    for _ in range(_PEAK_TRIALS):
         shift = max(float(np.linalg.eigvalsh(hess)[-1]), 0.0) + lam
         step = np.linalg.solve(shift * np.eye(DIM) - hess, g)
         trial = p + step
@@ -941,13 +944,29 @@ def minimize_quotient(
 # The best-constant reconciliation report.
 
 
+# The integrand of GAUGE_INTEGRAL_CLOSED_FORM as a function of (r, rho).
+_GAUGE_KERNEL = BiRadialIntegrand(
+    fn=lambda r, rho: ((1.0 + r * r) ** 2 + rho * rho) ** -5.0,
+    decay=(20.0, 10.0),
+    tag="gauge-kernel",
+)
+
+# A ratio is consistent when within this of 1; the audit grades by it too.
+_RATIO_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class RatioLine:
-    """One computed/printed comparison; consistent means within 1e-3 of 1."""
+    """One computed/printed comparison; consistent means within _RATIO_TOL of 1.
+
+    An informational ratio involves a printed constant: its mismatch is a
+    finding to display, not a check to fail.
+    """
 
     name: str
     ratio: float
     consistent: bool
+    informational: bool
 
 
 @dataclass(frozen=True)
@@ -1002,7 +1021,7 @@ class BestConstantReport:
             f"  sphere eigenvalue bound   {self.sphere_constant_printed:.12g}",
             f"  concentrated amplitude    {self.gamma_amplitude_printed:.12g}",
             f"  Gamma-chain mass value    {self.gamma_chain_value:.12g}",
-            "ratios (flag = differs from 1 by more than 1e-3):",
+            f"ratios (flag = differs from 1 by more than {_RATIO_TOL:g}):",
         ]
         for line in self.ratios:
             flag = "ok  " if line.consistent else "FLAG"
@@ -1010,9 +1029,9 @@ class BestConstantReport:
         return "\n".join(lines)
 
 
-def _ratio(name: str, num: float, den: float) -> RatioLine:
+def _ratio(name: str, num: float, den: float, informational: bool = False) -> RatioLine:
     ratio = num / den
-    return RatioLine(name=name, ratio=ratio, consistent=abs(ratio - 1.0) <= 1e-3)
+    return RatioLine(name, ratio, abs(ratio - 1.0) <= _RATIO_TOL, informational)
 
 
 def best_constant_report(
@@ -1021,18 +1040,10 @@ def best_constant_report(
     seed: int = 0,
 ) -> BestConstantReport:
     """Quadrature, Monte Carlo and closed forms for the sharp constant."""
-
-    def gauge_kernel(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        return ((1.0 + r * r) ** 2 + rho * rho) ** -5.0
-
-    gauge = integrate_biradial(
-        BiRadialIntegrand(fn=gauge_kernel, decay=(20.0, 10.0), tag="gauge-kernel"),
-        tol=tol,
-    )
+    gauge = integrate_biradial(_GAUGE_KERNEL, tol=tol)
     ubar = ubar_field()
     quot = fs_quotient(ubar, tol=tol)
     mass = quot.mass_result  # the ubar^{5/2} integral, computed once
-    mass_closed = 2.0**25 * GAUGE_INTEGRAL_CLOSED_FORM
     mc = integrate_mc(power_compose(ubar, 2.5, tag="ubar^2.5"), mc_samples, seed=seed)
 
     s2 = 2.0 * math.sqrt(3.0) * math.pi ** (-0.6)
@@ -1046,13 +1057,17 @@ def best_constant_report(
     q5 = quot.quotient**5
     ratios = (
         _ratio("gauge quadrature / Beta closed form", gauge.value, GAUGE_INTEGRAL_CLOSED_FORM),
-        _ratio("mass quadrature / 2^25 x closed form", mass.value, mass_closed),
+        _ratio("mass quadrature / 2^25 x closed form", mass.value, _MASS_CLOSED_FORM),
         _ratio("Gamma-chain value / mass quadrature", gamma_chain, mass.value),
         _ratio("quotient^5 / mass quadrature", q5, mass.value),
-        _ratio("printed constant^5 / computed quotient^5", lambda5_printed, q5),
-        _ratio("printed constant^5 / computed quotient", lambda5_printed, quot.quotient),
-        _ratio("printed constant^5 / printed s2^-2", lambda5_printed, lambda_from_s2),
-        _ratio("printed s2 / alternate printed s2", s2, s2_alt),
+    ) + tuple(
+        _ratio(name, num, den, informational=True)  # each involves a printed constant
+        for name, num, den in (
+            ("printed constant^5 / computed quotient^5", lambda5_printed, q5),
+            ("printed constant^5 / computed quotient", lambda5_printed, quot.quotient),
+            ("printed constant^5 / printed s2^-2", lambda5_printed, lambda_from_s2),
+            ("printed s2 / alternate printed s2", s2, s2_alt),
+        )
     )
     return BestConstantReport(
         gauge_integral=gauge.value,
@@ -1060,7 +1075,7 @@ def best_constant_report(
         gauge_closed_form=GAUGE_INTEGRAL_CLOSED_FORM,
         mass_integral=mass.value,
         mass_error=mass.error,
-        mass_closed_form=mass_closed,
+        mass_closed_form=_MASS_CLOSED_FORM,
         mass_mc=mc,
         quotient_report=quot,
         lambda_as_quotient=quot.quotient,

@@ -420,6 +420,19 @@ def test_report_as_dict_key():
     assert d["check"] == "x"
 
 
+def test_recorder_laps_share_time_and_spare_informational_lines(monkeypatch):
+    ticks = iter([10.0, 11.5, 14.0])
+    monkeypatch.setattr(audit.time, "perf_counter", lambda: next(ticks))
+    checks = audit._Checks(SuiteConfig(tol=1e-30))
+    checks.add(("a", 1, 1e-20, 1.0, "computed"), ("b", 1, 2.0, 1e9, "informational"))
+    checks.add(("c", 1, 0.0, 1.0, "computed"))
+    # one lap per add, from construction on; the lines of one add share it
+    assert [r.seconds for r in checks.reports] == [1.5, 1.5, 2.5]
+    assert [(r.tolerance, r.passed) for r in checks.reports] == [
+        (1e-30, False), (1e9, True), (1e-30, True),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Suites.
 
@@ -531,6 +544,11 @@ def test_report_seconds_are_measured_times():
     wall = time.perf_counter() - t0
     for r in reports:
         assert math.isfinite(r.seconds) and 0.0 <= r.seconds <= wall, r.check
+    # laps run back to back, so once each they cover nearly the whole run
+    laps = sum(
+        r.seconds for i, r in enumerate(reports) if i == 0 or r.seconds != reports[i - 1].seconds
+    )
+    assert 0.5 * wall <= laps <= wall
 
 
 def test_quotient_min_reports_pass():
