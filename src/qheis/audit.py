@@ -28,12 +28,12 @@ definitionally max_residual <= tolerance:
 
 and "all" runs them in that order.  Each check draws its whole sample at once and
 evaluates it in one batched array pass, with one exception:
-`einstein-family-torsion` evaluates its members as the rows of one field
-per block of `_FAMILY_BLOCK` members, which bounds its memory at any
-sample count.  The only per-item loops left draw those members and run
-over short lists of fields.  Every residual is reduced with one
-NaN-propagating reducer, so a NaN anywhere fails its check instead of
-vanishing inside Python's max.
+`einstein-family-torsion` draws and evaluates its members per block of
+`_FAMILY_BLOCK` members, one generator call and one field whose rows are
+the members per block, which bounds its memory at any sample count.  The
+only per-item loops left run over short lists of fields.  Every residual
+is reduced with one NaN-propagating reducer, so a NaN anywhere fails its
+check instead of vanishing inside Python's max.
 Control checks that must *fail to vanish* store the shortfall
 max(0, floor - observed) as their residual so the same rule applies.
 Suites are deterministic given a seed; wall-clock seconds are the only
@@ -340,24 +340,43 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
     return checks.reports
 
 
+def _family_blocks(rng: np.random.Generator, npairs: int):
+    """Yield the family sample as (c, nu, g0, points), `_FAMILY_BLOCK` members at a time.
+
+    Member idx reads, in stream order, log10 of (c, nu) on [-1, 1), on odd idx
+    a translation g0 on [-1, 1)^7 (even members get g0 = 0), then 20 points on
+    [-2, 2)^7.  Each block is one `rng.random` call sliced member by member and
+    mapped by a + (b - a) u, which is how `rng.uniform` maps the same numbers,
+    so every member and the generator state after the last block are those of
+    one `rng.uniform` call per field and member.  Points come as one (20m, 7)
+    array for the m members of a block.
+    """
+    for start in range(0, npairs, _FAMILY_BLOCK):
+        odd = np.arange(start, min(start + _FAMILY_BLOCK, npairs)) % 2 == 1
+        size = 142 + 7 * odd  # 2 + 140 numbers a member, 7 more for g0
+        first = np.cumsum(size) - size
+        u = rng.random(int(size.sum()))
+        c, nu = (10.0 ** (-1.0 + 2.0 * u[first[:, None] + np.arange(2)])).T
+        g0 = np.zeros((len(odd), 7))
+        g0[odd] = -1.0 + 2.0 * u[first[odd, None] + 2 + np.arange(7)]
+        at = first + 2 + 7 * odd
+        pts = -2.0 + 4.0 * u[at[:, None] + np.arange(140)]
+        yield c, nu, g0, pts.reshape(-1, 7)
+
+
 def _suite_conformal(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
     npairs = config.samples_or(20)
     checks = _Checks(config)
 
-    members, family = [], []
-    for idx in range(npairs):
-        c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
-        g0 = rng.uniform(-1.0, 1.0, size=7) if idx % 2 else np.zeros(7)  # odd: translated
-        if idx < 5:
-            h = h_family(FamilyParams(c=c, nu=nu))
-            family.append(translate_field(h, g0) if idx % 2 else h)
-        members.append((c, nu, g0, rng.uniform(-2.0, 2.0, size=(20, 7))))
-    torsion = []
-    for start in range(0, npairs, _FAMILY_BLOCK):
-        c, nu, g0, pts = zip(*members[start:start + _FAMILY_BLOCK])
+    torsion, family = [], []
+    for c, nu, g0, pts in _family_blocks(rng, npairs):
+        if not family:  # the first block: its first five members, as fields
+            for idx in range(min(5, len(c))):
+                h = h_family(FamilyParams(c=c[idx], nu=nu[idx]))
+                family.append(translate_field(h, g0[idx]) if idx % 2 else h)
         h = _translated_family(np.repeat(c, 20), np.repeat(nu, 20), np.repeat(g0, 20, axis=0))
-        torsion.append(_frobenius(conformal.torsion_T0_deformed(h, np.concatenate(pts))))
+        torsion.append(_frobenius(conformal.torsion_T0_deformed(h, pts)))
     checks.add(("einstein-family-torsion", npairs * 20, _max_abs(*torsion), 1e-8, "computed"))
 
     frob = float(_frobenius(conformal.torsion_T0_deformed(_quartic_control(), _CONTROL_POINT))[0])
@@ -367,7 +386,7 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     pts = rng.uniform(-2.0, 2.0, size=(20, 7))
     fields = family[:5] + [_quartic_control()]
     worst = _max_abs(*(_frobenius(conformal.U_deformed(h, pts)) for h in fields))
-    checks.add(("u-collapse", 6 * 20, worst, 1e-12, "computed"))
+    checks.add(("u-collapse", len(fields) * 20, worst, 1e-12, "computed"))
 
     # The divergence identity by two routes, and the D covectors' total
     # against its closed form, which differ by 3/4 h^-2 (sphere residual) dh;
@@ -384,8 +403,8 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
         )
         closed.append(_max_abs(total - expected) / _max_abs(total))
     checks.add(
-        ("divergence-identity-routes", 6 * 20, _max_abs(*routes), 1e-12, "cross-check"),
-        ("divergence-closed-form", 6 * 20, _max_abs(*closed), 1e-12, "closed-form"),
+        ("divergence-identity-routes", len(fields) * 20, _max_abs(*routes), 1e-12, "cross-check"),
+        ("divergence-closed-form", len(fields) * 20, _max_abs(*closed), 1e-12, "closed-form"),
     )
 
     nmats = config.samples_or(100)

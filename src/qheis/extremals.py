@@ -339,9 +339,11 @@ def _sigma_components(t1, x1, y1, z1, x, y, z):
     if np.any(getattr(denom, "val", denom) == 0.0):
         raise SingularityError("sigma is undefined at the group identity")
     inv = denom**-1.0
-    # (p')^{-1} = conj(p')/|p'|^2 and conj(p') = |q|^2 + w.
-    q2 = _hamilton((r2 * inv, x * inv, y * inv, z * inv), (t1, x1, y1, z1))
-    return (-q2[0], -q2[1], -q2[2], -q2[3], -x * inv, -y * inv, -z * inv), denom
+    # (p')^{-1} = conj(p')/|p'|^2 and conj(p') = |q|^2 + w; its w-part
+    # w/|p'|^2 is also the image's w, negated.
+    xi, yi, zi = x * inv, y * inv, z * inv
+    q2 = _hamilton((r2 * inv, xi, yi, zi), (t1, x1, y1, z1))
+    return (-q2[0], -q2[1], -q2[2], -q2[3], -xi, -yi, -zi), denom
 
 
 def sigma(g):

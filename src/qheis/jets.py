@@ -364,9 +364,11 @@ def compose(u: ScalarField, coords) -> Hyper2:
         ygrad = np.stack([c.grad for c in coords], axis=1)  # [n,k,i] = dy_k/dx_i
         grad = np.einsum("nk,nki->ni", jet[1], ygrad)
     if order == 2:
-        yhess = np.stack([c.hess for c in coords], axis=1)  # (N,7,7,7)
-        hess = np.swapaxes(ygrad, 1, 2) @ jet[2] @ ygrad
-        hess = hess + np.einsum("nk,nkij->nij", jet[1], yhess)
+        # sum_k u_k y_k,ij accumulated in place, k in order: no (N,7,7,7) stack
+        hess = jet[1][:, 0, None, None] * coords[0].hess
+        for k in range(1, DIM):
+            hess += jet[1][:, k, None, None] * coords[k].hess
+        hess += np.swapaxes(ygrad, 1, 2) @ jet[2] @ ygrad
     return Hyper2(jet[0], grad, hess)
 
 

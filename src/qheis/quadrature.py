@@ -449,12 +449,14 @@ def integrate_mc(
     while done < samples:
         k = min(_MC_CHUNK, samples - done)
         wgt = _mc_weights(u, rng, k)
+        # sums of squares by einsum, not a BLAS dot, whose rounding can
+        # depend on the BLAS thread count
         tot += float(wgt.sum())
-        totsq += float(wgt @ wgt)
+        totsq += float(np.einsum("i,i->", wgt, wgt))
         m = min(k, max(0, half - done))
         if m > 0:
             htot += float(wgt[:m].sum())
-            htotsq += float(wgt[:m] @ wgt[:m])
+            htotsq += float(np.einsum("i,i->", wgt[:m], wgt[:m]))
         done += k
 
     # np.maximum, unlike max, keeps a NaN variance NaN instead of 0.0

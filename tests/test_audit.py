@@ -393,6 +393,61 @@ def test_family_torsion_runs_in_blocks_over_the_whole_sample(monkeypatch):
     assert sum(points) == 1000 * 20 + 1
 
 
+def _family_draws_per_member(rng, npairs):
+    """Reference: the family sample drawn member by member, one call per field."""
+    c, nu, g0, pts = [], [], [], []
+    for idx in range(npairs):
+        ci, nui = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+        c.append(ci)
+        nu.append(nui)
+        g0.append(rng.uniform(-1.0, 1.0, size=7) if idx % 2 else np.zeros(7))
+        pts.append(rng.uniform(-2.0, 2.0, size=(20, 7)))
+    return np.array(c), np.array(nu), np.array(g0), np.concatenate(pts)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 123456])
+@pytest.mark.parametrize("npairs", [1, 2, 5, 7, 150, 1000])
+def test_family_block_draws_equal_the_per_member_draws(seed, npairs):
+    # 7 and 150 end on an odd count and a partial block; the generator
+    # must also stand where the per-member draws leave it
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = list(audit._family_blocks(rng, npairs))
+    assert [len(b[0]) for b in blocks] == [
+        min(audit._FAMILY_BLOCK, npairs - start) for start in range(0, npairs, audit._FAMILY_BLOCK)
+    ]
+    drawn = [np.concatenate(part) for part in zip(*blocks)]
+    for got, want in zip(drawn, _family_draws_per_member(ref_rng, npairs)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert rng.random(3).tobytes() == ref_rng.random(3).tobytes()
+
+
+def test_conformal_sample_counts_are_the_points_evaluated(monkeypatch):
+    # samples=2 leaves two family fields besides the quartic control, so
+    # each check over the field list evaluates 3 x 20 points, not 6 x 20
+    evaluated = Counter()
+
+    def count_points(name):
+        fn = getattr(conformal, name)
+
+        def counted(arg, *rest):  # (h, points) or one FrameJet
+            evaluated[name] += len(rest[0] if rest else arg.value)
+            return fn(arg, *rest)
+
+        monkeypatch.setattr(conformal, name, counted)
+
+    for name in ("U_deformed", "divergence_identity_residual", "divergence_total_closed_form"):
+        count_points(name)
+    reports = {r.check: r.samples for r in run_suite("conformal", SuiteConfig(samples=2))}
+    assert evaluated == Counter(
+        U_deformed=60, divergence_identity_residual=60, divergence_total_closed_form=60
+    )
+    assert reports["u-collapse"] == evaluated["U_deformed"]
+    assert reports["divergence-identity-routes"] == evaluated["divergence_identity_residual"]
+    assert reports["divergence-closed-form"] == evaluated["divergence_total_closed_form"]
+    assert reports["einstein-family-torsion"] == 2 * 20
+
+
 # ---------------------------------------------------------------------------
 # The report contract.
 

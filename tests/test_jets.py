@@ -24,9 +24,11 @@ from qheis.extremals import (
 )
 from qheis.jets import (
     AffineMap,
+    Hyper2,
     ScalarField,
     affine_pullback,
     autodiff_lift,
+    compose,
     constant_field,
     exp,
     finite_diff_audit,
@@ -214,6 +216,58 @@ def test_kelvin_asks_its_field_only_for_the_requested_order():
     for order in (0, 1, 2):
         assert len(ku.jet_batch(pts, order)) == order + 1
     assert asked == [0, 1, 2]
+
+
+def test_kelvin_lift_makes_at_most_29_products(monkeypatch):
+    # sigma's w-image reuses the products w/|p'|^2 of the inverse p'^-1:
+    # 3 of the 32 order-2 products a lift made when it formed them twice
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        mul = getattr(Hyper2, name)
+
+        def counted(a, b, mul=mul):
+            products.append(a.order)
+            return mul(a, b)
+
+        monkeypatch.setattr(Hyper2, name, counted)
+    ku = kelvin(ubar_field())
+    products.clear()
+    ku.jet_batch(np.random.default_rng(12).uniform(-1.5, 1.5, (6, 7)), 2)
+    assert products == [2] * len(products)
+    assert len(products) <= 29
+
+
+def _bent_coords(points):
+    """Seven order-2 Hyper2 coordinates of a map with nonzero, distinct Hessians."""
+    x = Hyper2.seed(points, 2)
+    return tuple(x[k] * x[(k + 1) % 7] + 0.5 * x[k] * x[k] - x[(k + 3) % 7] for k in range(7))
+
+
+def test_compose_order_two_builds_no_four_index_array():
+    # every array computed from the coordinates is a view of this subclass,
+    # which records the largest number of dimensions it was given
+    ndims = []
+
+    class Spy(np.ndarray):
+        def __array_finalize__(self, obj):
+            ndims.append(self.ndim)
+
+    pts = np.random.default_rng(13).uniform(-1.5, 1.5, (40, 7))
+    coords = _bent_coords(pts)
+    spied = tuple(Hyper2(*(part.view(Spy) for part in (c.val, c.grad, c.hess))) for c in coords)
+    ndims.clear()
+    u = translate_field(h_family(FamilyParams(c=1.3, nu=0.7)), np.full(7, 0.2))
+    out = compose(u, spied)
+    assert ndims and max(ndims) <= 3
+
+    # the chain rule with the coordinate Hessians stacked, as a reference
+    jet = u.jet_batch(np.stack([c.val for c in coords], axis=1), 2)
+    ygrad = np.stack([c.grad for c in coords], axis=1)
+    yhess = np.stack([c.hess for c in coords], axis=1)
+    ref = np.swapaxes(ygrad, 1, 2) @ jet[2] @ ygrad + np.einsum("nk,nkij->nij", jet[1], yhess)
+    assert np.max(np.abs(np.asarray(out.hess) - ref)) <= 1e-15 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(np.asarray(out.val), jet[0])
+    np.testing.assert_array_equal(np.asarray(out.grad), np.einsum("nk,nki->ni", jet[1], ygrad))
 
 
 def test_jet_order_is_validated():

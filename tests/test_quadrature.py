@@ -343,11 +343,36 @@ def test_mc_matches_the_textbook_importance_weight(ubar, seed, monkeypatch):
 def test_mc_mass_reading_is_pinned(ubar):
     # the best-constant report's reading: a change to the draws, their
     # order or their block size moves it by far more than rounding.  The
-    # stderr's sum of squares is a BLAS dot, whose rounding can depend on
-    # the thread count, hence the tolerance there.
+    # stderr keeps a tolerance: it reads 30786.680910576993 since its sums
+    # of squares left the BLAS dot for einsum, one ulp from the pin.
     mc = integrate_mc(power_compose(ubar, 2.5, tag="ubar^2.5"), 200_000, seed=0)
     assert mc.value == 8497417.487648623
     np.testing.assert_allclose(mc.stderr, 30786.680910576997, rtol=1e-13)
+
+
+def test_mc_reading_does_not_depend_on_the_blas_thread_count():
+    # the same readings in fresh interpreters with one and two BLAS threads
+    # (OpenBLAS reads the variable at load), compared bit for bit: the
+    # best-constant seed 0, and seeds 3 and 4, whose stderr a dot split
+    # across two threads moves by an ulp or two
+    src = str(Path(qheis.__file__).resolve().parents[1])
+    code = (
+        "from qheis.extremals import ubar_field\n"
+        "from qheis.quadrature import integrate_mc, power_compose\n"
+        "u = power_compose(ubar_field(), 2.5)\n"
+        "for seed in (0, 3, 4):\n"
+        "    mc = integrate_mc(u, 200_000, seed=seed)\n"
+        "    print(mc.value.hex(), mc.stderr.hex())"
+    )
+    readings = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        readings.append(out.stdout.split())
+    assert len(readings[0]) == 6 and readings[0] == readings[1]
 
 
 def test_mc_zero_field():
