@@ -80,6 +80,7 @@ from .quadrature import (
     _GAUGE_KERNEL,
     _MASS_CLOSED_FORM,
     _RATIO_TOL,
+    _whole,
     best_constant_report,
     fs_quotient,
     integrate_biradial,
@@ -213,9 +214,10 @@ class Report:
 class SuiteConfig:
     """Knobs shared by every suite.
 
-    `samples` overrides each check's primary sample count (checks with a
-    hard minimum clamp it); `tol` replaces every tolerance in the suite,
-    which is meant for exploratory reruns, not for the shipped defaults.
+    `seed` is an integer >= 0, not a bool.  `samples` overrides each
+    check's primary sample count (checks with a hard minimum clamp it);
+    `tol` replaces every tolerance in the suite, which is meant for
+    exploratory reruns, not for the shipped defaults.
     """
 
     seed: int = 0
@@ -223,6 +225,7 @@ class SuiteConfig:
     tol: Optional[float] = None
 
     def __post_init__(self):
+        _whole(self.seed, "seed", 0)
         n = self.samples
         integral = isinstance(n, numbers.Integral) and not isinstance(n, bool)
         if not (n is None or (integral and n > 0)):
@@ -630,12 +633,24 @@ def quotient_min_reports(config: Optional[SuiteConfig] = None) -> list[Report]:
 # Serialization.
 
 
+def _json_value(v):
+    """`v` for strict JSON: a NaN or infinite float becomes "nan", "inf" or "-inf".
+
+    RFC 8259 has no token for them, and a check that fails by NaN is the
+    case its report must still carry.
+    """
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(float(v))
+    return v
+
+
 def emit(reports, fmt: str, suite: str = "", seed: int = 0) -> str:
     """Render reports as json (schema'd envelope), csv, or an aligned table."""
     reports = list(reports)
     if fmt == "json":
-        doc = {"suite": suite, "seed": seed, "reports": [r.as_dict() for r in reports]}
-        return json.dumps(doc, indent=2)
+        rows = [{k: _json_value(v) for k, v in r.as_dict().items()} for r in reports]
+        doc = {"suite": suite, "seed": seed, "reports": rows}
+        return json.dumps(doc, indent=2, allow_nan=False)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

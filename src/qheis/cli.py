@@ -31,14 +31,23 @@ _SUITE_COMMANDS = {
 }
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str, minimum: int, what: str) -> int:
+    """`text` as an int >= `minimum`, else a usage error expecting `what`."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        value = None
+    if value is None or value < minimum:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _integer(text, 1, "a positive integer")
+
+
+def _seed(text: str) -> int:
+    return _integer(text, 0, "a non-negative integer")
 
 
 def _tolerance(text: str) -> float:
@@ -53,7 +62,7 @@ def _tolerance(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    common.add_argument("--seed", type=_seed, default=0, help="RNG seed >= 0 (default 0)")
     common.add_argument(
         "--samples", type=_positive_int, default=None,
         help="override the primary sample count of each check",

@@ -126,15 +126,17 @@ def _family_jets(c, nu):
         val = c * (lin * lin + nu * nu * np.einsum("ni,ni->n", w, w))
         if order == 0:
             return (val,)
+        slope = ((4.0 * c * nu) * lin)[:, None]
         grad = np.empty_like(pts)
-        grad[:, :4] = ((4.0 * c * nu) * lin)[:, None] * q
-        grad[:, 4:7] = b * w
+        np.multiply(slope, q, out=grad[:, :4])
+        np.multiply(b, w, out=grad[:, 4:7])
         if order == 1:
             return val, grad
         hess = np.zeros((pts.shape[0], 7, 7))
-        hess[:, :4, :4] = e * np.einsum("ni,nj->nij", q, q)
+        np.einsum("ni,nj->nij", q, q, out=hess[:, :4, :4])
+        hess[:, :4, :4] *= e
         diag = np.arange(4)
-        hess[:, diag, diag] += ((4.0 * c * nu) * lin)[:, None]
+        hess[:, diag, diag] += slope
         vdiag = np.arange(4, 7)
         hess[:, vdiag, vdiag] = b
         return val, grad, hess

@@ -405,9 +405,13 @@ class _Pullback:
         jet = self.base.jets(self.amap(points), order)
         out = (amp * jet[0],)
         if order >= 1:
-            out += (amp * (jet[1] @ lin),)
+            grad = jet[1] @ lin
+            grad *= amp
+            out += (grad,)
         if order == 2:
-            out += (amp * (lin.T @ (jet[2] @ lin)),)  # lin^T H lin, batched
+            hess = lin.T @ (jet[2] @ lin)  # lin^T H lin, batched
+            hess *= amp
+            out += (hess,)
         return out
 
 
@@ -450,8 +454,12 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
             out += (fp[:, None] * grad,)
         if order == 2:
             fpp = coefficient * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
+            # fp H + fpp g g^T, built in two (N, 7, 7) arrays
+            hess = fp[:, None, None] * jet[2]
             outer = np.einsum("ni,nj->nij", grad, grad)
-            out += (fp[:, None, None] * jet[2] + fpp[:, None, None] * outer,)
+            outer *= fpp[:, None, None]
+            hess += outer
+            out += (hess,)
         return out
 
     decay = None

@@ -31,7 +31,11 @@ honestly in the left-invariant frame; `minimize_quotient` searches the
 concentration/center family for it: a damped Newton ascent on the
 target's order-2 jets finds the peak, and BFGS with the exact center
 gradient drives the quotient of the target's rotation-symmetrized
-profile down from there.  Both are plain numpy.
+profile down from there.  Both are plain numpy.  Each evaluation reads
+the target through one folded pullback at the rule's own points: the
+candidate motion composes with the target's affine map, so the points
+take one affine map, and the center gradient comes from the same jets
+through the motion's Jacobian, without inverting it.
 """
 
 from __future__ import annotations
@@ -621,19 +625,16 @@ def spin_rotation_map(a, b) -> AffineMap:
     return AffineMap(lin, np.zeros(DIM))
 
 
-def _detransform_map(nu: float, center: np.ndarray) -> AffineMap:
-    """x -> center^{-1} . delta_mu(x), mu = nu^{-1/2}: the motion a candidate undoes."""
-    return left_translation_map(group_inv(center)).after(dilation_map(nu**-0.5))
-
-
 def _detransformed(target: ScalarField, nu: float, center: np.ndarray) -> ScalarField:
     """Undo a candidate (nu, center): shift back, then widen by nu^{-1/2}.
 
-    The two motions compose into one affine pullback, so the result keeps
-    the target's bi-radial certificate and `fs_quotient` can take it.
+    The field is mu^4 target(center^{-1} . delta_mu(x)), mu = nu^{-1/2}.
+    The two motions compose into one affine pullback, folded with the
+    target's own when it is one, so the result keeps the target's
+    bi-radial certificate and `fs_quotient` can take it.
     """
     mu = nu**-0.5
-    amap = _detransform_map(nu, center)
+    amap = left_translation_map(group_inv(center)).after(dilation_map(mu))
     return affine_pullback(target, amap, amplitude=mu**4, tag="search-detransform")
 
 
@@ -680,17 +681,19 @@ class _ProfileRule:
         with a tiny constant.  gamma = 0 gives the profile quotient.
 
         With `gradient`, one order-2 pass of the target also yields the
-        exact gradient in `center`, returned as (value, gradient).
+        exact gradient in `center`, returned as (value, gradient).  Both
+        passes read one folded pullback at the rule's own points x: the
+        candidate motion composes with the target's map (see
+        `_detransformed`), so the points go through one affine map and the
+        jets come back in x.
         """
         mu = nu**-0.5
-        amp = mu**4
         m, n = self.n_maps, self.n_nodes
-        motion = _detransform_map(nu, center)
-        jet = target.jet_batch(motion(self.points), 2 if gradient else 1)
-        dirs_t = np.swapaxes(self.dirs @ motion.linear.T, 1, 2)  # directions at y, (m, 7, 2)
+        jet = _detransformed(target, nu, center).jet_batch(self.points, 2 if gradient else 1)
+        dirs = np.swapaxes(self.dirs, 1, 2)  # (m, 7, 2)
         t = jet[1].reshape(m, n, DIM)
-        val = amp * jet[0].reshape(m, n)
-        slope = amp * (t @ dirs_t)  # d/dr, d/drho per map, (m, n, 2)
+        val = jet[0].reshape(m, n)
+        slope = t @ dirs  # d/dr, d/drho per map, (m, n, 2)
         profile = val.mean(axis=0)
         p_r, p_rho = slope.mean(axis=0).T
         energy = p_r**2 + 4.0 * self.r**2 * p_rho**2
@@ -702,17 +705,22 @@ class _ProfileRule:
         if not gradient:
             return value
 
-        # dy/dcenter = [[-I4, 0], [z_q . TWIST, -I3]] with z = delta_mu(x); pull
-        # the columns t, H e_r, H e_rho back through it
-        h_dirs = jet[2].reshape(m, n, DIM, DIM) @ dirs_t[:, None]
+        # The centre gradient from the x-jets: delta_mu^{-1} takes the columns
+        # (g, H e_r, H e_rho) to y up to the translation's linear part, which
+        # folds with dy/dcenter into J(y) = [[-I4, 0], [y_q . TWIST, -I3]],
+        # y_q = mu x_q - center_q; the columns are pulled back by J^T
+        h_dirs = (jet[2].reshape(m, n * DIM, DIM) @ dirs).reshape(m, n, DIM, 2)
         cols = np.concatenate([t[..., None], h_dirs], axis=3)
-        twist = np.tensordot(mu * self.points[:, :4], TWIST, axes=1).reshape(m, n, 3, 4)
-        pulled = amp * np.concatenate(
+        cols[:, :, :4] /= mu
+        cols[:, :, 4:] /= mu * mu
+        y_q = mu * self.points[:, :4] - center[:4]
+        twist = np.tensordot(y_q, TWIST, axes=1).reshape(m, n, 3, 4)
+        pulled = np.concatenate(
             [np.swapaxes(twist, 2, 3) @ cols[:, :, 4:] - cols[:, :, :4], -cols[:, :, 4:]], axis=2
         )
         # the directions turn with the center: d(e at y)/dcenter_q = [0; mu e_q . TWIST]
-        turn = (t[:, :, 4:] @ self.dir_twist).reshape(m, n, 2, 4)
-        pulled[:, :, :4, 1:] += (amp * mu) * np.swapaxes(turn, 2, 3)
+        turn = (cols[:, :, 4:, 0] @ self.dir_twist).reshape(m, n, 2, 4)
+        pulled[:, :, :4, 1:] += mu * np.swapaxes(turn, 2, 3)
         d_val = pulled[..., 0]
         d_r, d_rho = np.moveaxis(pulled[..., 1:].mean(axis=0), 2, 0)
         d_num = 2.0 * (self.w @ (p_r[:, None] * d_r + (4.0 * self.r**2 * p_rho)[:, None] * d_rho))

@@ -528,6 +528,17 @@ def test_suite_config_rejects_bad_tol(tol):
         SuiteConfig(tol=tol)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, False, None, math.nan])
+def test_suite_config_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        SuiteConfig(seed=seed)
+
+
+def test_suite_config_takes_numpy_integer_seeds():
+    assert SuiteConfig(seed=np.int64(3)).seed == 3
+    assert SuiteConfig(seed=0).seed == 0
+
+
 def test_suite_config_samples_override():
     reports = {r.check: r for r in run_suite("qmatrix", SuiteConfig(samples=2))}
     assert reports["q-quadratic-form"].samples == 2
@@ -557,6 +568,25 @@ def test_emit_json_schema(sample_reports):
         assert set(entry) == {
             "check", "samples", "max_residual", "tolerance", "pass", "provenance", "seconds",
         }
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "residual, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]
+)
+def test_emit_json_is_strict_for_non_finite_numbers(residual, text):
+    report = Report(
+        check="poisoned", samples=1, max_residual=residual, tolerance=1e-3,
+        passed=residual <= 1e-3, provenance="computed", seconds=0.0,
+    )
+    doc = json.loads(emit([report], "json", suite="x"), parse_constant=_refuse_constant)
+    (entry,) = doc["reports"]
+    assert entry["max_residual"] == text
+    assert entry["tolerance"] == 1e-3 and entry["pass"] is (residual <= 1e-3)
+    assert repr(residual) in emit([report], "csv")
 
 
 def test_emit_csv_header_and_roundtrip(sample_reports):

@@ -51,6 +51,14 @@ def test_unknown_format():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-3", "1.5", "x"])
+def test_bad_seed_is_a_usage_error(seed, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["qmatrix", "--seed", seed])
+    assert info.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
 def test_runs_are_deterministic(capsys):
     main(["verify-frames", "--format", "json"])
     first = json.loads(capsys.readouterr().out)

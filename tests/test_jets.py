@@ -311,6 +311,66 @@ def test_folded_pullback_matches_nested_motions():
         assert rel <= 1e-14
 
 
+def _family_reference(c, nu, pts):
+    """h_{c,nu} jets written out of place."""
+    q, w = pts[:, :4], pts[:, 4:7]
+    lin = 1.0 + nu * np.einsum("ni,ni->n", q, q)
+    val = c * (lin * lin + nu * nu * np.einsum("ni,ni->n", w, w))
+    grad = np.empty_like(pts)
+    grad[:, :4] = ((4.0 * c * nu) * lin)[:, None] * q
+    grad[:, 4:7] = (2.0 * c * nu * nu) * w
+    hess = np.zeros((len(pts), 7, 7))
+    hess[:, :4, :4] = (8.0 * c * nu * nu) * np.einsum("ni,nj->nij", q, q)
+    diag = np.arange(4)
+    hess[:, diag, diag] += ((4.0 * c * nu) * lin)[:, None]
+    vdiag = np.arange(4, 7)
+    hess[:, vdiag, vdiag] = 2.0 * c * nu * nu
+    return val, grad, hess
+
+
+def _power_reference(jet, alpha, coefficient=1.0):
+    """coefficient * u**alpha from u's order-2 jet, out of place."""
+    val, grad, hess = jet
+    fp = coefficient * alpha * val ** (alpha - 1.0)
+    fpp = coefficient * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
+    outer = np.einsum("ni,nj->nij", grad, grad)
+    return (
+        coefficient * val**alpha,
+        fp[:, None] * grad,
+        fp[:, None, None] * hess + fpp[:, None, None] * outer,
+    )
+
+
+def _pullback_reference(jet, lin, amplitude):
+    """amplitude * u(A p) from u's order-2 jet at A p, out of place."""
+    val, grad, hess = jet
+    return amplitude * val, amplitude * (grad @ lin), amplitude * (lin.T @ (hess @ lin))
+
+
+def test_in_place_jets_equal_the_out_of_place_formulas():
+    pts = np.random.default_rng(14).uniform(-1.5, 1.5, (300, 7))
+    lam = 1.2
+    amap = dilation_map(lam).after(left_translation_map(_G0))
+
+    def ubar_reference(p):
+        return _power_reference(_family_reference(1.0, 1.0, p), -2.0, 2.0**10)
+
+    cases = [
+        (h_family(FamilyParams(c=0.7, nu=1.3)), _family_reference(0.7, 1.3, pts)),
+        (power_compose(ubar_field(), 2.5), _power_reference(ubar_reference(pts), 2.5)),
+        (
+            translate_field(dilate_field(ubar_field(), lam), _G0),
+            _pullback_reference(ubar_reference(amap(pts)), amap.linear, lam**4),
+        ),
+    ]
+    for field, want in cases:
+        for order in (0, 1, 2):
+            got = field.jet_batch(pts, order)
+            assert len(got) == order + 1
+            for part, ref in zip(got, want):
+                assert _bitwise_equal(part, ref)
+
+
 def test_finite_diff_audit_propagates_nan():
     clean = ubar_field()
 

@@ -30,7 +30,7 @@ from qheis.extremals import (
     ubar_field,
 )
 from qheis.frame import frame_jets, sub_laplacian
-from qheis.jets import ScalarField, constant_field, power_compose
+from qheis.jets import AffineMap, ScalarField, constant_field, power_compose
 from qheis.quadrature import (
     GAUGE_INTEGRAL_CLOSED_FORM,
     BiRadialIntegrand,
@@ -665,6 +665,25 @@ def test_center_gradient_matches_central_differences(planted):
                 - rule.objective(planted, _NU, center - e, 10.0)
             ) / (2.0 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_objective_maps_the_rule_points_through_one_affine_map(planted, monkeypatch):
+    # the candidate motion folds into the target's own pullback, so the
+    # rule's points take one affine map, not the motion's and then the target's
+    rule = quadrature._profile_rule(2, 10, 3, 0)
+    mapped = []
+    call = AffineMap.__call__
+
+    def counted(self, points):
+        if len(points) == len(rule.points):
+            mapped.append(self)
+        return call(self, points)
+
+    monkeypatch.setattr(AffineMap, "__call__", counted)
+    for gradient in (False, True):
+        mapped.clear()
+        rule.objective(planted, _NU, _G0 + 0.01, 10.0, gradient=gradient)
+        assert len(mapped) == 1
 
 
 def _displaced_seed(monkeypatch):
