@@ -11,7 +11,7 @@ Run:  python demos/03_conformal_tensors.py
 
 import numpy as np
 
-from qheis import FamilyParams, h_family, translate_field
+from qheis import FamilyParams, frame_jets, h_family, translate_field
 from qheis.conformal import (
     U_deformed,
     casimir_project,
@@ -30,13 +30,15 @@ def frob(t):
 
 # -- the family is torsion-free ----------------------------------------------
 
+# every tensor is read from one order-2 frame_jets pass of the factor
 for c, nu in [(1.0, 1.0), (0.25, 3.0), (8.0, 0.2)]:
-    h = h_family(FamilyParams(c=c, nu=nu))
-    print(f"family member c={c:<5g} nu={nu:<4g}  max |T0| = {np.max(frob(torsion_T0_deformed(h, pts))):.3e}"
-          f"   max |U| = {np.max(frob(U_deformed(h, pts))):.3e}")
+    fj = frame_jets(h_family(FamilyParams(c=c, nu=nu)), pts)
+    t0, u = np.max(frob(torsion_T0_deformed(fj))), np.max(frob(U_deformed(fj)))
+    print(f"family member c={c:<5g} nu={nu:<4g}  max |T0| = {t0:.3e}   max |U| = {u:.3e}")
 
 moved = translate_field(h_family(FamilyParams(c=0.5, nu=2.0)), rng.uniform(-1, 1, 7))
-print(f"translated member            max |T0| = {np.max(frob(torsion_T0_deformed(moved, pts))):.3e}")
+fj = frame_jets(moved, pts)
+print(f"translated member            max |T0| = {np.max(frob(torsion_T0_deformed(fj))):.3e}")
 
 # -- and nothing else is -----------------------------------------------------
 
@@ -45,13 +47,14 @@ control = autodiff_lift(
     tag="one-plus-q4",
 )
 point = np.array([1.0, 0, 0, 0, 0, 0, 0])
-print(f"\ncontrol 1+|q|^4 at (1,0,...):  |T0| = {float(frob(torsion_T0_deformed(control, point))):.6f}"
+t0 = torsion_T0_deformed(frame_jets(control, point))[0]
+print(f"\ncontrol 1+|q|^4 at (1,0,...):  |T0| = {float(frob(t0)):.6f}"
       "   (exactly 2*sqrt(3))")
 
 # -- scalar curvature of the normalized member -------------------------------
 
 h6 = h_family(FamilyParams(c=2.0**-6, nu=1.0))
-scal = np.asarray(scal_deformed(h6, pts, base_scal=0.0))
+scal = scal_deformed(frame_jets(h6, pts))
 print(f"\nscalar curvature of the 2^-6 member: mean {np.mean(scal):.12f}, "
       f"spread {np.max(np.abs(scal - 6.0)):.2e}  (the dimensional constant 4(Q+2)/(Q-2) = 6)")
 

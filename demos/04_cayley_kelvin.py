@@ -51,8 +51,8 @@ print("\nsigma o sigma deviation over 500 points:",
 ubar = ubar_field()
 ku = kelvin(ubar)
 far = pts[np.einsum("ni,ni->n", pts[:, :4], pts[:, :4]) > 0.25]
-fj = frame_jets(ku, far)
-rel = np.abs(pde_residual(ku, far)) / fj.value**1.5
+fj = frame_jets(ku, far)  # one frame pass: the residual and the value read it
+rel = np.abs(pde_residual(fj)) / fj.value**1.5
 print(f"Kelvin-transformed bubble: residual {np.max(rel):.3e} on {far.shape[0]} points")
 
 twice = kelvin(ku)

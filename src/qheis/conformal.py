@@ -9,9 +9,15 @@ and the deformed scalar curvature.  All coefficients are the
 seven-dimensional ones; nothing here generalizes to higher quaternionic
 dimension.
 
+Every formula except `casimir_project`, which acts on matrices, is a pure
+function of one order-2 `FrameJet` of h: a caller takes
+`frame.frame_jets(h, points)` once and reads every tensor from it.  All but
+`sym_part` divide by h and raise DomainError unless it is positive at every
+point; an order-1 jet is a ValueError.
+
 Two identities of the divergence formula behind the sharp constant (the
 argument Jerison and Lee gave on the CR Heisenberg group) are checked by
-independent routes, each evaluated from one order-2 `FrameJet`:
+independent routes from the same jet:
 
 * the divergence-identity covector, from the raw twist-averaged Hessian and
   from the Casimir projection of the corrected Hessian;
@@ -29,10 +35,11 @@ Two conventions fixed once:
   the `divergence-identity-routes` check of `verify-conformal` pins down.
 * |grad h|^2 is the horizontal gradient squared norm, xi-directions excluded.
 
-Scalar-curvature normalization: the flat structure has qc-scalar curvature 0
-and the deformations are compared against the sphere value baked into the
-constants 2 - 4h + 3h^{-1}|grad h|^2 (sphere scalar curvature scaled to
-8(n+2) = 24, i.e. Scal = 48 convention divided by the metric factor 2).
+Scalar-curvature normalization: the flat structure has qc-scalar curvature 0,
+so `scal_deformed` carries no base-curvature term, and the deformations are
+compared against the sphere value baked into the constants
+2 - 4h + 3h^{-1}|grad h|^2 (sphere scalar curvature scaled to 8(n+2) = 24,
+i.e. Scal = 48 convention divided by the metric factor 2).
 """
 
 from __future__ import annotations
@@ -40,8 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .frame import IMAT, OMEGA, FrameJet, corrected_hessian, frame_jets
-from .jets import ScalarField, _as_batch
+from .frame import IMAT, OMEGA, FrameJet, corrected_hessian, sub_laplacian
 
 __all__ = [
     "sym_part",
@@ -60,7 +66,7 @@ _SYM_TOL = 1e-9
 _EYE4 = np.eye(4)
 
 
-def _require_positive(fj: FrameJet, what: str = "conformal factor") -> None:
+def _require_positive(fj: FrameJet) -> None:
     """DomainError unless the factor is positive at every point; NaN is not.
 
     Every formula here reads the Hessian, so an order-1 jet is a ValueError.
@@ -70,21 +76,9 @@ def _require_positive(fj: FrameJet, what: str = "conformal factor") -> None:
     bad = np.flatnonzero(~(fj.value > 0.0))
     if bad.size:
         raise DomainError(
-            f"{what} is not positive at batch index {bad[0]} (value {fj.value[bad[0]]!r})"
+            f"conformal factor is not positive at batch index {bad[0]} "
+            f"(value {fj.value[bad[0]]!r})"
         )
-
-
-def _pack(h: ScalarField, p, positive: bool) -> tuple[bool, FrameJet]:
-    """One order-2 FrameJet of h for the (h, p) entry points."""
-    pts, squeeze = _as_batch(p)
-    fj = frame_jets(h, pts)
-    if positive:
-        _require_positive(fj, f"conformal factor '{h.tag}'")
-    return squeeze, fj
-
-
-def _sq(arr: np.ndarray, squeeze: bool):
-    return arr[0] if squeeze else arr
 
 
 def _gradsq(fj: FrameJet) -> np.ndarray:
@@ -109,7 +103,15 @@ def _twist(m: np.ndarray) -> np.ndarray:
     return (m.reshape(-1, 16) @ _TWIST_T).reshape(m.shape)
 
 
-def _sym_from_jet(fj: FrameJet) -> np.ndarray:
+def sym_part(fj: FrameJet) -> np.ndarray:
+    """Corrected horizontal Hessian nabla-dh + sum_s dh(xi_s) omega_s, symmetrized.
+
+    The correction cancels the commutator part of the frame Hessian exactly;
+    a survivor beyond 1e-9 means the frame conventions are broken, which is
+    worth a hard stop rather than a silent symmetrization.
+    """
+    if fj.hess is None:
+        raise ValueError("the conformal formulas need an order-2 FrameJet")
     s = corrected_hessian(fj)
     worst = np.max(np.abs(s - np.swapaxes(s, 1, 2)))
     if not worst <= _SYM_TOL:  # a NaN asymmetry fails too
@@ -117,17 +119,6 @@ def _sym_from_jet(fj: FrameJet) -> np.ndarray:
             f"corrected Hessian asymmetry {worst:.3e} exceeds {_SYM_TOL}"
         )
     return 0.5 * (s + np.swapaxes(s, 1, 2))
-
-
-def sym_part(h: ScalarField, p) -> np.ndarray:
-    """Corrected horizontal Hessian nabla-dh + sum_s dh(xi_s) omega_s.
-
-    The correction cancels the commutator part of the frame Hessian exactly;
-    a survivor beyond 1e-9 means the frame conventions are broken, which is
-    worth a hard stop rather than a silent symmetrization.
-    """
-    squeeze, fj = _pack(h, p, positive=False)
-    return _sq(_sym_from_jet(fj), squeeze)
 
 
 def casimir_project(m, part: str) -> np.ndarray:
@@ -149,37 +140,31 @@ def casimir_project(m, part: str) -> np.ndarray:
     raise ValueError(f"unknown Casimir part {part!r}; expected '[3]' or '[-1]'")
 
 
-def torsion_T0_deformed(h: ScalarField, p) -> np.ndarray:
+def torsion_T0_deformed(fj: FrameJet) -> np.ndarray:
     """Deformed horizontal torsion h^{-1} [sym_part]_{[-1]}; zero iff Einstein-type."""
-    squeeze, fj = _pack(h, p, positive=True)
-    s = _sym_from_jet(fj)
-    out = casimir_project(s, "[-1]") / fj.value[:, None, None]
-    return _sq(out, squeeze)
+    _require_positive(fj)
+    return casimir_project(sym_part(fj), "[-1]") / fj.value[:, None, None]
 
 
-def U_deformed(h: ScalarField, p) -> np.ndarray:
+def U_deformed(fj: FrameJet) -> np.ndarray:
     """Trace-free [3] part of the deformed second torsion component.
 
     Computed honestly as (2h)^{-1} tracefree P_{[3]}(sym_part - 2h^{-1} dh (x) dh)
     rather than returning zeros: its identical vanishing is a seven-dimension
     collapse the test suite asserts, not an assumption baked in here.
     """
-    squeeze, fj = _pack(h, p, positive=True)
-    s = _sym_from_jet(fj)
+    _require_positive(fj)
     outer = np.einsum("na,nb->nab", fj.grad, fj.grad)
-    inner = s - 2.0 * outer / fj.value[:, None, None]
+    inner = sym_part(fj) - 2.0 * outer / fj.value[:, None, None]
     p3 = casimir_project(inner, "[3]")
     tracefree = p3 - (np.trace(p3, axis1=1, axis2=2) / 4.0)[:, None, None] * _EYE4
-    out = tracefree / (2.0 * fj.value[:, None, None])
-    return _sq(out, squeeze)
+    return tracefree / (2.0 * fj.value[:, None, None])
 
 
-def scal_deformed(h: ScalarField, p, base_scal: float = 0.0):
-    """Deformed qc-scalar curvature 2h*s - 72 h^{-1}|grad h|^2 + 24 laplacian(h)."""
-    squeeze, fj = _pack(h, p, positive=True)
-    lap = np.trace(fj.hess, axis1=1, axis2=2)
-    out = 2.0 * fj.value * base_scal - 72.0 * _gradsq(fj) / fj.value + 24.0 * lap
-    return float(out[0]) if squeeze else out
+def scal_deformed(fj: FrameJet) -> np.ndarray:
+    """Deformed qc-scalar curvature -72 h^{-1}|grad h|^2 + 24 laplacian(h) of the flat model."""
+    _require_positive(fj)
+    return -72.0 * _gradsq(fj) / fj.value + 24.0 * sub_laplacian(fj)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +179,7 @@ def yamabe_residual_sphere_norm(fj: FrameJet) -> np.ndarray:
     family, which satisfies a different normalization.
     """
     _require_positive(fj)
-    return np.trace(fj.hess, axis1=1, axis2=2) - _sphere_term(fj)
+    return sub_laplacian(fj) - _sphere_term(fj)
 
 
 def _vector_ingredients(fj: FrameJet):
@@ -236,7 +221,7 @@ def divergence_identity_casimir(fj: FrameJet) -> np.ndarray:
     content of the [3]-projection being the trace part.
     """
     _require_positive(fj)
-    p3 = casimir_project(_sym_from_jet(fj), "[3]")
+    p3 = casimir_project(sym_part(fj), "[3]")
     return 4.0 * np.einsum("nab,nb->na", p3, fj.grad) - _sphere_term(fj)[:, None] * fj.grad
 
 

@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .frame import FrameJet, frame_jets
+from .frame import FrameJet, sub_laplacian
 from .jets import (
     AffineMap,
     ScalarField,
@@ -174,19 +174,18 @@ def v_field() -> ScalarField:
     return power_compose(h_family(FamilyParams()), -2.0, V_AMPLITUDE, tag="v")
 
 
-def pde_residual(u: ScalarField, p):
-    """Residual laplacian(u) + u^{3/2} of the entire-solution equation."""
-    pts, squeeze = _as_batch(p)
-    out = _yamabe_residual(frame_jets(u, pts), u.tag, pts)
-    return float(out[0]) if squeeze else out
+def pde_residual(fj: FrameJet) -> np.ndarray:
+    """Residual laplacian(u) + u^{3/2} of the entire-solution equation, shape (N,).
 
-
-def _yamabe_residual(fj: FrameJet, tag: str, pts: np.ndarray) -> np.ndarray:
-    """laplacian(u) + u^{3/2} from the order-2 frame jets of u at pts."""
-    if np.any(fj.value < 0.0):
-        bad = pts[fj.value < 0.0][0]
-        raise DomainError(f"field '{tag}' is negative at {bad}; u^(3/2) undefined")
-    return np.trace(fj.hess, axis1=1, axis2=2) + fj.value**1.5
+    Read from the order-2 FrameJet of u; a negative value is a DomainError.
+    """
+    bad = np.flatnonzero(fj.value < 0.0)
+    if bad.size:
+        raise DomainError(
+            f"field is negative at batch index {bad[0]} (value {fj.value[bad[0]]!r}); "
+            "u^(3/2) undefined"
+        )
+    return sub_laplacian(fj) + fj.value**1.5
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ cyclic; the I_s act as left multiplication by i, j, k on the frame basis.
 Every frame derivative of a field comes from one call, `frame_jets(f, p,
 order)`: a single jet evaluation projected onto the frame, giving the
 value, e_a f and xi_s f at order 1 and adding e_a(e_b f) and e_a(xi_s f) at
-order 2.  The sub-Laplacian and the corrected Hessian are read off it.
+order 2.  Every formula of a field's frame derivatives, here and in
+`conformal` and `extremals`, takes that one `FrameJet`: the sub-Laplacian
+and the corrected Hessian are read off it.
 The rows are [I4 | B(q)] with B linear in q, so no order builds the
 (N, 4, 7) rows.  The horizontal gradient is g_q + (q (x) g_w) K with one
 constant 12x4 matrix K.  At order 2, B comes from one constant 4x12
@@ -44,11 +46,9 @@ from .jets import ScalarField, _as_batch, _max_abs
 from .quaternions import TWIST
 
 __all__ = [
-    "ComplexStructures",
     "FrameJet",
     "frame_rows",
     "frame_jets",
-    "complex_structures",
     "corrected_hessian",
     "sub_laplacian",
     "commutator_audit",
@@ -146,25 +146,6 @@ def structure_residuals() -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class ComplexStructures:
-    """The three almost complex structures and fundamental 2-forms.
-
-    matrices[s] acts on frame-coordinate vectors; forms[s][a, b] is
-    omega_s(e_a, e_b).  Derived from commutators at import, audited there.
-    """
-
-    matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
-    forms: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def complex_structures() -> ComplexStructures:
-    return ComplexStructures(
-        matrices=tuple(m.copy() for m in IMAT),
-        forms=tuple(om.copy() for om in OMEGA),
-    )
-
-
-@dataclass(frozen=True)
 class FrameJet:
     """Frame derivatives of a field at a batch of points, from one jet call.
 
@@ -218,9 +199,9 @@ def corrected_hessian(fj: FrameJet) -> np.ndarray:
     return fj.hess + np.einsum("ns,sab->nab", fj.vert, _OMEGA_STACK)
 
 
-def sub_laplacian(f: ScalarField, p) -> np.ndarray:
+def sub_laplacian(fj: FrameJet) -> np.ndarray:
     """(T1^2 + X1^2 + Y1^2 + Z1^2) f, the trace of the frame Hessian; shape (N,)."""
-    return np.trace(frame_jets(f, p).hess, axis1=1, axis2=2)
+    return np.trace(fj.hess, axis1=1, axis2=2)
 
 
 def commutator_audit(a: int, b: int, p) -> float:

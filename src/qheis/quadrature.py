@@ -679,6 +679,9 @@ class _ProfileRule:
         restoring strong convexity in the vertical center directions,
         where the averaged profile alone responds only at second order
         with a tiny constant.  gamma = 0 gives the profile quotient.
+        Where the de-transformed target has no mass on the rule (it has
+        moved off every node) the quotient is undefined and the value and
+        gradient are NaN, which the descent refuses like any non-finite step.
 
         With `gradient`, one order-2 pass of the target also yields the
         exact gradient in `center`, returned as (value, gradient).  Both
@@ -699,6 +702,8 @@ class _ProfileRule:
         energy = p_r**2 + 4.0 * self.r**2 * p_rho**2
         num = float(self.w @ energy)
         mass = float(self.w @ profile**2.5)
+        if not mass > 0.0:  # nothing of the target left on the rule: no quotient
+            return (math.nan, np.full(DIM, math.nan)) if gradient else math.nan
         denom = mass**0.8
         spread = float(self.w @ val.var(axis=0))
         value = num / denom + gamma * (spread / denom)
@@ -835,7 +840,7 @@ def _peak_seed(
     if math.isfinite(height) and height > 0.0:
         # the unit bubble has sub_laplacian/value = -32 at its peak and
         # the ratio scales by nu along the family
-        ratio = frame.sub_laplacian(target, peak)[0] / height
+        ratio = frame.sub_laplacian(frame.frame_jets(target, peak))[0] / height
         if ratio < 0.0:
             log_nu = math.log(ratio / -32.0)
     theta = np.concatenate([[log_nu], center])

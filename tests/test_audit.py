@@ -1,9 +1,11 @@
 """The coupling matrix, the report contract, and the named suites."""
 
 import dataclasses
+import inspect
 import json
 import math
 import time
+import typing
 from collections import Counter
 
 import numpy as np
@@ -266,8 +268,6 @@ def test_nan_sphere_term_fails_both_divergence_checks(monkeypatch, capsys):
 
 
 def test_conformal_suite_reaches_every_public_name(monkeypatch):
-    # sym_part is the (h, p) entry to the corrected Hessian that the
-    # torsion and U checks run through _sym_from_jet
     calls = Counter()
     for name in conformal.__all__:
         original = getattr(conformal, name)
@@ -279,10 +279,45 @@ def test_conformal_suite_reaches_every_public_name(monkeypatch):
         monkeypatch.setattr(conformal, name, counted)
     reports = run_suite("conformal", SuiteConfig(samples=2))
     assert all(r.passed for r in reports)
-    assert {name for name in conformal.__all__ if not calls[name]} <= {"sym_part"}
+    assert {name for name in conformal.__all__ if not calls[name]} == set()
     for gone in ("vector_A", "vector_A_aggregate", "vector_F", "scalar_f",
-                 "sphere_scal_term", "DParts"):
+                 "sphere_scal_term", "DParts", "_pack", "_sq", "_sym_from_jet"):
         assert not hasattr(conformal, gone)
+
+
+_FRAME_JET_READERS = [
+    getattr(conformal, name) for name in conformal.__all__ if name != "casimir_project"
+] + [frame.sub_laplacian, extremals.pde_residual]
+
+
+@pytest.mark.parametrize("formula", _FRAME_JET_READERS, ids=lambda f: f.__name__)
+def test_frame_derivative_formulas_take_one_frame_jet(formula):
+    # one calling convention: a (field, points) entry point would run its
+    # own frame pass beside the caller's
+    (param,) = inspect.signature(formula).parameters.values()
+    assert typing.get_type_hints(formula)[param.name] is frame.FrameJet
+
+
+def test_conformal_suite_takes_one_frame_pass_per_field(monkeypatch):
+    # the u-collapse and both divergence checks read one order-2 FrameJet of
+    # each field on their 20 shared points; with samples=5 the torsion block
+    # (100 points), the control (1) and the curvature (50) are the only others
+    passes = Counter()
+    frame_jets = frame.frame_jets
+
+    def counted(f, p, order=2):
+        fj = frame_jets(f, p, order)
+        passes[f.tag, len(fj.value), order] += 1
+        return fj
+
+    for module in (frame, conformal, extremals):
+        monkeypatch.setattr(module, "frame_jets", counted, raising=False)
+    reports = {r.check: r for r in run_suite("conformal", SuiteConfig(samples=5))}
+    assert reports["u-collapse"].samples == 6 * 20
+    on_shared = {key: n for key, n in passes.items() if key[1] == 20}
+    assert len(on_shared) == 6
+    assert all(order == 2 and n == 1 for (_, _, order), n in on_shared.items())
+    assert sum(passes.values()) == 6 + 3
 
 
 def _flip_energy_density(monkeypatch):
@@ -382,9 +417,9 @@ def test_family_torsion_runs_in_blocks_over_the_whole_sample(monkeypatch):
     torsion = conformal.torsion_T0_deformed
     points = []
 
-    def counted(h, p):
-        points.append(len(np.atleast_2d(p)))
-        return torsion(h, p)
+    def counted(fj):
+        points.append(len(fj.value))
+        return torsion(fj)
 
     monkeypatch.setattr(conformal, "torsion_T0_deformed", counted)
     reports = {r.check: r for r in run_suite("conformal", SuiteConfig(samples=1000))}
@@ -430,9 +465,9 @@ def test_conformal_sample_counts_are_the_points_evaluated(monkeypatch):
     def count_points(name):
         fn = getattr(conformal, name)
 
-        def counted(arg, *rest):  # (h, points) or one FrameJet
-            evaluated[name] += len(rest[0] if rest else arg.value)
-            return fn(arg, *rest)
+        def counted(fj):
+            evaluated[name] += len(fj.value)
+            return fn(fj)
 
         monkeypatch.setattr(conformal, name, counted)
 

@@ -91,7 +91,7 @@ def test_minus_one_part_twist_characterization(rng):
     # m' in the [-1] eigenspace iff m' + sum_s I_s^T m' I_s = 0; the sum is
     # written out with explicit loops so it does not reuse the module's
     # internal twist helper
-    mats = frame.complex_structures().matrices
+    mats = frame.IMAT
     m = rng.standard_normal((30, 4, 4))
     m = m + m.transpose(0, 2, 1)
     mp = conformal.casimir_project(m, "[-1]")
@@ -106,20 +106,24 @@ def test_minus_one_part_twist_characterization(rng):
 # Corrected Hessian.
 
 
+def sym_part(h, p):
+    return conformal.sym_part(frame.frame_jets(h, p))
+
+
 def test_sym_part_constant_and_radial(box_points):
-    assert np.max(np.abs(conformal.sym_part(constant_field(2.0), box_points))) == 0.0
+    assert np.max(np.abs(sym_part(constant_field(2.0), box_points))) == 0.0
     qsq = autodiff_lift(
         lambda t1, x1, y1, z1, x, y, z: t1 * t1 + x1 * x1 + y1 * y1 + z1 * z1,
         tag="q-squared",
     )
     # no vertical dependence: the corrected Hessian is the raw one
     fj = frame.frame_jets(qsq, box_points)
-    np.testing.assert_allclose(conformal.sym_part(qsq, box_points), fj.hess, atol=1e-12)
+    np.testing.assert_allclose(conformal.sym_part(fj), fj.hess, atol=1e-12)
 
 
 def test_sym_part_vertical_coordinate(box_points):
     vert = autodiff_lift(lambda t1, x1, y1, z1, x, y, z: 2.0 + x, tag="vertical-x")
-    out = conformal.sym_part(vert, box_points)
+    out = sym_part(vert, box_points)
     np.testing.assert_allclose(out, out.transpose(0, 2, 1), atol=1e-13)
 
 
@@ -135,7 +139,7 @@ def test_sym_part_rejects_inconsistent_jets():
 
     broken = ScalarField(tag="broken", jets=jets, biradial_map=None)
     with pytest.raises(ConsistencyError):
-        conformal.sym_part(broken, np.zeros(7))
+        sym_part(broken, np.zeros(7))
 
 
 def test_sym_part_rejects_a_nan_hessian():
@@ -145,11 +149,15 @@ def test_sym_part_rejects_a_nan_hessian():
 
     broken = ScalarField(tag="nan-hessian", jets=jets, biradial_map=None)
     with pytest.raises(ConsistencyError):
-        conformal.sym_part(broken, np.zeros(7))
+        sym_part(broken, np.zeros(7))
 
 
 # ---------------------------------------------------------------------------
 # Torsion and the family.
+
+
+def torsion(h, p):
+    return conformal.torsion_T0_deformed(frame.frame_jets(h, p))
 
 
 def test_family_torsion_vanishes(rng):
@@ -160,24 +168,24 @@ def test_family_torsion_vanishes(rng):
         if i % 2:
             h = translate_field(h, rng.uniform(-1, 1, 7))
         pts = rng.uniform(-2, 2, (20, 7))
-        worst = max(worst, float(np.max(frob(conformal.torsion_T0_deformed(h, pts)))))
+        worst = max(worst, float(np.max(frob(torsion(h, pts)))))
     assert worst <= 1e-10
 
 
 def test_torsion_negative_control():
-    value = float(frob(conformal.torsion_T0_deformed(quartic_control(), CONTROL_POINT))[0])
+    value = float(frob(torsion(quartic_control(), CONTROL_POINT))[0])
     assert value >= 1e-3
     # and it is not mysterious: the norm lands exactly on 2*sqrt(3)
     np.testing.assert_allclose(value, 2.0 * np.sqrt(3.0), rtol=1e-12)
 
 
 def test_torsion_constant_field(box_points):
-    assert np.max(frob(conformal.torsion_T0_deformed(constant_field(3.0), box_points))) == 0.0
+    assert np.max(frob(torsion(constant_field(3.0), box_points))) == 0.0
 
 
 def test_torsion_domain_error():
     with pytest.raises(DomainError):
-        conformal.torsion_T0_deformed(constant_field(-1.0), CONTROL_POINT)
+        torsion(constant_field(-1.0), CONTROL_POINT)
 
 
 def test_u_collapse(rng, box_points):
@@ -187,7 +195,9 @@ def test_u_collapse(rng, box_points):
         translate_field(h_family(FamilyParams(c=0.5, nu=2.0)), rng.uniform(-1, 1, 7)),
         quartic_control(),
     ]
-    worst = max(float(np.max(frob(conformal.U_deformed(f, box_points)))) for f in fields)
+    worst = max(
+        float(np.max(frob(conformal.U_deformed(frame.frame_jets(f, box_points))))) for f in fields
+    )
     assert worst <= 1e-12
 
 
@@ -195,16 +205,11 @@ def test_u_collapse(rng, box_points):
 # Scalar curvature.
 
 
-def test_scal_constant_half_passes_base_through(box_points):
-    out = conformal.scal_deformed(constant_field(0.5), box_points, base_scal=17.0)
-    np.testing.assert_allclose(out, 17.0, atol=1e-12)
-
-
 def test_scal_family_is_constant_384_c_nu(rng):
     for c, nu in [(2.0**-6, 1.0), (0.11, 3.0), (1.0, 1.0)]:
         h = h_family(FamilyParams(c=c, nu=nu))
         pts = rng.uniform(-2, 2, (50, 7))
-        scal = np.asarray(conformal.scal_deformed(h, pts, base_scal=0.0))
+        scal = conformal.scal_deformed(frame.frame_jets(h, pts))
         np.testing.assert_allclose(scal, 384.0 * c * nu, rtol=1e-8)
 
 
@@ -214,7 +219,7 @@ def test_scal_six_normalization():
     h = h_family(FamilyParams(c=2.0**-6, nu=1.0))
     rng = np.random.default_rng(123)
     pts = rng.uniform(-2, 2, (50, 7))
-    scal = np.asarray(conformal.scal_deformed(h, pts, base_scal=0.0))
+    scal = conformal.scal_deformed(frame.frame_jets(h, pts))
     assert np.max(np.abs(scal / 6.0 - 1.0)) <= 1e-8
     assert 4.0 * (10.0 + 2.0) / (10.0 - 2.0) == 6.0
 
@@ -250,6 +255,9 @@ def test_divergence_identity_two_routes(box_points):
 
 
 _FRAME_JET_FORMULAS = (
+    conformal.torsion_T0_deformed,
+    conformal.U_deformed,
+    conformal.scal_deformed,
     conformal.yamabe_residual_sphere_norm,
     conformal.divergence_identity_residual,
     conformal.divergence_identity_casimir,
@@ -267,7 +275,9 @@ def test_frame_jet_formulas_reject_a_non_positive_factor(formula, value, box_poi
         formula(fj)
 
 
-@pytest.mark.parametrize("formula", _FRAME_JET_FORMULAS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "formula", _FRAME_JET_FORMULAS + (conformal.sym_part,), ids=lambda f: f.__name__
+)
 def test_frame_jet_formulas_need_order_two(formula, box_points):
     with pytest.raises(ValueError, match="order-2"):
         formula(frame.frame_jets(h_family(FamilyParams()), box_points[:5], 1))

@@ -42,7 +42,7 @@ def values(u, pts):
 def rel_residual(u, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     fj = frame_jets(u, pts)
-    return np.abs(pde_residual(u, pts)) / fj.value**1.5
+    return np.abs(pde_residual(fj)) / fj.value**1.5
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,8 @@ def test_ubar_frozen_values(ubar):
     assert values(ubar, np.zeros(7))[0] == 1024.0
     e1 = np.array([1.0, 0, 0, 0, 0, 0, 0])
     assert values(ubar, e1)[0] == 64.0
-    np.testing.assert_allclose(sub_laplacian(ubar, np.zeros(7)), -32768.0, rtol=1e-13)
+    laplacian = sub_laplacian(frame_jets(ubar, np.zeros(7)))
+    np.testing.assert_allclose(laplacian, -32768.0, rtol=1e-13)
 
 
 def test_v_amplitude():
@@ -69,8 +70,10 @@ def test_ubar_solves_pde(ubar, rng):
 def test_pde_rejects_negative_fields():
     from qheis.jets import constant_field
 
-    with pytest.raises(DomainError):
-        pde_residual(constant_field(-2.0), np.zeros(7))
+    fj = frame_jets(constant_field(2.0), np.zeros((3, 7)))
+    fj.value[1] = -2.0
+    with pytest.raises(DomainError, match="batch index 1"):
+        pde_residual(fj)
 
 
 # ---------------------------------------------------------------------------

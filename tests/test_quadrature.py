@@ -667,6 +667,23 @@ def test_center_gradient_matches_central_differences(planted):
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
+def test_objective_is_nan_where_the_target_leaves_the_rule(planted):
+    # a centre of 1e200 moves the target off every node, so its mass on the
+    # rule underflows to zero: the quotient is undefined, which must come back
+    # as NaN for the descent to refuse, not as a ZeroDivisionError
+    rule = quadrature._profile_rule(2, 10, 3, 0)
+    far = np.full(7, 1e200)
+    with np.errstate(all="ignore"):
+        assert math.isnan(rule.objective(planted, _NU, far, 10.0))
+        value, grad = rule.objective(planted, _NU, far, 10.0, gradient=True)
+        x, nfev, converged, message = quadrature._bfgs(
+            lambda c: rule.objective(planted, _NU, c, 10.0, gradient=True), far, 1e-8, 5
+        )
+    assert math.isnan(value) and grad.shape == (7,) and np.all(np.isnan(grad))
+    assert (nfev, converged) == (1, False) and message.startswith("non-finite objective")
+    assert x.tobytes() == far.tobytes()
+
+
 def test_objective_maps_the_rule_points_through_one_affine_map(planted, monkeypatch):
     # the candidate motion folds into the target's own pullback, so the
     # rule's points take one affine map, not the motion's and then the target's
@@ -737,7 +754,7 @@ def test_newton_peak_recovers_planted_centers(ubar):
 def test_unit_bubble_peak_ratio_is_minus_32(ubar):
     # the peak seed reads nu off sub_laplacian/value against this constant
     origin = np.zeros(7)
-    assert sub_laplacian(ubar, origin)[0] / ubar(origin) == -32.0
+    assert sub_laplacian(frame_jets(ubar, origin))[0] / ubar(origin) == -32.0
 
 
 def test_centered_bubble_is_extremal(ubar, rng):
