@@ -24,7 +24,7 @@ ubar = ubar_field()
 
 g0 = np.array([0.3, -0.2, 0.1, 0.4, 0.2, -0.1, 0.3])
 nu = 1.44
-target = translate_field(dilate_field(ubar, math.sqrt(nu)), g0, tag="mystery")
+target = translate_field(dilate_field(ubar, math.sqrt(nu)), g0)
 print("planted:   nu =", nu, " center =", g0)
 
 start = FamilyParams(nu=1.1, center=g0 + 0.1)

@@ -64,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed, default=0, help="RNG seed >= 0 (default 0)")
     common.add_argument(
-        "--samples", type=_positive_int, default=None,
-        help="override the primary sample count of each check",
-    )
-    common.add_argument(
         "--tol", type=_tolerance, default=None,
         help="override every tolerance in the command (exploratory runs)",
     )
@@ -76,6 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     common.add_argument("--out", default=None, help="write the report to this path")
+    # every command but quotient-min, which draws no sample it could size
+    sampled = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampled.add_argument(
+        "--samples", type=_positive_int, default=None,
+        help="override the primary sample count of each check",
+    )
 
     parser = argparse.ArgumentParser(
         prog="qheis",
@@ -91,15 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
         "all": "every suite above plus the quadrature checks",
     }
     for name in _SUITE_COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
+        sub.add_parser(name, parents=[sampled], help=helps[name])
     sub.add_parser(
-        "best-constant", parents=[common],
+        "best-constant", parents=[sampled],
         help="integrals, quotient, and printed-constant reconciliation",
     )
     sub.add_parser(
         "quotient-min", parents=[common],
         help="plant a moved bubble and grade the recovery search",
-    )
+    ).set_defaults(samples=None)
     return parser
 
 

@@ -212,10 +212,9 @@ def dilation_map(lam: float) -> AffineMap:
     return AffineMap(linear=np.diag([lam] * 4 + [lam * lam] * 3), offset=np.zeros(7))
 
 
-def translate_field(u: ScalarField, g0, tag: Optional[str] = None) -> ScalarField:
+def translate_field(u: ScalarField, g0) -> ScalarField:
     """The pullback p -> u(g0 o p); centers the bump of u at inverse(g0)."""
-    amap = left_translation_map(g0)
-    return affine_pullback(u, amap, tag=tag or f"translate({u.tag})")
+    return affine_pullback(u, left_translation_map(g0), tag=f"translate({u.tag})")
 
 
 def _translated_family(c, nu, g0) -> ScalarField:
@@ -238,13 +237,13 @@ def _translated_family(c, nu, g0) -> ScalarField:
             jet[2][:, :4, :] += np.swapaxes(twist, 1, 2) @ jet[2][:, 4:7, :]
         return jet
 
-    return ScalarField(tag=f"h[{len(c)} members]", jets=jets, biradial_map=None)
+    return ScalarField(tag=f"h[{len(c)} members]", jets=jets)
 
 
-def dilate_field(u: ScalarField, lam: float, tag: Optional[str] = None) -> ScalarField:
+def dilate_field(u: ScalarField, lam: float) -> ScalarField:
     """The solution-preserving rescaling p -> lam^4 u(delta_lam p)."""
     amap = dilation_map(lam)
-    return affine_pullback(u, amap, amplitude=lam**4, tag=tag or f"dilate({u.tag},{lam:g})")
+    return affine_pullback(u, amap, amplitude=lam**4, tag=f"dilate({u.tag},{lam:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,11 @@ def _sphere_normalize(q: np.ndarray, p: np.ndarray):
 
     A row is rescaled only when its scale 1/|(q, p)| is off 1 by more than
     1e-12, so an already normalized point is returned bitwise unchanged.
+    A NaN or infinite component is no point of H^2: DomainError.  Every
+    Cayley entry point, and SpherePoint, passes its halves through here.
     """
+    if np.count_nonzero(np.isfinite(q)) + np.count_nonzero(np.isfinite(p)) != q.size + p.size:
+        raise DomainError("sphere point has a NaN or infinite component")
     norm2 = quat_norm2(q) + quat_norm2(p)
     if np.any(norm2 == 0.0):
         raise DomainError("cannot normalize the zero point of H^2")
@@ -358,7 +361,7 @@ def sigma(g):
     return out[0] if squeeze else out
 
 
-def kelvin(u: ScalarField, tag: Optional[str] = None) -> ScalarField:
+def kelvin(u: ScalarField) -> ScalarField:
     """The Kelvin transform (|q|^4 + |w|^2)^{-2} u(sigma(g)).
 
     Maps entire solutions to solutions away from the origin; evaluating the
@@ -383,9 +386,4 @@ def kelvin(u: ScalarField, tag: Optional[str] = None) -> ScalarField:
             at0 = 0.0
         if at0 > 0.0:
             decay = (8.0, 4.0)
-    return autodiff_lift(
-        formula,
-        tag=tag or f"kelvin({u.tag})",
-        biradial_map=cert,
-        decay=decay,
-    )
+    return autodiff_lift(formula, tag=f"kelvin({u.tag})", biradial_map=cert, decay=decay)

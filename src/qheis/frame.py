@@ -36,6 +36,7 @@ the runtime guard for that choice.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -79,7 +80,7 @@ _ROWS_K = TWIST.transpose(0, 2, 1).reshape(4, 12)
 
 
 def _derive_structures():
-    """Structure constants, fundamental forms and complex structures.
+    """Fundamental forms and complex structures, from the structure constants.
 
     [e_a, e_b]^j = sum_i c_a^i d_i(c_b^j) - c_b^i d_i(c_a^j); with affine rows
     the derivative matrices are the constant _LIN blocks and the bracket is
@@ -103,7 +104,7 @@ def _derive_structures():
     # I_s e_a = sum_b omega_s[a, b] e_b, i.e. the matrix on coordinate
     # vectors is omega_s transposed.
     imats = tuple(om.T.copy() for om in omegas)
-    return bracket, omegas, imats
+    return omegas, imats
 
 
 def frame_rows(points) -> np.ndarray:
@@ -114,7 +115,7 @@ def frame_rows(points) -> np.ndarray:
     return _BASE + np.einsum("ajc,nc->naj", _LIN, _as_batch(points)[0])
 
 
-_BRACKET, OMEGA, IMAT = _derive_structures()
+OMEGA, IMAT = _derive_structures()
 
 # e_a(c_b^{w_s}) = TWIST[a, s, b] as constant 4x4 matrices, one per vertical
 # direction: the only surviving first-order term of the frame Hessian.
@@ -122,27 +123,22 @@ _DC = TWIST.transpose(1, 0, 2).copy()
 _OMEGA_STACK = np.stack(OMEGA)
 
 
-def _verify_structures() -> dict[str, float]:
-    eye = np.eye(4)
-    res = {}
-    i1, i2, i3 = IMAT
-    res["square"] = _max_abs(*(m @ m + eye for m in IMAT))
-    res["i1i2_i3"] = _max_abs(i1 @ i2 - i3)
-    res["skew"] = _max_abs(*(m + m.T for m in IMAT))
-    res["orthogonal"] = _max_abs(*(m.T @ m - eye for m in IMAT))
-    res["form_vs_structure"] = _max_abs(*(OMEGA[s] - IMAT[s].T for s in range(3)))
-    worst = _max_abs(*res.values())
-    if not worst <= 1e-14:
-        raise ConsistencyError(f"complex structure audit failed: {res}")
-    return res
-
-
-_STRUCTURE_RESIDUALS = _verify_structures()
-
-
 def structure_residuals() -> dict[str, float]:
-    """Residuals of the import-time quaternion-relation audit."""
-    return dict(_STRUCTURE_RESIDUALS)
+    """Residuals of the quaternion relations of IMAT and OMEGA, computed when called."""
+    eye = np.eye(4)
+    i1, i2, i3 = IMAT
+    return {
+        "square": _max_abs(*(m @ m + eye for m in IMAT)),
+        "i1i2_i3": _max_abs(i1 @ i2 - i3),
+        "skew": _max_abs(*(m + m.T for m in IMAT)),
+        "orthogonal": _max_abs(*(m.T @ m - eye for m in IMAT)),
+        "form_vs_structure": _max_abs(*(OMEGA[s] - IMAT[s].T for s in range(3))),
+    }
+
+
+# the import-time audit, from the same computation
+if not _max_abs(*structure_residuals().values()) <= 1e-14:
+    raise ConsistencyError(f"complex structure audit failed: {structure_residuals()}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,12 @@ def commutator_audit(a: int, b: int, p) -> float:
     The bracket is recomputed honestly from the frame coefficients and their
     exact derivatives at p; the omegas are the import-time constants, so this
     checks the derived convention at arbitrary points.  A batch of points is
-    audited whole: the result is the maximum over every point.
+    audited whole: the result is the maximum over every point.  a and b are
+    frame indices, integers in {0, 1, 2, 3}; anything else is a ValueError.
     """
+    for i in (a, b):
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i <= 3:
+            raise ValueError(f"frame index must be an integer in 0..3, got {i!r}")
     pts, _ = _as_batch(p)
     rows = frame_rows(pts)
     bracket = rows[:, a] @ _LIN[b].T - rows[:, b] @ _LIN[a].T   # (N, 7)

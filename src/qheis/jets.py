@@ -95,16 +95,18 @@ class ScalarField:
     jets, and a lower order must return bitwise the prefix of order 2.
 
     `biradial_map`, when set, certifies that the field depends on a point p
-    only through (|q|, |w|) of A(p) for the stored affine map A.  Constructors
-    and the translate/dilate/rotation pullbacks maintain the certificate; the
-    reduced quadrature in `quadrature` requires it.  `decay` declares exact
-    asymptotic orders (d_r, d_rho): |field| ~ r**-d_r and ~ rho**-d_rho, with
-    negative entries meaning growth.
+    only through (|q|, |w|) of A(p) for the stored affine map A.  A field
+    carries one only when its builder passes one: it defaults to None, and
+    the family constructors, `constant_field`, the pullbacks, powers and the
+    Kelvin transform pass or carry it.  The reduced quadrature in
+    `quadrature` requires it.  `decay` declares exact asymptotic orders
+    (d_r, d_rho): |field| ~ r**-d_r and ~ rho**-d_rho, with negative entries
+    meaning growth.
     """
 
     tag: str
     jets: Callable[[np.ndarray, int], JetBatch]
-    biradial_map: Optional[AffineMap] = AffineMap.identity()
+    biradial_map: Optional[AffineMap] = None
     decay: Optional[tuple[float, float]] = None
 
     def __call__(self, points) -> np.ndarray:
@@ -147,7 +149,8 @@ class Hyper2:
     Parts above the order the coordinates were seeded with are None and are
     never built: order 0 carries the value only, order 1 adds the gradient.
     Supports +, -, *, /, ** with floats, arrays and other Hyper2 operands of
-    the same order, plus exp/log/sqrt through the module-level functions.
+    the same order; exp, log and sqrt are the module-level functions, which
+    a formula calls by name (numpy's ufuncs do not take a Hyper2).
     All 7 directions are seeded at once, so one pass through a formula yields
     the jet.  Each part is computed by the same arithmetic at every order, so
     a lower order is bitwise the prefix of a higher one.
@@ -292,17 +295,6 @@ class Hyper2:
             hess = d1[:, None, None] * self.hess + fpp()[:, None, None] * outer
         return Hyper2(f, grad, hess)
 
-    # Method forms so np.exp / np.log / np.sqrt work on object arrays and
-    # inside lifted formulas written with the numpy names.
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
 
 def exp(x):
     if isinstance(x, Hyper2):
@@ -372,7 +364,8 @@ def compose(u: ScalarField, coords) -> Hyper2:
     return Hyper2(jet[0], grad, hess)
 
 
-def constant_field(c: float, tag: Optional[str] = None) -> ScalarField:
+def constant_field(c: float) -> ScalarField:
+    """The constant c, bi-radial under the identity."""
     c = float(c)
 
     def jets(points: np.ndarray, order: int = 2) -> JetBatch:
@@ -384,7 +377,7 @@ def constant_field(c: float, tag: Optional[str] = None) -> ScalarField:
             out += (np.zeros((n, DIM, DIM)),)
         return out
 
-    return ScalarField(tag=tag or f"const({c})", jets=jets, decay=(0.0, 0.0))
+    return ScalarField(f"const({c})", jets, AffineMap.identity(), decay=(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +504,15 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
     return _max_abs(diffs)
 
 
-def haar_jacobian_audit(g0, step: float = 1e-5) -> float:
-    """|det(Jacobian of left translation by g0) - 1| by central differences.
+def haar_jacobian_audit(g0) -> float:
+    """|det(Jacobian of left translation by g0) - 1| by central differences of step 1e-5.
 
     Left translations preserve Lebesgue measure on R^7 (Haar = Lebesgue);
     this checks that numerically rather than assuming it.
     """
     from .quaternions import group_mul
 
+    step = 1e-5
     g0 = as_point(g0).reshape(DIM)
     jac = np.empty((DIM, DIM))
     rng_pt = np.zeros(DIM)

@@ -61,7 +61,7 @@ from .extremals import (
     ubar_field,
 )
 from .jets import DIM, AffineMap, ScalarField, affine_pullback, power_compose
-from .quaternions import TWIST, as_point, group_inv, quat_conj, quat_mul
+from .quaternions import TWIST, as_point, as_quat, group_inv, quat_conj, quat_mul, quat_norm2
 
 __all__ = [
     "BiRadialIntegrand",
@@ -206,8 +206,8 @@ def _whole(value, name: str, minimum: int) -> int:
     return n
 
 
-def _refinement_limits(tol, max_level) -> tuple[float, int]:
-    """`tol` a finite number > 0 and `max_level` an integer >= 1, else ValueError.
+def _tolerance(tol) -> float:
+    """`tol` as a float if it is a finite number > 0, else ValueError.
 
     Checked before anything is evaluated: a NaN or negative tolerance
     could never be met, so every level would be computed in vain.
@@ -215,7 +215,7 @@ def _refinement_limits(tol, max_level) -> tuple[float, int]:
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     if not (real and math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    return float(tol), _whole(max_level, "max_level", _MIN_LEVEL)
+    return float(tol)
 
 
 def _rule_sums(fn, r, rho, w) -> list[float]:
@@ -242,18 +242,18 @@ class QuadratureResult:
     table: tuple  # rows (level, estimate, error estimate, cells)
 
 
-def _refine(fn, tags, tol: float, max_level: int) -> tuple[QuadratureResult, ...]:
+def _refine(fn, tags, tol: float) -> tuple[QuadratureResult, ...]:
     """The refinement loop for the rows of one integrand on shared nodes.
 
     fn(r, rho) returns one array of values per entry of `tags`.  Each row
     is accepted at its own first passing level and its table ends there,
     so it reads exactly what `integrate_biradial` gives that row alone;
     the loop stops once every row is accepted.  The first row that no
-    level accepts raises AccuracyError.
+    level up to `_MAX_LEVEL` accepts raises AccuracyError.
     """
     tables = [[] for _ in tags]
     accepted = [False] * len(tags)
-    for level in range(_MIN_LEVEL, max_level + 1):
+    for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
         r, rho, w = biradial_rule(level, _N_NODES)
         for i, est in enumerate(_rule_sums(fn, r, rho, w)):
             if accepted[i]:
@@ -283,24 +283,19 @@ def _refine(fn, tags, tol: float, max_level: int) -> tuple[QuadratureResult, ...
     raise exc
 
 
-def integrate_biradial(
-    integrand: BiRadialIntegrand,
-    tol: float = 1e-9,
-    max_level: int = _MAX_LEVEL,
-) -> QuadratureResult:
+def integrate_biradial(integrand: BiRadialIntegrand, tol: float = 1e-9) -> QuadratureResult:
     """Adaptive dyadic refinement until the estimated error is small enough.
 
     With d_k = |I_k - I_{k-1}|, the error of level k is estimated as
     max(d_k^2 / d_{k-1}, sqrt(nodes) * eps * |I_k|) (d_k alone where there
     is no d_{k-1} or it is 0), the D1^2/D2 estimate of Bailey, Jeyabalan
     and Li (Exp. Math. 14, 2005) with a rounding floor.  Convergence means
-    that estimate is <= tol * |I_k|.  On failure raises AccuracyError
-    carrying the best estimate, its error and the table.  `tol` must be a
-    finite number > 0 and `max_level` an integer >= 1; anything else
-    raises ValueError before the integrand is evaluated.
+    that estimate is <= tol * |I_k|, at one of the levels 1 to 7
+    (`_MAX_LEVEL`).  On failure raises AccuracyError carrying the best
+    estimate, its error and the table.  `tol` must be a finite number > 0;
+    anything else raises ValueError before the integrand is evaluated.
     """
-    tol, max_level = _refinement_limits(tol, max_level)
-    return _refine(lambda r, rho: (integrand.fn(r, rho),), (integrand.tag,), tol, max_level)[0]
+    return _refine(lambda r, rho: (integrand.fn(r, rho),), (integrand.tag,), _tolerance(tol))[0]
 
 
 def convergence_csv(table) -> str:
@@ -368,9 +363,9 @@ def reduced_integrand(u: ScalarField, power: float = 1.0) -> BiRadialIntegrand:
     return BiRadialIntegrand(fn=fn, decay=(power * d_r, power * d_rho), tag=tag)
 
 
-def integrate_field(u: ScalarField, power: float = 1.0, **kwargs) -> QuadratureResult:
+def integrate_field(u: ScalarField, power: float = 1.0, tol: float = 1e-9) -> QuadratureResult:
     """Integral of u**power dH through the certificate reduction."""
-    return integrate_biradial(reduced_integrand(u, power), **kwargs)
+    return integrate_biradial(reduced_integrand(u, power), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +433,15 @@ def integrate_mc(
     directions are uniform on the spheres.  A split-half comparison of
     the standard error flags estimators whose tails are too heavy for
     the central limit theorem to have kicked in.  `samples` must be an
-    integer of at least 1000; anything else raises ValueError.
+    integer of at least 1000 and `seed` one of at least 0, so that the
+    recorded seed reproduces the estimate; anything else raises ValueError.
 
     The samples are drawn in blocks of at most `_MC_CHUNK` (see
     _mc_points).  The weight is u times the reciprocal proposal density
     _MC_WEIGHT r^3 t^{3/2} rho^2 (1 + rho^2), t = 1 + r^2/2.
     """
     samples = _whole(samples, "Monte Carlo samples", 1000)
+    seed = _whole(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     half = samples // 2
     tot = totsq = 0.0
@@ -530,7 +527,7 @@ def _energy_integrand(u: ScalarField) -> BiRadialIntegrand:
     )
 
 
-def _energy_biradial_audit(u: ScalarField, seed: int = 0) -> None:
+def _energy_biradial_audit(u: ScalarField) -> None:
     """Check that the horizontal energy really is bi-radial under the cert.
 
     The certificate promises u(p) = F(|q|, |omega|) of A(p).  For the
@@ -539,7 +536,7 @@ def _energy_biradial_audit(u: ScalarField, seed: int = 0) -> None:
     from group motions but not for arbitrary affine maps, so probe it.
     """
     pull, _ = _node_map(u)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     base = np.array([[0.7, 0.3, -0.4, 0.2, 0.5, -0.3, 0.6],
                      [1.4, -0.2, 0.8, -0.5, -0.9, 0.4, 1.1]])
     # the base points and two rotations of them, in one frame pass
@@ -571,7 +568,7 @@ def fs_quotient(
     `_energy_integrand(u)` or `reduced_integrand(u, 2.5)` alone.  `tol`
     is checked as there, before anything is evaluated.
     """
-    tol, max_level = _refinement_limits(tol, _MAX_LEVEL)
+    tol = _tolerance(tol)
     _energy_biradial_audit(u)
     energy = _energy_integrand(u)
     mass_row = reduced_integrand(u, 2.5)
@@ -581,7 +578,7 @@ def fs_quotient(
         jet = frame.frame_jets(u, pull(_slice_points(r, rho)), 1)
         return energy.fn(r, rho, jet), mass_row.fn(r, rho, jet.value)
 
-    num, mass = _refine(rows, (energy.tag, mass_row.tag), tol, max_level)
+    num, mass = _refine(rows, (energy.tag, mass_row.tag), tol)
     denom = mass.value**0.8
     quotient = num.value / denom
     err = num.error / denom + 0.8 * num.value * mass.error / mass.value**1.8
@@ -614,10 +611,13 @@ def spin_rotation_map(a, b) -> AffineMap:
     For unit quaternions a, b this fixes the origin, preserves |q| and
     |omega|, Haar measure and the horizontal metric, and is a group
     automorphism; the maps form the natural rotation group of the slice
-    decomposition.
+    decomposition.  a and b must be unit quaternions, |a|^2 and |b|^2
+    within 1e-12 of 1; anything else, a NaN included, is a DomainError.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = as_quat(a)
+    b = as_quat(b)
+    if not (abs(quat_norm2(a) - 1.0) <= 1e-12 and abs(quat_norm2(b) - 1.0) <= 1e-12):
+        raise DomainError(f"spin_rotation_map needs unit quaternions, got a={a}, b={b}")
     lin = np.zeros((DIM, DIM))
     # row j of each product is the image of basis quaternion j
     lin[:4, :4] = quat_mul(quat_mul(a, _E4), quat_conj(b)).T
@@ -753,6 +753,7 @@ _SEARCH_NODES = 10
 _DEFECT_WEIGHT = 10.0
 _GTOL = 1e-5
 _PEAK_TRIALS = 30  # damped Newton trials of the peak search
+_MAXITER = 200  # BFGS iterations of the descent
 
 
 @dataclass(frozen=True)
@@ -764,8 +765,9 @@ class MinimizeResult:
     the extent the recovered motion fails to center the target.  `nfev`
     counts the peak search's jet calls plus the descent's
     objective-and-gradient evaluations; `restarts` is the number of
-    descents run.  `converged` says whether the descent met its gradient
-    tolerance, and `message` why it stopped.
+    descents run, always 1.  `converged` says whether the descent met its
+    gradient tolerance within `_MAXITER` iterations, and `message` why it
+    stopped.
     """
 
     params: FamilyParams
@@ -895,13 +897,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
     return x, nfev, False, message
 
 
-def minimize_quotient(
-    init: FamilyParams,
-    target: Optional[ScalarField] = None,
-    *,
-    seed: int = 0,
-    maxiter: int = 200,
-) -> MinimizeResult:
+def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0) -> MinimizeResult:
     """Recover the concentration and center of a translated, dilated bubble.
 
     The objective at a candidate center undoes the candidate motion,
@@ -921,15 +917,12 @@ def minimize_quotient(
 
     `init` starts a damped Newton ascent to the target's peak (see
     _newton_peak); BFGS then descends over the center from the peak
-    estimate, with the exact gradient, for at most `maxiter` iterations
-    and until max |gradient| <= `_GTOL`.  The reported value is the pure
-    profile quotient at the optimum on a finer rule, and nothing else is
-    integrated.  `maxiter` and `seed` (the rotations) are integers >= 0.
+    estimate, with the exact gradient, for at most `_MAXITER` (200)
+    iterations and until max |gradient| <= `_GTOL`.  The reported value is
+    the pure profile quotient at the optimum on a finer rule, and nothing
+    else is integrated.  `seed` (the rotations) is an integer >= 0.
     """
-    maxiter = _whole(maxiter, "maxiter", 0)
     seed = _whole(seed, "seed", 0)  # also the key of the cached rules
-    if target is None:
-        target = ubar_field()
     bounds = np.concatenate([[_LOG_NU_BOUND], np.full(DIM, _CENTER_BOUND)])
     center0 = np.zeros(DIM) if init.center is None else as_point(init.center)
     if abs(math.log(init.nu)) > _LOG_NU_BOUND or np.any(np.abs(center0) > _CENTER_BOUND):
@@ -944,7 +937,7 @@ def minimize_quotient(
         excess = np.maximum(0.0, np.abs(center) - _CENTER_BOUND)
         return value + 1e3 * float(excess @ excess), grad + 2e3 * excess * np.sign(center)
 
-    center_opt, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, maxiter)
+    center_opt, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, _MAXITER)
     fine = _profile_rule(_SEARCH_LEVEL + 1, _SEARCH_NODES + 2, _SEARCH_ROTATIONS, seed)
     return MinimizeResult(
         params=FamilyParams(c=1.0, nu=nu_opt, center=center_opt),
@@ -1049,15 +1042,11 @@ def _ratio(name: str, num: float, den: float, informational: bool = False) -> Ra
     return RatioLine(name, ratio, abs(ratio - 1.0) <= _RATIO_TOL, informational)
 
 
-def best_constant_report(
-    tol: float = 1e-9,
-    mc_samples: int = 200_000,
-    seed: int = 0,
-) -> BestConstantReport:
-    """Quadrature, Monte Carlo and closed forms for the sharp constant."""
-    gauge = integrate_biradial(_GAUGE_KERNEL, tol=tol)
+def best_constant_report(mc_samples: int = 200_000, seed: int = 0) -> BestConstantReport:
+    """Quadrature at the default tol 1e-9, Monte Carlo and closed forms for the sharp constant."""
+    gauge = integrate_biradial(_GAUGE_KERNEL)
     ubar = ubar_field()
-    quot = fs_quotient(ubar, tol=tol)
+    quot = fs_quotient(ubar)
     mass = quot.mass_result  # the ubar^{5/2} integral, computed once
     mc = integrate_mc(power_compose(ubar, 2.5, tag="ubar^2.5"), mc_samples, seed=seed)
 

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qheis import audit, conformal, extremals, frame, quadrature
+from qheis import audit, conformal, extremals, frame, jets, quadrature
 from qheis.audit import (
     QMATRIX,
     Q_SPECTRUM,
@@ -298,6 +298,40 @@ def test_frame_derivative_formulas_take_one_frame_jet(formula):
     assert typing.get_type_hints(formula)[param.name] is frame.FrameJet
 
 
+# Settings that no caller outside the tests turned, now constants or gone:
+# (function, parameter that must not come back).  max_level and maxiter are
+# guarded by the bad-max_level and bad-maxiter tests of test_quadrature.
+_REMOVED_SETTINGS = [
+    (quadrature.best_constant_report, "tol"),
+    (quadrature._energy_biradial_audit, "seed"),
+    (extremals.translate_field, "tag"),
+    (extremals.dilate_field, "tag"),
+    (extremals.kelvin, "tag"),
+    (jets.constant_field, "tag"),
+    (jets.haar_jacobian_audit, "step"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, name", _REMOVED_SETTINGS, ids=lambda x: getattr(x, "__name__", x)
+)
+def test_removed_settings_stay_removed(function, name):
+    params = inspect.signature(function).parameters
+    assert name not in params
+    assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
+
+
+def test_implicit_defaults_and_unreached_paths_are_gone():
+    # integrate_field names its tolerance instead of forwarding **kwargs,
+    # and the search target has no default standing in for ubar
+    assert list(inspect.signature(quadrature.integrate_field).parameters) == ["u", "power", "tol"]
+    target = inspect.signature(quadrature.minimize_quotient).parameters["target"]
+    assert target.default is inspect.Parameter.empty
+    for gone in ("exp", "log", "sqrt"):
+        assert not hasattr(jets.Hyper2, gone)
+    assert not hasattr(frame, "_BRACKET")
+
+
 def test_conformal_suite_takes_one_frame_pass_per_field(monkeypatch):
     # the u-collapse and both divergence checks read one order-2 FrameJet of
     # each field on their 20 shared points; with samples=5 the torsion block
@@ -397,6 +431,17 @@ def test_nan_hessian_fails_hessian_antisymmetry(monkeypatch, capsys):
     assert not reports["hessian-antisymmetry"].passed
     assert main(["verify-frames", "--samples", "20"]) == 1
     assert "[FAIL] hessian-antisymmetry" in capsys.readouterr().out
+
+
+def test_flipped_complex_structure_fails_the_structure_constants_line(monkeypatch, capsys):
+    i1, i2, i3 = frame.IMAT
+    monkeypatch.setattr(frame, "IMAT", (i1, i2, -i3))
+    reports = {r.check: r for r in run_suite("frames", SuiteConfig(samples=20))}
+    assert reports["structure-constants"].max_residual == 2.0
+    assert not reports["structure-constants"].passed
+    assert reports["frame-commutators"].passed  # the fault is local
+    assert main(["verify-frames", "--samples", "20"]) == 1
+    assert "[FAIL] structure-constants" in capsys.readouterr().out
 
 
 def test_pde_residual_check_evaluates_the_field_once(ubar, box_points):

@@ -129,6 +129,14 @@ def test_quotient_min_command(capsys):
     assert checks == ["quotient-min-value", "quotient-min-center", "quotient-min-concentration"]
 
 
+def test_quotient_min_takes_no_samples(capsys):
+    # the search draws no sample that --samples could size
+    with pytest.raises(SystemExit) as info:
+        main(["quotient-min", "--samples", "5"])
+    assert info.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

@@ -291,6 +291,18 @@ def test_cayley_batch_with_the_pole_raises(rng):
     cayley_forward_batch(np.delete(q, 3, axis=0), np.delete(p, 3, axis=0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("half", [0, 1])
+def test_cayley_refuses_non_finite_halves(bad, half):
+    # a NaN half would otherwise come back as a row of NaN
+    halves = [np.zeros((2, 4)), np.full((2, 4), 0.5)]
+    halves[half][1, 2] = bad
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        cayley_forward_batch(*halves)
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        SpherePoint.from_arrays(halves[0][1], halves[1][1])
+
+
 def test_cayley_inverse_takes_one_point(rng):
     with pytest.raises(ValueError):
         cayley_inverse(rng.uniform(-1.0, 1.0, (3, 7)))

@@ -114,8 +114,24 @@ def test_commutator_audit_checks_the_whole_batch(box_points, monkeypatch):
     assert frame.commutator_audit(0, 1, box_points) > 1e-3
 
 
+@pytest.mark.parametrize(
+    "a, b", [(-1, 0), (4, 0), (0, 4), (1, -4), (1.0, 0), (True, 0), (1, False), ("a", 1)]
+)
+def test_commutator_audit_takes_frame_indices_only(a, b):
+    # (-1, 0) would silently audit the pair (3, 0) and (4, 0) leak an IndexError
+    with pytest.raises(ValueError, match="frame index"):
+        frame.commutator_audit(a, b, np.zeros(7))
+    assert frame.commutator_audit(np.int64(3), 0, np.zeros(7)) == 0.0
+
+
 def test_structure_residuals_clean():
     assert np.max(list(frame.structure_residuals().values())) <= 1e-13
+
+
+def test_structure_residuals_are_computed_when_called(monkeypatch):
+    i1, i2, i3 = frame.IMAT
+    monkeypatch.setattr(frame, "IMAT", (i1, i2, -i3))
+    assert frame.structure_residuals()["i1i2_i3"] == 2.0
 
 
 def test_sublaplacian_of_q_squared_is_eight(box_points):

@@ -103,14 +103,15 @@ def test_decay_at_or_below_threshold_rejected(decay):
         BiRadialIntegrand(fn=lambda r, rho: r, decay=decay, tag="divergent")
 
 
-def test_accuracy_error_carries_estimate():
+def test_accuracy_error_carries_estimate(monkeypatch):
     integrand = BiRadialIntegrand(
         fn=lambda r, rho: ((1.0 + r * r) ** 2 + rho * rho) ** -5.0,
         decay=(20.0, 10.0),
         tag="gauge",
     )
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
     with pytest.raises(AccuracyError) as info:
-        integrate_biradial(integrand, tol=1e-16, max_level=3)
+        integrate_biradial(integrand, tol=1e-16)
     assert info.value.value == pytest.approx(GAUGE, rel=1e-8)
     assert info.value.error is not None
 
@@ -164,7 +165,7 @@ def test_error_estimate_bounds_the_true_error(name, tol, accepted):
 
 
 @pytest.mark.parametrize("poisoned", ["every-level", "level-3-only"])
-def test_a_nan_node_is_never_accepted(poisoned):
+def test_a_nan_node_is_never_accepted(poisoned, monkeypatch):
     # a NaN at level 3 alone leaves levels 4 and 5 finite and in
     # agreement, but both estimates lean on the NaN delta of level 4
     def fn(r, rho):
@@ -174,8 +175,9 @@ def test_a_nan_node_is_never_accepted(poisoned):
         return vals
 
     integrand = BiRadialIntegrand(fn=fn, decay=(50.0, 50.0), tag="nan-node")
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 5)
     with pytest.raises(AccuracyError) as info:
-        integrate_biradial(integrand, max_level=5)
+        integrate_biradial(integrand)
     assert math.isnan(info.value.error)
 
 
@@ -183,9 +185,10 @@ def test_a_zero_previous_delta_falls_back_to_the_delta(monkeypatch):
     # levels 1 and 2 agree exactly, so level 3 has no ratio to extrapolate
     script = {576: 1.0, 2304: 1.0, 9216: 1.0 + 1e-3}
     monkeypatch.setattr(quadrature, "_rule_sums", lambda fn, r, rho, w: [script[r.size]])
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
     integrand = BiRadialIntegrand(fn=lambda r, rho: r, decay=(9.0, 9.0), tag="scripted")
     with pytest.raises(AccuracyError) as info:
-        integrate_biradial(integrand, tol=1e-16, max_level=3)
+        integrate_biradial(integrand, tol=1e-16)
     assert info.value.table[2][2] == abs((1.0 + 1e-3) - 1.0)
 
 
@@ -214,29 +217,29 @@ def _unevaluable_field(ubar):
 
 # a NaN or negative tol can never be met, so the loop would run every level
 @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf, -math.inf, True, "1e-9", None])
-def test_a_bad_tolerance_is_refused_before_any_evaluation(ubar, bad, monkeypatch):
+def test_a_bad_tolerance_is_refused_before_any_evaluation(ubar, bad):
     with pytest.raises(ValueError, match="tol"):
         integrate_biradial(_unevaluable_integrand(), tol=bad)
     with pytest.raises(ValueError, match="tol"):
         integrate_field(_unevaluable_field(ubar), 2.5, tol=bad)
     with pytest.raises(ValueError, match="tol"):
         fs_quotient(_unevaluable_field(ubar), tol=bad)
-    monkeypatch.setattr(quadrature, "biradial_rule", _unevaluable_integrand().fn)
-    with pytest.raises(ValueError, match="tol"):
-        best_constant_report(tol=bad, mc_samples=1000)
 
 
+# the deepest level is the constant _MAX_LEVEL: any max_level at all is an
+# unknown keyword, refused before anything is evaluated
 @pytest.mark.parametrize("bad", [2.5, 3.0, 0, -1, math.nan, True, "3", None])
 def test_a_bad_max_level_is_refused_before_any_evaluation(ubar, bad):
-    with pytest.raises(ValueError, match="max_level"):
+    with pytest.raises(TypeError, match="max_level"):
         integrate_biradial(_unevaluable_integrand(), max_level=bad)
-    with pytest.raises(ValueError, match="max_level"):
+    with pytest.raises(TypeError, match="max_level"):
         integrate_field(_unevaluable_field(ubar), 2.5, max_level=bad)
 
 
-def test_max_level_one_is_the_first_level_alone():
+def test_max_level_one_is_the_first_level_alone(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
     with pytest.raises(AccuracyError) as info:
-        integrate_biradial(_gate_integrands()["gauge"][0], max_level=np.int64(1))
+        integrate_biradial(_gate_integrands()["gauge"][0])
     assert [row[0] for row in info.value.table] == [1]
 
 
@@ -270,6 +273,21 @@ def test_integrate_field_requires_certificate(ubar):
     bald = dataclasses.replace(ubar, biradial_map=None)
     with pytest.raises(DomainError):
         integrate_field(bald)
+
+
+def test_a_hand_built_field_carries_no_certificate(ubar):
+    # ubar shifted by hand is not bi-radial about the origin: with an identity
+    # certificate by default it integrated to 89,230.6 against a mass of 8.5e6
+    shift = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0])
+
+    def jets(pts, order=2):
+        return ubar.jets(pts - shift, order)
+
+    shifted = ScalarField("hand-shifted", jets, decay=(8.0, 4.0))
+    assert shifted.biradial_map is None
+    with pytest.raises(DomainError, match="carries no bi-radial certificate"):
+        integrate_field(shifted, 2.5)
+    assert constant_field(1.0).biradial_map.is_identity()
 
 
 def test_integrate_field_requires_decay(ubar):
@@ -413,6 +431,21 @@ def test_mc_takes_a_numpy_integer_sample_count(ubar):
     assert mc == integrate_mc(mass, 1000, seed=0)
 
 
+# seed=None drew from OS entropy and recorded None, so the estimate could not
+# be reproduced; True passed as 1 and 1.5 leaked numpy's TypeError
+@pytest.mark.parametrize("bad", [None, True, 1.5, -1, "0"])
+def test_mc_refuses_a_seed_that_is_not_a_whole_number(ubar, bad):
+    with pytest.raises(ValueError, match="seed"):
+        integrate_mc(ubar, 1000, seed=bad)
+
+
+def test_mc_records_a_numpy_integer_seed_as_an_int(ubar):
+    mass = power_compose(ubar, 2.5, tag="mass")
+    mc = integrate_mc(mass, 1000, seed=np.int64(3))
+    assert mc.seed == 3 and type(mc.seed) is int
+    assert mc == integrate_mc(mass, 1000, seed=3)
+
+
 # ---------------------------------------------------------------------------
 # The quotient.
 
@@ -546,6 +579,22 @@ def _spin_rotation_loop(a, b):
     return lin
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+        ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
+        ([1.0 + 1e-11, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+        ([math.nan, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+        ([1.0, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]),
+    ],
+)
+def test_spin_rotation_map_refuses_non_unit_quaternions(a, b):
+    # [2, 0, 0, 0] used to give a map of determinant 1024
+    with pytest.raises(DomainError, match="unit quaternions"):
+        spin_rotation_map(a, b)
+
+
 def test_spin_rotation_map_matches_the_loop_form():
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -605,10 +654,12 @@ def test_profile_rule_is_built_once_and_read_only():
     assert not np.array_equal(other.points, rule.points)
 
 
+# the iteration cap is the constant _MAXITER: any maxiter at all is an
+# unknown keyword, refused before the target is evaluated
 @pytest.mark.parametrize("bad", [-1, -5, 1.0, 2.5, math.nan, "3", True, False])
 def test_minimize_rejects_a_bad_maxiter(ubar, bad):
-    with pytest.raises(ValueError, match="maxiter"):
-        minimize_quotient(FamilyParams(), ubar, maxiter=bad)
+    with pytest.raises(TypeError, match="maxiter"):
+        minimize_quotient(FamilyParams(), _unevaluable_field(ubar), maxiter=bad)
 
 
 @pytest.mark.parametrize("bad", [-1, 0.0, [1, 2], None, True, False])
@@ -723,7 +774,8 @@ def test_descent_recovers_the_center_from_a_displaced_seed(planted, monkeypatch)
 
 def test_maxiter_stops_the_descent_unconverged(planted, monkeypatch):
     _displaced_seed(monkeypatch)
-    result = minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0, maxiter=1)
+    monkeypatch.setattr(quadrature, "_MAXITER", 1)
+    result = minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0)
     assert result.converged is False
     assert "maxiter 1 reached" in result.message and "gtol" in result.message
     assert result.restarts == 1
@@ -731,8 +783,9 @@ def test_maxiter_stops_the_descent_unconverged(planted, monkeypatch):
 
 def test_maxiter_zero_only_evaluates_the_seed(planted, monkeypatch):
     _displaced_seed(monkeypatch)  # its peak search counts no jet calls
+    monkeypatch.setattr(quadrature, "_MAXITER", 0)
     start = FamilyParams(nu=_NU, center=_G0)
-    result = minimize_quotient(start, planted, seed=0, maxiter=np.int64(0))
+    result = minimize_quotient(start, planted, seed=0)
     assert result.converged is False and result.nfev == 1
     assert "maxiter 0 reached" in result.message
     np.testing.assert_array_equal(result.params.center, _G0 + 0.1)
