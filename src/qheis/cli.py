@@ -1,9 +1,9 @@
 """Command-line front end over the verification suites.
 
 Every subcommand prints a structured report and exits 0 only if every
-executed check passed.  A failed check, or an error raised inside the
-library (a typed qheis error or any ValueError), exits 1; only argparse
-rejects an invocation, with exit 2.  The
+executed check passed, each at its own tolerance.  A failed check, or an
+error raised inside the library (a typed qheis error or any ValueError),
+exits 1; only argparse rejects an invocation, with exit 2.  The
 `--format json` envelope is {suite, seed, reports: [...]}; csv is the
 same table flattened, except for `best-constant`, where csv means the
 quadrature convergence table of the gauge-kernel integral.  Suites are
@@ -13,7 +13,6 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional
 
@@ -50,23 +49,9 @@ def _seed(text: str) -> int:
     return _integer(text, 0, "a non-negative integer")
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):  # nan, inf and words alike
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed, default=0, help="RNG seed >= 0 (default 0)")
-    common.add_argument(
-        "--tol", type=_tolerance, default=None,
-        help="override every tolerance in the command (exploratory runs)",
-    )
     common.add_argument(
         "--format", dest="fmt", choices=("json", "csv", "text"), default="text",
         help="output format (default text)",
@@ -107,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    config = audit.SuiteConfig(seed=args.seed, samples=args.samples, tol=args.tol)
+    config = audit.SuiteConfig(seed=args.seed, samples=args.samples)
 
     try:
         if args.command == "best-constant":

@@ -85,8 +85,8 @@ class FamilyParams:
     center: Optional[Union[GroupPoint, np.ndarray]] = None
 
     def __post_init__(self):
-        if not (0.0 < self.c < math.inf and 0.0 < self.nu < math.inf):  # False on NaN
-            raise DomainError(f"need finite c, nu > 0, got c={self.c}, nu={self.nu}")
+        _dilation_factor(self.c, "c")
+        _dilation_factor(self.nu, "nu")
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,8 @@ class ScalarField:
         return float(val[0]) if squeeze else val
 
     def jet_batch(self, points: np.ndarray, order: int = 2) -> JetBatch:
-        """Batch evaluation of the jets up to `order`."""
-        if order not in JET_ORDERS:
+        """Batch evaluation of the jets up to `order`, an int in JET_ORDERS, not a bool."""
+        if isinstance(order, bool) or order not in JET_ORDERS:
             raise ValueError(f"jet order must be one of {JET_ORDERS}, got {order!r}")
         pts, _ = _as_batch(points)
         return self.jets(pts, order)

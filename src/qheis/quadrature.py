@@ -351,15 +351,23 @@ def reduced_integrand(u: ScalarField, power: float = 1.0) -> BiRadialIntegrand:
 
     Its `fn` also takes `values`, u at the pulled-back nodes, so that a
     pass which has already evaluated u there need not evaluate it again.
+    A non-integer power needs u >= 0: a negative or NaN value at any node
+    raises DomainError at that level, instead of NaN levels that end in
+    AccuracyError.  Power 1 is a signed integral.
     """
     pull, scale = _node_map(u)
     d_r, d_rho = _require_decay(u)
+    tag = u.tag if power == 1.0 else f"({u.tag})^{power:g}"
+    real_power = not float(power).is_integer()
 
     def fn(r: np.ndarray, rho: np.ndarray, values: Optional[np.ndarray] = None) -> np.ndarray:
         vals = u(pull(_slice_points(r, rho))) if values is None else values
-        return scale * vals if power == 1.0 else scale * vals**power
+        if power == 1.0:
+            return scale * vals
+        if real_power and not np.all(vals >= 0.0):  # False on NaN
+            raise DomainError(f"integrand '{tag}' needs '{u.tag}' >= 0 at every node")
+        return scale * vals**power
 
-    tag = u.tag if power == 1.0 else f"({u.tag})^{power:g}"
     return BiRadialIntegrand(fn=fn, decay=(power * d_r, power * d_rho), tag=tag)
 
 
@@ -1043,8 +1051,15 @@ def _ratio(name: str, num: float, den: float, informational: bool = False) -> Ra
 
 
 def best_constant_report(mc_samples: int = 200_000, seed: int = 0) -> BestConstantReport:
-    """Quadrature at the default tol 1e-9, Monte Carlo and closed forms for the sharp constant."""
-    gauge = integrate_biradial(_GAUGE_KERNEL)
+    """Quadrature, Monte Carlo and closed forms for the sharp constant.
+
+    The gauge integral runs at tol 1e-10, ubar's quotient at the default
+    1e-9.  `mc_samples` (an integer >= 1000) and `seed` (>= 0) are checked
+    as `integrate_mc` checks them, before any quadrature: ValueError.
+    """
+    mc_samples = _whole(mc_samples, "Monte Carlo samples", 1000)
+    seed = _whole(seed, "seed", 0)
+    gauge = integrate_biradial(_GAUGE_KERNEL, tol=1e-10)
     ubar = ubar_field()
     quot = fs_quotient(ubar)
     mass = quot.mass_result  # the ubar^{5/2} integral, computed once

@@ -21,6 +21,7 @@ All functions broadcast over leading axes and are pure.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,12 +148,16 @@ def _audit_twist(twist: np.ndarray) -> None:
 _audit_twist(TWIST)
 
 
-def _dilation_factor(lam) -> float:
-    """A dilation factor as a float: finite and > 0, else DomainError."""
-    lam = float(lam)
-    if not 0.0 < lam < np.inf:  # False on NaN
-        raise DomainError(f"dilation factor must be finite and positive, got {lam}")
-    return lam
+def _dilation_factor(lam, name: str = "dilation factor") -> float:
+    """`lam` as a float if it is a real number, finite and > 0, else DomainError.
+
+    A bool, a string or an array is no such number, although float()
+    would take some of them.
+    """
+    real = isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+    if not (real and 0.0 < lam < np.inf):  # False on NaN
+        raise DomainError(f"{name} must be a finite real number > 0, got {lam!r}")
+    return float(lam)
 
 
 def dilation(lam, g) -> np.ndarray:

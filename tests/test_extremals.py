@@ -197,7 +197,10 @@ def test_left_translation_map_rejects_non_finite_centres(bad):
         left_translation_map(g0)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+# a real number, finite and > 0: float() would take True as 1 and "2" as 2
+@pytest.mark.parametrize(
+    "lam", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "2", np.array([1.0, 2.0]), None]
+)
 @pytest.mark.parametrize(
     "entry",
     [lambda lam: dilation(lam, np.zeros(7)), dilation_map, lambda lam: dilate_field(ubar_field(), lam)],
@@ -206,6 +209,21 @@ def test_left_translation_map_rejects_non_finite_centres(bad):
 def test_dilation_factor_must_be_finite_and_positive(entry, lam):
     with pytest.raises(DomainError):
         entry(lam)
+
+
+def test_dilation_factor_takes_numpy_scalars():
+    np.testing.assert_array_equal(dilation_map(np.float64(2.0)).linear, dilation_map(2.0).linear)
+    np.testing.assert_array_equal(dilation_map(np.int64(2)).linear, dilation_map(2.0).linear)
+
+
+@pytest.mark.parametrize(
+    "c,nu",
+    [(True, 1.0), (1.0, True), ("2", 1.0), (1.0, "x"), (np.array([1.0, 2.0]), 1.0), (1.0, None)],
+    ids=repr,
+)
+def test_family_params_are_real_numbers(c, nu):
+    with pytest.raises(DomainError, match="c must|nu must"):
+        FamilyParams(c=c, nu=nu)
 
 
 @pytest.mark.parametrize("c,nu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])

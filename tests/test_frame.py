@@ -214,7 +214,7 @@ def test_frame_jets_builds_no_rows(ubar, box_points, monkeypatch):
     assert fj.hess.shape == (100, 4, 4) and fj.mixed.shape == (100, 4, 3)
 
 
-@pytest.mark.parametrize("order", [0, 3, 1.5])
+@pytest.mark.parametrize("order", [0, 3, 1.5, True])
 def test_frame_jets_order_is_validated(ubar, order):
     with pytest.raises(ValueError, match="order"):
         frame.frame_jets(ubar, np.zeros(7), order)

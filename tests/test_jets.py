@@ -275,6 +275,13 @@ def test_jet_order_is_validated():
         ubar_field().jet_batch(np.zeros(7), 3)
 
 
+@pytest.mark.parametrize("order", [True, False])
+def test_jet_order_is_not_a_bool(order):
+    # True == 1 and False == 0, yet a flag is no derivative order
+    with pytest.raises(ValueError, match="jet order"):
+        ubar_field().jet_batch(np.zeros(7), order)
+
+
 def _nested_pullback(u, amap, amplitude=1.0):
     """Reference: one closure per motion, each applying its own chain rule."""
     lin = amap.linear

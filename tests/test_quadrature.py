@@ -446,6 +446,72 @@ def test_mc_records_a_numpy_integer_seed_as_an_int(ubar):
     assert mc == integrate_mc(mass, 1000, seed=3)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"seed": True}, {"seed": -1}, {"seed": 1.5}, {"mc_samples": 999}],
+    ids=["seed=True", "seed=-1", "seed=1.5", "mc_samples=999"],
+)
+def test_best_constant_report_checks_its_sample_before_any_quadrature(monkeypatch, bad):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(quadrature, "integrate_biradial", unreached)
+    monkeypatch.setattr(quadrature, "_refine", unreached)
+    with pytest.raises(ValueError, match="seed|samples"):
+        best_constant_report(**{"mc_samples": 1000, **bad})
+
+
+def _levels_evaluated(monkeypatch) -> list:
+    levels = []
+    rule = quadrature.biradial_rule
+
+    def counted(level, n_nodes=quadrature._N_NODES):
+        levels.append(level)
+        return rule(level, n_nodes)
+
+    monkeypatch.setattr(quadrature, "biradial_rule", counted)
+    return levels
+
+
+def test_a_negative_field_fails_at_the_first_level(ubar, monkeypatch):
+    # u^{5/2} of a negative u is no number: a DomainError at level 1, not
+    # NaN levels up to 7 that end in AccuracyError
+    levels = _levels_evaluated(monkeypatch)
+    negative = power_compose(ubar, 1.0, -1.0, tag="negative")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no "invalid value in power"
+        with pytest.raises(DomainError, match=r"\(negative\)\^2.5"):
+            fs_quotient(negative)
+        assert levels == [1]
+        del levels[:]
+        with pytest.raises(DomainError, match=r"\(negative\)\^2.5"):
+            integrate_field(negative, 2.5)
+        assert levels == [1]
+
+
+def test_a_nan_node_fails_a_real_power_at_the_first_level(ubar, monkeypatch):
+    def jets(pts, order=2):
+        out = ubar.jets(pts, order)
+        value = out[0].copy()
+        value[0] = math.nan
+        return (value,) + out[1:]
+
+    levels = _levels_evaluated(monkeypatch)
+    with pytest.raises(DomainError, match="at every node"):
+        integrate_field(dataclasses.replace(ubar, jets=jets, tag="holed"), 2.5)
+    assert levels == [1]
+
+
+def test_integer_powers_take_a_signed_field(ubar):
+    negative = power_compose(ubar, 1.0, -1.0, tag="negative")
+    r, rho = np.array([0.0, 0.5, 2.0]), np.array([0.0, 0.1, 3.0])
+    np.testing.assert_array_equal(
+        quadrature.reduced_integrand(negative).fn(r, rho),
+        -quadrature.reduced_integrand(ubar).fn(r, rho),
+    )
+    assert integrate_field(negative, 2.0) == integrate_field(ubar, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # The quotient.
 
