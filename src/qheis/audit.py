@@ -43,10 +43,11 @@ Control checks that must *fail to vanish* store the shortfall
 max(0, floor - observed) as their residual so the same rule applies.
 Suites are deterministic given a seed; wall-clock seconds are the only
 field allowed to differ between runs, and `reports_equal` compares
-everything but them.  One recorder, `_Checks`, builds every line: a line's
-seconds run from the previous check's lines (or the start of the suite) to
-its own, so they cover the work between checks too, such as sample draws,
-and lines graded from one computation share one time.
+everything but them, taking a NaN residual as equal to a NaN residual.
+One recorder, `_Checks`, builds every line: a line's seconds run from the
+previous check's lines (or the start of the suite) to its own, so they
+cover the work between checks too, such as sample draws, and lines graded
+from one computation share one time.
 """
 
 from __future__ import annotations
@@ -257,12 +258,21 @@ class _Checks:
 
 
 def reports_equal(a, b) -> bool:
-    """Field-by-field equality ignoring the wall-clock seconds."""
+    """Field-by-field equality ignoring the wall-clock seconds.
+
+    Residuals compare by value with NaN equal to NaN, so two runs that fail
+    a line by the same NaN residual are equal.
+    """
     a, b = list(a), list(b)
     if len(a) != len(b):
         return False
-    keyed = lambda r: (r.check, r.samples, r.max_residual, r.tolerance, r.passed, r.provenance)
-    return all(keyed(x) == keyed(y) for x, y in zip(a, b))
+    keyed = lambda r: (r.check, r.samples, r.tolerance, r.passed, r.provenance)
+    return all(
+        keyed(x) == keyed(y)
+        and (x.max_residual == y.max_residual
+             or math.isnan(x.max_residual) and math.isnan(y.max_residual))
+        for x, y in zip(a, b)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,13 @@ The closed-form conformal factors
 and the amplitude-normalized powers built on them (ubar with amplitude 2^10,
 the extremal v with amplitude 2^11 sqrt(3) pi^{-3/5}) are the only fields in
 the package with hand-written jets; everything else differentiates formulas
-forward.  The hand jets keep the quadrature hot path cheap and are pinned
-against the forward-mode lift in the tests.
+forward.  One hand kernel, `_family_jets`, gives the jets of coef h^alpha:
+h_family and the translated family are alpha = 1, ubar and v are alpha = -2
+with their amplitudes, bitwise what `power_compose` of h gives.  It builds
+order-2 Hessians points-last, so each step runs over all points at once
+instead of over 7 or 49 entries per point.  The hand jets keep the
+quadrature and the bubble search cheap and are pinned against the
+forward-mode lift in the tests.
 
 The sphere <-> group dictionary is the quaternionic Cayley pair with the
 boundary identification (q, w) <-> (q, |q|^2 - w), the inversion sigma, and
@@ -33,7 +38,6 @@ from .jets import (
     affine_pullback,
     autodiff_lift,
     compose,
-    power_compose,
 )
 from .quaternions import (
     TWIST,
@@ -111,12 +115,20 @@ class SpherePoint:
 # The conformal-factor family and its powers.
 
 
-def _family_jets(c, nu):
-    """Hand-differentiated jets of c[(1 + nu r^2)^2 + nu^2 rho^2], up to `order`;
-    c and nu are scalars, or arrays giving each of the N rows its own member."""
+def _family_jets(c, nu, alpha=1.0, coef=1.0):
+    """Hand-differentiated jets of coef h^alpha, h = c[(1 + nu r^2)^2 + nu^2 rho^2],
+    up to `order`; c and nu are scalars, or arrays giving each of the N rows
+    its own member.
+
+    (alpha, coef) = (1, 1) is h itself; any other pair is power_compose's
+    chain rule on h's jets, with its arithmetic, so for alpha < 0 < coef, the
+    bubbles ubar and v, the jets are bitwise power_compose(h, alpha, coef)'s
+    (otherwise up to the sign of a zero Hessian entry).  Order 2 is built
+    points-last, in one (7, 7, N) array copied once into the (N, 7, 7) Hessian.
+    """
     b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
-    if np.ndim(c):  # per-row coefficients, broadcast against the trailing axes
-        b, e = b[:, None], e[:, None, None]
+    b_rows = b[:, None] if np.ndim(c) else b  # per-row b against the (N, 3) w-columns
+    power = (alpha, coef) != (1.0, 1.0)
 
     def jets(pts: np.ndarray, order: int = 2):
         q = pts[:, :4]
@@ -124,22 +136,43 @@ def _family_jets(c, nu):
         r2 = np.einsum("ni,ni->n", q, q)
         lin = 1.0 + nu * r2
         val = c * (lin * lin + nu * nu * np.einsum("ni,ni->n", w, w))
+        out = (coef * val**alpha,) if power else (val,)
         if order == 0:
-            return (val,)
-        slope = ((4.0 * c * nu) * lin)[:, None]
+            return out
+        slope = (4.0 * c * nu) * lin
         grad = np.empty_like(pts)
-        np.multiply(slope, q, out=grad[:, :4])
-        np.multiply(b, w, out=grad[:, 4:7])
+        np.multiply(slope[:, None], q, out=grad[:, :4])
+        np.multiply(b_rows, w, out=grad[:, 4:7])
+        if power:
+            fp = coef * alpha * val ** (alpha - 1.0)
+            out += (fp[:, None] * grad,)
+        else:
+            out += (grad,)
         if order == 1:
-            return val, grad
-        hess = np.zeros((pts.shape[0], 7, 7))
-        np.einsum("ni,nj->nij", q, q, out=hess[:, :4, :4])
-        hess[:, :4, :4] *= e
-        diag = np.arange(4)
-        hess[:, diag, diag] += slope
-        vdiag = np.arange(4, 7)
-        hess[:, vdiag, vdiag] = b
-        return val, grad, hess
+            return out
+        n = pts.shape[0]
+        if power:  # fpp g g^T, to which fp H_h is added
+            fpp = coef * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
+            gt = np.ascontiguousarray(grad.T)
+            # einsum sums into a zeroed output, so a -0 product comes out +0
+            # there, as power_compose's points-first einsum has it
+            hess = np.einsum("in,jn->ijn", gt, gt)
+            hess *= fpp
+        else:
+            hess = np.zeros((7, 7, n))
+        # H_h = e q q^T + slope I4 on the q-block and b I3 on the w-block, added
+        # a q-row at a time onto the zeros or fpp g g^T beneath, whose +0 turns
+        # a -0 product of coordinates into +0
+        qt = np.ascontiguousarray(q.T)
+        for i in range(4):
+            row = qt[i] * qt
+            row *= e
+            row[i] += slope
+            if power:
+                row *= fp
+            hess[i, :4] += row
+        hess.reshape(49, n)[32::8] += (fp * b) if power else b  # the w-diagonal
+        return out + (np.ascontiguousarray(hess.transpose(2, 0, 1)),)
 
     return jets
 
@@ -164,14 +197,24 @@ def h_family(params: FamilyParams) -> ScalarField:
     )
 
 
+def _bubble(amplitude: float, tag: str) -> ScalarField:
+    """amplitude h^{-2} for the unit member h of the family, by the hand kernel."""
+    return ScalarField(
+        tag=tag,
+        jets=_family_jets(1.0, 1.0, -2.0, amplitude),
+        biradial_map=AffineMap.identity(),
+        decay=(8.0, 4.0),  # h decays like (-4, -2)
+    )
+
+
 def ubar_field() -> ScalarField:
     """The amplitude-2^10 entire solution 2^10 [(1+|q|^2)^2 + |w|^2]^{-2}."""
-    return power_compose(h_family(FamilyParams()), -2.0, 2.0**10, tag="ubar")
+    return _bubble(2.0**10, "ubar")
 
 
 def v_field() -> ScalarField:
     """The mass-normalized extremal 2^11 sqrt(3) pi^{-3/5} [(1+|q|^2)^2+|w|^2]^{-2}."""
-    return power_compose(h_family(FamilyParams()), -2.0, V_AMPLITUDE, tag="v")
+    return _bubble(V_AMPLITUDE, "v")
 
 
 def pde_residual(fj: FrameJet) -> np.ndarray:

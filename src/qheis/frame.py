@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError
-from .jets import ScalarField, _as_batch, _max_abs
+from .jets import ScalarField, _as_batch, _jet_order, _max_abs
 from .quaternions import TWIST
 
 __all__ = [
@@ -160,14 +160,13 @@ class FrameJet:
 
 
 def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
-    """Every frame derivative of f up to `order` (1 or 2) at p.
+    """Every frame derivative of f up to `order` (1 or 2, a whole number) at p.
 
     p is one point or an (N, 7) batch; the arrays are batched either way.
     The frame Hessian is not symmetric: its antisymmetric part carries the
     commutators, hess[a,b] - hess[b,a] = -2 sum_s omega_s(e_a, e_b) (xi_s f).
     """
-    if order not in (1, 2):
-        raise ValueError(f"frame jet order must be 1 or 2, got {order!r}")
+    order = _jet_order(order, (1, 2))
     pts, _ = _as_batch(p)
     jet = f.jet_batch(pts, order)
     value, grad = jet[0], jet[1]

@@ -21,6 +21,7 @@ substitute for jets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -116,11 +117,26 @@ class ScalarField:
         return float(val[0]) if squeeze else val
 
     def jet_batch(self, points: np.ndarray, order: int = 2) -> JetBatch:
-        """Batch evaluation of the jets up to `order`, an int in JET_ORDERS, not a bool."""
-        if isinstance(order, bool) or order not in JET_ORDERS:
-            raise ValueError(f"jet order must be one of {JET_ORDERS}, got {order!r}")
+        """Batch evaluation of the jets up to `order`, a whole number in JET_ORDERS."""
+        order = _jet_order(order, JET_ORDERS)
         pts, _ = _as_batch(points)
         return self.jets(pts, order)
+
+
+def _jet_order(order, orders: tuple[int, ...]) -> int:
+    """`order` as an int in `orders`, else ValueError.
+
+    A derivative order is a whole number: Python and numpy integers pass
+    through `operator.index`, while a bool (True == 1) and a float (1.0,
+    np.float64(1)) are refused.
+    """
+    try:
+        index = None if isinstance(order, bool) else operator.index(order)
+    except TypeError:
+        index = None
+    if index not in orders:
+        raise ValueError(f"jet order must be one of {orders}, got {order!r}")
+    return index
 
 
 def _as_batch(points) -> tuple[np.ndarray, bool]:

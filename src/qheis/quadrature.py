@@ -612,6 +612,11 @@ def _unit_quaternion(rng: np.random.Generator) -> np.ndarray:
 
 _E4 = np.eye(4)
 
+# TWIST[a, s, b] has exactly one nonzero a for each (s, b): that a and the
+# entry (+-2), both (3, 4), so y . TWIST is _TWIST_SIGN * y[_TWIST_A] exactly
+_TWIST_A = np.argmax(TWIST != 0.0, axis=0)
+_TWIST_SIGN = np.take_along_axis(TWIST, _TWIST_A[None], axis=0)[0]
+
 
 def spin_rotation_map(a, b) -> AffineMap:
     """The automorphism (q, omega) -> (a q conj(b), a omega conj(a)).
@@ -665,9 +670,9 @@ class _ProfileRule:
         self.points = np.concatenate([slices @ k.linear.T for k in maps])
         # d/dr and d/drho of the rotated slice point, (maps, 2, 7)
         self.dirs = np.stack([k.linear[:, [0, 6]].T for k in maps])
-        # e_q . TWIST of both directions of each map, laid out as (maps, 3, 2 * 4)
-        dir_twist = np.einsum("mka,asb->mskb", self.dirs[..., :4], TWIST)
-        self.dir_twist = dir_twist.reshape(rotations, 3, 8)
+        # e_q . TWIST of both directions of each map, laid out as (maps, 2 * 4, 3)
+        dir_twist = np.einsum("mka,asb->mkbs", self.dirs[..., :4], TWIST)
+        self.dir_twist = dir_twist.reshape(rotations, 8, 3)
         self.n_maps = rotations
         self.n_nodes = self.r.size
         for arr in (self.r, self.rho, self.w, self.points, self.dirs, self.dir_twist):
@@ -696,7 +701,11 @@ class _ProfileRule:
         passes read one folded pullback at the rule's own points x: the
         candidate motion composes with the target's map (see
         `_detransformed`), so the points go through one affine map and the
-        jets come back in x.
+        jets come back in x.  The gradient is assembled points-last, on
+        (maps, nodes) planes: the point-dependent y_q . TWIST is applied
+        through TWIST's one nonzero entry per (s, b), and the turn of the
+        slice directions through one matmul per map, never a matmul per
+        point.
         """
         mu = nu**-0.5
         m, n = self.n_maps, self.n_nodes
@@ -718,27 +727,37 @@ class _ProfileRule:
         if not gradient:
             return value
 
-        # The centre gradient from the x-jets: delta_mu^{-1} takes the columns
-        # (g, H e_r, H e_rho) to y up to the translation's linear part, which
-        # folds with dy/dcenter into J(y) = [[-I4, 0], [y_q . TWIST, -I3]],
+        # The centre gradient from the x-jets, points-last: the columns
+        # (g, H e_r, H e_rho) as (3, 7, maps, nodes).  delta_mu^{-1} takes them
+        # to y up to the translation's linear part, which folds with
+        # dy/dcenter into J(y) = [[-I4, 0], [y_q . TWIST, -I3]],
         # y_q = mu x_q - center_q; the columns are pulled back by J^T
         h_dirs = (jet[2].reshape(m, n * DIM, DIM) @ dirs).reshape(m, n, DIM, 2)
-        cols = np.concatenate([t[..., None], h_dirs], axis=3)
-        cols[:, :, :4] /= mu
-        cols[:, :, 4:] /= mu * mu
-        y_q = mu * self.points[:, :4] - center[:4]
-        twist = np.tensordot(y_q, TWIST, axes=1).reshape(m, n, 3, 4)
-        pulled = np.concatenate(
-            [np.swapaxes(twist, 2, 3) @ cols[:, :, 4:] - cols[:, :, :4], -cols[:, :, 4:]], axis=2
-        )
+        cols = np.empty((3, DIM, m, n))
+        cols[0] = t.transpose(2, 0, 1)
+        cols[1:] = h_dirs.transpose(3, 2, 0, 1)
+        cols[:, :4] /= mu
+        cols[:, 4:] /= mu * mu
+        # y_q . TWIST on the (maps, nodes) planes, (3, 4, m, n), and the q-rows
+        # of J^T cols: (y_q . TWIST)^T cols_w - cols_q, a sum over s
+        y_q = mu * self.points[:, :4].T.reshape(4, m, n) - center[:4, None, None]
+        twist = _TWIST_SIGN[..., None, None] * y_q[_TWIST_A]
+        pulled = np.empty_like(cols)
+        q_rows = pulled[:, :4]
+        np.multiply(twist[0], cols[:, 4, None], out=q_rows)
+        q_rows += twist[1] * cols[:, 5, None]
+        q_rows += twist[2] * cols[:, 6, None]
+        q_rows -= cols[:, :4]
+        np.negative(cols[:, 4:], out=pulled[:, 4:])
         # the directions turn with the center: d(e at y)/dcenter_q = [0; mu e_q . TWIST]
-        turn = (cols[:, :, 4:, 0] @ self.dir_twist).reshape(m, n, 2, 4)
-        pulled[:, :, :4, 1:] += mu * np.swapaxes(turn, 2, 3)
-        d_val = pulled[..., 0]
-        d_r, d_rho = np.moveaxis(pulled[..., 1:].mean(axis=0), 2, 0)
-        d_num = 2.0 * (self.w @ (p_r[:, None] * d_r + (4.0 * self.r**2 * p_rho)[:, None] * d_rho))
-        d_mass = 2.5 * (self.w @ (profile[:, None] ** 1.5 * d_val.mean(axis=0)))
-        d_spread = 2.0 * (self.w @ ((val - profile)[..., None] * d_val).mean(axis=0))
+        turn = (self.dir_twist @ cols[0, 4:].transpose(1, 0, 2)).reshape(m, 2, 4, n)
+        turn *= mu
+        pulled[1:, :4] += turn.transpose(1, 2, 0, 3)
+        d_val = pulled[0]
+        d_r, d_rho = pulled[1:].mean(axis=2)
+        d_num = 2.0 * ((p_r * d_r + (4.0 * self.r**2 * p_rho) * d_rho) @ self.w)
+        d_mass = 2.5 * ((profile**1.5 * d_val.mean(axis=1)) @ self.w)
+        d_spread = 2.0 * (((val - profile) * d_val).mean(axis=1) @ self.w)
         d_denom = 0.8 * mass**-0.2 * d_mass
         grad = (d_num - num * d_denom / denom) / denom
         grad += gamma * (d_spread - spread * d_denom / denom) / denom

@@ -121,11 +121,15 @@ def _cli_verdicts(command, capsys) -> tuple[int, dict]:
 
 
 def _flip_vertical_hessian(monkeypatch):
-    """Seed a sign flip on the (w, w) block of the family's hand Hessian."""
+    """Seed a sign flip on the (w, w) block of the family's hand Hessian.
+
+    The one hand kernel serves the family and its powers, so the flip reaches
+    h_family, the translated family, ubar and v alike.
+    """
     family_jets = extremals._family_jets
 
-    def faulty(c, nu):
-        jets = family_jets(c, nu)
+    def faulty(c, nu, alpha=1.0, coef=1.0):
+        jets = family_jets(c, nu, alpha, coef)
 
         def flipped(pts, order=2):
             out = jets(pts, order)
@@ -634,6 +638,24 @@ def test_suite_determinism():
     b = run_suite("frames", SuiteConfig(seed=42))
     assert reports_equal(a, b)
     assert not reports_equal(a, run_suite("frames", SuiteConfig(seed=43)))
+
+
+def test_reports_equal_takes_two_nan_residuals_as_equal():
+    # a run that fails a line by NaN is as deterministic as one that passes:
+    # two separately built NaNs are no identical objects, yet equal residuals
+    a = [Report("x", 1, math.nan, 1.0, "p", 0.0)]
+    b = [Report("x", 1, float("nan"), 1.0, "p", 2.0)]
+    assert reports_equal(a, b)
+    assert not reports_equal(a, [Report("x", 1, 0.5, 1.0, "p", 0.0)])
+    assert not reports_equal([Report("x", 1, 0.5, 1.0, "p", 0.0)], a)
+
+
+def test_reports_equal_tells_different_residuals_apart():
+    a = [Report("x", 1, 0.5, 1.0, "p", 0.0)]
+    assert reports_equal(a, [Report("x", 1, 0.5, 1.0, "p", 3.0)])  # seconds are ignored
+    assert not reports_equal(a, [Report("x", 1, 0.25, 1.0, "p", 0.0)])
+    assert not reports_equal(a, [Report("x", 1, -0.5, 1.0, "p", 0.0)])
+    assert not reports_equal(a, [Report("x", 1, math.inf, 1.0, "p", 0.0)])
 
 
 # the seed's integer rule: a bool or a string is no sample count either

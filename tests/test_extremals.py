@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qheis import extremals
 from qheis.errors import DomainError, SingularityError
 from qheis.extremals import (
     V_AMPLITUDE,
@@ -30,6 +31,7 @@ from qheis.extremals import (
     v_field,
 )
 from qheis.frame import frame_jets, sub_laplacian
+from qheis.jets import AffineMap, ScalarField, power_compose
 from qheis.quaternions import TWIST, GroupPoint, dilation, group_inv, group_mul
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
@@ -159,6 +161,85 @@ def test_translated_family_rejects_a_mismatched_batch(rng):
         _translated_family(c, nu[:-1], g0).jet_batch(pts)
     with pytest.raises(ValueError):
         _translated_family(c, nu, g0[:-1]).jet_batch(pts)
+
+
+def _points_first_family_jets(c, nu):
+    """Reference: the family's hand jets built points-first, (N, 7, 7) Hessians."""
+    b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
+    if np.ndim(c):
+        b, e = b[:, None], e[:, None, None]
+
+    def jets(pts, order=2):
+        q, w = pts[:, :4], pts[:, 4:7]
+        lin = 1.0 + nu * np.einsum("ni,ni->n", q, q)
+        val = c * (lin * lin + nu * nu * np.einsum("ni,ni->n", w, w))
+        slope = ((4.0 * c * nu) * lin)[:, None]
+        grad = np.empty_like(pts)
+        np.multiply(slope, q, out=grad[:, :4])
+        np.multiply(b, w, out=grad[:, 4:7])
+        hess = np.zeros((pts.shape[0], 7, 7))
+        np.einsum("ni,nj->nij", q, q, out=hess[:, :4, :4])
+        hess[:, :4, :4] *= e
+        hess[:, range(4), range(4)] += slope
+        hess[:, range(4, 7), range(4, 7)] = b
+        return (val, grad, hess)[: order + 1]
+
+    return jets
+
+
+def _kernel_points(rng):
+    """Generic points of [-3, 3]^7 plus rows with +-0 coordinates."""
+    pts = rng.uniform(-3.0, 3.0, size=(400, 7))
+    pts[:20] = 0.0
+    pts[20:40, 4:] = 0.0
+    pts[40:60, :4] = -0.0
+    pts[60:100] = rng.integers(-1, 2, size=(40, 7))
+    pts[100:120, 1::2] = -0.0
+    return pts
+
+
+def _assert_bitwise(field, reference, pts):
+    """Equal bytes at orders 0-2 (signed zeros count); lower orders prefix order 2."""
+    full = field.jet_batch(pts, 2)
+    for order in (0, 1, 2):
+        jet = field.jet_batch(pts, order)
+        expected = reference.jet_batch(pts, order)
+        assert len(jet) == len(expected) == order + 1
+        for part, ref, prefix in zip(jet, expected, full):
+            assert part.shape == ref.shape and part.tobytes() == ref.tobytes()
+            assert part.tobytes() == prefix.tobytes()
+
+
+@pytest.mark.parametrize("amplitude, build", [(2.0**10, ubar_field), (V_AMPLITUDE, v_field)])
+def test_bubble_kernel_is_bitwise_the_composed_power(rng, amplitude, build):
+    # the one hand kernel computes coef h^alpha in place of power_compose of h,
+    # and must give it bit for bit: against today's h_family and against the
+    # points-first hand jets of h
+    pts = _kernel_points(rng)
+    bubble = build()
+    _assert_bitwise(bubble, power_compose(h_family(FamilyParams()), -2.0, amplitude), pts)
+    points_first = ScalarField("h", _points_first_family_jets(1.0, 1.0), AffineMap.identity())
+    _assert_bitwise(bubble, power_compose(points_first, -2.0, amplitude), pts)
+    assert bubble.decay == (8.0, 4.0) and bubble.biradial_map.is_identity()
+
+
+def test_family_kernel_is_bitwise_the_points_first_jets(rng):
+    pts = _kernel_points(rng)
+    member = h_family(FamilyParams(c=1.7, nu=0.6))
+    _assert_bitwise(member, ScalarField("h", _points_first_family_jets(1.7, 0.6)), pts)
+    c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, len(pts)))
+    rows = ScalarField("rows", extremals._family_jets(c, nu))
+    _assert_bitwise(rows, ScalarField("h", _points_first_family_jets(c, nu)), pts)
+
+
+def test_translated_family_is_bitwise_the_points_first_build(rng, monkeypatch):
+    pts = _kernel_points(rng)
+    c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, len(pts)))
+    g0 = rng.uniform(-1.0, 1.0, size=(len(pts), 7))
+    g0[::3] = 0.0
+    batch = _translated_family(c, nu, g0)
+    monkeypatch.setattr(extremals, "_family_jets", _points_first_family_jets)
+    _assert_bitwise(batch, _translated_family(c, nu, g0), pts)
 
 
 def test_left_translation_map_is_the_twist_matrix(rng):

@@ -220,6 +220,19 @@ def test_frame_jets_order_is_validated(ubar, order):
         frame.frame_jets(ubar, np.zeros(7), order)
 
 
+@pytest.mark.parametrize("order", [1.0, 2.0, np.float64(2), np.int64(0)])
+def test_frame_jets_order_is_a_whole_number_in_one_or_two(ubar, order):
+    # the jets' rule: a float order is refused even where it equals 1 or 2
+    with pytest.raises(ValueError, match="jet order"):
+        frame.frame_jets(ubar, np.zeros((2, 7)), order)
+
+
+@pytest.mark.parametrize("order", [np.int64(1), np.int32(2)])
+def test_frame_jets_take_numpy_integer_orders(ubar, order):
+    fj = frame.frame_jets(ubar, np.zeros((2, 7)), order)
+    assert (fj.hess is None) == (order == 1)
+
+
 def test_ubar_origin_jets(ubar):
     p0 = np.zeros(7)
     assert ubar(p0) == 1024.0

@@ -282,6 +282,19 @@ def test_jet_order_is_not_a_bool(order):
         ubar_field().jet_batch(np.zeros(7), order)
 
 
+@pytest.mark.parametrize("order", [1.0, 2.0, 0.0, np.float64(1), np.float32(2), np.True_])
+def test_jet_order_is_a_whole_number(order):
+    # 1.0 == 1, yet a float is no derivative order: one rule, operator.index
+    with pytest.raises(ValueError, match="jet order"):
+        ubar_field().jet_batch(np.zeros((2, 7)), order)
+
+
+@pytest.mark.parametrize("order", [np.int64(0), np.int32(1), np.uint8(2)])
+def test_jet_order_takes_numpy_integers(order):
+    jet = ubar_field().jet_batch(np.zeros((2, 7)), order)
+    assert len(jet) == int(order) + 1
+
+
 def _nested_pullback(u, amap, amplitude=1.0):
     """Reference: one closure per motion, each applying its own chain rule."""
     lin = amap.linear

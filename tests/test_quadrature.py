@@ -44,7 +44,7 @@ from qheis.quadrature import (
     minimize_quotient,
     spin_rotation_map,
 )
-from qheis.quaternions import group_mul, quat_conj, quat_mul
+from qheis.quaternions import TWIST, group_mul, quat_conj, quat_mul
 
 # ---------------------------------------------------------------------------
 # Oracles.  Both half-line reductions of the gauge integral are instances of
@@ -782,6 +782,63 @@ def test_center_gradient_matches_central_differences(planted):
                 - rule.objective(planted, _NU, center - e, 10.0)
             ) / (2.0 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def _points_first_center_gradient(rule, target, nu, center, gamma):
+    """Reference: the centre gradient assembled points-first, (m, n, 7, 3) columns.
+
+    The same chain rule as `_ProfileRule.objective`, with y_q . TWIST as one
+    (3, 4) matrix per point and the pulled-back columns formed by per-point
+    matmuls.
+    """
+    mu = nu**-0.5
+    m, n = rule.n_maps, rule.n_nodes
+    jet = quadrature._detransformed(target, nu, center).jet_batch(rule.points, 2)
+    dirs = np.swapaxes(rule.dirs, 1, 2)
+    t = jet[1].reshape(m, n, 7)
+    val = jet[0].reshape(m, n)
+    profile = val.mean(axis=0)
+    p_r, p_rho = (t @ dirs).mean(axis=0).T
+    num = float(rule.w @ (p_r**2 + 4.0 * rule.r**2 * p_rho**2))
+    mass = float(rule.w @ profile**2.5)
+    denom = mass**0.8
+    spread = float(rule.w @ val.var(axis=0))
+    h_dirs = (jet[2].reshape(m, n * 7, 7) @ dirs).reshape(m, n, 7, 2)
+    cols = np.concatenate([t[..., None], h_dirs], axis=3)
+    cols[:, :, :4] /= mu
+    cols[:, :, 4:] /= mu * mu
+    y_q = mu * rule.points[:, :4] - center[:4]
+    twist = np.tensordot(y_q, TWIST, axes=1).reshape(m, n, 3, 4)
+    pulled = np.concatenate(
+        [np.swapaxes(twist, 2, 3) @ cols[:, :, 4:] - cols[:, :, :4], -cols[:, :, 4:]], axis=2
+    )
+    dir_twist = np.einsum("mka,asb->mskb", rule.dirs[..., :4], TWIST).reshape(m, 3, 8)
+    turn = (cols[:, :, 4:, 0] @ dir_twist).reshape(m, n, 2, 4)
+    pulled[:, :, :4, 1:] += mu * np.swapaxes(turn, 2, 3)
+    d_val = pulled[..., 0]
+    d_r, d_rho = np.moveaxis(pulled[..., 1:].mean(axis=0), 2, 0)
+    d_num = 2.0 * (rule.w @ (p_r[:, None] * d_r + (4.0 * rule.r**2 * p_rho)[:, None] * d_rho))
+    d_mass = 2.5 * (rule.w @ (profile[:, None] ** 1.5 * d_val.mean(axis=0)))
+    d_spread = 2.0 * (rule.w @ ((val - profile)[..., None] * d_val).mean(axis=0))
+    d_denom = 0.8 * mass**-0.2 * d_mass
+    grad = (d_num - num * d_denom / denom) / denom
+    return grad + gamma * (d_spread - spread * d_denom / denom) / denom
+
+
+@pytest.mark.parametrize("g0, nu", [
+    (_G0, _NU),
+    (np.array([-0.4, 0.1, 0.3, -0.2, 0.5, 0.2, -0.4]), 0.7),
+    (np.array([0.1, 0.4, -0.3, 0.0, -0.3, 0.4, 0.2]), 2.3),
+])
+def test_center_gradient_matches_the_points_first_assembly(g0, nu):
+    # three planted bubbles, each read at the planted centre moved by up to 0.1
+    target = translate_field(dilate_field(ubar_field(), math.sqrt(nu)), g0)
+    rule = quadrature._profile_rule(2, 10, 3, 0)
+    center = g0 + np.random.default_rng(5).uniform(-0.1, 0.1, 7)
+    value, grad = rule.objective(target, nu, center, 10.0, gradient=True)
+    reference = _points_first_center_gradient(rule, target, nu, center, 10.0)
+    assert value == rule.objective(target, nu, center, 10.0)
+    assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_objective_is_nan_where_the_target_leaves_the_rule(planted):
