@@ -63,7 +63,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import conformal, frame
-from .errors import DomainError
+from .errors import DomainError, _whole
 from .extremals import (
     FamilyParams,
     _translated_family,
@@ -82,7 +82,6 @@ from .jets import _max_abs, autodiff_lift
 from .quadrature import (
     BiRadialIntegrand,
     _RATIO_TOL,
-    _whole,
     best_constant_report,
     fs_quotient,
     integrate_biradial,
@@ -506,7 +505,7 @@ def _suite_quadrature(config: SuiteConfig) -> list[Report]:
     # no error estimate (stderr 0) cannot certify agreement; NaN stays NaN
     z = abs(mc.value - record.mass_closed_form) / mc.stderr if mc.stderr else math.inf
     checks.add(
-        ("gauge-closed-form", record.gauge_table[-1][3], residual, 1e-8, "closed-form"),
+        ("gauge-closed-form", record.gauge.table[-1][3], residual, 1e-8, "closed-form"),
         ("mass-mc-agreement", n, z, 3.0, "cross-check"),
     )
 

@@ -98,7 +98,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "best-constant":
             record, reports = audit.best_constant_reports(config)
             if args.fmt == "csv":
-                text = convergence_csv(record.gauge_table)
+                text = convergence_csv(record.gauge.table)
             elif args.fmt == "text":
                 text = record.as_text() + "\n"
             else:

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two argument rules.
+
+Every module imports this one, so each rule is written here once: `_whole`
+for a whole number in a range (ValueError) and `_positive` for a finite
+real number > 0 (DomainError).  Neither takes a bool.
+"""
+
+import numbers
+import operator
 
 
 class DomainError(ValueError):
@@ -23,3 +31,31 @@ class AccuracyError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error = error
+
+
+def _whole(value, name: str, lo: int, hi: int | None = None) -> int:
+    """`value` as an int in lo..hi (no upper end when hi is None), else ValueError.
+
+    Python and numpy integers pass through `operator.index`; a bool
+    (True == 1) and a float (1.0, NaN) are refused.
+    """
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:  # a float, NaN included, or no number at all
+        n = None
+    if n is None or n < lo or (hi is not None and n > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return n
+
+
+def _positive(value, name: str) -> float:
+    """`value` as a float if it is a real number, finite and > 0, else DomainError.
+
+    A bool, a string or an array is no such number, although float()
+    would take some of them.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0.0 < value < float("inf")):  # False on NaN
+        raise DomainError(f"{name} must be a finite real number > 0, got {value!r}")
+    return float(value)

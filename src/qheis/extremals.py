@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, _positive
 from .frame import FrameJet, sub_laplacian
 from .jets import (
     AffineMap,
@@ -43,7 +43,6 @@ from .quaternions import (
     TWIST,
     GroupPoint,
     Quaternion,
-    _dilation_factor,
     _hamilton,
     as_point,
     as_quat,
@@ -82,15 +81,23 @@ V_AMPLITUDE = 2.0**11 * math.sqrt(3.0) * math.pi ** (-3.0 / 5.0)
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Scale, concentration and center of one family member; c, nu finite and > 0."""
+    """Scale, concentration and center of one family member.
+
+    c and nu are finite and > 0; a center has the 7 coordinates of one
+    group point.
+    """
 
     c: float = 1.0
     nu: float = 1.0
     center: Optional[Union[GroupPoint, np.ndarray]] = None
 
     def __post_init__(self):
-        _dilation_factor(self.c, "c")
-        _dilation_factor(self.nu, "nu")
+        _positive(self.c, "c")
+        _positive(self.nu, "nu")
+        if self.center is not None:
+            shape = np.shape(getattr(self.center, "array", self.center))
+            if np.prod(shape) != 7 or shape[-1] != 7:
+                raise ValueError(f"FamilyParams takes one center of 7 coordinates, got {shape}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +258,7 @@ def left_translation_map(g0) -> AffineMap:
 
 def dilation_map(lam: float) -> AffineMap:
     """The linear map delta_lam = diag(lam I4, lam^2 I3); lam finite and > 0."""
-    lam = _dilation_factor(lam)
+    lam = _positive(lam, "dilation factor")
     return AffineMap(linear=np.diag([lam] * 4 + [lam * lam] * 3), offset=np.zeros(7))
 
 

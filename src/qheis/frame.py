@@ -36,14 +36,13 @@ the runtime guard for that choice.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError
-from .jets import ScalarField, _as_batch, _jet_order, _max_abs
+from .errors import ConsistencyError, _whole
+from .jets import ScalarField, _as_batch, _max_abs
 from .quaternions import TWIST
 
 __all__ = [
@@ -166,7 +165,7 @@ def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
     The frame Hessian is not symmetric: its antisymmetric part carries the
     commutators, hess[a,b] - hess[b,a] = -2 sum_s omega_s(e_a, e_b) (xi_s f).
     """
-    order = _jet_order(order, (1, 2))
+    order = _whole(order, "jet order", 1, 2)
     pts, _ = _as_batch(p)
     jet = f.jet_batch(pts, order)
     value, grad = jet[0], jet[1]
@@ -208,9 +207,7 @@ def commutator_audit(a: int, b: int, p) -> float:
     audited whole: the result is the maximum over every point.  a and b are
     frame indices, integers in {0, 1, 2, 3}; anything else is a ValueError.
     """
-    for i in (a, b):
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i <= 3:
-            raise ValueError(f"frame index must be an integer in 0..3, got {i!r}")
+    a, b = (_whole(i, "frame index", 0, 3) for i in (a, b))
     pts, _ = _as_batch(p)
     rows = frame_rows(pts)
     bracket = rows[:, a] @ _LIN[b].T - rows[:, b] @ _LIN[a].T   # (N, 7)

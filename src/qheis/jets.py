@@ -21,13 +21,12 @@ substitute for jets.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _positive, _whole
 from .quaternions import as_point
 
 __all__ = [
@@ -51,8 +50,6 @@ DIM = 7
 # A batch of jets up to some order: value (N,), gradient (N,7), Hessian
 # (N,7,7), truncated after the requested order.
 JetBatch = tuple[np.ndarray, ...]
-
-JET_ORDERS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -117,26 +114,10 @@ class ScalarField:
         return float(val[0]) if squeeze else val
 
     def jet_batch(self, points: np.ndarray, order: int = 2) -> JetBatch:
-        """Batch evaluation of the jets up to `order`, a whole number in JET_ORDERS."""
-        order = _jet_order(order, JET_ORDERS)
+        """Batch evaluation of the jets up to `order`, a whole number in 0..2."""
+        order = _whole(order, "jet order", 0, 2)
         pts, _ = _as_batch(points)
         return self.jets(pts, order)
-
-
-def _jet_order(order, orders: tuple[int, ...]) -> int:
-    """`order` as an int in `orders`, else ValueError.
-
-    A derivative order is a whole number: Python and numpy integers pass
-    through `operator.index`, while a bool (True == 1) and a float (1.0,
-    np.float64(1)) are refused.
-    """
-    try:
-        index = None if isinstance(order, bool) else operator.index(order)
-    except TypeError:
-        index = None
-    if index not in orders:
-        raise ValueError(f"jet order must be one of {orders}, got {order!r}")
-    return index
 
 
 def _as_batch(points) -> tuple[np.ndarray, bool]:
@@ -493,30 +474,22 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
     An audit, not a derivative engine: O(step^2) truncation plus roundoff
     limits agreement to roughly 1e-6 at step 1e-4 for order-one fields.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    step = _positive(step, "step")
     p = as_point(p).reshape(DIM)
     val, grad, hess = (part[0] for part in f.jet_batch(p, 2))
-
-    def value(x):
-        return f(x)
-
     diffs = []
     for i in range(DIM):
         ei = np.zeros(DIM)
         ei[i] = step
-        fp, fm = value(p + ei), value(p - ei)
+        fp, fm = f(p + ei), f(p - ei)
         diffs.append((fp - fm) / (2 * step) - grad[i])
         d2 = (fp - 2 * val + fm) / step**2
         diffs.append(d2 - hess[i, i])
         for j in range(i + 1, DIM):
             ej = np.zeros(DIM)
             ej[j] = step
-            mixed = (
-                value(p + ei + ej) - value(p + ei - ej)
-                - value(p - ei + ej) + value(p - ei - ej)
-            ) / (4 * step**2)
-            diffs.append(mixed - hess[i, j])
+            cross = f(p + ei + ej) - f(p + ei - ej) - f(p - ei + ej) + f(p - ei - ej)
+            diffs.append(cross / (4 * step**2) - hess[i, j])
     return _max_abs(diffs)
 
 

@@ -44,16 +44,14 @@ import io
 import csv
 import functools
 import math
-import numbers
-import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from . import frame
-from .errors import AccuracyError, ConsistencyError, DomainError
+from .errors import AccuracyError, ConsistencyError, DomainError, _positive, _whole
 from .extremals import (
     FamilyParams,
     dilation_map,
@@ -176,11 +174,10 @@ def biradial_rule(level: int, n_nodes: int = _N_NODES):
 
     Returns flat arrays (r, rho, weight); the weight already contains
     the sphere areas, the r^3 rho^2 measure factors and the Jacobians of
-    the compactification t -> t/(1-t) on both axes.
+    the compactification t -> t/(1-t) on both axes.  `level` is an
+    integer >= 0 and `n_nodes` one >= 1; anything else is a ValueError.
     """
-    if level < 0:
-        raise ValueError("refinement level must be nonnegative")
-    t, wt = _panel_nodes(level, n_nodes)
+    t, wt = _panel_nodes(_whole(level, "level", 0), _whole(n_nodes, "n_nodes", 1))
     radius = t / (1.0 - t)
     jac = 1.0 / (1.0 - t) ** 2
     w_r = _SPHERE3 * radius**3 * jac * wt
@@ -189,33 +186,6 @@ def biradial_rule(level: int, n_nodes: int = _N_NODES):
     rho = np.tile(radius, radius.size)
     w = np.multiply.outer(w_r, w_rho).ravel()
     return r, rho, w
-
-
-def _whole(value, name: str, minimum: int) -> int:
-    """`value` as an int of at least `minimum`; ValueError for anything else.
-
-    A bool is refused although `operator.index` takes it, as
-    `audit.SuiteConfig` refuses it.
-    """
-    try:
-        n = minimum - 1 if isinstance(value, bool) else operator.index(value)
-    except TypeError:  # a float, NaN included, or no number at all
-        n = minimum - 1
-    if n < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return n
-
-
-def _tolerance(tol) -> float:
-    """`tol` as a float if it is a finite number > 0, else ValueError.
-
-    Checked before anything is evaluated: a NaN or negative tolerance
-    could never be met, so every level would be computed in vain.
-    """
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    return float(tol)
 
 
 def _rule_sums(fn, r, rho, w) -> list[float]:
@@ -293,9 +263,10 @@ def integrate_biradial(integrand: BiRadialIntegrand, tol: float = 1e-9) -> Quadr
     that estimate is <= tol * |I_k|, at one of the levels 1 to 7
     (`_MAX_LEVEL`).  On failure raises AccuracyError carrying the best
     estimate, its error and the table.  `tol` must be a finite number > 0;
-    anything else raises ValueError before the integrand is evaluated.
+    anything else raises DomainError before the integrand is evaluated.
     """
-    return _refine(lambda r, rho: (integrand.fn(r, rho),), (integrand.tag,), _tolerance(tol))[0]
+    tol = _positive(tol, "tol")
+    return _refine(lambda r, rho: (integrand.fn(r, rho),), (integrand.tag,), tol)[0]
 
 
 def convergence_csv(table) -> str:
@@ -576,7 +547,7 @@ def fs_quotient(
     `_energy_integrand(u)` or `reduced_integrand(u, 2.5)` alone.  `tol`
     is checked as there, before anything is evaluated.
     """
-    tol = _tolerance(tol)
+    tol = _positive(tol, "tol")
     _energy_biradial_audit(u)
     energy = _energy_integrand(u)
     mass_row = reduced_integrand(u, 2.5)
@@ -792,9 +763,9 @@ class MinimizeResult:
     the extent the recovered motion fails to center the target.  `nfev`
     counts the peak search's jet calls plus the descent's
     objective-and-gradient evaluations; `restarts` is the number of
-    descents run, always 1.  `converged` says whether the descent met its
-    gradient tolerance within `_MAXITER` iterations, and `message` why it
-    stopped.
+    descents run, always 1.  `converged` says whether the peak gave the
+    seed and the descent met its gradient tolerance within `_MAXITER`
+    iterations, and `message` why it stopped.
     """
 
     params: FamilyParams
@@ -849,7 +820,7 @@ def _newton_peak(target: ScalarField, start: np.ndarray):
 
 def _peak_seed(
     target: ScalarField, nu0: float, center0: np.ndarray, bounds: np.ndarray
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, bool]:
     """Starting point [log nu, center] from the target's peak and its curvature.
 
     A translated, dilated bubble peaks exactly at its center, and the
@@ -857,23 +828,24 @@ def _peak_seed(
     with the concentration (it is amplitude-free), so for family
     members the seed is already the answer to rounding and the descent
     only has to confirm it.  For anything else it is still a sensible
-    warm start.  Returns the seed clipped to the box, and the jet calls
-    of the peak search.
+    warm start.  Returns the seed clipped to the box, the jet calls of
+    the peak search, and whether the peak gave the seed (when not, nu0 is
+    kept: the start is off the domain or the curvature ratio not negative).
     """
     # the candidate center undoes a left translation, so the bubble
     # translated by g peaks at inv(g); search near the inverse and
     # invert the location found
     peak, height, _, calls = _newton_peak(target, group_inv(center0))
     center = group_inv(peak)
-    log_nu = math.log(nu0)
+    log_nu, peaked = math.log(nu0), False
     if math.isfinite(height) and height > 0.0:
         # the unit bubble has sub_laplacian/value = -32 at its peak and
         # the ratio scales by nu along the family
         ratio = frame.sub_laplacian(frame.frame_jets(target, peak))[0] / height
         if ratio < 0.0:
-            log_nu = math.log(ratio / -32.0)
+            log_nu, peaked = math.log(ratio / -32.0), True
     theta = np.concatenate([[log_nu], center])
-    return np.clip(theta, -bounds, bounds), calls
+    return np.clip(theta, -bounds, bounds), calls, peaked
 
 
 def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
@@ -947,7 +919,9 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
     estimate, with the exact gradient, for at most `_MAXITER` (200)
     iterations and until max |gradient| <= `_GTOL`.  The reported value is
     the pure profile quotient at the optimum on a finer rule, and nothing
-    else is integrated.  `seed` (the rotations) is an integer >= 0.
+    else is integrated.  `seed` (the rotations) is an integer >= 0.  When
+    the peak gives no seed (see _peak_seed), nu stays at `init.nu` and the
+    result is unconverged, with a message that says so.
     """
     seed = _whole(seed, "seed", 0)  # also the key of the cached rules
     bounds = np.concatenate([[_LOG_NU_BOUND], np.full(DIM, _CENTER_BOUND)])
@@ -955,7 +929,7 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
     if abs(math.log(init.nu)) > _LOG_NU_BOUND or np.any(np.abs(center0) > _CENTER_BOUND):
         raise ValueError("initial guess outside the search box")
 
-    theta0, nfev = _peak_seed(target, init.nu, center0, bounds)
+    theta0, nfev, peaked = _peak_seed(target, init.nu, center0, bounds)
     nu_opt = math.exp(theta0[0])
     rule = _profile_rule(_SEARCH_LEVEL, _SEARCH_NODES, _SEARCH_ROTATIONS, seed)
 
@@ -965,6 +939,9 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
         return value + 1e3 * float(excess @ excess), grad + 2e3 * excess * np.sign(center)
 
     center_opt, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, _MAXITER)
+    if not peaked:  # the descent cannot see nu, so a kept nu0 must not read as converged
+        converged = False
+        message = f"peak seed failed, nu kept at {nu_opt:.6g}; descent: {message}"
     fine = _profile_rule(_SEARCH_LEVEL + 1, _SEARCH_NODES + 2, _SEARCH_ROTATIONS, seed)
     return MinimizeResult(
         params=FamilyParams(c=1.0, nu=nu_opt, center=center_opt),
@@ -990,6 +967,24 @@ _GAUGE_KERNEL = BiRadialIntegrand(
 _RATIO_TOL = 1e-3
 
 
+# The printed constants the ratio lines read, and all seven as
+# (label, value) in display order.
+_S2 = 2.0 * math.sqrt(3.0) * math.pi ** (-0.6)
+_S2_ALT = 15.0**0.1 / (math.pi**0.4 * 2.0 * math.sqrt(2.0))
+_LAMBDA5 = math.pi**1.2 / 12.0
+_S2_INV2 = _S2**-2.0
+_GAMMA_MASS = 2.0**25 * math.pi**3.5 * math.gamma(3.5) / math.gamma(7.0)
+_PRINTED = (
+    ("embedding constant", _S2),
+    ("alternate embedding", _S2_ALT),
+    ("constant fifth power", _LAMBDA5),
+    ("reciprocal square of s2", _S2_INV2),
+    ("sphere eigenvalue bound", 48.0 * (4.0 * math.pi) ** 0.2),
+    ("concentrated amplitude", 32.0 * math.pi ** (-17.0 / 50.0) * 2.0**0.2 * 15.0**0.4),
+    ("Gamma-chain mass value", _GAMMA_MASS),
+)
+
+
 @dataclass(frozen=True)
 class RatioLine:
     """One computed/printed comparison; consistent means within _RATIO_TOL of 1.
@@ -1000,8 +995,11 @@ class RatioLine:
 
     name: str
     ratio: float
-    consistent: bool
     informational: bool
+
+    @property
+    def consistent(self) -> bool:
+        return abs(self.ratio - 1.0) <= _RATIO_TOL
 
 
 @dataclass(frozen=True)
@@ -1012,61 +1010,45 @@ class BestConstantReport:
     power of the constant coincides with the reciprocal square of the
     printed embedding constant, which under the advertised relation is
     the constant itself, not its fifth power), so this report refuses to
-    pick a winner: it lists every candidate and flags each ratio.
+    pick a winner: it lists every candidate and flags each ratio.  The
+    mass integral is the quotient's own mass row.
     """
 
-    gauge_integral: float          # computed integral of the gauge kernel
-    gauge_error: float
-    gauge_closed_form: float       # pi^4 / 384 by the Beta reduction
-    mass_integral: float           # computed integral of ubar^{5/2}
-    mass_error: float
-    mass_closed_form: float        # 2^25 * pi^4 / 384
-    mass_mc: MCResult
-    quotient_report: QuotientReport
-    lambda_as_quotient: float      # reading: the constant is the quotient
-    lambda_as_fifth_power: float   # reading: the constant's 5th power is it
-    s2_printed: float
-    s2_alt_printed: float
-    lambda5_printed: float
-    lambda_from_s2: float
-    sphere_constant_printed: float
-    gamma_amplitude_printed: float
-    gamma_chain_value: float
+    gauge: QuadratureResult         # the gauge kernel's integral
+    quotient_report: QuotientReport  # ubar's quotient and its mass row
+    mass_mc: MCResult               # Monte Carlo cross-check of the mass
     ratios: tuple
-    gauge_table: tuple
-    mass_table: tuple
+
+    gauge_closed_form: ClassVar[float] = GAUGE_INTEGRAL_CLOSED_FORM  # pi^4 / 384
+    mass_closed_form: ClassVar[float] = _MASS_CLOSED_FORM            # 2^25 pi^4 / 384
+
+    @property
+    def gauge_integral(self) -> float:
+        return self.gauge.value
+
+    @property
+    def mass_integral(self) -> float:
+        return self.quotient_report.mass
 
     def as_text(self) -> str:
-        lines = [
-            "computed:",
-            f"  gauge-kernel integral     {self.gauge_integral:.12g}  (+/- {self.gauge_error:.2e})",
-            f"  Beta closed form          {self.gauge_closed_form:.12g}",
-            f"  ubar^{{5/2}} integral       {self.mass_integral:.12g}  (+/- {self.mass_error:.2e})",
-            f"  2^25 x closed form        {self.mass_closed_form:.12g}",
-            f"  Monte Carlo cross-check   {self.mass_mc.value:.8g}  (+/- {self.mass_mc.stderr:.2e})",
-            f"  Sobolev quotient          {self.quotient_report.quotient:.12g}"
-            f"  (+/- {self.quotient_report.error:.2e})",
-            f"  constant if quotient      {self.lambda_as_quotient:.12g}",
-            f"  constant^5 if quotient^5  {self.lambda_as_fifth_power:.12g}",
-            "printed:",
-            f"  embedding constant        {self.s2_printed:.12g}",
-            f"  alternate embedding       {self.s2_alt_printed:.12g}",
-            f"  constant fifth power      {self.lambda5_printed:.12g}",
-            f"  reciprocal square of s2   {self.lambda_from_s2:.12g}",
-            f"  sphere eigenvalue bound   {self.sphere_constant_printed:.12g}",
-            f"  concentrated amplitude    {self.gamma_amplitude_printed:.12g}",
-            f"  Gamma-chain mass value    {self.gamma_chain_value:.12g}",
-            f"ratios (flag = differs from 1 by more than {_RATIO_TOL:g}):",
-        ]
+        quot, mass, mc = self.quotient_report, self.quotient_report.mass_result, self.mass_mc
+        computed = (
+            ("gauge-kernel integral", f"{self.gauge.value:.12g}  (+/- {self.gauge.error:.2e})"),
+            ("Beta closed form", f"{self.gauge_closed_form:.12g}"),
+            ("ubar^{5/2} integral", f"{mass.value:.12g}  (+/- {mass.error:.2e})"),
+            ("2^25 x closed form", f"{self.mass_closed_form:.12g}"),
+            ("Monte Carlo cross-check", f"{mc.value:.8g}  (+/- {mc.stderr:.2e})"),
+            ("Sobolev quotient", f"{quot.quotient:.12g}  (+/- {quot.error:.2e})"),
+            ("constant if quotient", f"{quot.quotient:.12g}"),
+            ("constant^5 if quotient^5", f"{quot.quotient**5:.12g}"),
+        )
+        lines = ["computed:", *(f"  {label:<26}{text}" for label, text in computed), "printed:"]
+        lines += [f"  {label:<26}{value:.12g}" for label, value in _PRINTED]
+        lines.append(f"ratios (flag = differs from 1 by more than {_RATIO_TOL:g}):")
         for line in self.ratios:
             flag = "ok  " if line.consistent else "FLAG"
             lines.append(f"  [{flag}] {line.name}: {line.ratio:.9g}")
         return "\n".join(lines)
-
-
-def _ratio(name: str, num: float, den: float, informational: bool = False) -> RatioLine:
-    ratio = num / den
-    return RatioLine(name, ratio, abs(ratio - 1.0) <= _RATIO_TOL, informational)
 
 
 def best_constant_report(mc_samples: int = 200_000, seed: int = 0) -> BestConstantReport:
@@ -1081,51 +1063,22 @@ def best_constant_report(mc_samples: int = 200_000, seed: int = 0) -> BestConsta
     gauge = integrate_biradial(_GAUGE_KERNEL, tol=1e-10)
     ubar = ubar_field()
     quot = fs_quotient(ubar)
-    mass = quot.mass_result  # the ubar^{5/2} integral, computed once
+    mass = quot.mass  # the ubar^{5/2} integral, computed once
     mc = integrate_mc(power_compose(ubar, 2.5, tag="ubar^2.5"), mc_samples, seed=seed)
 
-    s2 = 2.0 * math.sqrt(3.0) * math.pi ** (-0.6)
-    s2_alt = 15.0**0.1 / (math.pi**0.4 * 2.0 * math.sqrt(2.0))
-    lambda5_printed = math.pi**1.2 / 12.0
-    lambda_from_s2 = s2**-2.0
-    sphere_const = 48.0 * (4.0 * math.pi) ** 0.2
-    gamma_amp = 32.0 * math.pi ** (-17.0 / 50.0) * 2.0**0.2 * 15.0**0.4
-    gamma_chain = 2.0**25 * math.pi**3.5 * math.gamma(3.5) / math.gamma(7.0)
-
     q5 = quot.quotient**5
-    ratios = (
-        _ratio("gauge quadrature / Beta closed form", gauge.value, GAUGE_INTEGRAL_CLOSED_FORM),
-        _ratio("mass quadrature / 2^25 x closed form", mass.value, _MASS_CLOSED_FORM),
-        _ratio("Gamma-chain value / mass quadrature", gamma_chain, mass.value),
-        _ratio("quotient^5 / mass quadrature", q5, mass.value),
-    ) + tuple(
-        _ratio(name, num, den, informational=True)  # each involves a printed constant
-        for name, num, den in (
-            ("printed constant^5 / computed quotient^5", lambda5_printed, q5),
-            ("printed constant^5 / computed quotient", lambda5_printed, quot.quotient),
-            ("printed constant^5 / printed s2^-2", lambda5_printed, lambda_from_s2),
-            ("printed s2 / alternate printed s2", s2, s2_alt),
+    ratios = tuple(
+        RatioLine(name, num / den, informational)
+        for name, num, den, informational in (
+            ("gauge quadrature / Beta closed form", gauge.value, GAUGE_INTEGRAL_CLOSED_FORM, False),
+            ("mass quadrature / 2^25 x closed form", mass, _MASS_CLOSED_FORM, False),
+            ("Gamma-chain value / mass quadrature", _GAMMA_MASS, mass, False),
+            ("quotient^5 / mass quadrature", q5, mass, False),
+            # each informational line involves a printed constant
+            ("printed constant^5 / computed quotient^5", _LAMBDA5, q5, True),
+            ("printed constant^5 / computed quotient", _LAMBDA5, quot.quotient, True),
+            ("printed constant^5 / printed s2^-2", _LAMBDA5, _S2_INV2, True),
+            ("printed s2 / alternate printed s2", _S2, _S2_ALT, True),
         )
     )
-    return BestConstantReport(
-        gauge_integral=gauge.value,
-        gauge_error=gauge.error,
-        gauge_closed_form=GAUGE_INTEGRAL_CLOSED_FORM,
-        mass_integral=mass.value,
-        mass_error=mass.error,
-        mass_closed_form=_MASS_CLOSED_FORM,
-        mass_mc=mc,
-        quotient_report=quot,
-        lambda_as_quotient=quot.quotient,
-        lambda_as_fifth_power=q5,
-        s2_printed=s2,
-        s2_alt_printed=s2_alt,
-        lambda5_printed=lambda5_printed,
-        lambda_from_s2=lambda_from_s2,
-        sphere_constant_printed=sphere_const,
-        gamma_amplitude_printed=gamma_amp,
-        gamma_chain_value=gamma_chain,
-        ratios=ratios,
-        gauge_table=gauge.table,
-        mass_table=mass.table,
-    )
+    return BestConstantReport(gauge=gauge, quotient_report=quot, mass_mc=mc, ratios=ratios)

@@ -21,12 +21,11 @@ All functions broadcast over leading axes and are pure.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, _positive
 
 __all__ = [
     "Quaternion",
@@ -148,21 +147,9 @@ def _audit_twist(twist: np.ndarray) -> None:
 _audit_twist(TWIST)
 
 
-def _dilation_factor(lam, name: str = "dilation factor") -> float:
-    """`lam` as a float if it is a real number, finite and > 0, else DomainError.
-
-    A bool, a string or an array is no such number, although float()
-    would take some of them.
-    """
-    real = isinstance(lam, numbers.Real) and not isinstance(lam, bool)
-    if not (real and 0.0 < lam < np.inf):  # False on NaN
-        raise DomainError(f"{name} must be a finite real number > 0, got {lam!r}")
-    return float(lam)
-
-
 def dilation(lam, g) -> np.ndarray:
     """Parabolic dilation (q, w) -> (lam*q, lam^2*w), lam finite and > 0."""
-    lam = _dilation_factor(lam)
+    lam = _positive(lam, "dilation factor")
     g = as_point(g)
     out = g.copy()
     out[..., 0:4] *= lam

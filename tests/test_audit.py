@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qheis import audit, conformal, extremals, frame, jets, quadrature
+from qheis import audit, conformal, extremals, frame, jets, quadrature, quaternions
 from qheis.audit import (
     QMATRIX,
     Q_SPECTRUM,
@@ -338,6 +338,14 @@ def test_implicit_defaults_and_unreached_paths_are_gone():
     assert not hasattr(frame, "_BRACKET")
 
 
+def test_hand_written_argument_rules_are_gone():
+    # each argument rule lives in qheis.errors (see tests/test_errors.py)
+    assert not hasattr(quadrature, "_tolerance")
+    assert not hasattr(quaternions, "_dilation_factor")
+    assert not hasattr(jets, "_jet_order")
+    assert not hasattr(jets, "JET_ORDERS")
+
+
 def test_conformal_suite_takes_one_frame_pass_per_field(monkeypatch):
     # the u-collapse and both divergence checks read one order-2 FrameJet of
     # each field on their 20 shared points; with samples=5 the torsion block
@@ -450,7 +458,7 @@ def test_quadrature_suite_grades_the_best_constant_record(monkeypatch):
     (rec,) = records
     assert rec.mass_mc.samples == reports["mass-mc-agreement"].samples == 1000
     assert rec.mass_mc.seed == 5
-    assert reports["gauge-closed-form"].samples == rec.gauge_table[-1][3]
+    assert reports["gauge-closed-form"].samples == rec.gauge.table[-1][3]
     base = rec.quotient_report
     assert reports["parts-identity"].max_residual == abs(base.numerator / base.mass - 1.0)
 

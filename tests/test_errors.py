@@ -1,0 +1,100 @@
+"""The package's two argument rules, and that they have one home."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qheis.errors import DomainError, _positive, _whole
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qheis"
+
+
+@pytest.mark.parametrize("value", [0, 3, np.int64(2), np.uint8(3)])
+def test_whole_takes_integers_in_range(value):
+    n = _whole(value, "x", 0, 3)
+    assert n == value and type(n) is int
+
+
+@pytest.mark.parametrize("value", [-1, 4, True, False, 1.0, math.nan, "1", None, np.True_])
+def test_whole_refuses_everything_else(value):
+    with pytest.raises(ValueError, match=r"x must be an integer in 0\.\.3"):
+        _whole(value, "x", 0, 3)
+
+
+def test_whole_without_an_upper_end():
+    assert _whole(10**12, "x", 1) == 10**12
+    with pytest.raises(ValueError, match="x must be an integer >= 1"):
+        _whole(0, "x", 1)
+
+
+@pytest.mark.parametrize("value", [1e-300, 2, np.float64(0.5), np.int64(3)])
+def test_positive_takes_finite_reals_above_zero(value):
+    x = _positive(value, "x")
+    assert x == value and type(x) is float
+
+
+@pytest.mark.parametrize(
+    "value", [0.0, -1.0, math.nan, math.inf, True, "2", None, np.array([1.0])], ids=repr
+)
+def test_positive_refuses_everything_else(value):
+    with pytest.raises(DomainError, match="x must be a finite real number > 0"):
+        _positive(value, "x")
+
+
+_RULE_NAMES = {"operator": {"index"}, "numbers": {"Real", "Integral"}}
+
+
+def _rule_uses(tree: ast.AST) -> list[str]:
+    """Every use of operator.index or numbers.Real/Integral in a module.
+
+    `import operator as op; op.index` counts; `from operator import
+    itemgetter` does not.
+    """
+    aliases = {}  # the name a module is bound to -> the module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in _RULE_NAMES:
+                    aliases[alias.asname or alias.name] = alias.name
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = aliases.get(node.value.id)
+            if module and node.attr in _RULE_NAMES[module]:
+                found.append(f"{module}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in _RULE_NAMES:
+            found += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name in _RULE_NAMES[node.module]
+            ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import operator as op\nop.index(1)", ["operator.index"]),
+        ("from numbers import Integral as I", ["numbers.Integral"]),
+        ("import numbers\nisinstance(1, numbers.Real)", ["numbers.Real"]),
+        ("from operator import itemgetter\nimport numbers\nnumbers.Number", []),
+    ],
+)
+def test_rule_uses_sees_aliases_and_only_the_rule_names(source, found):
+    assert _rule_uses(ast.parse(source)) == found
+
+
+def test_the_argument_rules_have_one_home():
+    # a hand-written copy of a rule drifts from the others: write it once
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    uses = {
+        path.name: _rule_uses(ast.parse(path.read_text()))
+        for path in modules
+        if path.name != "errors.py"
+    }
+    assert {name: found for name, found in uses.items() if found} == {}
+    assert _rule_uses(ast.parse((SRC / "errors.py").read_text()))

@@ -321,6 +321,17 @@ def test_family_params_must_be_finite(c, nu):
         FamilyParams(c=c, nu=nu)
 
 
+# a center of the wrong shape is refused where it is built, not inside a
+# field or a search
+@pytest.mark.parametrize(
+    "center", [np.zeros(3), np.zeros((2, 7)), np.zeros(14)], ids=["3", "2 points", "14"]
+)
+def test_family_params_center_is_one_point(center):
+    with pytest.raises(ValueError, match="7 coordinates|one center"):
+        FamilyParams(center=center)
+    assert FamilyParams(center=np.zeros((1, 7))).center.shape == (1, 7)
+
+
 # ---------------------------------------------------------------------------
 # Cayley transform and sphere points.
 

@@ -404,6 +404,13 @@ def test_finite_diff_audit_propagates_nan():
     assert np.isnan(finite_diff_audit(poisoned, _G0, step=1e-4))
 
 
+# the step goes through _positive: a NaN step would turn every difference NaN
+@pytest.mark.parametrize("step", [np.nan, 0.0, -1e-4, np.inf])
+def test_finite_diff_audit_step_is_a_finite_positive_number(step):
+    with pytest.raises(DomainError, match="step must be a finite real number > 0"):
+        finite_diff_audit(ubar_field(), _G0, step=step)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_are_rejected(ubar, bad):
     point = np.zeros(7)

@@ -26,6 +26,7 @@ from qheis.extremals import (
     FamilyParams,
     dilate_field,
     h_family,
+    kelvin,
     translate_field,
     ubar_field,
 )
@@ -33,6 +34,7 @@ from qheis.frame import frame_jets, sub_laplacian
 from qheis.jets import AffineMap, ScalarField, constant_field, power_compose
 from qheis.quadrature import (
     GAUGE_INTEGRAL_CLOSED_FORM,
+    BestConstantReport,
     BiRadialIntegrand,
     best_constant_report,
     convergence_csv,
@@ -234,6 +236,15 @@ def test_a_bad_max_level_is_refused_before_any_evaluation(ubar, bad):
         integrate_biradial(_unevaluable_integrand(), max_level=bad)
     with pytest.raises(TypeError, match="max_level"):
         integrate_field(_unevaluable_field(ubar), 2.5, max_level=bad)
+
+
+# a float or a bool is no whole number: a ValueError that names the argument
+@pytest.mark.parametrize(
+    "args, name", [((2.5,), "level"), ((True,), "level"), ((-1,), "level"), ((1, 2.5), "n_nodes")]
+)
+def test_biradial_rule_takes_whole_numbers_only(args, name):
+    with pytest.raises(ValueError, match=name):
+        quadrature.biradial_rule(*args)
 
 
 def test_max_level_one_is_the_first_level_alone(monkeypatch):
@@ -742,6 +753,15 @@ def test_minimize_from_the_truth(ubar):
     assert np.max(np.abs(np.asarray(result.params.center) - g0)) <= 1e-6
 
 
+def test_minimize_says_when_its_peak_seed_failed(ubar):
+    # kelvin(ubar) is ubar, yet its Kelvin image has no value at the origin,
+    # where the peak search starts: the kept nu = 2 must not read as converged
+    result = minimize_quotient(FamilyParams(nu=2.0), kelvin(ubar), seed=0)
+    assert result.params.nu == 2.0
+    assert result.converged is False
+    assert "peak seed failed, nu kept at 2" in result.message
+
+
 def test_minimize_rejects_out_of_box_start(ubar):
     with pytest.raises(ValueError):
         minimize_quotient(FamilyParams(center=np.full(7, 40.0)), ubar)
@@ -881,7 +901,7 @@ def _displaced_seed(monkeypatch):
     """Make the peak seed return the planted center + 0.1 at the true nu."""
 
     def seed(target, nu0, center0, bounds):
-        return np.concatenate([[math.log(_NU)], _G0 + 0.1]), 0
+        return np.concatenate([[math.log(_NU)], _G0 + 0.1]), 0, True
 
     monkeypatch.setattr(quadrature, "_peak_seed", seed)
 
@@ -981,6 +1001,18 @@ def test_best_constant_text_rendering(record):
         assert line.name in text
 
 
+def test_best_constant_record_stores_each_result_once(record):
+    # the closed forms are class constants and the integrals read the results
+    assert [f.name for f in dataclasses.fields(BestConstantReport)] == [
+        "gauge", "quotient_report", "mass_mc", "ratios"
+    ]
+    assert [f.name for f in dataclasses.fields(quadrature.RatioLine)] == [
+        "name", "ratio", "informational"
+    ]
+    assert record.gauge_integral == record.gauge.value
+    assert record.mass_closed_form == 2.0**25 * record.gauge_closed_form
+
+
 def test_best_constant_reduces_the_mass_integrand_once(monkeypatch):
     reduce = quadrature.reduced_integrand
     powers = []
@@ -993,7 +1025,6 @@ def test_best_constant_reduces_the_mass_integrand_once(monkeypatch):
     rec = best_constant_report(mc_samples=1000)
     assert powers.count(2.5) == 1
     assert rec.mass_integral == rec.quotient_report.mass
-    assert rec.mass_table == rec.quotient_report.mass_result.table
 
 
 # ---------------------------------------------------------------------------
