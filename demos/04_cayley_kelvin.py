@@ -12,11 +12,8 @@ Run:  python demos/04_cayley_kelvin.py
 import numpy as np
 
 from qheis.extremals import (
-    SpherePoint,
     cayley_contact_factor,
-    cayley_forward,
     cayley_forward_batch,
-    cayley_inverse,
     cayley_inverse_batch,
     kelvin,
     pde_residual,
@@ -33,10 +30,13 @@ pts = rng.uniform(-2.0, 2.0, (500, 7))
 worst = np.max(np.abs(cayley_forward_batch(*cayley_inverse_batch(pts)) - pts))
 print("group -> sphere -> group roundtrip over 500 points:", f"{worst:.3e}")
 
-s = SpherePoint.from_arrays(rng.standard_normal(4), rng.standard_normal(4))
-t = cayley_inverse(cayley_forward(s).array)
+# a point of the unit sphere in H^2 is a pair of (N, 4) halves (q, p)
+q, p = rng.standard_normal((2, 1, 4))
+scale = 1.0 / np.sqrt(np.sum(q * q) + np.sum(p * p))
+q, p = q * scale, p * scale
+tq, tp = cayley_inverse_batch(cayley_forward_batch(q, p))
 print("sphere -> group -> sphere roundtrip:",
-      f"{np.max(np.abs(np.concatenate([t.q.array - s.q.array, t.p.array - s.p.array]))):.3e}")
+      f"{np.max(np.abs(np.concatenate([tq - q, tp - p]))):.3e}")
 
 print("contact factor at the origin:", cayley_contact_factor(np.zeros(7)),
       " (8 / [(1+|q|^2)^2 + |w|^2])")

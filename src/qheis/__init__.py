@@ -10,8 +10,6 @@ checks as a command-line tool.
 """
 
 from .quaternions import (
-    GroupPoint,
-    Quaternion,
     as_point,
     dilation,
     group_inv,
@@ -38,9 +36,6 @@ from .conformal import (
 )
 from .extremals import (
     FamilyParams,
-    SpherePoint,
-    cayley_forward,
-    cayley_inverse,
     dilate_field,
     h_family,
     kelvin,

@@ -18,14 +18,16 @@ forward-mode lift in the tests.
 The sphere <-> group dictionary is the quaternionic Cayley pair with the
 boundary identification (q, w) <-> (q, |q|^2 - w), the inversion sigma, and
 the Kelvin transform (Ku)(g) = (|q|^4 + |w|^2)^{-2} u(sigma(g)); the exponent
-is -(Q - 2)/2 with homogeneous dimension Q = 10.
+is -(Q - 2)/2 with homogeneous dimension Q = 10.  Points are arrays only: a
+group point has shape (..., 7), and a point of the unit sphere in H^2 is a
+pair of (N, 4) halves (q, p), which the Cayley kernels take and return.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -41,8 +43,6 @@ from .jets import (
 )
 from .quaternions import (
     TWIST,
-    GroupPoint,
-    Quaternion,
     _hamilton,
     as_point,
     as_quat,
@@ -54,7 +54,6 @@ from .quaternions import (
 
 __all__ = [
     "FamilyParams",
-    "SpherePoint",
     "h_family",
     "ubar_field",
     "v_field",
@@ -63,8 +62,6 @@ __all__ = [
     "dilation_map",
     "translate_field",
     "dilate_field",
-    "cayley_forward",
-    "cayley_inverse",
     "cayley_forward_batch",
     "cayley_inverse_batch",
     "cayley_contact_factor",
@@ -76,7 +73,7 @@ V_AMPLITUDE = 2.0**11 * math.sqrt(3.0) * math.pi ** (-3.0 / 5.0)
 
 
 # ---------------------------------------------------------------------------
-# Parameter and sphere-point types.
+# Family parameters.
 
 
 @dataclass(frozen=True)
@@ -89,33 +86,23 @@ class FamilyParams:
 
     c: float = 1.0
     nu: float = 1.0
-    center: Optional[Union[GroupPoint, np.ndarray]] = None
+    center: Optional[np.ndarray] = None
 
     def __post_init__(self):
         _positive(self.c, "c")
         _positive(self.nu, "nu")
         if self.center is not None:
-            shape = np.shape(getattr(self.center, "array", self.center))
+            shape = np.shape(self.center)
             if np.prod(shape) != 7 or shape[-1] != 7:
                 raise ValueError(f"FamilyParams takes one center of 7 coordinates, got {shape}")
 
 
-@dataclass(frozen=True)
 class SpherePoint:
-    """A point of the unit sphere in H^2, renormalized on construction."""
+    """Placeholder: only the bench tracer's import holds this name.
 
-    q: Quaternion
-    p: Quaternion
-
-    def __post_init__(self):
-        q, p = _sphere_normalize(self.q.array[None], self.p.array[None])
-        object.__setattr__(self, "q", Quaternion.from_array(q[0]))
-        object.__setattr__(self, "p", Quaternion.from_array(p[0]))
-
-    @staticmethod
-    def from_arrays(q, p) -> "SpherePoint":
-        return SpherePoint(Quaternion.from_array(np.asarray(q, dtype=float)),
-                           Quaternion.from_array(np.asarray(p, dtype=float)))
+    Nothing in qheis creates or accepts it; a point of the sphere is a pair
+    of (N, 4) halves.  The name goes once that import goes.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +288,12 @@ def dilate_field(u: ScalarField, lam: float) -> ScalarField:
 
 
 def _sphere_normalize(q: np.ndarray, p: np.ndarray):
-    """The SpherePoint rule on (N, 4) halves: rescale rows onto the unit sphere.
+    """Rescale the rows of (N, 4) halves onto the unit sphere of H^2.
 
     A row is rescaled only when its scale 1/|(q, p)| is off 1 by more than
     1e-12, so an already normalized point is returned bitwise unchanged.
-    A NaN or infinite component is no point of H^2: DomainError.  Every
-    Cayley entry point, and SpherePoint, passes its halves through here.
+    A NaN or infinite component is no point of H^2: DomainError.  Both
+    Cayley kernels pass their sphere halves through here.
     """
     if np.count_nonzero(np.isfinite(q)) + np.count_nonzero(np.isfinite(p)) != q.size + p.size:
         raise DomainError("sphere point has a NaN or infinite component")
@@ -357,20 +344,6 @@ def cayley_inverse_batch(g) -> tuple[np.ndarray, np.ndarray]:
     return _sphere_normalize(2.0 * quat_mul(inv, q1), quat_mul(one_minus, inv))
 
 
-def cayley_forward(s: SpherePoint) -> GroupPoint:
-    """Sphere minus the pole (q=0, p=-1) to the group; see `cayley_forward_batch`."""
-    return GroupPoint.from_array(cayley_forward_batch(s.q.array, s.p.array)[0])
-
-
-def cayley_inverse(g) -> SpherePoint:
-    """Group to sphere for one point; see `cayley_inverse_batch`."""
-    arr = as_point(g)
-    if arr.ndim != 1:
-        raise ValueError("cayley_inverse takes a single point; use cayley_inverse_batch")
-    q, p = cayley_inverse_batch(arr)
-    return SpherePoint.from_arrays(q[0], p[0])
-
-
 def cayley_contact_factor(g):
     """Conformal factor 8/|1+p1|^2 = 8/[(1+|q|^2)^2+|w|^2] of the contact pullback."""
     arr = as_point(g)
@@ -406,8 +379,6 @@ def sigma(g):
     pts, squeeze = _as_batch(arr)
     image, _ = _sigma_components(*pts.T)
     out = np.stack(image, axis=1)
-    if isinstance(g, GroupPoint):
-        return GroupPoint.from_array(out[0])
     return out[0] if squeeze else out
 
 

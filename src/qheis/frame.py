@@ -16,17 +16,17 @@ cyclic; the I_s act as left multiplication by i, j, k on the frame basis.
 
 Every frame derivative of a field comes from one call, `frame_jets(f, p,
 order)`: a single jet evaluation projected onto the frame, giving the
-value, e_a f and xi_s f at order 1 and adding e_a(e_b f) and e_a(xi_s f) at
-order 2.  Every formula of a field's frame derivatives, here and in
-`conformal` and `extremals`, takes that one `FrameJet`: the sub-Laplacian
-and the corrected Hessian are read off it.
+value, e_a f and xi_s f at order 1 and adding e_a(e_b f) at order 2.
+Every formula of a field's frame derivatives, here and in `conformal` and
+`extremals`, takes that one `FrameJet`: the sub-Laplacian and the
+corrected Hessian are read off it.
 The rows are [I4 | B(q)] with B linear in q, so no order builds the
 (N, 4, 7) rows.  The horizontal gradient is g_q + (q (x) g_w) K with one
 constant 12x4 matrix K.  At order 2, B comes from one constant 4x12
 matrix and rows @ H is H_q + B H_w, the q- and w-rows of the coordinate
-Hessian H: its w-columns are the mixed block, and its q-columns plus its
-w-columns times B^T, plus a constant first-order term, are the frame
-Hessian.  `frame_rows` stays as the audited reference.
+Hessian H: its q-columns plus its w-columns times B^T, plus a constant
+first-order term, are the frame Hessian.  `frame_rows` stays as the
+audited reference.
 
 The covariant Hessian uses the canonical connection of the flat model, in
 which the left-invariant frame is parallel, so hess(f)(e_a, e_b) = e_a(e_b f).
@@ -145,17 +145,15 @@ class FrameJet:
     """Frame derivatives of a field at a batch of points, from one jet call.
 
     value (N,); grad (N, 4) = e_a f; vert (N, 3) = xi_s f; and at order 2
-    hess (N, 4, 4) = e_a(e_b f) and mixed (N, 4, 3) = e_a(xi_s f), which are
-    None at order 1.  Every block is contracted from the coordinate jet
-    through the constant matrices of the rows' linear part, never through
-    the (N, 4, 7) rows of `frame_rows`.
+    hess (N, 4, 4) = e_a(e_b f), which is None at order 1.  Every block is
+    contracted from the coordinate jet through the constant matrices of the
+    rows' linear part, never through the (N, 4, 7) rows of `frame_rows`.
     """
 
     value: np.ndarray
     grad: np.ndarray
     vert: np.ndarray
     hess: Optional[np.ndarray] = None
-    mixed: Optional[np.ndarray] = None
 
 
 def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
@@ -182,9 +180,7 @@ def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
     row_hess = hess[:, :4, :] + b @ hess[:, 4:, :]  # rows @ hess
     first_order = (grad[:, 4:7] @ _DC.reshape(3, 16)).reshape(-1, 4, 4)
     return replace(
-        fj,
-        hess=row_hess[:, :, :4] + row_hess[:, :, 4:] @ np.swapaxes(b, 1, 2) + first_order,
-        mixed=VERTICAL_SCALE * row_hess[:, :, 4:],
+        fj, hess=row_hess[:, :, :4] + row_hess[:, :, 4:] @ np.swapaxes(b, 1, 2) + first_order
     )
 
 

@@ -15,8 +15,9 @@ transform such as Kelvin's is an ordinary lifted formula.
 An affine pullback of an affine pullback is folded on construction: the
 maps compose through `AffineMap.after` and the amplitudes multiply, so a
 chain of group motions costs one chain-rule step, not one per motion.
-Central finite differences are kept as an independent audit and never
-substitute for jets.
+Central finite differences serve only as independent audits, never in
+place of jets: `haar_jacobian_audit` here, and the finite-difference
+oracle for the jets that the tests keep.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, _positive, _whole
+from .errors import DomainError, _whole
 from .quaternions import as_point
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "AffineMap",
     "Hyper2",
     "autodiff_lift",
-    "finite_diff_audit",
     "constant_field",
     "affine_pullback",
     "power_compose",
@@ -466,31 +466,6 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
 
 # ---------------------------------------------------------------------------
 # Independent oracle.
-
-
-def finite_diff_audit(f: ScalarField, p, step: float) -> float:
-    """Max discrepancy between the field's jets and central finite differences.
-
-    An audit, not a derivative engine: O(step^2) truncation plus roundoff
-    limits agreement to roughly 1e-6 at step 1e-4 for order-one fields.
-    """
-    step = _positive(step, "step")
-    p = as_point(p).reshape(DIM)
-    val, grad, hess = (part[0] for part in f.jet_batch(p, 2))
-    diffs = []
-    for i in range(DIM):
-        ei = np.zeros(DIM)
-        ei[i] = step
-        fp, fm = f(p + ei), f(p - ei)
-        diffs.append((fp - fm) / (2 * step) - grad[i])
-        d2 = (fp - 2 * val + fm) / step**2
-        diffs.append(d2 - hess[i, i])
-        for j in range(i + 1, DIM):
-            ej = np.zeros(DIM)
-            ej[j] = step
-            cross = f(p + ei + ej) - f(p + ei - ej) - f(p - ei + ej) + f(p - ei - ej)
-            diffs.append(cross / (4 * step**2) - hess[i, j])
-    return _max_abs(diffs)
 
 
 def haar_jacobian_audit(g0) -> float:

@@ -21,16 +21,11 @@ All functions broadcast over leading axes and are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, _positive
 
 __all__ = [
-    "Quaternion",
-    "ImQuaternion",
-    "GroupPoint",
     "quat_mul",
     "quat_conj",
     "quat_norm2",
@@ -45,19 +40,19 @@ __all__ = [
 
 
 def as_quat(a) -> np.ndarray:
-    """Coerce a Quaternion / array-like to a float array of shape (..., 4)."""
-    a = np.asarray(getattr(a, "array", a), dtype=float)
+    """Coerce an array-like to a float array of shape (..., 4)."""
+    a = np.asarray(a, dtype=float)
     if a.shape[-1] != 4:
         raise ValueError(f"quaternion needs 4 components, got shape {a.shape}")
     return a
 
 
 def as_point(g) -> np.ndarray:
-    """Coerce a GroupPoint / array-like to a float array of shape (..., 7).
+    """Coerce an array-like to a float array of shape (..., 7).
 
     A NaN or infinite coordinate is no point of the group: DomainError.
     """
-    g = np.asarray(getattr(g, "array", g), dtype=float)
+    g = np.asarray(g, dtype=float)
     if g.shape[-1] != 7:
         raise ValueError(f"group point needs 7 coordinates, got shape {g.shape}")
     # count_nonzero: the cheapest all() on the small batches of the suites
@@ -157,77 +152,9 @@ def dilation(lam, g) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Scalar quaternion w + x*i + y*j + z*k. Thin wrapper over the array ops."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        a = as_quat(a)
-        if a.ndim != 1:
-            raise ValueError("from_array expects a single quaternion")
-        return cls(*a.tolist())
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.from_array(quat_mul(self, other))
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def inverse(self) -> "Quaternion":
-        return Quaternion.from_array(quat_inv(self))
-
-    def norm(self) -> float:
-        return float(np.sqrt(quat_norm2(self)))
-
-
-@dataclass(frozen=True)
-class ImQuaternion:
-    """Purely imaginary quaternion; real part is zero by construction."""
-
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    @property
-    def array(self) -> np.ndarray:
-        # embeds into full quaternions as (0, x, y, z)
-        return np.array([0.0, self.x, self.y, self.z], dtype=float)
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
 class GroupPoint:
-    """A point (q, w) of the group; coordinates (t1, x1, y1, z1, x, y, z)."""
+    """Placeholder: only the bench tracer's import holds this name.
 
-    q: Quaternion = field(default_factory=Quaternion)
-    w: ImQuaternion = field(default_factory=ImQuaternion)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.concatenate([self.q.array, self.w.vec])
-
-    @classmethod
-    def from_array(cls, g) -> "GroupPoint":
-        g = as_point(g)
-        if g.ndim != 1:
-            raise ValueError("from_array expects a single point")
-        return cls(Quaternion(*g[0:4].tolist()), ImQuaternion(*g[4:7].tolist()))
-
-    def __matmul__(self, other: "GroupPoint") -> "GroupPoint":
-        return GroupPoint.from_array(group_mul(self, other))
-
-    def inverse(self) -> "GroupPoint":
-        return GroupPoint.from_array(group_inv(self))
+    Nothing in qheis creates or accepts it; a group point is an array of
+    shape (..., 7).  The name goes once that import goes.
+    """

@@ -12,12 +12,9 @@ from qheis.errors import DomainError, SingularityError
 from qheis.extremals import (
     V_AMPLITUDE,
     FamilyParams,
-    SpherePoint,
     _translated_family,
     cayley_contact_factor,
-    cayley_forward,
     cayley_forward_batch,
-    cayley_inverse,
     cayley_inverse_batch,
     dilate_field,
     dilation_map,
@@ -32,7 +29,7 @@ from qheis.extremals import (
 )
 from qheis.frame import frame_jets, sub_laplacian
 from qheis.jets import AffineMap, ScalarField, power_compose
-from qheis.quaternions import TWIST, GroupPoint, dilation, group_inv, group_mul
+from qheis.quaternions import TWIST, dilation, group_inv, group_mul
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -333,53 +330,49 @@ def test_family_params_center_is_one_point(center):
 
 
 # ---------------------------------------------------------------------------
-# Cayley transform and sphere points.
+# Cayley transform on (N, 4) sphere halves and (N, 7) group points.
+
+
+def _normalized(q, p):
+    """The halves rescaled row by row onto the unit sphere of H^2."""
+    scale = 1.0 / np.sqrt(np.sum(q * q, axis=-1) + np.sum(p * p, axis=-1))
+    return q * scale[..., None], p * scale[..., None]
 
 
 def test_sphere_point_normalizes():
-    s = SpherePoint.from_arrays([2.0, 0, 0, 0], [0, 2.0, 0, 0])
-    total = s.q.array @ s.q.array + s.p.array @ s.p.array
-    np.testing.assert_allclose(total, 1.0, rtol=1e-15)
+    q, p = np.array([[2.0, 0, 0, 0]]), np.array([[0, 2.0, 0, 0]])
+    g = cayley_forward_batch(q, p)
+    # the forward map reads the normalized point, so a rescaled point lands alike
+    np.testing.assert_array_equal(g, cayley_forward_batch(*_normalized(q, p)))
+    tq, tp = cayley_inverse_batch(g)
+    np.testing.assert_allclose(np.sum(tq * tq + tp * tp, axis=1), 1.0, rtol=1e-15)
 
 
 def test_sphere_point_rejects_zero():
     with pytest.raises(DomainError):
-        SpherePoint.from_arrays(np.zeros(4), np.zeros(4))
+        cayley_forward_batch(np.zeros((1, 4)), np.zeros((1, 4)))
+    halves = np.full((2, 3, 4), 0.5)
+    halves[:, 1] = 0.0  # one zero row in a batch is enough
+    with pytest.raises(DomainError, match="zero point"):
+        cayley_forward_batch(*halves)
 
 
 def test_cayley_roundtrip_group_side(rng):
     pts = rng.uniform(-2.0, 2.0, (1000, 7))
-    for p in pts[:1000]:
-        back = cayley_forward(cayley_inverse(p))
-        np.testing.assert_allclose(back.array, p, atol=1e-12)
+    back = cayley_forward_batch(*cayley_inverse_batch(pts))
+    np.testing.assert_allclose(back, pts, atol=1e-12)
 
 
 def test_cayley_roundtrip_sphere_side(rng):
-    for _ in range(50):
-        s = SpherePoint.from_arrays(rng.standard_normal(4), rng.standard_normal(4))
-        t = cayley_inverse(cayley_forward(s).array)
-        np.testing.assert_allclose(t.q.array, s.q.array, atol=1e-12)
-        np.testing.assert_allclose(t.p.array, s.p.array, atol=1e-12)
+    q, p = _normalized(*rng.standard_normal((2, 50, 4)))
+    tq, tp = cayley_inverse_batch(cayley_forward_batch(q, p))
+    np.testing.assert_allclose(tq, q, atol=1e-12)
+    np.testing.assert_allclose(tp, p, atol=1e-12)
 
 
 def test_cayley_pole():
     with pytest.raises(SingularityError):
-        cayley_forward(SpherePoint.from_arrays([0.0, 0, 0, 0], [-1.0, 0, 0, 0]))
-
-
-def test_cayley_batch_kernels_equal_single_point_calls(rng):
-    pts = rng.uniform(-2.0, 2.0, (300, 7))
-    q, p = cayley_inverse_batch(pts)
-    back = cayley_forward_batch(q, p)
-    raw_q, raw_p = rng.standard_normal((2, 300, 4))
-    forward_raw = cayley_forward_batch(raw_q, raw_p)
-    for i, g in enumerate(pts):
-        s = cayley_inverse(g)
-        np.testing.assert_array_equal(s.q.array, q[i])
-        np.testing.assert_array_equal(s.p.array, p[i])
-        np.testing.assert_array_equal(cayley_forward(s).array, back[i])
-        t = SpherePoint.from_arrays(raw_q[i], raw_p[i])
-        np.testing.assert_array_equal(cayley_forward(t).array, forward_raw[i])
+        cayley_forward_batch([0.0, 0, 0, 0], [-1.0, 0, 0, 0])
 
 
 def test_cayley_batch_roundtrip(rng):
@@ -410,12 +403,7 @@ def test_cayley_refuses_non_finite_halves(bad, half):
     with pytest.raises(DomainError, match="NaN or infinite"):
         cayley_forward_batch(*halves)
     with pytest.raises(DomainError, match="NaN or infinite"):
-        SpherePoint.from_arrays(halves[0][1], halves[1][1])
-
-
-def test_cayley_inverse_takes_one_point(rng):
-    with pytest.raises(ValueError):
-        cayley_inverse(rng.uniform(-1.0, 1.0, (3, 7)))
+        cayley_forward_batch(halves[0][1], halves[1][1])
 
 
 def test_contact_factor_frozen():
@@ -437,11 +425,11 @@ def test_sigma_singular_at_identity():
         sigma(np.zeros(7))
 
 
-def test_sigma_preserves_group_point_type():
-    g = GroupPoint.from_array(np.array([1.0, 0.5, 0, 0, 0.3, 0, 0]))
+def test_sigma_of_one_point_is_one_point_array():
+    g = np.array([1.0, 0.5, 0, 0, 0.3, 0, 0])
     out = sigma(g)
-    assert isinstance(out, GroupPoint)
-    np.testing.assert_allclose(sigma(out).array, g.array, atol=1e-14)
+    assert type(out) is np.ndarray and out.shape == (7,)
+    np.testing.assert_allclose(sigma(out), g, atol=1e-14)
 
 
 def test_kelvin_is_an_involution(ubar, rng):

@@ -158,8 +158,8 @@ def test_frame_jets_order_one_is_a_prefix_of_order_two(kind, box_points):
     f = _fields_of_every_kind()[kind]
     one = frame.frame_jets(f, box_points, 1)
     two = frame.frame_jets(f, box_points, 2)
-    assert one.hess is None and one.mixed is None
-    assert two.hess.shape == (100, 4, 4) and two.mixed.shape == (100, 4, 3)
+    assert one.hess is None
+    assert two.hess.shape == (100, 4, 4)
     for name in ("value", "grad", "vert"):
         np.testing.assert_array_equal(getattr(one, name), getattr(two, name))
         assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
@@ -183,24 +183,19 @@ def test_row_free_gradient_matches_the_frame_rows(kind):
 
 @pytest.mark.parametrize("kind", sorted(_fields_of_every_kind()))
 def test_row_free_order_two_blocks_match_the_frame_rows(kind):
-    # rows @ hess @ rows^T plus the first-order term e_a(c_b^{w_s}) xi_s f,
-    # and the w-columns of rows @ hess, against the row-free expansion,
-    # point by point, relative to the largest entry of each block
+    # rows @ hess @ rows^T plus the first-order term e_a(c_b^{w_s}) xi_s f
+    # against the row-free expansion, point by point, relative to the
+    # largest entry of the block
     f = _fields_of_every_kind()[kind]
     for seed in range(3):
         pts = np.vstack([_PINNED, np.random.default_rng(seed).uniform(-2.0, 2.0, (200, 7))])
         _, g, h = f.jet_batch(pts, 2)
         rows = frame.frame_rows(pts)
         first_order = np.einsum("bsa,ns->nab", frame._LIN[:, 4:7, :4], g[:, 4:7])
-        want = {
-            "hess": rows @ h @ np.swapaxes(rows, 1, 2) + first_order,
-            "mixed": frame.VERTICAL_SCALE * (rows @ h)[:, :, 4:7],
-        }
-        fj = frame.frame_jets(f, pts, 2)
-        for name, block in want.items():
-            scale = np.max(np.abs(block), axis=(1, 2))
-            err = np.max(np.abs(getattr(fj, name) - block), axis=(1, 2))
-            assert np.all(err <= 1e-15 * scale), (name, seed, np.max(err / scale))
+        want = rows @ h @ np.swapaxes(rows, 1, 2) + first_order
+        scale = np.max(np.abs(want), axis=(1, 2))
+        err = np.max(np.abs(frame.frame_jets(f, pts, 2).hess - want), axis=(1, 2))
+        assert np.all(err <= 1e-15 * scale), (seed, np.max(err / scale))
 
 
 def test_frame_jets_builds_no_rows(ubar, box_points, monkeypatch):
@@ -211,7 +206,7 @@ def test_frame_jets_builds_no_rows(ubar, box_points, monkeypatch):
     for order in (1, 2):
         fj = frame.frame_jets(ubar, box_points, order)
         assert fj.grad.shape == (100, 4)
-    assert fj.hess.shape == (100, 4, 4) and fj.mixed.shape == (100, 4, 3)
+    assert fj.hess.shape == (100, 4, 4)
 
 
 @pytest.mark.parametrize("order", [0, 3, 1.5, True])

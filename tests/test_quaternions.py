@@ -1,16 +1,21 @@
 """Group algebra: Hamilton product, twisted product, dilations, Haar."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qheis
 from qheis import quaternions
 from qheis.errors import ConsistencyError
 from qheis.jets import haar_jacobian_audit
 from qheis.quaternions import (
     TWIST,
     as_point,
+    as_quat,
     dilation,
     group_inv,
     group_mul,
@@ -133,3 +138,36 @@ def test_twist_audit_catches_every_single_entry_fault():
         twist[idx] = -twist[idx] if twist[idx] else 2.0
         with pytest.raises(ConsistencyError):
             quaternions._audit_twist(twist)
+
+
+# ---------------------------------------------------------------------------
+# Points are arrays only.
+
+
+class _Wrapped:
+    """An object carrying its coordinates as `.array`, as the retired point types did."""
+
+    def __init__(self, a):
+        self.array = np.asarray(a, dtype=float)
+
+
+@pytest.mark.parametrize("coerce, size", [(as_quat, 4), (as_point, 7)], ids=["quat", "point"])
+def test_coercions_take_arrays_and_refuse_objects(coerce, size):
+    with pytest.raises(TypeError):
+        coerce(_Wrapped(np.ones(size)))
+    np.testing.assert_array_equal(coerce([1.0] * size), np.ones(size))
+
+
+RETIRED = (
+    "Quaternion", "ImQuaternion", "GroupPoint", "SpherePoint", "cayley_forward", "cayley_inverse"
+)
+
+
+def test_no_module_exports_a_point_object_or_single_point_cayley():
+    names = [m.name for m in pkgutil.iter_modules(qheis.__path__)]
+    modules = [importlib.import_module(f"qheis.{name}") for name in names]
+    assert {m.__name__ for m in modules} >= {"qheis.quaternions", "qheis.extremals"}
+    for name in RETIRED:
+        assert not hasattr(qheis, name)
+        for module in modules:
+            assert name not in getattr(module, "__all__", ()), (module.__name__, name)
