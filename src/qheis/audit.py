@@ -365,9 +365,7 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     torsion, family = [], []
     for c, nu, g0, pts in _family_blocks(rng, npairs):
         if not family:  # the first block: its first five members, as fields
-            for idx in range(min(5, len(c))):
-                h = h_family(FamilyParams(c=c[idx], nu=nu[idx]))
-                family.append(translate_field(h, g0[idx]) if idx % 2 else h)
+            family = [h_family(FamilyParams(c[i], nu[i], g0[i])) for i in range(min(5, len(c)))]
         h = _translated_family(np.repeat(c, 20), np.repeat(nu, 20), np.repeat(g0, 20, axis=0))
         torsion.append(_frobenius(conformal.torsion_T0_deformed(frame.frame_jets(h, pts))))
     checks.add(("einstein-family-torsion", npairs * 20, _max_abs(*torsion), 1e-8, "computed"))

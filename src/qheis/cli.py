@@ -20,13 +20,16 @@ from . import audit
 from .errors import AccuracyError, ConsistencyError
 from .quadrature import convergence_csv
 
+# command -> (suite it runs, help line)
 _SUITE_COMMANDS = {
-    "verify-frames": "frames",
-    "verify-conformal": "conformal",
-    "verify-extremal": "extremal",
-    "verify-cayley": "cayley",
-    "qmatrix": "qmatrix",
-    "all": "all",
+    "verify-frames": ("frames", "frame derivation, commutators, Hessian symmetry"),
+    "verify-conformal": (
+        "conformal", "torsion, curvature and divergence identity of conformal deformations"
+    ),
+    "verify-extremal": ("extremal", "entire-solution PDE residuals and normalizations"),
+    "verify-cayley": ("cayley", "sphere transforms: roundtrips, involution, Kelvin"),
+    "qmatrix": ("qmatrix", "coupling-matrix spectrum and quadratic-form audit"),
+    "all": ("all", "every suite above plus the quadrature checks"),
 }
 
 
@@ -69,16 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification suites for the quaternionic Heisenberg toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "verify-frames": "frame derivation, commutators, Hessian symmetry",
-        "verify-conformal": "torsion, curvature and divergence identity of conformal deformations",
-        "verify-extremal": "entire-solution PDE residuals and normalizations",
-        "verify-cayley": "sphere transforms: roundtrips, involution, Kelvin",
-        "qmatrix": "coupling-matrix spectrum and quadratic-form audit",
-        "all": "every suite above plus the quadrature checks",
-    }
-    for name in _SUITE_COMMANDS:
-        sub.add_parser(name, parents=[sampled], help=helps[name])
+    for name, (_, help_line) in _SUITE_COMMANDS.items():
+        sub.add_parser(name, parents=[sampled], help=help_line)
     sub.add_parser(
         "best-constant", parents=[sampled],
         help="integrals, quotient, and printed-constant reconciliation",
@@ -107,7 +102,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             reports = audit.quotient_min_reports(config)
             text = audit.emit(reports, args.fmt, suite="quotient-min", seed=args.seed)
         else:
-            suite = _SUITE_COMMANDS[args.command]
+            suite = _SUITE_COMMANDS[args.command][0]
             reports = audit.run_suite(suite, config)
             text = audit.emit(reports, args.fmt, suite=suite, seed=args.seed)
     except (AccuracyError, ConsistencyError, ValueError) as exc:

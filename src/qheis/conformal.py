@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .frame import IMAT, OMEGA, FrameJet, corrected_hessian, sub_laplacian
+from .frame import IMAT, OMEGA, FrameJet, _gradsq, corrected_hessian, sub_laplacian
 
 __all__ = [
     "sym_part",
@@ -79,10 +79,6 @@ def _require_positive(fj: FrameJet) -> None:
             f"conformal factor is not positive at batch index {bad[0]} "
             f"(value {fj.value[bad[0]]!r})"
         )
-
-
-def _gradsq(fj: FrameJet) -> np.ndarray:
-    return np.einsum("na,na->n", fj.grad, fj.grad)
 
 
 def _sphere_term(fj: FrameJet) -> np.ndarray:

@@ -44,6 +44,7 @@ from .jets import (
 from .quaternions import (
     TWIST,
     _hamilton,
+    _single,
     as_point,
     as_quat,
     group_mul,
@@ -80,8 +81,8 @@ V_AMPLITUDE = 2.0**11 * math.sqrt(3.0) * math.pi ** (-3.0 / 5.0)
 class FamilyParams:
     """Scale, concentration and center of one family member.
 
-    c and nu are finite and > 0; a center has the 7 coordinates of one
-    group point.
+    c and nu are finite and > 0; a center is one group point, shape (7,)
+    or (1, 7), else ValueError.
     """
 
     c: float = 1.0
@@ -91,10 +92,9 @@ class FamilyParams:
     def __post_init__(self):
         _positive(self.c, "c")
         _positive(self.nu, "nu")
-        if self.center is not None:
-            shape = np.shape(self.center)
-            if np.prod(shape) != 7 or shape[-1] != 7:
-                raise ValueError(f"FamilyParams takes one center of 7 coordinates, got {shape}")
+        shape = None if self.center is None else np.shape(self.center)
+        if shape not in (None, (7,), (1, 7)):
+            raise ValueError(f"FamilyParams takes one center, shape (7,) or (1, 7), got {shape}")
 
 
 class SpherePoint:
@@ -171,44 +171,35 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
     return jets
 
 
-def h_family(params: FamilyParams) -> ScalarField:
-    """The qc-Einstein conformal factor with the given scale, concentration, center."""
-    base = ScalarField(
-        tag=f"h(c={params.c:g},nu={params.nu:g})",
-        jets=_family_jets(params.c, params.nu),
-        biradial_map=AffineMap.identity(),
-        decay=(-4.0, -2.0),
-    )
-    if params.center is None:
-        return base
-    center = as_point(params.center)
-    if not np.any(center):
-        return base
-    return affine_pullback(
-        base,
-        left_translation_map(center),
-        tag=base.tag + f"@{np.array2string(center, precision=3)}",
-    )
-
-
-def _bubble(amplitude: float, tag: str) -> ScalarField:
-    """amplitude h^{-2} for the unit member h of the family, by the hand kernel."""
+def _member(c: float, nu: float, alpha: float, coef: float, tag: str) -> ScalarField:
+    """coef h^alpha for the member (c, nu) of the family, by the hand kernel."""
     return ScalarField(
         tag=tag,
-        jets=_family_jets(1.0, 1.0, -2.0, amplitude),
+        jets=_family_jets(c, nu, alpha, coef),
         biradial_map=AffineMap.identity(),
-        decay=(8.0, 4.0),  # h decays like (-4, -2)
+        decay=(-4.0 * alpha, -2.0 * alpha),  # h decays like (-4, -2)
     )
+
+
+def h_family(params: FamilyParams) -> ScalarField:
+    """The qc-Einstein conformal factor with the given scale, concentration, center.
+
+    A nonzero center is the `translate_field` of the centred member.
+    """
+    base = _member(params.c, params.nu, 1.0, 1.0, f"h(c={params.c:g},nu={params.nu:g})")
+    if not np.any(params.center):
+        return base
+    return translate_field(base, params.center)
 
 
 def ubar_field() -> ScalarField:
     """The amplitude-2^10 entire solution 2^10 [(1+|q|^2)^2 + |w|^2]^{-2}."""
-    return _bubble(2.0**10, "ubar")
+    return _member(1.0, 1.0, -2.0, 2.0**10, "ubar")
 
 
 def v_field() -> ScalarField:
     """The mass-normalized extremal 2^11 sqrt(3) pi^{-3/5} [(1+|q|^2)^2+|w|^2]^{-2}."""
-    return _bubble(V_AMPLITUDE, "v")
+    return _member(1.0, 1.0, -2.0, V_AMPLITUDE, "v")
 
 
 def pde_residual(fj: FrameJet) -> np.ndarray:
@@ -234,10 +225,7 @@ def left_translation_map(g0) -> AffineMap:
 
     g0 is one point, shape (7,) or (1, 7); a batch is a ValueError.
     """
-    g0 = as_point(g0)
-    if g0.size != 7:
-        raise ValueError(f"left_translation_map takes one centre, got shape {g0.shape}")
-    g0 = g0.reshape(7).copy()
+    g0 = _single(as_point(g0), "left_translation_map").copy()
     linear = np.eye(7)
     linear[4:, :4] = np.tensordot(g0[:4], TWIST, axes=1)
     return AffineMap(linear=linear, offset=g0)
@@ -322,7 +310,10 @@ def cayley_forward_batch(q, p) -> np.ndarray:
     group point is (q1, -Im p1).  Any row at the pole (q=0, p=-1) raises
     SingularityError.
     """
-    q, p = _sphere_normalize(np.atleast_2d(as_quat(q)), np.atleast_2d(as_quat(p)))
+    q, p = np.atleast_2d(as_quat(q)), np.atleast_2d(as_quat(p))
+    if q.ndim != 2 or q.shape != p.shape:
+        raise ValueError(f"Cayley halves are two (N, 4) batches, got {q.shape} and {p.shape}")
+    q, p = _sphere_normalize(q, p)
     inv = _one_plus_inverse(p, "the Cayley transform")
     one_minus = -p
     one_minus[:, 0] += 1.0
@@ -345,13 +336,8 @@ def cayley_inverse_batch(g) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cayley_contact_factor(g):
-    """Conformal factor 8/|1+p1|^2 = 8/[(1+|q|^2)^2+|w|^2] of the contact pullback."""
-    arr = as_point(g)
-    pts, squeeze = _as_batch(arr)
-    r2 = np.einsum("ni,ni->n", pts[:, :4], pts[:, :4])
-    w2 = np.einsum("ni,ni->n", pts[:, 4:7], pts[:, 4:7])
-    out = 8.0 / ((1.0 + r2) ** 2 + w2)
-    return float(out[0]) if squeeze else out
+    """Conformal factor 8/|1+p1|^2 = 8/h of the contact pullback, h the unit member."""
+    return 8.0 / h_family(FamilyParams())(g)
 
 
 def _sigma_components(t1, x1, y1, z1, x, y, z):
@@ -375,8 +361,7 @@ def _sigma_components(t1, x1, y1, z1, x, y, z):
 
 def sigma(g):
     """The inversion q -> -(|q|^2 - w)^{-1} q, w -> -w/(|q|^4+|w|^2); an involution."""
-    arr = as_point(g)
-    pts, squeeze = _as_batch(arr)
+    pts, squeeze = _as_batch(g)
     image, _ = _sigma_components(*pts.T)
     out = np.stack(image, axis=1)
     return out[0] if squeeze else out

@@ -189,6 +189,11 @@ def corrected_hessian(fj: FrameJet) -> np.ndarray:
     return fj.hess + np.einsum("ns,sab->nab", fj.vert, _OMEGA_STACK)
 
 
+def _gradsq(fj: FrameJet) -> np.ndarray:
+    """|grad_H f|^2 = sum_a (e_a f)^2, the horizontal energy density; shape (N,)."""
+    return np.einsum("na,na->n", fj.grad, fj.grad)
+
+
 def sub_laplacian(fj: FrameJet) -> np.ndarray:
     """(T1^2 + X1^2 + Y1^2 + Z1^2) f, the trace of the frame Hessian; shape (N,)."""
     return np.trace(fj.hess, axis1=1, axis2=2)

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, _whole
-from .quaternions import as_point
+from .quaternions import _single, as_point
 
 __all__ = [
     "JetBatch",
@@ -54,10 +54,21 @@ JetBatch = tuple[np.ndarray, ...]
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Affine self-map of R^7, p -> linear @ p + offset."""
+    """Affine self-map of R^7, p -> linear @ p + offset.
+
+    The linear part is (7, 7) and the offset (7,), else ValueError; a NaN
+    or infinite entry is a DomainError.
+    """
 
     linear: np.ndarray
     offset: np.ndarray
+
+    def __post_init__(self):
+        shapes = np.shape(self.linear), np.shape(self.offset)
+        if shapes != ((DIM, DIM), (DIM,)):
+            raise ValueError(f"AffineMap takes (7, 7) and (7,) parts, got shapes {shapes}")
+        if not (np.isfinite(self.linear).all() and np.isfinite(self.offset).all()):
+            raise DomainError("AffineMap has a NaN or infinite entry")
 
     @classmethod
     def identity(cls) -> "AffineMap":
@@ -121,9 +132,12 @@ class ScalarField:
 
 
 def _as_batch(points) -> tuple[np.ndarray, bool]:
+    """The package's one batch rule: a (7,) point, flagged to squeeze, or an (N, 7) batch."""
     pts = as_point(points)
     if pts.ndim == 1:
         return pts[None, :], True
+    if pts.ndim > 2:
+        raise ValueError(f"points are one (7,) point or an (N, 7) batch, got shape {pts.shape}")
     return pts, False
 
 
@@ -281,15 +295,18 @@ class Hyper2:
     def _chain(self, f, fp, fpp) -> "Hyper2":
         """Compose with a scalar function: f(v), and thunks for f'(v), f''(v).
 
-        A derivative is evaluated only when the order carries it.
+        A derivative is evaluated only when the order carries it.  The
+        Hessian f' H + f'' g g^T is built in two (N, 7, 7) arrays.
         """
         grad = hess = None
         if self.grad is not None:
             d1 = fp()
             grad = d1[:, None] * self.grad
         if self.hess is not None:
+            hess = d1[:, None, None] * self.hess
             outer = np.einsum("ni,nj->nij", self.grad, self.grad)
-            hess = d1[:, None, None] * self.hess + fpp()[:, None, None] * outer
+            outer *= fpp()[:, None, None]
+            hess += outer
         return Hyper2(f, grad, hess)
 
 
@@ -430,27 +447,19 @@ def affine_pullback(u: ScalarField, amap: AffineMap, amplitude: float = 1.0,
 
 def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
                   tag: Optional[str] = None) -> ScalarField:
-    """coefficient * u**alpha, requiring u > 0 where evaluated (alpha non-integer ok)."""
+    """coefficient * u**alpha by `Hyper2._chain`; u > 0 where evaluated (alpha non-integer ok)."""
 
     def jets(points: np.ndarray, order: int = 2) -> JetBatch:
         jet = u.jets(points, order)
         val = jet[0]
         if np.any(val <= 0.0):
             raise DomainError(f"power of non-positive base in '{u.tag}'")
-        out = (coefficient * val**alpha,)
-        if order >= 1:
-            grad = jet[1]
-            fp = coefficient * alpha * val ** (alpha - 1.0)
-            out += (fp[:, None] * grad,)
-        if order == 2:
-            fpp = coefficient * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
-            # fp H + fpp g g^T, built in two (N, 7, 7) arrays
-            hess = fp[:, None, None] * jet[2]
-            outer = np.einsum("ni,nj->nij", grad, grad)
-            outer *= fpp[:, None, None]
-            hess += outer
-            out += (hess,)
-        return out
+        out = Hyper2(*jet, *(None,) * (2 - order))._chain(
+            coefficient * val**alpha,
+            lambda: coefficient * alpha * val ** (alpha - 1.0),
+            lambda: coefficient * alpha * (alpha - 1.0) * val ** (alpha - 2.0),
+        )
+        return (out.val, out.grad, out.hess)[: order + 1]
 
     decay = None
     if u.decay is not None:
@@ -477,7 +486,7 @@ def haar_jacobian_audit(g0) -> float:
     from .quaternions import group_mul
 
     step = 1e-5
-    g0 = as_point(g0).reshape(DIM)
+    g0 = _single(as_point(g0), "haar_jacobian_audit")
     jac = np.empty((DIM, DIM))
     rng_pt = np.zeros(DIM)
     for j in range(DIM):

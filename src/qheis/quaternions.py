@@ -42,7 +42,7 @@ __all__ = [
 def as_quat(a) -> np.ndarray:
     """Coerce an array-like to a float array of shape (..., 4)."""
     a = np.asarray(a, dtype=float)
-    if a.shape[-1] != 4:
+    if a.ndim == 0 or a.shape[-1] != 4:
         raise ValueError(f"quaternion needs 4 components, got shape {a.shape}")
     return a
 
@@ -53,12 +53,20 @@ def as_point(g) -> np.ndarray:
     A NaN or infinite coordinate is no point of the group: DomainError.
     """
     g = np.asarray(g, dtype=float)
-    if g.shape[-1] != 7:
+    if g.ndim == 0 or g.shape[-1] != 7:
         raise ValueError(f"group point needs 7 coordinates, got shape {g.shape}")
     # count_nonzero: the cheapest all() on the small batches of the suites
     if np.count_nonzero(np.isfinite(g)) != g.size:
         raise DomainError("group point has a NaN or infinite coordinate")
     return g
+
+
+def _single(a: np.ndarray, what: str) -> np.ndarray:
+    """The one vector of a coerced quaternion or point, shape (n,) or (1, n), as (n,)."""
+    if a.shape[:-1] not in ((), (1,)):
+        n = a.shape[-1]
+        raise ValueError(f"{what} takes one ({n},) or (1, {n}) vector, got shape {a.shape}")
+    return a.reshape(-1)
 
 
 def _hamilton(a, b) -> tuple:

@@ -1,6 +1,7 @@
 """Entire solutions, the deformation family, Cayley transform, Kelvin transform."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from qheis.extremals import (
     v_field,
 )
 from qheis.frame import frame_jets, sub_laplacian
-from qheis.jets import AffineMap, ScalarField, power_compose
+from qheis.jets import AffineMap, ScalarField, haar_jacobian_audit, power_compose
+from qheis.quadrature import minimize_quotient, spin_rotation_map
 from qheis.quaternions import TWIST, dilation, group_inv, group_mul
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
@@ -107,10 +109,12 @@ def test_family_center_is_left_translation(rng, box_points):
     g0 = rng.uniform(-1.0, 1.0, 7)
     params = FamilyParams(c=0.7, nu=2.2)
     centered = h_family(FamilyParams(c=0.7, nu=2.2, center=g0))
-    shifted = translate_field(h_family(params), g0)
+    # against the group law itself: a centred member is built by translate_field
     np.testing.assert_allclose(
-        values(centered, box_points), values(shifted, box_points), rtol=1e-13
+        values(centered, box_points), values(h_family(params), group_mul(g0, box_points)),
+        rtol=1e-13,
     )
+    assert centered.tag == "translate(h(c=0.7,nu=2.2))"
 
 
 def _seeded_members(rng, n=40):
@@ -321,12 +325,54 @@ def test_family_params_must_be_finite(c, nu):
 # a center of the wrong shape is refused where it is built, not inside a
 # field or a search
 @pytest.mark.parametrize(
-    "center", [np.zeros(3), np.zeros((2, 7)), np.zeros(14)], ids=["3", "2 points", "14"]
+    "center",
+    [np.zeros(3), np.zeros((2, 7)), np.zeros(14), np.zeros((1, 1, 7))],
+    ids=["3", "2 points", "14", "1x1x7"],
 )
 def test_family_params_center_is_one_point(center):
     with pytest.raises(ValueError, match="7 coordinates|one center"):
         FamilyParams(center=center)
     assert FamilyParams(center=np.zeros((1, 7))).center.shape == (1, 7)
+
+
+# A single point or quaternion is an (n,) or (1, n) vector, and the two
+# Cayley halves share one (N, 4) shape; anything else is a ValueError
+# naming the shapes, raised before numpy sees the arrays.
+_HALF = np.full(4, 0.5)
+_NOT_ONE = {
+    "left_translation_map": (lambda: left_translation_map(np.zeros((1, 1, 7))), "(1, 1, 7)"),
+    "haar_jacobian_audit": (lambda: haar_jacobian_audit(np.zeros((1, 1, 7))), "(1, 1, 7)"),
+    "spin_rotation_map": (lambda: spin_rotation_map(np.full((2, 4), 0.5), _HALF), "(2, 4)"),
+    "cayley-mismatched": (
+        lambda: cayley_forward_batch(np.full((2, 4), 0.5), np.full((3, 4), 0.5)),
+        "(2, 4) and (3, 4)",
+    ),
+    "cayley-rank-3": (
+        lambda: cayley_forward_batch(np.full((2, 2, 4), 0.5), np.full((2, 2, 4), 0.5)),
+        "(2, 2, 4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, shapes", list(_NOT_ONE.values()), ids=list(_NOT_ONE))
+def test_single_point_arguments_refuse_other_shapes(call, shapes):
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        call()
+
+
+def test_single_point_arguments_take_a_row(ubar):
+    b = np.array([0.0, 0.6, 0.0, 0.8])
+    assert spin_rotation_map(_HALF[None], b[None]).linear.tobytes() == (
+        spin_rotation_map(_HALF, b).linear.tobytes()
+    )
+    # a (1, 7) start center is read as the (7,) one: same search, same result
+    g0 = np.array([0.3, -0.2, 0.1, 0.4, 0.2, -0.1, 0.3])
+    target = translate_field(dilate_field(ubar, math.sqrt(1.2)), g0)
+    row, flat = (minimize_quotient(FamilyParams(center=c), target, seed=0) for c in (g0[None], g0))
+    assert row.converged and flat.converged
+    assert row.params.nu == flat.params.nu and abs(row.params.nu / 1.2 - 1.0) <= 1e-10
+    assert row.value == flat.value
+    np.testing.assert_array_equal(row.params.center, flat.params.center)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ arithmetic they are checking.
 """
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -13,15 +15,19 @@ import pytest
 from qheis.errors import DomainError, _positive
 from qheis.extremals import (
     FamilyParams,
+    cayley_contact_factor,
+    cayley_inverse_batch,
     dilate_field,
     dilation_map,
     h_family,
     kelvin,
     left_translation_map,
+    sigma,
     translate_field,
     ubar_field,
     v_field,
 )
+from qheis.frame import frame_jets
 from qheis.jets import (
     AffineMap,
     Hyper2,
@@ -37,7 +43,7 @@ from qheis.jets import (
     sqrt,
 )
 from qheis.quadrature import _detransformed
-from qheis.quaternions import as_point, group_inv
+from qheis.quaternions import as_point, as_quat, group_inv
 
 
 def finite_diff_audit(f: ScalarField, p, step: float) -> float:
@@ -448,3 +454,52 @@ def test_non_finite_points_are_rejected(ubar, bad):
         ubar(point)  # used to return nan
     with pytest.raises(DomainError):
         ubar.jet_batch(batch, 1)
+
+
+# A point argument is one (7,) point or an (N, 7) batch, and `_as_batch`
+# refuses the rest with the shape in the message: a rank-3 batch used to
+# come back from sigma wrongly shaped, or leak numpy's einsum or quaternion
+# error, and a 0-d input leaked an IndexError from the coercions.
+_BATCH_ENTRIES = {
+    "sigma": sigma,
+    "ScalarField.__call__": lambda g: ubar_field()(g),
+    "jet_batch": lambda g: ubar_field().jet_batch(g, 2),
+    "frame_jets": lambda g: frame_jets(ubar_field(), g),
+    "cayley_contact_factor": cayley_contact_factor,
+    "cayley_inverse_batch": cayley_inverse_batch,
+}
+_BATCH_RULE = "one (7,) point or an (N, 7) batch, got shape "
+_BAD_BATCHES = {  # the input and the message it must raise
+    "0-d": (5.0, "got shape ()"),
+    "rank-3": (np.full((2, 3, 7), 0.3), _BATCH_RULE + "(2, 3, 7)"),
+    "1x1x7": (np.ones((1, 1, 7)), _BATCH_RULE + "(1, 1, 7)"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad, message",
+    [(_BATCH_ENTRIES[e], *_BAD_BATCHES[b]) for e in _BATCH_ENTRIES for b in _BAD_BATCHES]
+    + [(as_point, *_BAD_BATCHES["0-d"]), (as_quat, *_BAD_BATCHES["0-d"])],
+    ids=[f"{e}-{b}" for e in _BATCH_ENTRIES for b in _BAD_BATCHES]
+    + ["as_point-0-d", "as_quat-0-d"],
+)
+def test_point_arguments_are_one_point_or_a_batch(entry, bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(bad)
+
+
+@pytest.mark.parametrize(
+    "linear, offset, error",
+    [
+        (np.full((7, 7), math.nan), np.zeros(7), DomainError),  # its field read nan
+        (np.eye(7), np.full(7, math.inf), DomainError),  # its field read 0.0
+        (np.eye(7), np.array([0, 0, 0, math.nan, 0, 0, 0]), DomainError),
+        (np.eye(3), np.zeros(3), ValueError),  # failed only later, inside matmul
+        (np.eye(7), np.zeros((1, 7)), ValueError),
+        (np.eye(7)[:6], np.zeros(7), ValueError),
+    ],
+    ids=["nan-linear", "inf-offset", "nan-offset", "3x3", "row-offset", "6x7"],
+)
+def test_affine_map_checks_its_parts(linear, offset, error):
+    with pytest.raises(error, match="AffineMap"):
+        AffineMap(linear, offset)
