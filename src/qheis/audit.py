@@ -296,9 +296,6 @@ _FAMILY_BLOCK = 100
 
 
 def _frobenius(mats: np.ndarray) -> np.ndarray:
-    mats = np.asarray(mats)
-    if mats.ndim == 2:
-        mats = mats[None]
     return np.sqrt(np.einsum("nab,nab->n", mats, mats))
 
 
@@ -479,6 +476,11 @@ def _suite_cayley(config: SuiteConfig) -> list[Report]:
     return checks.reports
 
 
+def _best_constant_record(config: SuiteConfig):
+    """`best_constant_report` at the config's seed, with at least 1000 Monte Carlo samples."""
+    return best_constant_report(mc_samples=max(1000, config.samples_or(200_000)), seed=config.seed)
+
+
 def _suite_quadrature(config: SuiteConfig) -> list[Report]:
     rng = np.random.default_rng(config.seed)
     checks = _Checks()
@@ -496,15 +498,14 @@ def _suite_quadrature(config: SuiteConfig) -> list[Report]:
 
     # the gauge integral, the Monte Carlo mass and ubar's quotient: the
     # best-constant record, graded here rather than computed again
-    n = max(1000, config.samples_or(200_000))
-    record = best_constant_report(mc_samples=n, seed=config.seed)
+    record = _best_constant_record(config)
     residual = abs(record.gauge_integral / record.gauge_closed_form - 1.0)
     mc = record.mass_mc
     # no error estimate (stderr 0) cannot certify agreement; NaN stays NaN
     z = abs(mc.value - record.mass_closed_form) / mc.stderr if mc.stderr else math.inf
     checks.add(
         ("gauge-closed-form", record.gauge.table[-1][3], residual, 1e-8, "closed-form"),
-        ("mass-mc-agreement", n, z, 3.0, "cross-check"),
+        ("mass-mc-agreement", mc.samples, z, 3.0, "cross-check"),
     )
 
     ubar = ubar_field()
@@ -585,9 +586,7 @@ def best_constant_reports(config: Optional[SuiteConfig] = None):
     """
     config = config or SuiteConfig()
     checks = _Checks()
-    record = best_constant_report(
-        seed=config.seed, mc_samples=max(1000, config.samples_or(200_000))
-    )
+    record = _best_constant_record(config)
     checks.add(*(
         (line.name, 1, abs(line.ratio - 1.0), 1e9, "informational") if line.informational
         else (line.name, 1, abs(line.ratio - 1.0), _RATIO_TOL, "computed")

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and its two argument rules.
+"""Exception types shared across the package, and its argument rules.
 
 Every module imports this one, so each rule is written here once: `_whole`
-for a whole number in a range (ValueError) and `_positive` for a finite
-real number > 0 (DomainError).  Neither takes a bool.
+for a whole number in a range (ValueError), `_positive` for a finite real
+number > 0 and `_finite` for a finite real number of any sign (both
+DomainError).  None of them takes a bool.
 """
 
+import math
 import numbers
 import operator
 
@@ -49,13 +51,20 @@ def _whole(value, name: str, lo: int, hi: int | None = None) -> int:
     return n
 
 
-def _positive(value, name: str) -> float:
-    """`value` as a float if it is a real number, finite and > 0, else DomainError.
+def _real(value) -> bool:
+    """A bool, a string or an array is no real number, although float() takes some."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
-    A bool, a string or an array is no such number, although float()
-    would take some of them.
-    """
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0.0 < value < float("inf")):  # False on NaN
+
+def _positive(value, name: str) -> float:
+    """`value` as a float if it is a real number, finite and > 0, else DomainError."""
+    if not (_real(value) and 0.0 < value < math.inf):  # False on NaN
         raise DomainError(f"{name} must be a finite real number > 0, got {value!r}")
     return float(value)
+
+
+def _finite(value, name: str):
+    """`value`, unchanged, if it is a finite real number of any sign, else DomainError."""
+    if not (_real(value) and -math.inf < value < math.inf):  # False on NaN
+        raise DomainError(f"{name} must be a finite real number, got {value!r}")
+    return value

@@ -4,11 +4,13 @@ The horizontal frame (T1, X1, Y1, Z1) and the vertical frame (xi1, xi2, xi3)
 are obtained by left-translating the coordinate directions at the identity.
 Nothing here is transcribed by hand: the translation Jacobian is
 [[I4, 0], [q . TWIST, I3]], read from `quaternions.TWIST`, audited against
-`group_mul` at import, and the frame's affine coefficient rows, the
-structure constants, the fundamental 2-forms and the almost complex
-structures are all derived from it when the module is imported.  A startup
-audit checks the quaternion relations (I_s^2 = -1, I1 I2 = I3, skewness,
-orthogonality) and raises ConsistencyError on any failure.
+`group_mul` at import, and the frame's affine coefficient rows and the
+structure constants are both read off it.  The fundamental 2-forms are
+omega_s = -TWIST[:, s, :] / 2 and the almost complex structures their
+transposes.  A startup audit checks the quaternion relations (I_s^2 = -1,
+I1 I2 = I3, skewness, orthogonality) and raises ConsistencyError on any
+failure; `commutator_audit` compares the bracket of the rows with the
+structure constants.
 
 Convention fixed by the commutators: [e_a, e_b] = -2 sum_s omega_s(e_a, e_b) xi_s
 with xi_s = 2 d/dw_s, which lands on omega_1(T1, X1) = omega_1(Y1, Z1) = 1 and
@@ -76,34 +78,11 @@ _GRAD_K = TWIST.reshape(12, 4)
 # B[a, s] = sum_c q_c TWIST[c, s, a], the w-columns of the rows:
 # B = (q @ _ROWS_K).reshape(4, 3), with _ROWS_K[c, (a, s)].
 _ROWS_K = TWIST.transpose(0, 2, 1).reshape(4, 12)
-
-
-def _derive_structures():
-    """Fundamental forms and complex structures, from the structure constants.
-
-    [e_a, e_b]^j = sum_i c_a^i d_i(c_b^j) - c_b^i d_i(c_a^j); with affine rows
-    the derivative matrices are the constant _LIN blocks and the bracket is
-    point-independent, which is verified below at pseudo-random points.
-    """
-    rng = np.random.default_rng(7)
-    pts = np.vstack([np.zeros(7), rng.uniform(-2.0, 2.0, size=(4, 7))])
-    rows = frame_rows(pts)  # (5,4,7)
-    brackets = np.einsum("nai,bji->nabj", rows, _LIN) - np.einsum(
-        "nbi,aji->nabj", rows, _LIN
-    )
-    spread = np.max(np.abs(brackets - brackets[0]))
-    if spread > 1e-13:
-        raise ConsistencyError(f"frame brackets are point-dependent (spread {spread})")
-    bracket = brackets[0]  # (4,4,7)
-    if np.max(np.abs(bracket[:, :, :4])) > 1e-14:
-        raise ConsistencyError("horizontal bracket components should vanish")
-    # [e_a,e_b] = -2 sum_s omega_s(e_a,e_b) xi_s and xi_s = 2 d/dw_s,
-    # so the d/dw_s coefficient is -4 omega_s(e_a, e_b).
-    omegas = tuple(-bracket[:, :, 4 + s] / 4.0 for s in range(3))
-    # I_s e_a = sum_b omega_s[a, b] e_b, i.e. the matrix on coordinate
-    # vectors is omega_s transposed.
-    imats = tuple(om.T.copy() for om in omegas)
-    return omegas, imats
+# TWIST is antisymmetric in (a, b), so [e_a, e_b] = 2 sum_s TWIST[a, s, b] d/dw_s,
+# which is -2 sum_s omega_s(e_a, e_b) xi_s for omega_s = -TWIST[:, s, :] / 2.
+# I_s e_a = sum_b omega_s[a, b] e_b: its matrix is omega_s transposed.
+OMEGA = tuple(-TWIST[:, s, :] / 2.0 for s in range(3))
+IMAT = tuple(om.T.copy() for om in OMEGA)
 
 
 def frame_rows(points) -> np.ndarray:
@@ -113,8 +92,6 @@ def frame_rows(points) -> np.ndarray:
     """
     return _BASE + np.einsum("ajc,nc->naj", _LIN, _as_batch(points)[0])
 
-
-OMEGA, IMAT = _derive_structures()
 
 # e_a(c_b^{w_s}) = TWIST[a, s, b] as constant 4x4 matrices, one per vertical
 # direction: the only surviving first-order term of the frame Hessian.
@@ -202,9 +179,9 @@ def sub_laplacian(fj: FrameJet) -> np.ndarray:
 def commutator_audit(a: int, b: int, p) -> float:
     """Max-norm of [e_a, e_b](p) + 2 sum_s omega_s(e_a, e_b) xi_s.
 
-    The bracket is recomputed honestly from the frame coefficients and their
-    exact derivatives at p; the omegas are the import-time constants, so this
-    checks the derived convention at arbitrary points.  A batch of points is
+    The bracket is computed from the frame coefficient rows and their exact
+    derivatives at p; the omegas are read off TWIST by a different formula,
+    so this checks the convention at arbitrary points.  A batch of points is
     audited whole: the result is the maximum over every point.  a and b are
     frame indices, integers in {0, 1, 2, 3}; anything else is a ValueError.
     """

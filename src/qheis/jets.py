@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, _whole
+from .errors import DomainError, _finite, _whole
 from .quaternions import _single, as_point
 
 __all__ = [
@@ -428,8 +428,10 @@ def affine_pullback(u: ScalarField, amap: AffineMap, amplitude: float = 1.0,
 
     When u is itself a pullback b1 * v(B(p)), the result is recorded as the
     single pullback (amplitude * b1) * v((B o A)(p)), so its jets take one
-    chain-rule step however many motions were stacked.
+    chain-rule step however many motions were stacked.  The amplitude is a
+    finite real number, else DomainError, as for the map's parts.
     """
+    _finite(amplitude, "pullback amplitude")
     if isinstance(u.jets, _Pullback):
         inner = u.jets
         jets = _Pullback(inner.base, inner.amap.after(amap), amplitude * inner.amplitude)
@@ -447,7 +449,12 @@ def affine_pullback(u: ScalarField, amap: AffineMap, amplitude: float = 1.0,
 
 def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
                   tag: Optional[str] = None) -> ScalarField:
-    """coefficient * u**alpha by `Hyper2._chain`; u > 0 where evaluated (alpha non-integer ok)."""
+    """coefficient * u**alpha by `Hyper2._chain`; u > 0 where evaluated (alpha non-integer ok).
+
+    alpha and the coefficient are finite real numbers of any sign, else DomainError.
+    """
+    _finite(alpha, "power exponent")
+    _finite(coefficient, "power coefficient")
 
     def jets(points: np.ndarray, order: int = 2) -> JetBatch:
         jet = u.jets(points, order)

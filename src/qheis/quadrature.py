@@ -764,18 +764,18 @@ class MinimizeResult:
     rule than the search's; it exceeds the extremal quotient exactly to
     the extent the recovered motion fails to center the target.  `nfev`
     counts the peak search's jet calls plus the descent's
-    objective-and-gradient evaluations; `restarts` is the number of
-    descents run, always 1.  `converged` says whether the peak gave the
-    seed and the descent met its gradient tolerance within `_MAXITER`
-    iterations, and `message` why it stopped.
+    objective-and-gradient evaluations.  `converged` says whether the peak
+    gave the seed and the descent met its gradient tolerance within
+    `_MAXITER` iterations, and `message` why it stopped.  `restarts` (one
+    descent) is a class constant, kept for the bench tracer.
     """
 
     params: FamilyParams
     value: float  # profile quotient at the optimum, fine rule
     converged: bool
     nfev: int
-    restarts: int
     message: str
+    restarts: ClassVar[int] = 1
 
 
 def _newton_peak(target: ScalarField, start: np.ndarray):
@@ -821,24 +821,23 @@ def _newton_peak(target: ScalarField, start: np.ndarray):
 
 
 def _peak_seed(
-    target: ScalarField, nu0: float, center0: np.ndarray, bounds: np.ndarray
-) -> tuple[np.ndarray, int, bool]:
-    """Starting point [log nu, center] from the target's peak and its curvature.
+    target: ScalarField, nu0: float, center0: np.ndarray
+) -> tuple[float, np.ndarray, int, bool]:
+    """Starting (nu, center) from the target's peak and its curvature.
 
     A translated, dilated bubble peaks exactly at its center, and the
     ratio of the sub-Laplacian to the value at the peak scales linearly
     with the concentration (it is amplitude-free), so for family
     members the seed is already the answer to rounding and the descent
     only has to confirm it.  For anything else it is still a sensible
-    warm start.  Returns the seed clipped to the box, the jet calls of
-    the peak search, and whether the peak gave the seed (when not, nu0 is
-    kept: the start is off the domain or the curvature ratio not negative).
+    warm start.  Returns nu and the center, clipped to the box, the jet
+    calls of the peak search, and whether the peak gave the seed (when not,
+    nu0 is kept: the start is off the domain or the curvature ratio not negative).
     """
     # the candidate center undoes a left translation, so the bubble
     # translated by g peaks at inv(g); search near the inverse and
     # invert the location found
     peak, height, _, calls = _newton_peak(target, group_inv(center0))
-    center = group_inv(peak)
     log_nu, peaked = math.log(nu0), False
     if math.isfinite(height) and height > 0.0:
         # the unit bubble has sub_laplacian/value = -32 at its peak and
@@ -846,8 +845,9 @@ def _peak_seed(
         ratio = frame.sub_laplacian(frame.frame_jets(target, peak))[0] / height
         if ratio < 0.0:
             log_nu, peaked = math.log(ratio / -32.0), True
-    theta = np.concatenate([[log_nu], center])
-    return np.clip(theta, -bounds, bounds), calls, peaked
+    nu = math.exp(np.clip(log_nu, -_LOG_NU_BOUND, _LOG_NU_BOUND))
+    center = np.clip(group_inv(peak), -_CENTER_BOUND, _CENTER_BOUND)
+    return nu, center, calls, peaked
 
 
 def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
@@ -926,13 +926,11 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
     result is unconverged, with a message that says so.
     """
     seed = _whole(seed, "seed", 0)  # also the key of the cached rules
-    bounds = np.concatenate([[_LOG_NU_BOUND], np.full(DIM, _CENTER_BOUND)])
     center0 = np.zeros(DIM) if init.center is None else as_point(init.center).reshape(DIM)
     if abs(math.log(init.nu)) > _LOG_NU_BOUND or np.any(np.abs(center0) > _CENTER_BOUND):
         raise ValueError("initial guess outside the search box")
 
-    theta0, nfev, peaked = _peak_seed(target, init.nu, center0, bounds)
-    nu_opt = math.exp(theta0[0])
+    nu_opt, center_seed, nfev, peaked = _peak_seed(target, init.nu, center0)
     rule = _profile_rule(_SEARCH_LEVEL, _SEARCH_NODES, _SEARCH_ROTATIONS, seed)
 
     def objective(center: np.ndarray):
@@ -940,7 +938,7 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
         excess = np.maximum(0.0, np.abs(center) - _CENTER_BOUND)
         return value + 1e3 * float(excess @ excess), grad + 2e3 * excess * np.sign(center)
 
-    center_opt, evals, converged, message = _bfgs(objective, theta0[1:], _GTOL, _MAXITER)
+    center_opt, evals, converged, message = _bfgs(objective, center_seed, _GTOL, _MAXITER)
     if not peaked:  # the descent cannot see nu, so a kept nu0 must not read as converged
         converged = False
         message = f"peak seed failed, nu kept at {nu_opt:.6g}; descent: {message}"
@@ -950,7 +948,6 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
         value=fine.objective(target, nu_opt, center_opt),
         converged=converged,
         nfev=nfev + evals,
-        restarts=1,
         message=message,
     )
 

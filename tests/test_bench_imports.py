@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from qheis import extremals, quaternions
+from qheis.jets import ScalarField
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,3 +41,26 @@ def test_one_item_of_each_workload_passes_its_grader():
         assert checks, name
         failed = [c for c in checks if not workloads.passed(c[1], c[2])]
         assert failed == [], (name, failed)
+
+
+def test_one_traced_item_of_each_workload_reads_every_count():
+    # a `--trace 1` run reads these off what qheis returns; only that run
+    # wraps every `__all__` function and reads `MinimizeResult.restarts`
+    tracer_module, workloads = _load("tracer"), _load("workloads")
+    jet_batch = ScalarField.jet_batch
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert ScalarField.jet_batch is not jet_batch
+        for name in workloads.NAMES:
+            (item,) = workloads.make_inputs(name, 5, 1)
+            workloads.run_item(name, item)
+    finally:
+        tracer.uninstall()
+    assert ScalarField.jet_batch is jet_batch
+    counts = tracer.counts()
+    assert counts["quadrature.search_restarts"] == 1
+    assert counts["quadrature.search_nfev"] > 0
+    assert counts["quadrature.mc_samples"] == workloads.MC_SAMPLES == 200_000
+    assert counts["quadrature.levels"] > 0
+    assert counts["audit.checks"] > 0

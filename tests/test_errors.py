@@ -1,4 +1,4 @@
-"""The package's two argument rules, and that they have one home."""
+"""The package's argument rules, and that they have one home."""
 
 import ast
 import math
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qheis.errors import DomainError, _positive, _whole
+from qheis.errors import DomainError, _finite, _positive, _whole
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qheis"
 
@@ -42,6 +42,19 @@ def test_positive_takes_finite_reals_above_zero(value):
 def test_positive_refuses_everything_else(value):
     with pytest.raises(DomainError, match="x must be a finite real number > 0"):
         _positive(value, "x")
+
+
+@pytest.mark.parametrize("value", [0, -2.5, 1e300, np.float64(-0.5), np.int64(-3)])
+def test_finite_takes_finite_reals_of_any_sign_unchanged(value):
+    assert _finite(value, "x") is value
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, True, "2", None, np.array([1.0])], ids=repr
+)
+def test_finite_refuses_everything_else(value):
+    with pytest.raises(DomainError, match="x must be a finite real number, got "):
+        _finite(value, "x")
 
 
 _RULE_NAMES = {"operator": {"index"}, "numbers": {"Real", "Integral"}}

@@ -108,6 +108,17 @@ def test_log_domain_error():
         f(np.array([-1.0, 0, 0, 0, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("r", [0, 1])
+def test_zeroth_and_first_powers_are_exact_at_a_zero_base(r):
+    # the plain chain rule reads r v^(r-1) and r (r-1) v^(r-2), which are
+    # 0 * inf = NaN at v = 0; x^0 and x^1 must not go through it
+    f = autodiff_lift(lambda t1, x1, y1, z1, x, y, z: t1**r, tag=f"t1^{r}")
+    val, grad, hess = (part[0] for part in f.jet_batch(np.zeros(7), 2))
+    assert val == 1.0 - r
+    np.testing.assert_array_equal(grad, r * np.eye(7)[0])
+    np.testing.assert_array_equal(hess, np.zeros((7, 7)))
+
+
 def test_affine_map_algebra():
     rng = np.random.default_rng(4)
     a = AffineMap(linear=rng.standard_normal((7, 7)), offset=rng.standard_normal(7))
@@ -145,6 +156,11 @@ def test_power_compose_values_jets_decay():
     np.testing.assert_allclose(f(p), 3.0 * (1.0 + 0.25 + 0.0625) ** -1.5, rtol=1e-13)
     assert f.decay == (3.0, 3.0)
     assert finite_diff_audit(f, p, step=1e-4) < 1e-6
+    # a base that is not positive where evaluated is refused, even for an
+    # exponent whose power would be defined there
+    signed = power_compose(autodiff_lift(lambda t1, *rest: t1, tag="t1"), 2.0)
+    with pytest.raises(DomainError, match="power of non-positive base in 't1'"):
+        signed(np.array([-0.5, 0, 0, 0, 0, 0, 0]))
 
 
 def test_pullback_certificate_composition():
@@ -503,3 +519,27 @@ def test_point_arguments_are_one_point_or_a_batch(entry, bad, message):
 def test_affine_map_checks_its_parts(linear, offset, error):
     with pytest.raises(error, match="AffineMap"):
         AffineMap(linear, offset)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True], ids=repr)
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda u, x: affine_pullback(u, AffineMap.identity(), amplitude=x), "pullback amplitude"),
+        (lambda u, x: power_compose(u, x), "power exponent"),
+        (lambda u, x: power_compose(u, 2.0, x), "power coefficient"),
+    ],
+    ids=["amplitude", "alpha", "coefficient"],
+)
+def test_combinators_refuse_non_finite_scalars(build, name, bad):
+    # each read nan or inf at every point instead of failing where it was
+    # built; the rule's other refusals are `errors._finite`'s own tests
+    with pytest.raises(DomainError, match=f"{name} must be a finite real number, got "):
+        build(ubar_field(), bad)
+
+
+def test_combinators_take_scalars_of_any_sign():
+    ubar, origin = ubar_field(), np.zeros(7)  # ubar(0) = 2^10
+    assert affine_pullback(ubar, AffineMap.identity(), amplitude=-3)(origin) == -3.0 * 2**10
+    assert power_compose(ubar, -0.5, -2.0)(origin) == -2.0 * 2**-5
+    assert power_compose(ubar, np.float64(0.5), np.int64(3))(origin) == 3.0 * 2**5

@@ -317,6 +317,21 @@ def test_mc_mass_within_three_sigma(ubar):
     assert abs(mc.value - MASS) <= 3.0 * mc.stderr
 
 
+@pytest.mark.parametrize("alpha, heavy", [(0.8, True), (2.5, False)])
+def test_mc_warns_on_heavy_tailed_weights(ubar, alpha, heavy):
+    # ubar^0.8 has a finite integral, but its weight under the Cauchy tail of
+    # the rho proposal has an infinite variance: the standard error stops
+    # shrinking with the sample size, which is what the warning reads
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mc = integrate_mc(power_compose(ubar, alpha), 4000, seed=0)
+    assert (mc.warning is not None) == heavy
+    assert [w.category for w in caught] == [RuntimeWarning] * heavy
+    if heavy:
+        assert str(caught[0].message) == mc.warning
+        assert "heavy-tailed" in mc.warning
+
+
 def test_mc_translation_invariance(ubar):
     moved = translate_field(ubar, np.array([0.5, 0.2, -0.3, 0.1, 0.4, 0.0, -0.6]))
     mc = integrate_mc(power_compose(moved, 2.5, tag="moved-mass"), 100_000, seed=1)
@@ -878,6 +893,31 @@ def test_objective_is_nan_where_the_target_leaves_the_rule(planted):
     assert x.tobytes() == far.tobytes()
 
 
+def test_bfgs_stops_where_the_line_search_finds_no_decrease():
+    # the gradient comes with the wrong sign, so the descent direction goes
+    # uphill and every halving of the step is refused
+    x, nfev, converged, message = quadrature._bfgs(
+        lambda x: (float(x @ x), -2.0 * x), np.ones(3), 1e-8, 5
+    )
+    assert converged is False and x.tobytes() == np.ones(3).tobytes()
+    assert message.startswith("line search found no decrease after 0 iterations")
+    assert nfev == 35  # the start, then alpha = 1, 1/2, ... down to 2^-33
+
+
+def test_bfgs_backtracks_to_an_armijo_step():
+    # sum sqrt(1 + 100 x^2) is nearly |10 x| away from 0, so full quasi-Newton
+    # steps overshoot and the step has to be halved to decrease enough
+    def fun(x):
+        s = np.sqrt(1.0 + 100.0 * x * x)
+        return float(s.sum()), 100.0 * x / s
+
+    x, nfev, converged, message = quadrature._bfgs(fun, np.full(3, 2.0), 1e-8, 200)
+    assert converged, message
+    assert message.endswith("after 12 iterations")
+    assert nfev == 46  # 13 without a single halving
+    assert np.max(np.abs(x)) <= 1e-9
+
+
 def test_objective_maps_the_rule_points_through_one_affine_map(planted, monkeypatch):
     # the candidate motion folds into the target's own pullback, so the
     # rule's points take one affine map, not the motion's and then the target's
@@ -900,8 +940,8 @@ def test_objective_maps_the_rule_points_through_one_affine_map(planted, monkeypa
 def _displaced_seed(monkeypatch):
     """Make the peak seed return the planted center + 0.1 at the true nu."""
 
-    def seed(target, nu0, center0, bounds):
-        return np.concatenate([[math.log(_NU)], _G0 + 0.1]), 0, True
+    def seed(target, nu0, center0):
+        return _NU, _G0 + 0.1, 0, True
 
     monkeypatch.setattr(quadrature, "_peak_seed", seed)
 
