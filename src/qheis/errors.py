@@ -51,20 +51,30 @@ def _whole(value, name: str, lo: int, hi: int | None = None) -> int:
     return n
 
 
-def _real(value) -> bool:
-    """A bool, a string or an array is no real number, although float() takes some."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _real(value) -> float:
+    """`value` as a float if it is a real number, else NaN.
+
+    A bool, a string or an array is no real number, although float() takes
+    some; an integer beyond the float range reads NaN too, not OverflowError.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
 
 
 def _positive(value, name: str) -> float:
     """`value` as a float if it is a real number, finite and > 0, else DomainError."""
-    if not (_real(value) and 0.0 < value < math.inf):  # False on NaN
+    x = _real(value)
+    if not 0.0 < x < math.inf:  # False on NaN
         raise DomainError(f"{name} must be a finite real number > 0, got {value!r}")
-    return float(value)
+    return x
 
 
 def _finite(value, name: str):
     """`value`, unchanged, if it is a finite real number of any sign, else DomainError."""
-    if not (_real(value) and -math.inf < value < math.inf):  # False on NaN
+    if not math.isfinite(_real(value)):
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
     return value

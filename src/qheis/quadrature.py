@@ -741,9 +741,6 @@ class _ProfileRule:
 #: process and shared, hence read-only; a search uses two keys per seed.
 _profile_rule = functools.lru_cache(maxsize=4)(_ProfileRule)
 
-_LOG_NU_BOUND = 4.0
-_CENTER_BOUND = 5.0
-
 # The search rule: 3 rotations of the level-2, 10-node reduced rule; the
 # reported value re-evaluates on level 3 with 12 nodes.  The defect weight
 # is the objective's gamma; the descent stops at max |gradient| <= _GTOL.
@@ -786,16 +783,17 @@ def _newton_peak(target: ScalarField, start: np.ndarray):
     step always points uphill.  A trial that does not climb, or leaves the
     domain, is refused and lam grows tenfold; an accepted one shrinks it
     tenfold.  Plain Newton diverges from starts a tenth away, where the
-    Hessian is indefinite.  _PEAK_TRIALS bounds the trials; the search stops
-    once an accepted step is below 1e-14 relative size.  Returns (peak,
-    height, accepted steps, jet calls); the height is NaN when the start
-    itself is outside the domain.
+    Hessian is indefinite.  The search stops once an accepted step is below
+    1e-14 relative size, or after _PEAK_TRIALS trials.  Returns (peak,
+    height, accepted steps, jet calls, stopped), `stopped` saying whether
+    the step test ended it; the height is NaN when the start itself is
+    outside the domain.
     """
     p = np.array(start, dtype=float)
     try:
         val, g, hess = (part[0] for part in target.jet_batch(p, 2))
     except DomainError:
-        return p, math.nan, 0, 1
+        return p, math.nan, 0, 1, False
     calls = 1
     steps = 0
     scale = float(np.max(np.abs(hess))) or 1.0
@@ -816,8 +814,8 @@ def _newton_peak(target: ScalarField, start: np.ndarray):
         steps += 1
         lam *= 0.1
         if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(p))):
-            break
-    return p, float(val), steps, calls
+            return p, float(val), steps, calls, True
+    return p, float(val), steps, calls, False
 
 
 def _peak_seed(
@@ -830,24 +828,21 @@ def _peak_seed(
     with the concentration (it is amplitude-free), so for family
     members the seed is already the answer to rounding and the descent
     only has to confirm it.  For anything else it is still a sensible
-    warm start.  Returns nu and the center, clipped to the box, the jet
-    calls of the peak search, and whether the peak gave the seed (when not,
-    nu0 is kept: the start is off the domain or the curvature ratio not negative).
+    warm start.  Returns nu and the center as measured, the jet calls of
+    the peak search, and whether the peak gave the seed: only when the step
+    test stopped the peak search and nu is finite and > 0; if not, nu0 is kept.
     """
     # the candidate center undoes a left translation, so the bubble
     # translated by g peaks at inv(g); search near the inverse and
     # invert the location found
-    peak, height, _, calls = _newton_peak(target, group_inv(center0))
-    log_nu, peaked = math.log(nu0), False
-    if math.isfinite(height) and height > 0.0:
+    peak, height, _, calls, stopped = _newton_peak(target, group_inv(center0))
+    if stopped and height > 0.0:
         # the unit bubble has sub_laplacian/value = -32 at its peak and
         # the ratio scales by nu along the family
-        ratio = frame.sub_laplacian(frame.frame_jets(target, peak))[0] / height
-        if ratio < 0.0:
-            log_nu, peaked = math.log(ratio / -32.0), True
-    nu = math.exp(np.clip(log_nu, -_LOG_NU_BOUND, _LOG_NU_BOUND))
-    center = np.clip(group_inv(peak), -_CENTER_BOUND, _CENTER_BOUND)
-    return nu, center, calls, peaked
+        nu = float(frame.sub_laplacian(frame.frame_jets(target, peak))[0]) / height / -32.0
+        if 0.0 < nu < math.inf:  # False on NaN
+            return nu, group_inv(peak), calls, True
+    return nu0, group_inv(peak), calls, False
 
 
 def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int):
@@ -919,25 +914,18 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
     `init` starts a damped Newton ascent to the target's peak (see
     _newton_peak); BFGS then descends over the center from the peak
     estimate, with the exact gradient, for at most `_MAXITER` (200)
-    iterations and until max |gradient| <= `_GTOL`.  The reported value is
-    the pure profile quotient at the optimum on a finer rule, and nothing
-    else is integrated.  `seed` (the rotations) is an integer >= 0.  When
-    the peak gives no seed (see _peak_seed), nu stays at `init.nu` and the
+    iterations and until max |gradient| <= `_GTOL`.  No box holds either:
+    the result is the nu and center measured.  The reported value is the
+    pure profile quotient at the optimum on a finer rule, and nothing else
+    is integrated.  `seed` (the rotations) is an integer >= 0.  When the
+    peak gives no seed (see _peak_seed), nu stays at `init.nu` and the
     result is unconverged, with a message that says so.
     """
     seed = _whole(seed, "seed", 0)  # also the key of the cached rules
     center0 = np.zeros(DIM) if init.center is None else as_point(init.center).reshape(DIM)
-    if abs(math.log(init.nu)) > _LOG_NU_BOUND or np.any(np.abs(center0) > _CENTER_BOUND):
-        raise ValueError("initial guess outside the search box")
-
     nu_opt, center_seed, nfev, peaked = _peak_seed(target, init.nu, center0)
     rule = _profile_rule(_SEARCH_LEVEL, _SEARCH_NODES, _SEARCH_ROTATIONS, seed)
-
-    def objective(center: np.ndarray):
-        value, grad = rule.objective(target, nu_opt, center, _DEFECT_WEIGHT, gradient=True)
-        excess = np.maximum(0.0, np.abs(center) - _CENTER_BOUND)
-        return value + 1e3 * float(excess @ excess), grad + 2e3 * excess * np.sign(center)
-
+    objective = functools.partial(rule.objective, target, nu_opt, gamma=_DEFECT_WEIGHT, gradient=True)
     center_opt, evals, converged, message = _bfgs(objective, center_seed, _GTOL, _MAXITER)
     if not peaked:  # the descent cannot see nu, so a kept nu0 must not read as converged
         converged = False

@@ -138,6 +138,28 @@ def test_best_constant_text(capsys):
     assert "computed:" in out and "printed:" in out
 
 
+def test_best_constant_json_has_one_report_per_ratio_line(monkeypatch, capsys):
+    records = []
+    reports_of = audit.best_constant_reports
+
+    def kept(config):
+        record, reports = reports_of(config)
+        records.append(record)
+        return record, reports
+
+    monkeypatch.setattr(audit, "best_constant_reports", kept)
+    assert main(["best-constant", "--format", "json", "--samples", "20000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["suite"] == "best-constant"
+    (record,) = records
+    assert [r["check"] for r in doc["reports"]] == [line.name for line in record.ratios]
+    informational = [r for r in doc["reports"] if r["provenance"] == "informational"]
+    assert [r["check"] for r in informational] == [
+        line.name for line in record.ratios if line.informational
+    ]
+    assert len(informational) == 4 and all(r["tolerance"] == 1e9 for r in informational)
+
+
 def test_quotient_min_command(capsys):
     assert main(["quotient-min", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from qheis.errors import DomainError, _finite, _positive, _whole
+from qheis.extremals import FamilyParams, dilate_field, ubar_field
+from qheis.jets import power_compose
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qheis"
 
@@ -36,8 +38,14 @@ def test_positive_takes_finite_reals_above_zero(value):
     assert x == value and type(x) is float
 
 
+# float() of these is an OverflowError; the rules must say DomainError
+_BEYOND_FLOAT = [pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")]
+
+
 @pytest.mark.parametrize(
-    "value", [0.0, -1.0, math.nan, math.inf, True, "2", None, np.array([1.0])], ids=repr
+    "value",
+    [0.0, -1.0, math.nan, math.inf, True, "2", None, np.array([1.0])] + _BEYOND_FLOAT,
+    ids=repr,
 )
 def test_positive_refuses_everything_else(value):
     with pytest.raises(DomainError, match="x must be a finite real number > 0"):
@@ -50,11 +58,28 @@ def test_finite_takes_finite_reals_of_any_sign_unchanged(value):
 
 
 @pytest.mark.parametrize(
-    "value", [math.nan, math.inf, -math.inf, True, "2", None, np.array([1.0])], ids=repr
+    "value",
+    [math.nan, math.inf, -math.inf, True, "2", None, np.array([1.0])] + _BEYOND_FLOAT,
+    ids=repr,
 )
 def test_finite_refuses_everything_else(value):
     with pytest.raises(DomainError, match="x must be a finite real number, got "):
         _finite(value, "x")
+
+
+@pytest.mark.parametrize("value", _BEYOND_FLOAT)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: dilate_field(ubar_field(), v),
+        lambda v: FamilyParams(nu=v),
+        lambda v: power_compose(ubar_field(), 2.0, v)(np.zeros(7)),
+    ],
+    ids=["dilate_field", "FamilyParams", "power_compose"],
+)
+def test_entry_points_refuse_integers_beyond_the_float_range(build, value):
+    with pytest.raises(DomainError):
+        build(value)
 
 
 _RULE_NAMES = {"operator": {"index"}, "numbers": {"Real", "Integral"}}

@@ -108,6 +108,31 @@ def test_log_domain_error():
         f(np.array([-1.0, 0, 0, 0, 0, 0, 0]))
 
 
+@pytest.mark.parametrize(
+    "g, t1, message",
+    [
+        (lambda t1: 1.0 / t1, 0.0, "division by a zero value"),
+        (lambda t1: t1**2.5, -1.0, "non-integer power 2.5 of a non-positive value"),
+        (lambda t1: t1**-2, 0.0, "negative power of zero"),
+        (lambda t1: sqrt(t1), -1.0, "sqrt of a negative value"),
+    ],
+    ids=["reciprocal", "real-power", "negative-power", "sqrt"],
+)
+def test_hyper2_refuses_values_outside_the_domain(g, t1, message):
+    # without its guard each of these reads inf or NaN instead of an error
+    f = autodiff_lift(lambda t1, x1, y1, z1, x, y, z: g(t1), tag="guarded")
+    point = np.zeros(7)
+    point[0] = t1
+    with pytest.raises(DomainError, match=message):
+        f.jet_batch(point, 2)
+
+
+@pytest.mark.parametrize("fn, reference", [(exp, np.exp), (log, np.log), (sqrt, np.sqrt)])
+def test_transcendentals_of_plain_arrays_are_numpys(fn, reference):
+    x = np.array([0.25, 1.0, 3.5])
+    np.testing.assert_array_equal(fn(x), reference(x))
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_zeroth_and_first_powers_are_exact_at_a_zero_base(r):
     # the plain chain rule reads r v^(r-1) and r (r-1) v^(r-2), which are

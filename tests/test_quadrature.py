@@ -777,14 +777,40 @@ def test_minimize_says_when_its_peak_seed_failed(ubar):
     assert "peak seed failed, nu kept at 2" in result.message
 
 
-def test_minimize_rejects_out_of_box_start(ubar):
-    with pytest.raises(ValueError):
-        minimize_quotient(FamilyParams(center=np.full(7, 40.0)), ubar)
+@pytest.mark.parametrize("nu, g0", [
+    (80.0, np.zeros(7)),
+    (0.01, np.zeros(7)),
+    (1.0, np.array([6.0, 0, 0, 0, 0, 0, 0])),
+    (1.0, np.array([0, 0, 0, 0, 5.5, 0, 0])),
+], ids=["nu-80", "nu-0.01", "q-center-6", "omega-center-5.5"])
+def test_minimize_recovers_any_concentration_and_center(ubar, nu, g0):
+    # every nu > 0 and every center is a family member: from the default start
+    # the search returns the measured motion, with no box to clip it
+    target = translate_field(dilate_field(ubar, math.sqrt(nu)), g0)
+    result = minimize_quotient(FamilyParams(), target, seed=0)
+    assert result.converged, result.message
+    np.testing.assert_allclose(result.params.nu, nu, rtol=1e-12)
+    assert np.max(np.abs(np.asarray(result.params.center) - g0)) <= 1e-6
+
+
+def test_a_peak_search_out_of_trials_gives_no_seed(ubar, monkeypatch):
+    # from the origin the peak search of this nu = 100 bubble uses all its
+    # trials and stops 0.038 short of the peak, where the curvature reads
+    # nu = 63.8; that nu must not be taken, nor the search read as converged
+    g0 = np.array([0.2, -0.1, 0.3, 0.0, 0.1, 0.2, -0.3])
+    target = translate_field(dilate_field(ubar, 10.0), g0)
+    *_, stopped = quadrature._newton_peak(target, np.zeros(7))
+    assert stopped is False
+    monkeypatch.setattr(quadrature, "_MAXITER", 0)
+    result = minimize_quotient(FamilyParams(), target, seed=0)
+    assert result.params.nu == 1.0
+    assert result.converged is False
+    assert "peak seed failed, nu kept at 1;" in result.message
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_minimize_rejects_a_non_finite_start(ubar, bad):
-    # abs(nan) > 5 is False, so a box check alone lets a NaN center through
+    # as_point refuses the center: with no search box, nothing else would
     center = np.zeros(7)
     center[3] = bad
     with pytest.raises(DomainError):
@@ -981,7 +1007,8 @@ def test_newton_peak_recovers_planted_centers(ubar):
         nu = float(np.exp(rng.uniform(-0.5, 0.5)))
         target = translate_field(dilate_field(ubar, math.sqrt(nu)), g0)
         start = -(g0 + rng.uniform(-0.12, 0.12, 7))  # the peak sits at inv(g0)
-        peak, height, steps, calls = quadrature._newton_peak(target, start)
+        peak, height, steps, calls, stopped = quadrature._newton_peak(target, start)
+        assert stopped  # by the step test, not for want of trials
         assert np.max(np.abs(-peak - g0)) <= 1e-12
         assert steps <= 15 and calls >= steps + 1
         np.testing.assert_allclose(height, 2.0**10 * nu**2, rtol=1e-14)
