@@ -34,8 +34,12 @@ gradient drives the quotient of the target's rotation-symmetrized
 profile down from there.  Both are plain numpy.  Each evaluation reads
 the target through one folded pullback at the rule's own points: the
 candidate motion composes with the target's affine map, so the points
-take one affine map, and the center gradient comes from the same jets
-through the motion's Jacobian, without inverting it.
+take one affine map and the pullback's base one jet call.  The two slice
+directions of each rotation are contracted with the map's linear part
+once per rotation, so no point's gradient or Hessian is pulled back
+whole, and the rotation spread is computed only when its weight is
+nonzero.  The center gradient comes from the same jets through the
+motion's Jacobian, without inverting it.
 """
 
 from __future__ import annotations
@@ -507,6 +511,22 @@ def _energy_integrand(u: ScalarField) -> BiRadialIntegrand:
     )
 
 
+@functools.cache
+def _energy_probe() -> np.ndarray:
+    """The energy audit's probe: two base points, then two rotations of them, (6, 7).
+
+    The rotations are drawn from generator seed 0 and built once per
+    process; the array is shared, hence read-only.
+    """
+    rng = np.random.default_rng(0)
+    base = np.array([[0.7, 0.3, -0.4, 0.2, 0.5, -0.3, 0.6],
+                     [1.4, -0.2, 0.8, -0.5, -0.9, 0.4, 1.1]])
+    turns = [spin_rotation_map(_unit_quaternion(rng), _unit_quaternion(rng)) for _ in range(2)]
+    pts = np.concatenate([base] + [base @ k.linear.T for k in turns])
+    pts.flags.writeable = False
+    return pts
+
+
 def _energy_biradial_audit(u: ScalarField) -> None:
     """Check that the horizontal energy really is bi-radial under the cert.
 
@@ -516,13 +536,8 @@ def _energy_biradial_audit(u: ScalarField) -> None:
     from group motions but not for arbitrary affine maps, so probe it.
     """
     pull, _ = _node_map(u)
-    rng = np.random.default_rng(0)
-    base = np.array([[0.7, 0.3, -0.4, 0.2, 0.5, -0.3, 0.6],
-                     [1.4, -0.2, 0.8, -0.5, -0.9, 0.4, 1.1]])
     # the base points and two rotations of them, in one frame pass
-    turns = [spin_rotation_map(_unit_quaternion(rng), _unit_quaternion(rng)) for _ in range(2)]
-    pts = np.concatenate([base] + [base @ k.linear.T for k in turns])
-    density = _energy_density(frame.frame_jets(u, pull(pts), 1)).reshape(3, len(base))
+    density = _energy_density(frame.frame_jets(u, pull(_energy_probe()), 1)).reshape(3, -1)
     ref = density[0]
     resid = float(np.max(np.abs(density[1:] - ref) / np.maximum(np.abs(ref), 1e-300)))
     if not resid <= 1e-8:  # a NaN spread fails too
@@ -671,22 +686,30 @@ class _ProfileRule:
 
         With `gradient`, one order-2 pass of the target also yields the
         exact gradient in `center`, returned as (value, gradient).  Both
-        passes read one folded pullback at the rule's own points x: the
-        candidate motion composes with the target's map (see
-        `_detransformed`), so the points go through one affine map and the
-        jets come back in x.  The gradient is assembled points-last, on
-        (maps, nodes) planes: the point-dependent y_q . TWIST is applied
-        through TWIST's one nonzero entry per (s, b), and the turn of the
-        slice directions through one matmul per map, never a matmul per
-        point.
+        passes read the target through the one folded pullback
+        amp * base(A x) that `_detransformed` builds (the candidate motion
+        composed with the target's map), at the rule's own points x: the
+        points go through A once and the base takes one jet call.  The
+        slice directions of each rotation become v = lin(A) @ dirs in the
+        base's coordinates, once per rotation, so the slopes are
+        amp grad_y f . v and the Hessian columns amp lin^T (H_y v); the
+        full x-gradient amp grad_y f lin is formed only on the order-2
+        pass, and the spread only when gamma != 0.  The gradient is
+        assembled points-last, on (maps, nodes) planes: the point-dependent
+        y_q . TWIST is applied through TWIST's one nonzero entry per
+        (s, b), and the turn of the slice directions through one matmul
+        per map, never a matmul per point.
         """
         mu = nu**-0.5
         m, n = self.n_maps, self.n_nodes
-        jet = _detransformed(target, nu, center).jet_batch(self.points, 2 if gradient else 1)
-        dirs = np.swapaxes(self.dirs, 1, 2)  # (m, 7, 2)
-        t = jet[1].reshape(m, n, DIM)
-        val = jet[0].reshape(m, n)
-        slope = t @ dirs  # d/dr, d/drho per map, (m, n, 2)
+        pull = _detransformed(target, nu, center).jets  # always one folded _Pullback
+        lin, amp = pull.amap.linear, pull.amplitude
+        jet = pull.base.jet_batch(pull.amap(self.points), 2 if gradient else 1)
+        v = lin @ np.swapaxes(self.dirs, 1, 2)  # the slice directions in base coordinates, (m, 7, 2)
+        g_y = jet[1].reshape(m, n, DIM)
+        val = amp * jet[0].reshape(m, n)
+        slope = g_y @ v  # d/dr, d/drho per map, (m, n, 2)
+        slope *= amp
         profile = val.mean(axis=0)
         p_r, p_rho = slope.mean(axis=0).T
         energy = p_r**2 + 4.0 * self.r**2 * p_rho**2
@@ -695,22 +718,25 @@ class _ProfileRule:
         if not mass > 0.0:  # nothing of the target left on the rule: no quotient
             return (math.nan, np.full(DIM, math.nan)) if gradient else math.nan
         denom = mass**0.8
-        spread = float(self.w @ val.var(axis=0))
-        value = num / denom + gamma * (spread / denom)
+        value = num / denom
+        if gamma:
+            spread = float(self.w @ val.var(axis=0))
+            value += gamma * (spread / denom)
         if not gradient:
             return value
 
         # The centre gradient from the x-jets, points-last: the columns
-        # (g, H e_r, H e_rho) as (3, 7, maps, nodes).  delta_mu^{-1} takes them
-        # to y up to the translation's linear part, which folds with
-        # dy/dcenter into J(y) = [[-I4, 0], [y_q . TWIST, -I3]],
-        # y_q = mu x_q - center_q; the columns are pulled back by J^T
-        h_dirs = (jet[2].reshape(m, n * DIM, DIM) @ dirs).reshape(m, n, DIM, 2)
+        # (g, H e_r, H e_rho) as (3, 7, maps, nodes), with g = amp grad_y lin
+        # and H e = amp lin^T (H_y v).  delta_mu^{-1} takes them to y up to
+        # the translation's linear part, which folds with dy/dcenter into
+        # J(y) = [[-I4, 0], [y_q . TWIST, -I3]], y_q = mu x_q - center_q;
+        # the columns are pulled back by J^T
+        h_v = (jet[2].reshape(m, n * DIM, DIM) @ v).reshape(m, n, DIM, 2)
         cols = np.empty((3, DIM, m, n))
-        cols[0] = t.transpose(2, 0, 1)
-        cols[1:] = h_dirs.transpose(3, 2, 0, 1)
-        cols[:, :4] /= mu
-        cols[:, 4:] /= mu * mu
+        cols[0] = (lin.T @ g_y.reshape(m * n, DIM).T).reshape(DIM, m, n)
+        cols[1:] = (lin.T @ h_v.transpose(3, 2, 0, 1).reshape(2, DIM, m * n)).reshape(2, DIM, m, n)
+        cols[:, :4] *= amp / mu
+        cols[:, 4:] *= amp / (mu * mu)
         # y_q . TWIST on the (maps, nodes) planes, (3, 4, m, n), and the q-rows
         # of J^T cols: (y_q . TWIST)^T cols_w - cols_q, a sum over s
         y_q = mu * self.points[:, :4].T.reshape(4, m, n) - center[:4, None, None]
@@ -730,10 +756,11 @@ class _ProfileRule:
         d_r, d_rho = pulled[1:].mean(axis=2)
         d_num = 2.0 * ((p_r * d_r + (4.0 * self.r**2 * p_rho) * d_rho) @ self.w)
         d_mass = 2.5 * ((profile**1.5 * d_val.mean(axis=1)) @ self.w)
-        d_spread = 2.0 * (((val - profile) * d_val).mean(axis=1) @ self.w)
         d_denom = 0.8 * mass**-0.2 * d_mass
         grad = (d_num - num * d_denom / denom) / denom
-        grad += gamma * (d_spread - spread * d_denom / denom) / denom
+        if gamma:
+            d_spread = 2.0 * (((val - profile) * d_val).mean(axis=1) @ self.w)
+            grad += gamma * (d_spread - spread * d_denom / denom) / denom
         return value, grad
 
 
@@ -761,10 +788,11 @@ class MinimizeResult:
     rule than the search's; it exceeds the extremal quotient exactly to
     the extent the recovered motion fails to center the target.  `nfev`
     counts the peak search's jet calls plus the descent's
-    objective-and-gradient evaluations.  `converged` says whether the peak
-    gave the seed and the descent met its gradient tolerance within
-    `_MAXITER` iterations, and `message` why it stopped.  `restarts` (one
-    descent) is a class constant, kept for the bench tracer.
+    objective-and-gradient evaluations; when the peak gives no seed there
+    is no descent, and `nfev` is the peak search's alone.  `converged` says
+    whether the peak gave the seed and the descent met its gradient
+    tolerance within `_MAXITER` iterations, and `message` why it stopped.
+    `restarts` (one descent) is a class constant, kept for the bench tracer.
     """
 
     params: FamilyParams
@@ -784,10 +812,14 @@ def _newton_peak(target: ScalarField, start: np.ndarray):
     domain, is refused and lam grows tenfold; an accepted one shrinks it
     tenfold.  Plain Newton diverges from starts a tenth away, where the
     Hessian is indefinite.  The search stops once an accepted step is below
-    1e-14 relative size, or after _PEAK_TRIALS trials.  Returns (peak,
-    height, accepted steps, jet calls, stopped), `stopped` saying whether
-    the step test ended it; the height is NaN when the start itself is
-    outside the domain.
+    1e-14 relative size, or after _PEAK_TRIALS trials.  At the top the
+    values are flat to rounding and the ascent test can refuse the last
+    steps, so a search out of trials still stops at its last accepted point
+    when the Hessian there is negative definite and the plain Newton step
+    -H^{-1} g is at most 1e-10 relative size.  Returns (peak, height,
+    accepted steps, jet calls, stopped), `stopped` saying whether a step
+    test ended it; the height is NaN when the start itself is outside the
+    domain.
     """
     p = np.array(start, dtype=float)
     try:
@@ -814,6 +846,13 @@ def _newton_peak(target: ScalarField, start: np.ndarray):
         steps += 1
         lam *= 0.1
         if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(p))):
+            return p, float(val), steps, calls, True
+    # out of trials, where the ascent test may refuse steps on a top flat to
+    # rounding: a negative definite Hessian whose plain Newton step is this
+    # small still marks the peak
+    if np.linalg.eigvalsh(hess)[-1] < 0.0:
+        step = np.linalg.solve(hess, -g)
+        if np.max(np.abs(step)) <= 1e-10 * (1.0 + np.max(np.abs(p))):
             return p, float(val), steps, calls, True
     return p, float(val), steps, calls, False
 
@@ -918,24 +957,27 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
     the result is the nu and center measured.  The reported value is the
     pure profile quotient at the optimum on a finer rule, and nothing else
     is integrated.  `seed` (the rotations) is an integer >= 0.  When the
-    peak gives no seed (see _peak_seed), nu stays at `init.nu` and the
-    result is unconverged, with a message that says so.
+    peak gives no seed (see _peak_seed), nu stays at `init.nu` and no
+    descent runs, since it cannot see nu: the result is the peak's centre,
+    unconverged, with a message that says so.
     """
     seed = _whole(seed, "seed", 0)  # also the key of the cached rules
     center0 = np.zeros(DIM) if init.center is None else as_point(init.center).reshape(DIM)
-    nu_opt, center_seed, nfev, peaked = _peak_seed(target, init.nu, center0)
-    rule = _profile_rule(_SEARCH_LEVEL, _SEARCH_NODES, _SEARCH_ROTATIONS, seed)
-    objective = functools.partial(rule.objective, target, nu_opt, gamma=_DEFECT_WEIGHT, gradient=True)
-    center_opt, evals, converged, message = _bfgs(objective, center_seed, _GTOL, _MAXITER)
-    if not peaked:  # the descent cannot see nu, so a kept nu0 must not read as converged
+    nu_opt, center_opt, nfev, peaked = _peak_seed(target, init.nu, center0)
+    if peaked:
+        rule = _profile_rule(_SEARCH_LEVEL, _SEARCH_NODES, _SEARCH_ROTATIONS, seed)
+        objective = functools.partial(rule.objective, target, nu_opt, gamma=_DEFECT_WEIGHT, gradient=True)
+        center_opt, evals, converged, message = _bfgs(objective, center_opt, _GTOL, _MAXITER)
+        nfev += evals
+    else:
         converged = False
-        message = f"peak seed failed, nu kept at {nu_opt:.6g}; descent: {message}"
+        message = f"peak seed failed, nu kept at {nu_opt:.6g}; no descent from the peak's centre"
     fine = _profile_rule(_SEARCH_LEVEL + 1, _SEARCH_NODES + 2, _SEARCH_ROTATIONS, seed)
     return MinimizeResult(
         params=FamilyParams(c=1.0, nu=nu_opt, center=center_opt),
         value=fine.objective(target, nu_opt, center_opt),
         converged=converged,
-        nfev=nfev + evals,
+        nfev=nfev,
         message=message,
     )
 

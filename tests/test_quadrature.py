@@ -27,6 +27,7 @@ from qheis.extremals import (
     dilate_field,
     h_family,
     kelvin,
+    sigma,
     translate_field,
     ubar_field,
 )
@@ -46,7 +47,7 @@ from qheis.quadrature import (
     minimize_quotient,
     spin_rotation_map,
 )
-from qheis.quaternions import TWIST, group_mul, quat_conj, quat_mul
+from qheis.quaternions import TWIST, group_inv, group_mul, quat_conj, quat_mul
 
 # ---------------------------------------------------------------------------
 # Oracles.  Both half-line reductions of the gauge integral are instances of
@@ -618,6 +619,27 @@ def test_energy_audit_rejects_a_nan_gradient(ubar):
         _energy_biradial_audit(broken)
 
 
+def test_energy_audit_builds_its_probe_once(ubar, monkeypatch):
+    # the six probe points are the two base points and their images under two
+    # rotations drawn from seed 0, bitwise, and no later audit draws them again
+    rng = np.random.default_rng(0)
+    base = np.array([[0.7, 0.3, -0.4, 0.2, 0.5, -0.3, 0.6],
+                     [1.4, -0.2, 0.8, -0.5, -0.9, 0.4, 1.1]])
+    turns = [spin_rotation_map(*(v / np.linalg.norm(v) for v in rng.standard_normal((2, 4))))
+             for _ in range(2)]
+    probe = quadrature._energy_probe()
+    assert probe.tobytes() == np.concatenate([base] + [base @ k.linear.T for k in turns]).tobytes()
+    with pytest.raises(ValueError):
+        probe[0, 0] = 1.0
+
+    def forbidden(*args):
+        raise AssertionError("the audit built a rotation again")
+
+    monkeypatch.setattr(quadrature, "spin_rotation_map", forbidden)
+    _energy_biradial_audit(translate_field(ubar, np.full(7, 0.2)))
+    assert quadrature._energy_probe() is probe
+
+
 def test_energy_profile_identity(ubar, rng):
     # |grad_H ubar|^2 against the hand-written profile derivatives of
     # F(r, rho) = 1024 [(1+r^2)^2 + rho^2]^{-2}:
@@ -775,6 +797,27 @@ def test_minimize_says_when_its_peak_seed_failed(ubar):
     assert result.params.nu == 2.0
     assert result.converged is False
     assert "peak seed failed, nu kept at 2" in result.message
+    # the one jet call of the refused start, and no descent after it
+    assert result.nfev == 1 and "no descent" in result.message
+    np.testing.assert_array_equal(result.params.center, np.zeros(7))
+
+
+def test_a_failed_peak_seed_runs_no_descent(ubar, monkeypatch):
+    # from the default start the peak search of this far bubble gives no
+    # seed; the descent cannot see nu, so it must not run at all (it took 126
+    # iterations before), and nfev counts the peak search's jet calls alone
+    def forbidden(*args):
+        raise AssertionError("the descent ran after a failed peak seed")
+
+    monkeypatch.setattr(quadrature, "_bfgs", forbidden)
+    target = translate_field(ubar, np.array([12.0, -3.0, 0.0, 1.0, 0.0, 20.0, 0.0]))
+    peak, _, _, calls, stopped = quadrature._newton_peak(target, np.zeros(7))
+    assert stopped is False
+    result = minimize_quotient(FamilyParams(), target, seed=0)
+    assert result.converged is False and result.params.nu == 1.0
+    assert result.message == "peak seed failed, nu kept at 1; no descent from the peak's centre"
+    assert result.nfev == calls
+    np.testing.assert_array_equal(result.params.center, group_inv(peak))
 
 
 @pytest.mark.parametrize("nu, g0", [
@@ -793,19 +836,43 @@ def test_minimize_recovers_any_concentration_and_center(ubar, nu, g0):
     assert np.max(np.abs(np.asarray(result.params.center) - g0)) <= 1e-6
 
 
-def test_a_peak_search_out_of_trials_gives_no_seed(ubar, monkeypatch):
+def test_a_peak_search_out_of_trials_gives_no_seed(ubar):
     # from the origin the peak search of this nu = 100 bubble uses all its
     # trials and stops 0.038 short of the peak, where the curvature reads
     # nu = 63.8; that nu must not be taken, nor the search read as converged
     g0 = np.array([0.2, -0.1, 0.3, 0.0, 0.1, 0.2, -0.3])
     target = translate_field(dilate_field(ubar, 10.0), g0)
-    *_, stopped = quadrature._newton_peak(target, np.zeros(7))
+    *_, calls, stopped = quadrature._newton_peak(target, np.zeros(7))
     assert stopped is False
-    monkeypatch.setattr(quadrature, "_MAXITER", 0)
     result = minimize_quotient(FamilyParams(), target, seed=0)
     assert result.params.nu == 1.0
     assert result.converged is False
     assert "peak seed failed, nu kept at 1;" in result.message
+    assert result.nfev == calls == quadrature._PEAK_TRIALS + 1
+
+
+def _kelvin_image(ubar, draw):
+    """kelvin(translate_field(ubar, g0)) for draw `draw` of U[-0.4, 0.4]^7 from seed 3,
+    and the point sigma(inv(g0)) where its peak search starts."""
+    g0 = np.random.default_rng(3).uniform(-0.4, 0.4, (draw + 1, 7))[draw]
+    return kelvin(translate_field(ubar, g0)), sigma(group_inv(g0))
+
+
+def test_a_peak_flat_to_rounding_stops_by_its_newton_step(ubar):
+    # the ascent test refuses the last steps of this search, whose top is flat
+    # to rounding, so its 30 trials run out at max |grad| = 5.1e-11; the
+    # Hessian there is negative definite and the plain Newton step below
+    # 1e-10 relative, which marks the peak
+    target, start = _kelvin_image(ubar, 3)
+    peak, height, steps, calls, stopped = quadrature._newton_peak(target, start)
+    assert stopped and calls == quadrature._PEAK_TRIALS + 1
+    value, grad, hess = (part[0] for part in target.jet_batch(peak, 2))
+    assert height == value and np.max(np.abs(grad)) <= 1e-10
+    assert np.linalg.eigvalsh(hess)[-1] < 0.0
+    # so the search takes the seed and recovers the Kelvin image as a bubble
+    result = minimize_quotient(FamilyParams(center=group_inv(start)), target, seed=0)
+    assert result.converged, result.message
+    assert abs(result.value / QUOTIENT_REF - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -900,6 +967,82 @@ def test_center_gradient_matches_the_points_first_assembly(g0, nu):
     reference = _points_first_center_gradient(rule, target, nu, center, 10.0)
     assert value == rule.objective(target, nu, center, 10.0)
     assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def _full_pullback_value(rule, target, nu, center, gamma):
+    """Reference: the objective's value from the full pullback's x-jets at order 1.
+
+    The route before the slice directions were contracted in the base's
+    coordinates: the whole x-gradient, then `@ dirs`, and the spread always.
+    """
+    m, n = rule.n_maps, rule.n_nodes
+    jet = quadrature._detransformed(target, nu, center).jet_batch(rule.points, 1)
+    val = jet[0].reshape(m, n)
+    profile = val.mean(axis=0)
+    p_r, p_rho = (jet[1].reshape(m, n, 7) @ np.swapaxes(rule.dirs, 1, 2)).mean(axis=0).T
+    num = float(rule.w @ (p_r**2 + 4.0 * rule.r**2 * p_rho**2))
+    denom = float(rule.w @ profile**2.5) ** 0.8
+    return num / denom + gamma * (float(rule.w @ val.var(axis=0)) / denom)
+
+
+@pytest.fixture(scope="module")
+def search_cases():
+    """(target, nu, center) for the planted bubble and for a Kelvin image.
+
+    The Kelvin image's pullback base is a `Hyper2` lift, not a hand kernel;
+    it is read near its own peak seed.  Both centres are off by up to 0.05,
+    so the rotation spread and the gradient are not zero.
+    """
+    ubar = ubar_field()
+    target, start = _kelvin_image(ubar, 0)
+    nu, center, _, peaked = quadrature._peak_seed(target, 1.0, group_inv(start))
+    assert peaked
+    off = np.random.default_rng(6).uniform(-0.05, 0.05, (2, 7))
+    planted = translate_field(dilate_field(ubar, math.sqrt(_NU)), _G0)
+    return {"planted": (planted, _NU, _G0 + off[0]), "kelvin": (target, nu, center + off[1])}
+
+
+@pytest.mark.parametrize("case", ["planted", "kelvin"])
+def test_objective_matches_the_full_pullback_route(search_cases, case):
+    # the objective contracts the slice directions with the folded motion's
+    # linear part once per rotation; the full route pulls every point's
+    # gradient and Hessian back first.  They agree to rounding
+    target, nu, center = search_cases[case]
+    search = quadrature._profile_rule(2, 10, 3, 0)
+    fine = quadrature._profile_rule(3, 12, 3, 0)
+    ref = _full_pullback_value(fine, target, nu, center, 0.0)
+    assert abs(fine.objective(target, nu, center) / ref - 1.0) <= 1e-13
+    value, grad = search.objective(target, nu, center, 10.0, gradient=True)
+    ref = _full_pullback_value(search, target, nu, center, 10.0)
+    assert abs(value / ref - 1.0) <= 1e-13
+    ref = _points_first_center_gradient(search, target, nu, center, 10.0)
+    assert np.max(np.abs(grad - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["planted", "kelvin"])
+def test_objective_takes_one_jet_call_of_the_pullback_base(search_cases, case, monkeypatch):
+    # one jet_batch call of the pullback's base with every rule point, order 1
+    # for the fine value and 2 for the gradient pass: the bench tracer's
+    # jets.points_jet counts these calls.  The Kelvin lift composes through
+    # its inner field with the same points once more
+    target, nu, center = search_cases[case]
+    base = quadrature._detransformed(target, nu, center).jets.base
+    calls = []
+    jet_batch = ScalarField.jet_batch
+
+    def counted(self, points, order=2):
+        calls.append((self is base, len(points), order))
+        return jet_batch(self, points, order)
+
+    monkeypatch.setattr(ScalarField, "jet_batch", counted)
+    for rule, gradient, order in ((quadrature._profile_rule(3, 12, 3, 0), False, 1),
+                                  (quadrature._profile_rule(2, 10, 3, 0), True, 2)):
+        calls.clear()
+        rule.objective(target, nu, center, 10.0, gradient=gradient)
+        expected = [(True, len(rule.points), order)]
+        if case == "kelvin":
+            expected.append((False, len(rule.points), order))
+        assert calls == expected
 
 
 def test_objective_is_nan_where_the_target_leaves_the_rule(planted):
