@@ -19,7 +19,8 @@ The rest of the module is plumbing: named check suites over the other
 modules, each returning Report records whose pass flag is derived, never
 stored: max_residual <= tolerance, the one pass rule, which a NaN fails:
 
-* frames: commutators, corrected-Hessian symmetry, structure constants;
+* frames: commutators, corrected-Hessian symmetry, structure constants,
+  and the left-invariance of frame jets that the family torsion rests on;
 * conformal: family torsion with its negative control, the U collapse,
   the divergence identity by two routes and the D covectors against their
   closed form, the Casimir projections, the scalar curvature;
@@ -35,7 +36,8 @@ and "all" runs them in that order.  Each check draws its whole sample at once an
 evaluates it in one batched array pass, with one exception:
 `einstein-family-torsion` draws and evaluates its members per block of
 `_FAMILY_BLOCK` members, one generator call and one field whose rows are
-the members per block, which bounds its memory at any sample count.  The
+the members per block, which bounds its memory at any sample count; by
+left-invariance h o tau_g0 is read as h at the moved points g0 p.  The
 only per-item loops left run over short lists of fields.  Every residual
 is reduced with one NaN-propagating reducer, so a NaN anywhere fails its
 check instead of vanishing inside Python's max.
@@ -62,11 +64,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import conformal, frame
+from . import conformal, extremals, frame
 from .errors import DomainError, _whole
 from .extremals import (
     FamilyParams,
-    _translated_family,
     cayley_forward_batch,
     cayley_inverse_batch,
     dilate_field,
@@ -88,6 +89,7 @@ from .quadrature import (
     minimize_quotient,
     power_compose,
 )
+from .quaternions import group_mul
 
 __all__ = [
     "QMATRIX",
@@ -327,6 +329,15 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
 
     worst = _max_abs(*frame.structure_residuals().values())
     checks.add(("structure-constants", 1, worst, 1e-13, "derived"))
+
+    g0 = rng.uniform(-1.0, 1.0, size=7)  # left-invariance: f o tau_g0 at p is f at g0 p
+    moved = group_mul(g0, pts)
+    rel = []  # per block, relative to the block's largest entry
+    for f in fields:
+        a, b = frame.frame_jets(translate_field(f, g0), pts), frame.frame_jets(f, moved)
+        rel += [_max_abs(getattr(a, k) - getattr(b, k)) / _max_abs(getattr(b, k))
+                for k in ("value", "grad", "vert", "hess")]
+    checks.add(("frame-left-invariance", n * len(fields), _max_abs(rel), 1e-12, "cross-check"))
     return checks.reports
 
 
@@ -363,8 +374,9 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     for c, nu, g0, pts in _family_blocks(rng, npairs):
         if not family:  # the first block: its first five members, as fields
             family = [h_family(FamilyParams(c[i], nu[i], g0[i])) for i in range(min(5, len(c)))]
-        h = _translated_family(np.repeat(c, 20), np.repeat(nu, 20), np.repeat(g0, 20, axis=0))
-        torsion.append(_frobenius(conformal.torsion_T0_deformed(frame.frame_jets(h, pts))))
+        h = extremals._member(np.repeat(c, 20), np.repeat(nu, 20), 1.0, 1.0, "h[block]")
+        fj = frame.frame_jets(h, group_mul(np.repeat(g0, 20, axis=0), pts))
+        torsion.append(_frobenius(conformal.torsion_T0_deformed(fj)))
     checks.add(("einstein-family-torsion", npairs * 20, _max_abs(*torsion), 1e-8, "computed"))
 
     control = frame.frame_jets(_quartic_control(), _CONTROL_POINT)

@@ -3,7 +3,8 @@
 Every subcommand prints a structured report and exits 0 only if every
 executed check passed, each at its own tolerance.  A failed check, or an
 error raised inside the library (a typed qheis error or any ValueError),
-exits 1; only argparse rejects an invocation, with exit 2.  The
+exits 1; a usage error, one argparse rejects or an `--out` path that
+cannot be written (one "error:" line once the run is done), exits 2.  The
 `--format json` envelope is {suite, seed, reports: [...]}; csv is the
 same table flattened, except for `best-constant`, where csv means the
 quadrature convergence table of the gauge-kernel integral.  Suites are
@@ -22,7 +23,7 @@ from .quadrature import convergence_csv
 
 # command -> (suite it runs, help line)
 _SUITE_COMMANDS = {
-    "verify-frames": ("frames", "frame derivation, commutators, Hessian symmetry"),
+    "verify-frames": ("frames", "frame commutators, Hessian symmetry, left-invariance"),
     "verify-conformal": (
         "conformal", "torsion, curvature and divergence identity of conformal deformations"
     ),
@@ -110,8 +111,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all(r.passed for r in reports) else 1

@@ -8,12 +8,12 @@ and the amplitude-normalized powers built on them (ubar with amplitude 2^10,
 the extremal v with amplitude 2^11 sqrt(3) pi^{-3/5}) are the only fields in
 the package with hand-written jets; everything else differentiates formulas
 forward.  One hand kernel, `_family_jets`, gives the jets of coef h^alpha:
-h_family and the translated family are alpha = 1, ubar and v are alpha = -2
-with their amplitudes, bitwise what `power_compose` of h gives.  It builds
-order-2 Hessians points-last, so each step runs over all points at once
-instead of over 7 or 49 entries per point.  The hand jets keep the
-quadrature and the bubble search cheap and are pinned against the
-forward-mode lift in the tests.
+h_family (or, with per-row c and nu, one member per point) is alpha = 1,
+ubar and v are alpha = -2 with their amplitudes, bitwise what
+`power_compose` of h gives.  It builds order-2 Hessians points-last, so
+each step runs over all points at once instead of over 7 or 49 entries per
+point.  The hand jets keep the quadrature and the bubble search cheap and
+are pinned against the forward-mode lift in the tests.
 
 The sphere <-> group dictionary is the quaternionic Cayley pair with the
 boundary identification (q, w) <-> (q, |q|^2 - w), the inversion sigma, and
@@ -47,7 +47,6 @@ from .quaternions import (
     _single,
     as_point,
     as_quat,
-    group_mul,
     quat_conj,
     quat_mul,
     quat_norm2,
@@ -171,8 +170,9 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
     return jets
 
 
-def _member(c: float, nu: float, alpha: float, coef: float, tag: str) -> ScalarField:
-    """coef h^alpha for the member (c, nu) of the family, by the hand kernel."""
+def _member(c, nu, alpha: float, coef: float, tag: str) -> ScalarField:
+    """coef h^alpha for the member (c, nu) of the family, by the hand kernel;
+    (N,) arrays c and nu make it a batch of N points, row i read by member i."""
     return ScalarField(
         tag=tag,
         jets=_family_jets(c, nu, alpha, coef),
@@ -240,29 +240,6 @@ def dilation_map(lam: float) -> AffineMap:
 def translate_field(u: ScalarField, g0) -> ScalarField:
     """The pullback p -> u(g0 o p); centers the bump of u at inverse(g0)."""
     return affine_pullback(u, left_translation_map(g0), tag=f"translate({u.tag})")
-
-
-def _translated_family(c, nu, g0) -> ScalarField:
-    """Row i is the member (c_i, nu_i) pulled back by left translation by g0_i.
-
-    The batched translate_field(h_family(FamilyParams(c_i, nu_i)), g0_i), for
-    (N, 7) points with N = len(c); a row with g0_i = 0 is not translated.
-    """
-    c, nu, g0 = (np.asarray(a, dtype=float) for a in (c, nu, g0))
-    twist = np.tensordot(g0[:, :4], TWIST, axes=1)
-
-    def jets(pts: np.ndarray, order: int = 2):
-        if not len(c) == len(nu) == len(g0) == len(pts):
-            raise ValueError(f"{len(c)}, {len(nu)}, {len(g0)} members for {len(pts)} points")
-        jet = _family_jets(c, nu)(group_mul(g0, pts), order)
-        if order >= 1:  # grad_y L
-            jet[1][:, :4] += (jet[1][:, None, 4:7] @ twist)[:, 0]
-        if order == 2:  # L^T H L: the columns, then the rows
-            jet[2][:, :, :4] += jet[2][:, :, 4:7] @ twist
-            jet[2][:, :4, :] += np.swapaxes(twist, 1, 2) @ jet[2][:, 4:7, :]
-        return jet
-
-    return ScalarField(tag=f"h[{len(c)} members]", jets=jets)
 
 
 def dilate_field(u: ScalarField, lam: float) -> ScalarField:

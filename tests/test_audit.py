@@ -124,7 +124,7 @@ def _flip_vertical_hessian(monkeypatch):
     """Seed a sign flip on the (w, w) block of the family's hand Hessian.
 
     The one hand kernel serves the family and its powers, so the flip reaches
-    h_family, the translated family, ubar and v alike.
+    h_family, the family torsion's per-block member batches, ubar and v alike.
     """
     family_jets = extremals._family_jets
 
@@ -166,12 +166,14 @@ def test_fault_in_the_last_partial_block_fails_the_family_torsion(monkeypatch):
     # loop drops rows; the fault sits in the first point of member 149.
     config = SuiteConfig(samples=150)
     assert {r.check: r.passed for r in run_suite("conformal", config)}["einstein-family-torsion"]
-    batched = audit._translated_family
+    member = extremals._member
     target = 149 * 20
-    handed = [0]  # rows handed to the batched family so far, in member order
+    handed = [0]  # rows handed to the per-block batches so far, in member order
 
-    def faulty(c, nu, g0):
-        field = batched(c, nu, g0)
+    def faulty(c, nu, alpha, coef, tag):
+        field = member(c, nu, alpha, coef, tag)
+        if np.ndim(c) == 0:  # one member, not a block's batch
+            return field
         first = handed[0]
         handed[0] += len(c)
 
@@ -183,11 +185,31 @@ def test_fault_in_the_last_partial_block_fails_the_family_torsion(monkeypatch):
 
         return dataclasses.replace(field, jets=jets)
 
-    monkeypatch.setattr(audit, "_translated_family", faulty)
+    monkeypatch.setattr(extremals, "_member", faulty)
     reports = {r.check: r for r in run_suite("conformal", config)}
     assert handed[0] == 150 * 20
     assert math.isfinite(reports["einstein-family-torsion"].max_residual)
     assert not reports["einstein-family-torsion"].passed
+
+
+def test_flipped_twist_in_left_translation_fails_frame_left_invariance(monkeypatch, capsys):
+    # one sign of the translation's twist block: entry [5, 1] (row y, column
+    # x1), which is -2 z1 of g0, so nonzero for a drawn g0
+    translation = extremals.left_translation_map
+    reports = {r.check: r for r in run_suite("frames", SuiteConfig(samples=20))}
+    assert reports["frame-left-invariance"].passed
+
+    def flipped(g0):
+        amap = translation(g0)
+        linear = amap.linear.copy()
+        linear[5, 1] *= -1.0
+        return jets.AffineMap(linear=linear, offset=amap.offset)
+
+    monkeypatch.setattr(extremals, "left_translation_map", flipped)
+    reports = {r.check: r for r in run_suite("frames", SuiteConfig(samples=20))}
+    assert {c for c, r in reports.items() if not r.passed} == {"frame-left-invariance"}
+    assert main(["verify-frames", "--samples", "20"]) == 1
+    assert "[FAIL] frame-left-invariance" in capsys.readouterr().out
 
 
 def test_flipped_vertical_hessian_fails_the_extremal_suite(monkeypatch, capsys):

@@ -34,6 +34,17 @@ def test_output_file(tmp_path, capsys):
     assert doc["suite"] == "qmatrix"
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_output_is_a_usage_error(where, tmp_path, capsys):
+    # a missing parent directory and a directory itself: a one-line error, exit 2
+    target = tmp_path / where
+    assert main(["qmatrix", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {str(target)!r}")
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+
+
 def test_impossible_tolerance_fails(monkeypatch, capsys):
     # a seeded fault, the closed-form spectrum off by 5, fails the command,
     # and no option can lift the tolerance over its residual of 5

@@ -13,7 +13,6 @@ from qheis.errors import DomainError, SingularityError
 from qheis.extremals import (
     V_AMPLITUDE,
     FamilyParams,
-    _translated_family,
     cayley_contact_factor,
     cayley_forward_batch,
     cayley_inverse_batch,
@@ -117,53 +116,6 @@ def test_family_center_is_left_translation(rng, box_points):
     assert centered.tag == "translate(h(c=0.7,nu=2.2))"
 
 
-def _seeded_members(rng, n=40):
-    """n members with one point each; odd members are left-translated."""
-    c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, n))
-    g0 = rng.uniform(-1.0, 1.0, size=(n, 7))
-    g0[::2] = 0.0
-    return c, nu, g0, rng.uniform(-2.0, 2.0, size=(n, 7))
-
-
-def test_translated_family_rows_are_the_per_member_fields(rng):
-    c, nu, g0, pts = _seeded_members(rng)
-    batch = _translated_family(c, nu, g0)
-    for order in (0, 1, 2):
-        jet = batch.jet_batch(pts, order)
-        for i in range(len(c)):
-            member = h_family(FamilyParams(c[i], nu[i]))
-            if i % 2:
-                member = translate_field(member, g0[i])
-            ref = member.jet_batch(pts[i], order)
-            for part, expected in zip(jet, ref):
-                if i % 2:
-                    scale = np.max(np.abs(expected))
-                    assert np.max(np.abs(part[i] - expected[0])) <= 1e-15 * scale
-                else:
-                    np.testing.assert_array_equal(part[i], expected[0])
-
-
-def test_translated_family_lower_orders_are_prefixes(rng):
-    c, nu, g0, pts = _seeded_members(rng)
-    batch = _translated_family(c, nu, g0)
-    full = batch.jet_batch(pts, 2)
-    for order in (0, 1):
-        jet = batch.jet_batch(pts, order)
-        assert len(jet) == order + 1
-        for part, prefix in zip(jet, full):
-            np.testing.assert_array_equal(part, prefix)
-
-
-def test_translated_family_rejects_a_mismatched_batch(rng):
-    c, nu, g0, pts = _seeded_members(rng)
-    with pytest.raises(ValueError):
-        _translated_family(c, nu, g0).jet_batch(pts[:-1])
-    with pytest.raises(ValueError):
-        _translated_family(c, nu[:-1], g0).jet_batch(pts)
-    with pytest.raises(ValueError):
-        _translated_family(c, nu, g0[:-1]).jet_batch(pts)
-
-
 def _points_first_family_jets(c, nu):
     """Reference: the family's hand jets built points-first, (N, 7, 7) Hessians."""
     b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
@@ -231,16 +183,6 @@ def test_family_kernel_is_bitwise_the_points_first_jets(rng):
     c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, len(pts)))
     rows = ScalarField("rows", extremals._family_jets(c, nu))
     _assert_bitwise(rows, ScalarField("h", _points_first_family_jets(c, nu)), pts)
-
-
-def test_translated_family_is_bitwise_the_points_first_build(rng, monkeypatch):
-    pts = _kernel_points(rng)
-    c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, len(pts)))
-    g0 = rng.uniform(-1.0, 1.0, size=(len(pts), 7))
-    g0[::3] = 0.0
-    batch = _translated_family(c, nu, g0)
-    monkeypatch.setattr(extremals, "_family_jets", _points_first_family_jets)
-    _assert_bitwise(batch, _translated_family(c, nu, g0), pts)
 
 
 def test_left_translation_map_is_the_twist_matrix(rng):
