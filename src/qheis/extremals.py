@@ -110,8 +110,8 @@ class SpherePoint:
 
 def _family_jets(c, nu, alpha=1.0, coef=1.0):
     """Hand-differentiated jets of coef h^alpha, h = c[(1 + nu r^2)^2 + nu^2 rho^2],
-    up to `order`; c and nu are scalars, or arrays giving each of the N rows
-    its own member.
+    up to `order`; c and nu are scalars, or (N,) arrays giving each of the N
+    rows its own member, which then read exactly N points, else ValueError.
 
     (alpha, coef) = (1, 1) is h itself; any other pair is power_compose's
     chain rule on h's jets, with its arithmetic, so for alpha < 0 < coef, the
@@ -120,10 +120,13 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
     points-last, in one (7, 7, N) array copied once into the (N, 7, 7) Hessian.
     """
     b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
-    b_rows = b[:, None] if np.ndim(c) else b  # per-row b against the (N, 3) w-columns
+    rows = len(b) if np.ndim(b) else None
+    b_rows = b if rows is None else b[:, None]  # per-row b against the (N, 3) w-columns
     power = (alpha, coef) != (1.0, 1.0)
 
     def jets(pts: np.ndarray, order: int = 2):
+        if rows is not None and len(pts) != rows:
+            raise ValueError(f"a batch of {rows} members reads {rows} points, got {len(pts)}")
         q = pts[:, :4]
         w = pts[:, 4:7]
         r2 = np.einsum("ni,ni->n", q, q)
@@ -172,7 +175,8 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
 
 def _member(c, nu, alpha: float, coef: float, tag: str) -> ScalarField:
     """coef h^alpha for the member (c, nu) of the family, by the hand kernel;
-    (N,) arrays c and nu make it a batch of N points, row i read by member i."""
+    (N,) arrays c and nu make it a batch of N points, row i read by member i;
+    another point count is a ValueError naming both lengths."""
     return ScalarField(
         tag=tag,
         jets=_family_jets(c, nu, alpha, coef),

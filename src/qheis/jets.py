@@ -10,7 +10,9 @@ forward automatic differentiation with full 7-direction seeding
 (`Hyper2`, a truncated-Taylor number carrying value, gradient and Hessian
 through arithmetic).  Forward mode is seeded at the requested order and
 builds nothing above it; `compose` carries it through a smooth map, so a
-transform such as Kelvin's is an ordinary lifted formula.
+transform such as Kelvin's is an ordinary lifted formula.  A seed x_k
+carries its axis k with its unit gradient and zero Hessian, and a product
+with a seed is a rank-one update that skips that known zero.
 
 An affine pullback of an affine pullback is folded on construction: the
 maps compose through `AffineMap.after` and the amplitudes multiply, so a
@@ -75,7 +77,10 @@ class AffineMap:
         return cls(np.eye(DIM), np.zeros(DIM))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.linear.T + self.offset
+        # float whatever the parts' dtype, so the offset can be added in place
+        out = np.matmul(points, self.linear.T, dtype=float)
+        out += self.offset
+        return out
 
     def after(self, other: "AffineMap") -> "AffineMap":
         """self o other (apply `other` first)."""
@@ -165,15 +170,23 @@ class Hyper2:
     All 7 directions are seeded at once, so one pass through a formula yields
     the jet.  Each part is computed by the same arithmetic at every order, so
     a lower order is bitwise the prefix of a higher one.
+
+    A seed, the coordinate x_k that `seed` returns, also carries its axis k:
+    its gradient is e_k and its Hessian zero.  The Hessian is still built,
+    since `compose` reads the coordinates' Hessians, but a product with a
+    seed never reads it: it is the rank-one update `_seeded`, one (N, 7, 7)
+    pass instead of about six.  Any other result, a negated seed included,
+    carries no axis and takes the general product.
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "grad", "hess", "_axis")
     __array_priority__ = 100  # keep numpy from absorbing our operands
 
     def __init__(self, val, grad, hess):
         self.val = val
         self.grad = grad
         self.hess = hess
+        self._axis = None  # k for the seed of coordinate k, else None
 
     @property
     def order(self) -> int:
@@ -183,7 +196,10 @@ class Hyper2:
 
     @staticmethod
     def seed(points: np.ndarray, order: int) -> tuple["Hyper2", ...]:
-        """One Hyper2 per coordinate, with unit gradient seeds from order 1."""
+        """One Hyper2 per coordinate, with unit gradient seeds from order 1.
+
+        Each carries its axis, so a product with it skips its zero Hessian.
+        """
         points = np.asarray(points, dtype=float)
         n = points.shape[0]
         out = []
@@ -194,7 +210,9 @@ class Hyper2:
                 grad[:, i] = 1.0
             if order == 2:
                 hess = np.zeros((n, DIM, DIM))
-            out.append(Hyper2(points[:, i].copy(), grad, hess))
+            x = Hyper2(points[:, i].copy(), grad, hess)
+            x._axis = i
+            out.append(x)
         return tuple(out)
 
     def _coerce(self, other) -> "Hyper2":
@@ -235,7 +253,11 @@ class Hyper2:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)  # IEEE a - b is a + (-b), bit for bit
+        return Hyper2(
+            self.val - o.val,
+            None if self.grad is None else self.grad - o.grad,
+            None if self.hess is None else self.hess - o.hess,
+        )
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -244,20 +266,47 @@ class Hyper2:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.grad is not None:
+            if self._axis is not None:
+                return self._seeded(o)
+            if o._axis is not None:  # swapped here, not by o * self: one product
+                return o._seeded(self)
         grad = hess = None
         if self.grad is not None:
-            grad = self.grad * o.val[:, None] + o.grad * self.val[:, None]
+            grad = self.grad * o.val[:, None]
+            grad += o.grad * self.val[:, None]
         if self.hess is not None:
             cross = np.einsum("ni,nj->nij", self.grad, o.grad)
-            hess = (
-                self.hess * o.val[:, None, None]
-                + o.hess * self.val[:, None, None]
-                + cross
-                + np.swapaxes(cross, 1, 2)
-            )
+            hess = self.hess * o.val[:, None, None]
+            hess += o.hess * self.val[:, None, None]
+            hess += cross
+            hess += np.swapaxes(cross, 1, 2)
         return Hyper2(self.val * o.val, grad, hess)
 
     __rmul__ = __mul__
+
+    def _seeded(self, other: "Hyper2") -> "Hyper2":
+        """self * other for the seed self = x_k, as a rank-one update.
+
+        The gradient is other.grad x_k with other.val added at k; the
+        Hessian is other.hess x_k (zero if other is a seed too) with
+        other.grad added to row k, then to column k.  These are the general
+        product's nonzero terms in its order, so on finite operands the
+        result is its bits but for the sign of a zero entry: only products
+        with the seed's zero Hessian and the zero entries of e_k are skipped.
+        """
+        k, xk = self._axis, self.val
+        grad = other.grad * xk[:, None]
+        grad[:, k] += other.val
+        hess = None
+        if self.hess is not None:
+            if other._axis is None:
+                hess = other.hess * xk[:, None, None]
+            else:
+                hess = np.zeros((xk.shape[0], DIM, DIM))
+            hess[:, k, :] += other.grad
+            hess[:, :, k] += other.grad
+        return Hyper2(xk * other.val, grad, hess)
 
     def _reciprocal(self) -> "Hyper2":
         if np.any(self.val == 0.0):

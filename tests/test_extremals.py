@@ -185,6 +185,15 @@ def test_family_kernel_is_bitwise_the_points_first_jets(rng):
     _assert_bitwise(rows, ScalarField("h", _points_first_family_jets(c, nu)), pts)
 
 
+@pytest.mark.parametrize("npoints", [1, 2, 4])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_member_batch_reads_exactly_one_point_per_member(npoints, order):
+    members = extremals._member(np.ones(3), np.ones(3), 1.0, 1.0, "h[3]")
+    with pytest.raises(ValueError, match="3 members reads 3 points, got %d" % npoints):
+        members.jet_batch(np.zeros((npoints, 7)), order)
+    assert len(members.jet_batch(np.zeros((3, 7)), order)[0]) == 3
+
+
 def test_left_translation_map_is_the_twist_matrix(rng):
     # bitwise [[I4, 0], [q0 . TWIST, I3]] with offset g0, and the group law
     # on a batch to rounding

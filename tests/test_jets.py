@@ -159,6 +159,22 @@ def test_affine_map_algebra():
     np.testing.assert_allclose(comp.det, np.linalg.det(a.linear) * np.linalg.det(b.linear), rtol=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(7,), (1, 7), (40, 7)])
+def test_affine_map_adds_its_offset_in_place_bitwise(shape):
+    rng = np.random.default_rng(14)
+    amap = AffineMap(linear=rng.standard_normal((7, 7)), offset=rng.standard_normal(7))
+    points = rng.standard_normal(shape)
+    before = points.copy()
+    got = amap(points)
+    assert _bitwise_equal(got, points @ amap.linear.T + amap.offset)
+    assert _bitwise_equal(points, before)
+
+
+def test_affine_map_with_integer_parts_returns_floats():
+    amap = AffineMap(linear=np.eye(7, dtype=int), offset=np.full(7, 0.5))
+    np.testing.assert_array_equal(amap(np.arange(7)), np.arange(7) + 0.5)
+
+
 def test_affine_pullback_values_and_jets():
     f = _transcendental()
     rng = np.random.default_rng(5)
@@ -307,6 +323,108 @@ def test_kelvin_lift_makes_at_most_29_products(monkeypatch):
     ku.jet_batch(np.random.default_rng(12).uniform(-1.5, 1.5, (6, 7)), 2)
     assert products == [2] * len(products)
     assert len(products) <= 29
+
+
+def _plain(x: Hyper2) -> Hyper2:
+    """The same jet without a seed's axis, so its products take the general formula."""
+    return Hyper2(x.val, x.grad, x.hess)
+
+
+def _parts(h: Hyper2) -> list:
+    return [part for part in (h.val, h.grad, h.hess) if part is not None]
+
+
+_PAIRINGS = ["seed*general", "general*seed", "seed*same seed", "seed*other seed",
+             "seed*float", "negated seed*general", "seed*partial"]
+
+
+@pytest.mark.parametrize("pairing", _PAIRINGS)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_seeded_product_is_the_general_formula(monkeypatch, order, pairing):
+    pts = np.random.default_rng(15).uniform(-1.5, 1.5, (25, 7))
+    x = Hyper2.seed(pts, order)
+    # no zero entry in general's jets; partial's gradient is 0 in columns 0, 4-6
+    general = exp(0.3 * (x[0] * x[1] + x[2] * x[3] + x[4] * x[5] + x[6] * x[0]) + x[1])
+    partial = exp(x[1] * x[2]) - sqrt(2.0 + x[3] * x[3])
+    a, b = {
+        "seed*general": (x[0], general),
+        "general*seed": (general, x[4]),
+        "seed*same seed": (x[5], x[5]),
+        "seed*other seed": (x[5], x[6]),
+        "seed*float": (x[2], -1.75),
+        "negated seed*general": (-x[0], general),
+        "seed*partial": (x[4], partial),
+    }[pairing]
+    seeded = []
+    rank_one = Hyper2._seeded
+    monkeypatch.setattr(Hyper2, "_seeded", lambda s, o: seeded.append(o) or rank_one(s, o))
+    got = a * b
+    want = _plain(a) * (_plain(b) if isinstance(b, Hyper2) else b)
+    takes_seed_path = order >= 1 and not pairing.startswith("negated")
+    assert len(seeded) == takes_seed_path
+    assert got.order == want.order == order
+    # the general formula adds 0 * value, or a product with a 0 entry, where
+    # the rank-one update adds nothing: that can only turn a -0 into +0, so
+    # the bytes agree once zeros are signless, and outright where the other
+    # operand's jets have no zero entry
+    for g, w in zip(_parts(got), _parts(want), strict=True):
+        assert _bitwise_equal(g + 0.0, w + 0.0)
+        if pairing in ("seed*general", "general*seed", "seed*same seed", "negated seed*general"):
+            assert _bitwise_equal(g, w)
+    assert got._axis is None  # a product is no seed
+
+
+def _kelvin_fields():
+    g0 = np.random.default_rng(16).uniform(-1.0, 1.0, 7)
+    return [kelvin(ubar_field()), kelvin(translate_field(ubar_field(), g0))]
+
+
+def _kelvin_jets(fields):
+    pts = np.random.default_rng(17).uniform(-1.5, 1.5, (30, 7))
+    return [f.jet_batch(pts, order) for f in fields for order in (0, 1, 2)]
+
+
+def _reseeded(monkeypatch, change):
+    """Hyper2.seed with `change` applied to each coordinate it returns."""
+    seed = Hyper2.seed
+    monkeypatch.setattr(Hyper2, "seed", staticmethod(
+        lambda points, order: tuple(change(x) for x in seed(points, order))))
+
+
+def test_kelvin_jets_are_bitwise_with_or_without_seed_axes(monkeypatch):
+    fields = _kelvin_fields()
+    marked = _kelvin_jets(fields)
+    _reseeded(monkeypatch, _plain)
+    for got, want in zip(_kelvin_jets(fields), marked, strict=True):
+        for g, w in zip(got, want, strict=True):
+            assert _bitwise_equal(g, w)
+
+
+def test_kelvin_jets_never_read_a_seed_hessian(monkeypatch):
+    # the seeds' Hessians are known zeros: filled with NaN, nothing changes
+    fields = _kelvin_fields()
+    want = _kelvin_jets(fields)
+
+    def poisoned(x):
+        if x.hess is not None:
+            x.hess.fill(np.nan)
+        return x
+
+    _reseeded(monkeypatch, poisoned)
+    for got, ref in zip(_kelvin_jets(fields), want, strict=True):
+        for g, w in zip(got, ref, strict=True):
+            assert np.isfinite(g).all()
+            assert _bitwise_equal(g, w)
+
+
+def test_compose_through_the_seeds_is_the_field():
+    # compose reads the coordinates' Hessians, so the seeds must keep theirs
+    u = translate_field(h_family(FamilyParams(c=1.3, nu=0.7)), np.full(7, 0.2))
+    lifted = autodiff_lift(lambda *x: compose(u, x))
+    pts = np.random.default_rng(18).uniform(-1.5, 1.5, (30, 7))
+    for order in (0, 1, 2):
+        for got, want in zip(lifted.jet_batch(pts, order), u.jet_batch(pts, order), strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 def _bent_coords(points):
