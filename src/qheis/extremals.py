@@ -12,8 +12,10 @@ h_family (or, with per-row c and nu, one member per point) is alpha = 1,
 ubar and v are alpha = -2 with their amplitudes, bitwise what
 `power_compose` of h gives.  It builds order-2 Hessians points-last, so
 each step runs over all points at once instead of over 7 or 49 entries per
-point.  The hand jets keep the quadrature and the bubble search cheap and
-are pinned against the forward-mode lift in the tests.
+point, and reads a batch along given directions (the bubble search's slice
+directions) without building the full gradient or Hessian.  The hand jets
+keep the quadrature and the bubble search cheap and are pinned against the
+forward-mode lift in the tests.
 
 The sphere <-> group dictionary is the quaternionic Cayley pair with the
 boundary identification (q, w) <-> (q, |q|^2 - w), the inversion sigma, and
@@ -117,14 +119,24 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
     chain rule on h's jets, with its arithmetic, so for alpha < 0 < coef, the
     bubbles ubar and v, the jets are bitwise power_compose(h, alpha, coef)'s
     (otherwise up to the sign of a zero Hessian entry).  Order 2 is built
-    points-last, in one (7, 7, N) array copied once into the (N, 7, 7) Hessian.
+    points-last, in place through the (7, 7, N) transposed view of the
+    (N, 7, 7) Hessian it returns.
+
+    Given directions `along`, (B, 7, d) as `ScalarField.jet_batch` checks
+    them, the kernel is the field's `along_jets` and returns the contracted
+    jets `jet_batch` describes.  For v = (v_q; v_w), g_h the gradient of h
+    and f', f'' the power's derivatives (1 and 0 for h itself)
+        g . v = f' (slope q.v_q + b w.v_w),
+        H v   = f'' g_h (g_h . v) + f' (e q (q.v_q) + slope v_q; b v_w),
+    built points-last on (d, B, N / B) planes, so order 1 builds no (N, 7)
+    gradient and order 2 no (N, 7, 7) Hessian.
     """
     b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
     rows = len(b) if np.ndim(b) else None
     b_rows = b if rows is None else b[:, None]  # per-row b against the (N, 3) w-columns
     power = (alpha, coef) != (1.0, 1.0)
 
-    def jets(pts: np.ndarray, order: int = 2):
+    def jets(pts: np.ndarray, order: int = 2, along=None):
         if rows is not None and len(pts) != rows:
             raise ValueError(f"a batch of {rows} members reads {rows} points, got {len(pts)}")
         q = pts[:, :4]
@@ -136,39 +148,73 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
         if order == 0:
             return out
         slope = (4.0 * c * nu) * lin
+        if power:
+            fp = coef * alpha * val ** (alpha - 1.0)
+        if along is not None:
+            blocks, d = along.shape[0], along.shape[2]
+            n = len(pts) // blocks
+
+            def planes(x):  # a per-point array as (blocks, n), a scalar as is
+                return np.reshape(x, (blocks, n)) if np.ndim(x) else x
+
+            # q.v_q and w.v_w as (d, blocks, n): one matmul per part, each
+            # block of points against its own directions
+            dirs = along.transpose(0, 2, 1)
+            q_v, w_v = np.empty((2, d, blocks, n))
+            np.matmul(dirs[..., :4], q.reshape(blocks, n, 4).transpose(0, 2, 1),
+                      out=q_v.transpose(1, 0, 2))
+            np.matmul(dirs[..., 4:], w.reshape(blocks, n, 3).transpose(0, 2, 1),
+                      out=w_v.transpose(1, 0, 2))
+            g_hv = planes(slope) * q_v  # g_h . v
+            g_hv += planes(b) * w_v
+            g_v = (g_hv * planes(fp) if power else g_hv).reshape(d, -1).T
+            if order == 1:
+                return out + (g_v,)
         grad = np.empty_like(pts)
         np.multiply(slope[:, None], q, out=grad[:, :4])
         np.multiply(b_rows, w, out=grad[:, 4:7])
-        if power:
-            fp = coef * alpha * val ** (alpha - 1.0)
-            out += (fp[:, None] * grad,)
-        else:
-            out += (grad,)
+        full = fp[:, None] * grad if power else grad
         if order == 1:
-            return out
-        n = pts.shape[0]
-        if power:  # fpp g g^T, to which fp H_h is added
+            return out + (full,)
+        qt = np.ascontiguousarray(q.T)
+        if power:
             fpp = coef * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
+        if along is not None:
+            # H v on (d, 7, blocks, n), returned as its (N, 7, d) view
+            h_v = np.empty((d, 7, blocks, n))
+            e_qv = planes(e) * q_v
+            for i, qi in enumerate(qt.reshape(4, blocks, n)):
+                np.multiply(qi, e_qv, out=h_v[:, i])
+                h_v[:, i] += planes(slope) * along[:, i].T[..., None]
+            for j in range(4, 7):
+                np.multiply(planes(b), along[:, j].T[..., None], out=h_v[:, j])
+            if power:
+                h_v *= planes(fp)
+                g_hv *= planes(fpp)
+                h_v += grad.T.reshape(7, blocks, n) * g_hv[:, None]
+            return out + (g_v, h_v.reshape(d, 7, -1).T, full)
+        hess = (np.empty if power else np.zeros)((len(pts), 7, 7))
+        view = hess.transpose(1, 2, 0)  # (7, 7, N), filled in place
+        if power:  # fpp g g^T, to which fp H_h is added
             gt = np.ascontiguousarray(grad.T)
             # einsum sums into a zeroed output, so a -0 product comes out +0
             # there, as power_compose's points-first einsum has it
-            hess = np.einsum("in,jn->ijn", gt, gt)
-            hess *= fpp
-        else:
-            hess = np.zeros((7, 7, n))
+            np.einsum("in,jn->ijn", gt, gt, out=view)
+            view *= fpp
         # H_h = e q q^T + slope I4 on the q-block and b I3 on the w-block, added
         # a q-row at a time onto the zeros or fpp g g^T beneath, whose +0 turns
         # a -0 product of coordinates into +0
-        qt = np.ascontiguousarray(q.T)
         for i in range(4):
             row = qt[i] * qt
             row *= e
             row[i] += slope
             if power:
                 row *= fp
-            hess[i, :4] += row
-        hess.reshape(49, n)[32::8] += (fp * b) if power else b  # the w-diagonal
-        return out + (np.ascontiguousarray(hess.transpose(2, 0, 1)),)
+            view[i, :4] += row
+        w_diag = (fp * b) if power else b
+        for j in range(4, 7):
+            view[j, j] += w_diag
+        return out + (full, hess)
 
     return jets
 
@@ -177,11 +223,13 @@ def _member(c, nu, alpha: float, coef: float, tag: str) -> ScalarField:
     """coef h^alpha for the member (c, nu) of the family, by the hand kernel;
     (N,) arrays c and nu make it a batch of N points, row i read by member i;
     another point count is a ValueError naming both lengths."""
+    kernel = _family_jets(c, nu, alpha, coef)
     return ScalarField(
         tag=tag,
-        jets=_family_jets(c, nu, alpha, coef),
+        jets=kernel,
         biradial_map=AffineMap.identity(),
         decay=(-4.0 * alpha, -2.0 * alpha),  # h decays like (-4, -2)
+        along_jets=kernel,
     )
 
 
@@ -332,12 +380,12 @@ def _sigma_components(t1, x1, y1, z1, x, y, z):
     denom = r2 * r2 + x * x + y * y + z * z  # |p'|^2 with p' = |q|^2 - w
     if np.any(getattr(denom, "val", denom) == 0.0):
         raise SingularityError("sigma is undefined at the group identity")
-    inv = denom**-1.0
     # (p')^{-1} = conj(p')/|p'|^2 and conj(p') = |q|^2 + w; its w-part
-    # w/|p'|^2 is also the image's w, negated.
-    xi, yi, zi = x * inv, y * inv, z * inv
-    q2 = _hamilton((r2 * inv, xi, yi, zi), (t1, x1, y1, z1))
-    return (-q2[0], -q2[1], -q2[2], -q2[3], -xi, -yi, -zi), denom
+    # w/|p'|^2 is also the image's w, negated.  The image's negations are
+    # folded into the inverse, one negation instead of seven
+    ninv = -(denom**-1.0)
+    xi, yi, zi = x * ninv, y * ninv, z * ninv
+    return (*_hamilton((r2 * ninv, xi, yi, zi), (t1, x1, y1, z1)), xi, yi, zi), denom
 
 
 def sigma(g):

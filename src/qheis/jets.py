@@ -4,7 +4,11 @@ A field evaluates batches of points (N, 7) to jets up to a requested order:
 order 0 gives (value (N,),), order 1 adds the gradient (N, 7) and order 2
 the symmetric Hessian (N, 7, 7).  Each lower-order jet is bitwise the
 matching prefix of the order-2 jet, so a caller that needs only values or
-gradients asks for them and never pays for 7x7 Hessians.  Jets come either
+gradients asks for them and never pays for 7x7 Hessians.  A caller that
+reads a field only along d directions per point passes them as `along`
+and gets the gradient as (N, d) and the Hessian as (N, 7, d) columns; the
+family's hand kernel computes those natively, any other field contracts
+its full jets.  Jets come either
 from hand-differentiated closed forms (the solution families) or from
 forward automatic differentiation with full 7-direction seeding
 (`Hyper2`, a truncated-Taylor number carrying value, gradient and Hessian
@@ -50,7 +54,8 @@ __all__ = [
 DIM = 7
 
 # A batch of jets up to some order: value (N,), gradient (N,7), Hessian
-# (N,7,7), truncated after the requested order.
+# (N,7,7), truncated after the requested order; read along d directions,
+# value, gradient (N,d), Hessian (N,7,d) and, at order 2, the full gradient.
 JetBatch = tuple[np.ndarray, ...]
 
 
@@ -116,12 +121,19 @@ class ScalarField:
     `quadrature` requires it.  `decay` declares exact asymptotic orders
     (d_r, d_rho): |field| ~ r**-d_r and ~ rho**-d_rho, with negative entries
     meaning growth.
+
+    `along_jets`, when set, is the field's native directional path:
+    `along_jets(points, order, along)` returns what `jet_batch` returns with
+    checked (B, 7, d) directions, without building the (N, 7) gradient at
+    order 1 or the (N, 7, 7) Hessian at order 2.  Without it `jet_batch`
+    contracts the full jets.  Only the family's hand kernel sets it.
     """
 
     tag: str
     jets: Callable[[np.ndarray, int], JetBatch]
     biradial_map: Optional[AffineMap] = None
     decay: Optional[tuple[float, float]] = None
+    along_jets: Optional[Callable[[np.ndarray, int, np.ndarray], JetBatch]] = None
 
     def __call__(self, points) -> np.ndarray:
         """Values only (same batching convention as `jets`)."""
@@ -129,11 +141,50 @@ class ScalarField:
         val = self.jets(pts, 0)[0]
         return float(val[0]) if squeeze else val
 
-    def jet_batch(self, points: np.ndarray, order: int = 2) -> JetBatch:
-        """Batch evaluation of the jets up to `order`, a whole number in 0..2."""
+    def jet_batch(self, points: np.ndarray, order: int = 2, along=None) -> JetBatch:
+        """Batch evaluation of the jets up to `order`, a whole number in 0..2.
+
+        With `along`, directions (7, d) shared by the batch or (B, 7, d) for
+        B equal consecutive blocks of the N points, the derivatives come
+        contracted with each point's block of directions: order 1 gives
+        (value, grad @ along (N, d)) and order 2 (value, grad @ along,
+        H @ along (N, 7, d), grad), the full gradient last.  So order 1 is
+        still bitwise the prefix of order 2, and a caller reading both
+        orders sees the same slopes.  Order 0, another shape or N not a
+        multiple of B is a ValueError, a NaN or infinite direction a
+        DomainError.
+        """
         order = _whole(order, "jet order", 0, 2)
         pts, _ = _as_batch(points)
-        return self.jets(pts, order)
+        if along is None:
+            return self.jets(pts, order)
+        along = _directions(along, order, len(pts))
+        if self.along_jets is not None:
+            return self.along_jets(pts, order, along)
+        jet = self.jets(pts, order)
+        blocks, n = along.shape[0], len(pts) // along.shape[0]
+        g_v = (jet[1].reshape(blocks, n, DIM) @ along).reshape(len(pts), -1)
+        if order == 1:
+            return jet[0], g_v
+        h_v = jet[2].reshape(blocks, n * DIM, DIM) @ along
+        return jet[0], g_v, h_v.reshape(len(pts), DIM, -1), jet[1]
+
+
+def _directions(along, order: int, npoints: int) -> np.ndarray:
+    """`jet_batch`'s rule for directions: (7, d) or (B, 7, d) as (B, 7, d), B dividing N."""
+    if order == 0:
+        raise ValueError("directional jets need order 1 or 2, got 0")
+    along = np.asarray(along, dtype=float)
+    shape = along.shape
+    if along.ndim == 2:
+        along = along[None]
+    if along.ndim != 3 or along.shape[1] != DIM or 0 in along.shape:
+        raise ValueError(f"directions are (7, d) or (B, 7, d), got shape {shape}")
+    if npoints % along.shape[0]:
+        raise ValueError(f"{npoints} points do not split into {along.shape[0]} equal blocks")
+    if np.count_nonzero(np.isfinite(along)) != along.size:
+        raise DomainError("a direction has a NaN or infinite entry")
+    return along
 
 
 def _as_batch(points) -> tuple[np.ndarray, bool]:
@@ -276,11 +327,10 @@ class Hyper2:
             grad = self.grad * o.val[:, None]
             grad += o.grad * self.val[:, None]
         if self.hess is not None:
-            cross = np.einsum("ni,nj->nij", self.grad, o.grad)
             hess = self.hess * o.val[:, None, None]
             hess += o.hess * self.val[:, None, None]
-            hess += cross
-            hess += np.swapaxes(cross, 1, 2)
+            hess += np.einsum("ni,nj->nij", self.grad, o.grad)
+            hess += np.einsum("ni,nj->nij", o.grad, self.grad)  # the transpose, unstrided
         return Hyper2(self.val * o.val, grad, hess)
 
     __rmul__ = __mul__

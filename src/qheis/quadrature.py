@@ -691,10 +691,13 @@ class _ProfileRule:
         composed with the target's map), at the rule's own points x: the
         points go through A once and the base takes one jet call.  The
         slice directions of each rotation become v = lin(A) @ dirs in the
-        base's coordinates, once per rotation, so the slopes are
-        amp grad_y f . v and the Hessian columns amp lin^T (H_y v); the
-        full x-gradient amp grad_y f lin is formed only on the order-2
-        pass, and the spread only when gamma != 0.  The gradient is
+        base's coordinates, once per rotation, and the jet call reads the
+        base along them (`jet_batch`'s `along`, one block per rotation).  It
+        returns grad_y f . v and, on the order-2 pass, H_y v and the full
+        gradient, so the objective contracts nothing itself: the slopes are
+        amp grad_y f . v and the Hessian columns amp lin^T (H_y v); the full
+        x-gradient amp grad_y f lin is formed only on the order-2 pass, and
+        the spread only when gamma != 0.  The gradient is
         assembled points-last, on (maps, nodes) planes: the point-dependent
         y_q . TWIST is applied through TWIST's one nonzero entry per
         (s, b), and the turn of the slice directions through one matmul
@@ -704,11 +707,10 @@ class _ProfileRule:
         m, n = self.n_maps, self.n_nodes
         pull = _detransformed(target, nu, center).jets  # always one folded _Pullback
         lin, amp = pull.amap.linear, pull.amplitude
-        jet = pull.base.jet_batch(pull.amap(self.points), 2 if gradient else 1)
         v = lin @ np.swapaxes(self.dirs, 1, 2)  # the slice directions in base coordinates, (m, 7, 2)
-        g_y = jet[1].reshape(m, n, DIM)
+        jet = pull.base.jet_batch(pull.amap(self.points), 2 if gradient else 1, along=v)
         val = amp * jet[0].reshape(m, n)
-        slope = g_y @ v  # d/dr, d/drho per map, (m, n, 2)
+        slope = jet[1].reshape(m, n, 2)  # d/dr, d/drho per map
         slope *= amp
         profile = val.mean(axis=0)
         p_r, p_rho = slope.mean(axis=0).T
@@ -731,9 +733,9 @@ class _ProfileRule:
         # the translation's linear part, which folds with dy/dcenter into
         # J(y) = [[-I4, 0], [y_q . TWIST, -I3]], y_q = mu x_q - center_q;
         # the columns are pulled back by J^T
-        h_v = (jet[2].reshape(m, n * DIM, DIM) @ v).reshape(m, n, DIM, 2)
+        h_v = jet[2].reshape(m, n, DIM, 2)
         cols = np.empty((3, DIM, m, n))
-        cols[0] = (lin.T @ g_y.reshape(m * n, DIM).T).reshape(DIM, m, n)
+        cols[0] = (lin.T @ jet[3].T).reshape(DIM, m, n)
         cols[1:] = (lin.T @ h_v.transpose(3, 2, 0, 1).reshape(2, DIM, m * n)).reshape(2, DIM, m, n)
         cols[:, :4] *= amp / mu
         cols[:, 4:] *= amp / (mu * mu)

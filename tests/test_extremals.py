@@ -185,6 +185,36 @@ def test_family_kernel_is_bitwise_the_points_first_jets(rng):
     _assert_bitwise(rows, ScalarField("h", _points_first_family_jets(c, nu)), pts)
 
 
+@pytest.mark.parametrize("kind", ["ubar", "v", "h", "rows", "rows-power"])
+def test_kernel_directional_jets_are_the_contracted_full_jets(rng, kind):
+    # the hand kernel contracts natively, g.v and H v from q.v_q and w.v_w,
+    # and must agree with its own full jets contracted block by block, on
+    # points with +-0 coordinates too; value and full gradient are its bits
+    pts = _kernel_points(rng)
+    c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, len(pts)))
+    field = {
+        "ubar": ubar_field(),
+        "v": v_field(),
+        "h": h_family(FamilyParams(c=1.7, nu=0.6)),
+        "rows": extremals._member(c, nu, 1.0, 1.0, "rows"),
+        "rows-power": extremals._member(c, nu, -2.0, 3.0, "rows-power"),
+    }[kind]
+    assert field.along_jets is not None
+    full = field.jet_batch(pts, 2)
+    for along in (rng.normal(size=(7, 2)), rng.normal(size=(4, 7, 2))):
+        blocks = along.reshape(-1, 7, 2)
+        n = len(pts) // len(blocks)
+        g_v = (full[1].reshape(len(blocks), n, 7) @ blocks).reshape(len(pts), 2)
+        h_v = (full[2].reshape(len(blocks), n * 7, 7) @ blocks).reshape(len(pts), 7, 2)
+        value, got_g, got_h, grad = field.jet_batch(pts, 2, along=along)
+        assert value.tobytes() == full[0].tobytes() and grad.tobytes() == full[1].tobytes()
+        for got, want in ((got_g, g_v), (got_h, h_v)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        low = field.jet_batch(pts, 1, along=along)
+        assert low[1].tobytes() == got_g.tobytes()
+
+
 @pytest.mark.parametrize("npoints", [1, 2, 4])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_member_batch_reads_exactly_one_point_per_member(npoints, order):

@@ -270,6 +270,69 @@ def test_lower_orders_are_prefixes_of_order_two(kind):
     assert _bitwise_equal(value, full[0])
 
 
+def _contracted(full, along):
+    """The full jets contracted with (7, d) or (B, 7, d) directions, block by block."""
+    n = len(full[0])
+    if along.ndim == 2:
+        return full[1] @ along, (full[2].reshape(n * 7, 7) @ along).reshape(n, 7, -1)
+    blocks = len(along)
+    g_v = (full[1].reshape(blocks, n // blocks, 7) @ along).reshape(n, -1)
+    h_v = (full[2].reshape(blocks, n // blocks * 7, 7) @ along).reshape(n, 7, -1)
+    return g_v, h_v
+
+
+@pytest.mark.parametrize("kind", sorted(_fields_of_every_kind()))
+def test_along_is_the_contraction_of_the_full_jets(kind):
+    # order 1 gives (value, grad @ along), order 2 adds H @ along and the full
+    # gradient, so order 1 is the prefix of order 2 with the same directions.
+    # A field without a native path contracts its full jets, bitwise; the
+    # hand kernel's native contraction agrees to rounding
+    f = _fields_of_every_kind()[kind]
+    pts = np.random.default_rng(6).uniform(-1.5, 1.5, (33, 7))
+    full = f.jet_batch(pts, 2)
+    rng = np.random.default_rng(8)
+    for along in (rng.normal(size=(7, 3)), rng.normal(size=(3, 7, 2))):
+        g_v, h_v = _contracted(full, along)
+        low = f.jet_batch(pts, 1, along=along)
+        top = f.jet_batch(pts, 2, along=along)
+        assert len(low) == 2 and len(top) == 4
+        assert all(_bitwise_equal(got, want) for got, want in zip(low, top))
+        assert _bitwise_equal(top[0], full[0]) and _bitwise_equal(top[3], full[1])
+        for got, want in ((top[1], g_v), (top[2], h_v)):
+            assert got.shape == want.shape
+            if f.along_jets is None:
+                assert _bitwise_equal(np.ascontiguousarray(got), want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["ubar", "kelvin"])
+def test_along_is_checked_at_the_boundary(kind):
+    # the native path and the fallback share one rule, applied before any
+    # evaluation: a malformed request is a ValueError, a non-finite direction
+    # a DomainError
+    f = _fields_of_every_kind()[kind]
+    pts = np.random.default_rng(6).uniform(-1.5, 1.5, (10, 7))
+    good = np.ones((7, 2))
+    malformed = [
+        (0, good, "need order 1 or 2, got 0"),
+        (1, np.ones((6, 2)), r"\(7, d\) or \(B, 7, d\), got shape \(6, 2\)"),
+        (2, np.ones(7), r"got shape \(7,\)"),
+        (1, np.ones((3, 7, 2)), "10 points do not split into 3 equal blocks"),
+    ]
+    for order, along, message in malformed:
+        with pytest.raises(ValueError, match=message) as caught:
+            f.jet_batch(pts, order, along=along)
+        assert type(caught.value) is ValueError
+    for bad in (math.nan, math.inf):
+        along = np.ones((2, 7, 2))
+        along[1, 4, 0] = bad
+        for order in (1, 2):
+            with pytest.raises(DomainError, match="NaN or infinite"):
+                f.jet_batch(pts, order, along=along)
+    assert len(f.jet_batch(pts, 1, along=np.ones((5, 7, 2)))) == 2
+
+
 def test_lifted_formula_is_seeded_at_the_requested_order():
     seen = []
 

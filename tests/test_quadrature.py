@@ -1022,7 +1022,8 @@ def test_objective_matches_the_full_pullback_route(search_cases, case):
 @pytest.mark.parametrize("case", ["planted", "kelvin"])
 def test_objective_takes_one_jet_call_of_the_pullback_base(search_cases, case, monkeypatch):
     # one jet_batch call of the pullback's base with every rule point, order 1
-    # for the fine value and 2 for the gradient pass: the bench tracer's
+    # for the fine value and 2 for the gradient pass, each read along the
+    # rotations' slice directions: the bench tracer's
     # jets.points_jet counts these calls.  The Kelvin lift composes through
     # its inner field with the same points once more
     target, nu, center = search_cases[case]
@@ -1030,9 +1031,9 @@ def test_objective_takes_one_jet_call_of_the_pullback_base(search_cases, case, m
     calls = []
     jet_batch = ScalarField.jet_batch
 
-    def counted(self, points, order=2):
+    def counted(self, points, order=2, along=None):
         calls.append((self is base, len(points), order))
-        return jet_batch(self, points, order)
+        return jet_batch(self, points, order, along)
 
     monkeypatch.setattr(ScalarField, "jet_batch", counted)
     for rule, gradient, order in ((quadrature._profile_rule(3, 12, 3, 0), False, 1),
