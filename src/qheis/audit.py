@@ -374,7 +374,7 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     for c, nu, g0, pts in _family_blocks(rng, npairs):
         if not family:  # the first block: its first five members, as fields
             family = [h_family(FamilyParams(c[i], nu[i], g0[i])) for i in range(min(5, len(c)))]
-        h = extremals._member(np.repeat(c, 20), np.repeat(nu, 20), 1.0, 1.0, "h[block]")
+        h = extremals._member(np.repeat(c, 20), np.repeat(nu, 20), "h[block]")
         fj = frame.frame_jets(h, group_mul(np.repeat(g0, 20, axis=0), pts))
         torsion.append(_frobenius(conformal.torsion_T0_deformed(fj)))
     checks.add(("einstein-family-torsion", npairs * 20, _max_abs(*torsion), 1e-8, "computed"))

@@ -4,18 +4,19 @@ The closed-form conformal factors
 
     h_{c,nu}(q, w) = c [(1 + nu |q|^2)^2 + nu^2 |w|^2]
 
-and the amplitude-normalized powers built on them (ubar with amplitude 2^10,
-the extremal v with amplitude 2^11 sqrt(3) pi^{-3/5}) are the only fields in
-the package with hand-written jets; everything else differentiates formulas
-forward.  One hand kernel, `_family_jets`, gives the jets of coef h^alpha:
-h_family (or, with per-row c and nu, one member per point) is alpha = 1,
-ubar and v are alpha = -2 with their amplitudes, bitwise what
-`power_compose` of h gives.  It builds order-2 Hessians points-last, so
-each step runs over all points at once instead of over 7 or 49 entries per
-point, and reads a batch along given directions (the bubble search's slice
-directions) without building the full gradient or Hessian.  The hand jets
-keep the quadrature and the bubble search cheap and are pinned against the
-forward-mode lift in the tests.
+carry the only hand-written jets in the package; everything else
+differentiates formulas forward.  One hand kernel, `_family_jets`, gives
+the jets of h alone: h_family (or, with per-row c and nu, one member per
+point) is that kernel, and the amplitude-normalized powers ubar (amplitude
+2^10) and the extremal v (amplitude 2^11 sqrt(3) pi^{-3/5}) are
+`power_compose` of it at exponent -2, so the power's chain rule is written
+once, in `jets`.  The kernel builds order-2 Hessians
+points-last, so each step runs over all points at once instead of over 7
+or 49 entries per point, and reads a batch along given directions (the
+bubble search's slice directions) without building the full gradient or
+Hessian; `power_compose` carries that path through the power.  The hand
+jets keep the quadrature and the bubble search cheap and are pinned
+against the forward-mode lift in the tests.
 
 The sphere <-> group dictionary is the quaternionic Cayley pair with the
 boundary identification (q, w) <-> (q, |q|^2 - w), the inversion sigma, and
@@ -42,6 +43,7 @@ from .jets import (
     affine_pullback,
     autodiff_lift,
     compose,
+    power_compose,
 )
 from .quaternions import (
     TWIST,
@@ -110,31 +112,24 @@ class SpherePoint:
 # The conformal-factor family and its powers.
 
 
-def _family_jets(c, nu, alpha=1.0, coef=1.0):
-    """Hand-differentiated jets of coef h^alpha, h = c[(1 + nu r^2)^2 + nu^2 rho^2],
-    up to `order`; c and nu are scalars, or (N,) arrays giving each of the N
-    rows its own member, which then read exactly N points, else ValueError.
-
-    (alpha, coef) = (1, 1) is h itself; any other pair is power_compose's
-    chain rule on h's jets, with its arithmetic, so for alpha < 0 < coef, the
-    bubbles ubar and v, the jets are bitwise power_compose(h, alpha, coef)'s
-    (otherwise up to the sign of a zero Hessian entry).  Order 2 is built
-    points-last, in place through the (7, 7, N) transposed view of the
-    (N, 7, 7) Hessian it returns.
+def _family_jets(c, nu):
+    """Hand-differentiated jets of h = c[(1 + nu r^2)^2 + nu^2 rho^2], r = |q|,
+    rho = |w|, up to `order`; c and nu are scalars, or (N,) arrays giving each
+    of the N rows its own member, which then read exactly N points, else
+    ValueError.  Order 2 is built points-last, in place through the (7, 7, N)
+    transposed view of the (N, 7, 7) Hessian it returns.
 
     Given directions `along`, (B, 7, d) as `ScalarField.jet_batch` checks
     them, the kernel is the field's `along_jets` and returns the contracted
-    jets `jet_batch` describes.  For v = (v_q; v_w), g_h the gradient of h
-    and f', f'' the power's derivatives (1 and 0 for h itself)
-        g . v = f' (slope q.v_q + b w.v_w),
-        H v   = f'' g_h (g_h . v) + f' (e q (q.v_q) + slope v_q; b v_w),
+    jets `jet_batch` describes.  For v = (v_q; v_w)
+        g . v = slope q.v_q + b w.v_w,
+        H v   = (e q (q.v_q) + slope v_q; b v_w),
     built points-last on (d, B, N / B) planes, so order 1 builds no (N, 7)
     gradient and order 2 no (N, 7, 7) Hessian.
     """
     b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
     rows = len(b) if np.ndim(b) else None
     b_rows = b if rows is None else b[:, None]  # per-row b against the (N, 3) w-columns
-    power = (alpha, coef) != (1.0, 1.0)
 
     def jets(pts: np.ndarray, order: int = 2, along=None):
         if rows is not None and len(pts) != rows:
@@ -144,12 +139,9 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
         r2 = np.einsum("ni,ni->n", q, q)
         lin = 1.0 + nu * r2
         val = c * (lin * lin + nu * nu * np.einsum("ni,ni->n", w, w))
-        out = (coef * val**alpha,) if power else (val,)
         if order == 0:
-            return out
+            return (val,)
         slope = (4.0 * c * nu) * lin
-        if power:
-            fp = coef * alpha * val ** (alpha - 1.0)
         if along is not None:
             blocks, d = along.shape[0], along.shape[2]
             n = len(pts) // blocks
@@ -165,20 +157,17 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
                       out=q_v.transpose(1, 0, 2))
             np.matmul(dirs[..., 4:], w.reshape(blocks, n, 3).transpose(0, 2, 1),
                       out=w_v.transpose(1, 0, 2))
-            g_hv = planes(slope) * q_v  # g_h . v
-            g_hv += planes(b) * w_v
-            g_v = (g_hv * planes(fp) if power else g_hv).reshape(d, -1).T
+            g_v = planes(slope) * q_v
+            g_v += planes(b) * w_v
+            g_v = g_v.reshape(d, -1).T
             if order == 1:
-                return out + (g_v,)
+                return val, g_v
         grad = np.empty_like(pts)
         np.multiply(slope[:, None], q, out=grad[:, :4])
         np.multiply(b_rows, w, out=grad[:, 4:7])
-        full = fp[:, None] * grad if power else grad
         if order == 1:
-            return out + (full,)
+            return val, grad
         qt = np.ascontiguousarray(q.T)
-        if power:
-            fpp = coef * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
         if along is not None:
             # H v on (d, 7, blocks, n), returned as its (N, 7, d) view
             h_v = np.empty((d, 7, blocks, n))
@@ -188,47 +177,35 @@ def _family_jets(c, nu, alpha=1.0, coef=1.0):
                 h_v[:, i] += planes(slope) * along[:, i].T[..., None]
             for j in range(4, 7):
                 np.multiply(planes(b), along[:, j].T[..., None], out=h_v[:, j])
-            if power:
-                h_v *= planes(fp)
-                g_hv *= planes(fpp)
-                h_v += grad.T.reshape(7, blocks, n) * g_hv[:, None]
-            return out + (g_v, h_v.reshape(d, 7, -1).T, full)
-        hess = (np.empty if power else np.zeros)((len(pts), 7, 7))
+            return val, g_v, h_v.reshape(d, 7, -1).T, grad
+        hess = np.zeros((len(pts), 7, 7))
         view = hess.transpose(1, 2, 0)  # (7, 7, N), filled in place
-        if power:  # fpp g g^T, to which fp H_h is added
-            gt = np.ascontiguousarray(grad.T)
-            # einsum sums into a zeroed output, so a -0 product comes out +0
-            # there, as power_compose's points-first einsum has it
-            np.einsum("in,jn->ijn", gt, gt, out=view)
-            view *= fpp
-        # H_h = e q q^T + slope I4 on the q-block and b I3 on the w-block, added
-        # a q-row at a time onto the zeros or fpp g g^T beneath, whose +0 turns
-        # a -0 product of coordinates into +0
+        # e q q^T + slope I4 on the q-block and b I3 on the w-block, added a
+        # q-row at a time onto the zeros, whose +0 turns a -0 product of
+        # coordinates into +0
         for i in range(4):
             row = qt[i] * qt
             row *= e
             row[i] += slope
-            if power:
-                row *= fp
             view[i, :4] += row
-        w_diag = (fp * b) if power else b
         for j in range(4, 7):
-            view[j, j] += w_diag
-        return out + (full, hess)
+            view[j, j] += b
+        return val, grad, hess
 
     return jets
 
 
-def _member(c, nu, alpha: float, coef: float, tag: str) -> ScalarField:
-    """coef h^alpha for the member (c, nu) of the family, by the hand kernel;
-    (N,) arrays c and nu make it a batch of N points, row i read by member i;
-    another point count is a ValueError naming both lengths."""
-    kernel = _family_jets(c, nu, alpha, coef)
+def _member(c, nu, tag: str) -> ScalarField:
+    """h for the member (c, nu) of the family, by the hand kernel, which is
+    also its native directional path; (N,) arrays c and nu make it a batch
+    of N points, row i read by member i; another point count is a
+    ValueError naming both lengths."""
+    kernel = _family_jets(c, nu)
     return ScalarField(
         tag=tag,
         jets=kernel,
         biradial_map=AffineMap.identity(),
-        decay=(-4.0 * alpha, -2.0 * alpha),  # h decays like (-4, -2)
+        decay=(-4.0, -2.0),
         along_jets=kernel,
     )
 
@@ -238,7 +215,7 @@ def h_family(params: FamilyParams) -> ScalarField:
 
     A nonzero center is the `translate_field` of the centred member.
     """
-    base = _member(params.c, params.nu, 1.0, 1.0, f"h(c={params.c:g},nu={params.nu:g})")
+    base = _member(params.c, params.nu, f"h(c={params.c:g},nu={params.nu:g})")
     if not np.any(params.center):
         return base
     return translate_field(base, params.center)
@@ -246,12 +223,12 @@ def h_family(params: FamilyParams) -> ScalarField:
 
 def ubar_field() -> ScalarField:
     """The amplitude-2^10 entire solution 2^10 [(1+|q|^2)^2 + |w|^2]^{-2}."""
-    return _member(1.0, 1.0, -2.0, 2.0**10, "ubar")
+    return power_compose(_member(1.0, 1.0, "h"), -2.0, 2.0**10, tag="ubar")
 
 
 def v_field() -> ScalarField:
     """The mass-normalized extremal 2^11 sqrt(3) pi^{-3/5} [(1+|q|^2)^2+|w|^2]^{-2}."""
-    return _member(1.0, 1.0, -2.0, V_AMPLITUDE, "v")
+    return power_compose(_member(1.0, 1.0, "h"), -2.0, V_AMPLITUDE, tag="v")
 
 
 def pde_residual(fj: FrameJet) -> np.ndarray:

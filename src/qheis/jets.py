@@ -7,10 +7,10 @@ matching prefix of the order-2 jet, so a caller that needs only values or
 gradients asks for them and never pays for 7x7 Hessians.  A caller that
 reads a field only along d directions per point passes them as `along`
 and gets the gradient as (N, d) and the Hessian as (N, 7, d) columns; the
-family's hand kernel computes those natively, any other field contracts
-its full jets.  Jets come either
-from hand-differentiated closed forms (the solution families) or from
-forward automatic differentiation with full 7-direction seeding
+family's hand kernel computes those natively, `power_compose` by the
+directional chain rule, and any other field contracts its full jets.  Jets
+come either from hand-differentiated closed forms (the solution families)
+or from forward automatic differentiation with full 7-direction seeding
 (`Hyper2`, a truncated-Taylor number carrying value, gradient and Hessian
 through arithmetic).  Forward mode is seeded at the requested order and
 builds nothing above it; `compose` carries it through a smooth map, so a
@@ -126,7 +126,8 @@ class ScalarField:
     `along_jets(points, order, along)` returns what `jet_batch` returns with
     checked (B, 7, d) directions, without building the (N, 7) gradient at
     order 1 or the (N, 7, 7) Hessian at order 2.  Without it `jet_batch`
-    contracts the full jets.  Only the family's hand kernel sets it.
+    contracts the full jets.  The family's hand kernel sets it, and
+    `power_compose` carries it when its base has one.
     """
 
     tag: str
@@ -395,7 +396,9 @@ class Hyper2:
         """Compose with a scalar function: f(v), and thunks for f'(v), f''(v).
 
         A derivative is evaluated only when the order carries it.  The
-        Hessian f' H + f'' g g^T is built in two (N, 7, 7) arrays.
+        Hessian is f' H plus f'' g g^T from one three-operand einsum: the
+        products (g_i g_j) f'' of an outer product scaled afterwards, but
+        summed into zeros, so a zero entry is +0 even where f'' < 0.
         """
         grad = hess = None
         if self.grad is not None:
@@ -403,9 +406,7 @@ class Hyper2:
             grad = d1[:, None] * self.grad
         if self.hess is not None:
             hess = d1[:, None, None] * self.hess
-            outer = np.einsum("ni,nj->nij", self.grad, self.grad)
-            outer *= fpp()[:, None, None]
-            hess += outer
+            hess += np.einsum("ni,nj,n->nij", self.grad, self.grad, fpp())
         return Hyper2(f, grad, hess)
 
 
@@ -550,22 +551,38 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
                   tag: Optional[str] = None) -> ScalarField:
     """coefficient * u**alpha by `Hyper2._chain`; u > 0 where evaluated (alpha non-integer ok).
 
-    alpha and the coefficient are finite real numbers of any sign, else DomainError.
+    alpha and the coefficient are finite real numbers of any sign, else
+    DomainError.  The result has a native directional path exactly when u
+    has one: g.v -> f' g.v and H v -> f' H v + f'' g (g.v), with the full
+    gradient f' g last, applied on u's (d, 7, N) planes.
     """
     _finite(alpha, "power exponent")
     _finite(coefficient, "power coefficient")
 
-    def jets(points: np.ndarray, order: int = 2) -> JetBatch:
-        jet = u.jets(points, order)
-        val = jet[0]
+    def power(val):  # f(val), and thunks for f'(val), f''(val)
         if np.any(val <= 0.0):
             raise DomainError(f"power of non-positive base in '{u.tag}'")
-        out = Hyper2(*jet, *(None,) * (2 - order))._chain(
+        return (
             coefficient * val**alpha,
             lambda: coefficient * alpha * val ** (alpha - 1.0),
             lambda: coefficient * alpha * (alpha - 1.0) * val ** (alpha - 2.0),
         )
+
+    def jets(points: np.ndarray, order: int = 2) -> JetBatch:
+        jet = u.jets(points, order)
+        out = Hyper2(*jet, *(None,) * (2 - order))._chain(*power(jet[0]))
         return (out.val, out.grad, out.hess)[: order + 1]
+
+    def along_jets(points: np.ndarray, order: int, along: np.ndarray) -> JetBatch:
+        jet = u.along_jets(points, order, along)
+        f, fp, fpp = power(jet[0])
+        d1 = fp()
+        g_v = np.multiply(jet[1].T, d1).T
+        if order == 1:
+            return f, g_v
+        h_v = np.multiply(jet[2].T, d1)
+        h_v += jet[3].T * (jet[1].T * fpp())[:, None, :]
+        return f, g_v, h_v.T, d1[:, None] * jet[3]
 
     decay = None
     if u.decay is not None:
@@ -576,6 +593,7 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
         jets=jets,
         biradial_map=u.biradial_map,
         decay=decay,
+        along_jets=None if u.along_jets is None else along_jets,
     )
 
 

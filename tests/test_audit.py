@@ -123,13 +123,14 @@ def _cli_verdicts(command, capsys) -> tuple[int, dict]:
 def _flip_vertical_hessian(monkeypatch):
     """Seed a sign flip on the (w, w) block of the family's hand Hessian.
 
-    The one hand kernel serves the family and its powers, so the flip reaches
-    h_family, the family torsion's per-block member batches, ubar and v alike.
+    The one hand kernel is h, and ubar and v are its powers, so the flip
+    reaches h_family, the family torsion's per-block member batches, ubar and
+    v alike.
     """
     family_jets = extremals._family_jets
 
-    def faulty(c, nu, alpha=1.0, coef=1.0):
-        jets = family_jets(c, nu, alpha, coef)
+    def faulty(c, nu):
+        jets = family_jets(c, nu)
 
         def flipped(pts, order=2):
             out = jets(pts, order)
@@ -170,8 +171,8 @@ def test_fault_in_the_last_partial_block_fails_the_family_torsion(monkeypatch):
     target = 149 * 20
     handed = [0]  # rows handed to the per-block batches so far, in member order
 
-    def faulty(c, nu, alpha, coef, tag):
-        field = member(c, nu, alpha, coef, tag)
+    def faulty(c, nu, tag):
+        field = member(c, nu, tag)
         if np.ndim(c) == 0:  # one member, not a block's batch
             return field
         first = handed[0]
@@ -678,6 +679,17 @@ def test_reports_equal_takes_two_nan_residuals_as_equal():
     assert reports_equal(a, b)
     assert not reports_equal(a, [Report("x", 1, 0.5, 1.0, "p", 0.0)])
     assert not reports_equal([Report("x", 1, 0.5, 1.0, "p", 0.0)], a)
+
+
+def test_reports_equal_tells_different_lengths_apart():
+    # a run that drops or repeats a line is no rerun, though every line it
+    # shares with the other compares equal
+    a = [Report("x", 1, 0.5, 1.0, "p", 0.0)]
+    for longer in (a + a, a + [Report("y", 1, 0.5, 1.0, "p", 0.0)]):
+        assert not reports_equal(a, longer)
+        assert not reports_equal(longer, a)
+    assert not reports_equal(a, [])
+    assert reports_equal([], [])
 
 
 def test_reports_equal_tells_different_residuals_apart():

@@ -28,7 +28,7 @@ from qheis.extremals import (
     v_field,
 )
 from qheis.frame import frame_jets, sub_laplacian
-from qheis.jets import AffineMap, ScalarField, haar_jacobian_audit, power_compose
+from qheis.jets import AffineMap, Hyper2, ScalarField, haar_jacobian_audit, power_compose
 from qheis.quadrature import minimize_quotient, spin_rotation_map
 from qheis.quaternions import TWIST, dilation, group_inv, group_mul
 
@@ -165,12 +165,10 @@ def _assert_bitwise(field, reference, pts):
 
 @pytest.mark.parametrize("amplitude, build", [(2.0**10, ubar_field), (V_AMPLITUDE, v_field)])
 def test_bubble_kernel_is_bitwise_the_composed_power(rng, amplitude, build):
-    # the one hand kernel computes coef h^alpha in place of power_compose of h,
-    # and must give it bit for bit: against today's h_family and against the
-    # points-first hand jets of h
+    # ubar and v are power_compose of the hand kernel's h, and must give bit
+    # for bit the power of the points-first hand jets of h
     pts = _kernel_points(rng)
     bubble = build()
-    _assert_bitwise(bubble, power_compose(h_family(FamilyParams()), -2.0, amplitude), pts)
     points_first = ScalarField("h", _points_first_family_jets(1.0, 1.0), AffineMap.identity())
     _assert_bitwise(bubble, power_compose(points_first, -2.0, amplitude), pts)
     assert bubble.decay == (8.0, 4.0) and bubble.biradial_map.is_identity()
@@ -185,6 +183,30 @@ def test_family_kernel_is_bitwise_the_points_first_jets(rng):
     _assert_bitwise(rows, ScalarField("h", _points_first_family_jets(c, nu)), pts)
 
 
+@pytest.mark.parametrize("alpha, coef", [(-2.0, 2.0**10), (0.5, 1.0), (2.0, -1.0)])
+def test_chain_hessian_is_the_two_step_outer_product(rng, alpha, coef):
+    # Hyper2._chain adds f'' g g^T by one three-operand einsum, against the
+    # two-step arithmetic (outer product, scaled in place, added to f' H) on
+    # h's jets at the kernel points, +-0 rows included.  The products are the
+    # same, so the bytes are equal, the bubbles' power among them.  Only where
+    # f' < 0 and f'' < 0 can the sign of a zero differ: there f' times a +0
+    # of H is -0, which the einsum's +0 turns into +0 and the scaled outer
+    # product's -0 leaves at -0
+    pts = _kernel_points(rng)
+    val, grad, hess = h_family(FamilyParams(c=1.7, nu=0.6)).jet_batch(pts, 2)
+    fp = coef * alpha * val ** (alpha - 1.0)
+    fpp = coef * alpha * (alpha - 1.0) * val ** (alpha - 2.0)
+    got = Hyper2(val, grad, hess)._chain(coef * val**alpha, lambda: fp, lambda: fpp).hess
+    outer = np.einsum("ni,nj->nij", grad, grad)
+    outer *= fpp[:, None, None]
+    want = fp[:, None, None] * hess
+    want += outer
+    if coef > 0.0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["ubar", "v", "h", "rows", "rows-power"])
 def test_kernel_directional_jets_are_the_contracted_full_jets(rng, kind):
     # the hand kernel contracts natively, g.v and H v from q.v_q and w.v_w,
@@ -196,8 +218,8 @@ def test_kernel_directional_jets_are_the_contracted_full_jets(rng, kind):
         "ubar": ubar_field(),
         "v": v_field(),
         "h": h_family(FamilyParams(c=1.7, nu=0.6)),
-        "rows": extremals._member(c, nu, 1.0, 1.0, "rows"),
-        "rows-power": extremals._member(c, nu, -2.0, 3.0, "rows-power"),
+        "rows": extremals._member(c, nu, "rows"),
+        "rows-power": power_compose(extremals._member(c, nu, "rows"), -2.0, 3.0),
     }[kind]
     assert field.along_jets is not None
     full = field.jet_batch(pts, 2)
@@ -218,7 +240,7 @@ def test_kernel_directional_jets_are_the_contracted_full_jets(rng, kind):
 @pytest.mark.parametrize("npoints", [1, 2, 4])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_member_batch_reads_exactly_one_point_per_member(npoints, order):
-    members = extremals._member(np.ones(3), np.ones(3), 1.0, 1.0, "h[3]")
+    members = extremals._member(np.ones(3), np.ones(3), "h[3]")
     with pytest.raises(ValueError, match="3 members reads 3 points, got %d" % npoints):
         members.jet_batch(np.zeros((npoints, 7)), order)
     assert len(members.jet_batch(np.zeros((3, 7)), order)[0]) == 3

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from qheis import extremals
 from qheis.errors import DomainError, _positive
 from qheis.extremals import (
     FamilyParams,
@@ -240,6 +241,8 @@ def _fields_of_every_kind():
         "ubar": ubar,
         "v": v_field(),
         "power_compose": power_compose(positive, -1.5, 3.0),
+        "power_compose-hand": power_compose(h_family(FamilyParams(c=0.7, nu=1.3)), 0.75, -2.0),
+        "power_compose-kelvin": power_compose(kelvin(ubar), -1.5, 3.0),
         "pullback": translate_field(ubar, _G0),
         "pullback-folded": _detransformed(
             translate_field(dilate_field(ubar, 1.2), _G0), 1.44, _G0 + 0.01
@@ -281,13 +284,27 @@ def _contracted(full, along):
     return g_v, h_v
 
 
-@pytest.mark.parametrize("kind", sorted(_fields_of_every_kind()))
+# the hand kernel and the powers of it: power_compose has a native path
+# exactly when its base has one
+_NATIVE_KINDS = {"h_family", "ubar", "v", "power_compose-hand", "rows-power"}
+
+
+def _directional_kinds():
+    """Every kind of field, and a power of a per-row member batch of 33 points."""
+    c, nu = 10.0 ** np.random.default_rng(7).uniform(-1.0, 1.0, size=(2, 33))
+    rows = power_compose(extremals._member(c, nu, "rows"), -2.0, 3.0)
+    return {**_fields_of_every_kind(), "rows-power": rows}
+
+
+@pytest.mark.parametrize("kind", sorted(_directional_kinds()))
 def test_along_is_the_contraction_of_the_full_jets(kind):
     # order 1 gives (value, grad @ along), order 2 adds H @ along and the full
     # gradient, so order 1 is the prefix of order 2 with the same directions.
     # A field without a native path contracts its full jets, bitwise; the
-    # hand kernel's native contraction agrees to rounding
-    f = _fields_of_every_kind()[kind]
+    # hand kernel's native contraction, and a power's chain rule on it, agree
+    # to rounding
+    f = _directional_kinds()[kind]
+    assert (f.along_jets is not None) == (kind in _NATIVE_KINDS)
     pts = np.random.default_rng(6).uniform(-1.5, 1.5, (33, 7))
     full = f.jet_batch(pts, 2)
     rng = np.random.default_rng(8)

@@ -32,7 +32,7 @@ from qheis.extremals import (
     ubar_field,
 )
 from qheis.frame import frame_jets, sub_laplacian
-from qheis.jets import AffineMap, ScalarField, constant_field, power_compose
+from qheis.jets import AffineMap, ScalarField, autodiff_lift, constant_field, power_compose
 from qheis.quadrature import (
     GAUGE_INTEGRAL_CLOSED_FORM,
     BestConstantReport,
@@ -849,6 +849,36 @@ def test_a_peak_search_out_of_trials_gives_no_seed(ubar):
     assert result.converged is False
     assert "peak seed failed, nu kept at 1;" in result.message
     assert result.nfev == calls == quadrature._PEAK_TRIALS + 1
+
+
+def test_a_peak_trial_outside_the_domain_is_refused_with_more_damping():
+    # the cap (1 - |p|^2 / 4)^{3/2} is defined on the ball of radius 2 only;
+    # from near its rim the first two damped Newton steps leave the ball.
+    # Each such trial is a jet call, refused as a DomainError, and the next
+    # trial solves from the same point with ten times the damping
+    ball = autodiff_lift(lambda *x: 1.0 - 0.25 * sum(xi * xi for xi in x), tag="ball")
+    cap = power_compose(ball, 1.5, tag="cap")
+    trials = []
+
+    def jets(pts, order=2):
+        trials.append(pts[0].copy())
+        return cap.jets(pts, order)
+
+    start = np.array([1.9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    peak, height, steps, calls, stopped = quadrature._newton_peak(ScalarField("cap", jets), start)
+    assert stopped and height == 1.0 and np.max(np.abs(peak)) <= 1e-12
+    assert calls == len(trials) == steps + 3
+    for trial in trials[1:3]:
+        with pytest.raises(DomainError, match="power of non-positive base in 'ball'"):
+            cap.jet_batch(trial, 0)
+    _, grad, hess = (part[0] for part in cap.jet_batch(start, 2))
+    scale = float(np.max(np.abs(hess)))
+    lam = 1e-3 * scale
+    for trial in trials[1:4]:
+        shift = max(float(np.linalg.eigvalsh(hess)[-1]), 0.0) + lam
+        np.testing.assert_array_equal(trial, start + np.linalg.solve(shift * np.eye(7) - hess, grad))
+        lam = max(10.0 * lam, 1e-12 * scale)
+    assert cap(trials[3]) > cap(start)  # the third trial climbs and is taken
 
 
 def _kelvin_image(ubar, draw):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qheis
 from qheis import quaternions
-from qheis.errors import ConsistencyError
+from qheis.errors import ConsistencyError, DomainError
 from qheis.jets import haar_jacobian_audit
 from qheis.quaternions import (
     TWIST,
@@ -62,6 +62,13 @@ def test_quat_inverse():
     for _ in range(20):
         a = rng.standard_normal(4)
         np.testing.assert_allclose(quat_mul(a, quat_inv(a)), [1, 0, 0, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("zero", [np.zeros(4), -np.zeros(4), [[0.0, 1.0, 0.0, 0.0], [0.0] * 4]])
+def test_quat_inverse_of_zero_is_a_domain_error(zero):
+    # one zero row in a batch is enough, and -0 is zero too
+    with pytest.raises(DomainError, match="zero quaternion has no inverse"):
+        quat_inv(zero)
 
 
 def test_product_frozen_example():
