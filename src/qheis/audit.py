@@ -82,6 +82,7 @@ from .extremals import (
 from .jets import _max_abs, autodiff_lift
 from .quadrature import (
     BiRadialIntegrand,
+    _DEFECT_TOL,
     _RATIO_TOL,
     best_constant_report,
     fs_quotient,
@@ -608,7 +609,12 @@ def best_constant_reports(config: Optional[SuiteConfig] = None):
 
 
 def quotient_min_reports(config: Optional[SuiteConfig] = None) -> list[Report]:
-    """Plant a translated, dilated bubble and grade the search that recovers it."""
+    """Plant a translated, dilated bubble and grade the search that recovers it.
+
+    Besides the planted motion, the search's own certificate is graded: its
+    rotation defect against `_DEFECT_TOL`.  A failed peak seed has a NaN
+    defect, which fails the line.
+    """
     config = config or SuiteConfig()
     rng = np.random.default_rng(config.seed)
     checks = _Checks()
@@ -628,6 +634,7 @@ def quotient_min_reports(config: Optional[SuiteConfig] = None) -> list[Report]:
         ("quotient-min-value", 1, abs(result.value / reference - 1.0), 1e-4, "computed"),
         ("quotient-min-center", 1, center_res, 1e-3, "computed"),
         ("quotient-min-concentration", 1, abs(result.params.nu / nu - 1.0), 1e-6, "computed"),
+        ("quotient-min-defect", 1, result.defect, _DEFECT_TOL, "computed"),
     )
     return checks.reports
 

@@ -12,9 +12,9 @@ point) is that kernel, and the amplitude-normalized powers ubar (amplitude
 `power_compose` of it at exponent -2, so the power's chain rule is written
 once, in `jets`.  The kernel builds order-2 Hessians
 points-last, so each step runs over all points at once instead of over 7
-or 49 entries per point, and reads a batch along given directions (the
-bubble search's slice directions) without building the full gradient or
-Hessian; `power_compose` carries that path through the power.  The hand
+or 49 entries per point, and reads a batch's slopes along given
+directions (the bubble search's slice directions) without building the
+full gradient; `power_compose` carries that path through the power.  The hand
 jets keep the quadrature and the bubble search cheap and are pinned
 against the forward-mode lift in the tests.
 
@@ -120,12 +120,10 @@ def _family_jets(c, nu):
     transposed view of the (N, 7, 7) Hessian it returns.
 
     Given directions `along`, (B, 7, d) as `ScalarField.jet_batch` checks
-    them, the kernel is the field's `along_jets` and returns the contracted
-    jets `jet_batch` describes.  For v = (v_q; v_w)
+    them, at order 1 the kernel is the field's `along_jets` and returns
+    (value, g . v) for v = (v_q; v_w),
         g . v = slope q.v_q + b w.v_w,
-        H v   = (e q (q.v_q) + slope v_q; b v_w),
-    built points-last on (d, B, N / B) planes, so order 1 builds no (N, 7)
-    gradient and order 2 no (N, 7, 7) Hessian.
+    built points-last on (d, B, N / B) planes, with no (N, 7) gradient.
     """
     b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
     rows = len(b) if np.ndim(b) else None
@@ -159,25 +157,13 @@ def _family_jets(c, nu):
                       out=w_v.transpose(1, 0, 2))
             g_v = planes(slope) * q_v
             g_v += planes(b) * w_v
-            g_v = g_v.reshape(d, -1).T
-            if order == 1:
-                return val, g_v
+            return val, g_v.reshape(d, -1).T
         grad = np.empty_like(pts)
         np.multiply(slope[:, None], q, out=grad[:, :4])
         np.multiply(b_rows, w, out=grad[:, 4:7])
         if order == 1:
             return val, grad
         qt = np.ascontiguousarray(q.T)
-        if along is not None:
-            # H v on (d, 7, blocks, n), returned as its (N, 7, d) view
-            h_v = np.empty((d, 7, blocks, n))
-            e_qv = planes(e) * q_v
-            for i, qi in enumerate(qt.reshape(4, blocks, n)):
-                np.multiply(qi, e_qv, out=h_v[:, i])
-                h_v[:, i] += planes(slope) * along[:, i].T[..., None]
-            for j in range(4, 7):
-                np.multiply(planes(b), along[:, j].T[..., None], out=h_v[:, j])
-            return val, g_v, h_v.reshape(d, 7, -1).T, grad
         hess = np.zeros((len(pts), 7, 7))
         view = hess.transpose(1, 2, 0)  # (7, 7, N), filled in place
         # e q q^T + slope I4 on the q-block and b I3 on the w-block, added a
@@ -196,17 +182,17 @@ def _family_jets(c, nu):
 
 
 def _member(c, nu, tag: str) -> ScalarField:
-    """h for the member (c, nu) of the family, by the hand kernel, which is
-    also its native directional path; (N,) arrays c and nu make it a batch
-    of N points, row i read by member i; another point count is a
-    ValueError naming both lengths."""
+    """h for the member (c, nu) of the family, by the hand kernel, which at
+    order 1 is also its native directional path; (N,) arrays c and nu make
+    it a batch of N points, row i read by member i; another point count is
+    a ValueError naming both lengths."""
     kernel = _family_jets(c, nu)
     return ScalarField(
         tag=tag,
         jets=kernel,
         biradial_map=AffineMap.identity(),
         decay=(-4.0, -2.0),
-        along_jets=kernel,
+        along_jets=lambda pts, along: kernel(pts, 1, along),
     )
 
 

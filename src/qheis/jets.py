@@ -5,10 +5,10 @@ order 0 gives (value (N,),), order 1 adds the gradient (N, 7) and order 2
 the symmetric Hessian (N, 7, 7).  Each lower-order jet is bitwise the
 matching prefix of the order-2 jet, so a caller that needs only values or
 gradients asks for them and never pays for 7x7 Hessians.  A caller that
-reads a field only along d directions per point passes them as `along`
-and gets the gradient as (N, d) and the Hessian as (N, 7, d) columns; the
-family's hand kernel computes those natively, `power_compose` by the
-directional chain rule, and any other field contracts its full jets.  Jets
+reads a field's slopes only along d directions per point passes them as
+`along` and gets the order-1 gradient as (N, d); the family's hand kernel
+computes it natively, `power_compose` by the chain rule, and any other
+field contracts its full gradient.  Jets
 come either from hand-differentiated closed forms (the solution families)
 or from forward automatic differentiation with full 7-direction seeding
 (`Hyper2`, a truncated-Taylor number carrying value, gradient and Hessian
@@ -55,7 +55,7 @@ DIM = 7
 
 # A batch of jets up to some order: value (N,), gradient (N,7), Hessian
 # (N,7,7), truncated after the requested order; read along d directions,
-# value, gradient (N,d), Hessian (N,7,d) and, at order 2, the full gradient.
+# value and gradient (N,d).
 JetBatch = tuple[np.ndarray, ...]
 
 
@@ -123,18 +123,18 @@ class ScalarField:
     meaning growth.
 
     `along_jets`, when set, is the field's native directional path:
-    `along_jets(points, order, along)` returns what `jet_batch` returns with
-    checked (B, 7, d) directions, without building the (N, 7) gradient at
-    order 1 or the (N, 7, 7) Hessian at order 2.  Without it `jet_batch`
-    contracts the full jets.  The family's hand kernel sets it, and
-    `power_compose` carries it when its base has one.
+    `along_jets(points, along)` returns what `jet_batch(points, 1, along)`
+    returns with checked (B, 7, d) directions, without building the (N, 7)
+    gradient.  Without it `jet_batch` contracts the full gradient.  The
+    family's hand kernel sets it, and `power_compose` carries it when its
+    base has one.
     """
 
     tag: str
     jets: Callable[[np.ndarray, int], JetBatch]
     biradial_map: Optional[AffineMap] = None
     decay: Optional[tuple[float, float]] = None
-    along_jets: Optional[Callable[[np.ndarray, int, np.ndarray], JetBatch]] = None
+    along_jets: Optional[Callable[[np.ndarray, np.ndarray], JetBatch]] = None
 
     def __call__(self, points) -> np.ndarray:
         """Values only (same batching convention as `jets`)."""
@@ -146,13 +146,10 @@ class ScalarField:
         """Batch evaluation of the jets up to `order`, a whole number in 0..2.
 
         With `along`, directions (7, d) shared by the batch or (B, 7, d) for
-        B equal consecutive blocks of the N points, the derivatives come
-        contracted with each point's block of directions: order 1 gives
-        (value, grad @ along (N, d)) and order 2 (value, grad @ along,
-        H @ along (N, 7, d), grad), the full gradient last.  So order 1 is
-        still bitwise the prefix of order 2, and a caller reading both
-        orders sees the same slopes.  Order 0, another shape or N not a
-        multiple of B is a ValueError, a NaN or infinite direction a
+        B equal consecutive blocks of the N points, order 1 gives the
+        gradient contracted with each point's block of directions:
+        (value, grad @ along (N, d)).  Another order, another shape or N
+        not a multiple of B is a ValueError, a NaN or infinite direction a
         DomainError.
         """
         order = _whole(order, "jet order", 0, 2)
@@ -161,20 +158,16 @@ class ScalarField:
             return self.jets(pts, order)
         along = _directions(along, order, len(pts))
         if self.along_jets is not None:
-            return self.along_jets(pts, order, along)
-        jet = self.jets(pts, order)
+            return self.along_jets(pts, along)
+        val, grad = self.jets(pts, 1)
         blocks, n = along.shape[0], len(pts) // along.shape[0]
-        g_v = (jet[1].reshape(blocks, n, DIM) @ along).reshape(len(pts), -1)
-        if order == 1:
-            return jet[0], g_v
-        h_v = jet[2].reshape(blocks, n * DIM, DIM) @ along
-        return jet[0], g_v, h_v.reshape(len(pts), DIM, -1), jet[1]
+        return val, (grad.reshape(blocks, n, DIM) @ along).reshape(len(pts), -1)
 
 
 def _directions(along, order: int, npoints: int) -> np.ndarray:
     """`jet_batch`'s rule for directions: (7, d) or (B, 7, d) as (B, 7, d), B dividing N."""
-    if order == 0:
-        raise ValueError("directional jets need order 1 or 2, got 0")
+    if order != 1:
+        raise ValueError(f"directional jets are order 1, got {order}")
     along = np.asarray(along, dtype=float)
     shape = along.shape
     if along.ndim == 2:
@@ -396,9 +389,11 @@ class Hyper2:
         """Compose with a scalar function: f(v), and thunks for f'(v), f''(v).
 
         A derivative is evaluated only when the order carries it.  The
-        Hessian is f' H plus f'' g g^T from one three-operand einsum: the
-        products (g_i g_j) f'' of an outer product scaled afterwards, but
-        summed into zeros, so a zero entry is +0 even where f'' < 0.
+        Hessian is f' H plus f'' g g^T, the products (g_i g_j) f'' of an
+        outer product scaled afterwards, added into f' H a row at a time, so
+        no (N, 7, 7) array is built beside the base's Hessian and f' H.
+        Each row is summed into zeros first, as an einsum would, so a zero
+        entry of f'' g g^T is +0 even where f'' < 0.
         """
         grad = hess = None
         if self.grad is not None:
@@ -406,7 +401,12 @@ class Hyper2:
             grad = d1[:, None] * self.grad
         if self.hess is not None:
             hess = d1[:, None, None] * self.hess
-            hess += np.einsum("ni,nj,n->nij", self.grad, self.grad, fpp())
+            d2 = fpp()[:, None]
+            for i in range(DIM):
+                row = self.grad[:, i, None] * self.grad
+                row *= d2
+                row += 0.0
+                hess[:, i] += row
         return Hyper2(f, grad, hess)
 
 
@@ -553,8 +553,7 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
 
     alpha and the coefficient are finite real numbers of any sign, else
     DomainError.  The result has a native directional path exactly when u
-    has one: g.v -> f' g.v and H v -> f' H v + f'' g (g.v), with the full
-    gradient f' g last, applied on u's (d, 7, N) planes.
+    has one: g.v -> f' g.v.
     """
     _finite(alpha, "power exponent")
     _finite(coefficient, "power coefficient")
@@ -573,16 +572,10 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
         out = Hyper2(*jet, *(None,) * (2 - order))._chain(*power(jet[0]))
         return (out.val, out.grad, out.hess)[: order + 1]
 
-    def along_jets(points: np.ndarray, order: int, along: np.ndarray) -> JetBatch:
-        jet = u.along_jets(points, order, along)
-        f, fp, fpp = power(jet[0])
-        d1 = fp()
-        g_v = np.multiply(jet[1].T, d1).T
-        if order == 1:
-            return f, g_v
-        h_v = np.multiply(jet[2].T, d1)
-        h_v += jet[3].T * (jet[1].T * fpp())[:, None, :]
-        return f, g_v, h_v.T, d1[:, None] * jet[3]
+    def along_jets(points: np.ndarray, along: np.ndarray) -> JetBatch:
+        val, g_v = u.along_jets(points, along)
+        f, fp, _ = power(val)
+        return f, np.multiply(g_v.T, fp()).T
 
     decay = None
     if u.decay is not None:

@@ -822,6 +822,28 @@ def test_quotient_min_reports_pass():
     reports = quotient_min_reports(SuiteConfig(seed=7))
     assert [r.check for r in reports] == [
         "quotient-min-value", "quotient-min-center", "quotient-min-concentration",
+        "quotient-min-defect",
     ]
     assert all(r.passed for r in reports)
     assert len({r.seconds for r in reports}) == 1 and reports[0].seconds > 0.0
+    defect = reports[-1]
+    assert defect.tolerance == quadrature._DEFECT_TOL and defect.provenance == "computed"
+
+
+@pytest.mark.parametrize("peaked", [True, False], ids=["displaced", "failed"])
+def test_a_bad_peak_seed_fails_the_defect_check(monkeypatch, peaked):
+    # a seed 1e-4 off the planted centre still passes the planted-motion lines
+    # at their tolerances; only the search's certificate sees it.  A failed
+    # peak seed leaves no defect, and its NaN fails the line too
+    rng = np.random.default_rng(7)  # the planted motion, drawn as the suite draws it
+    g0 = rng.uniform(-0.5, 0.5, size=7)
+    nu = float(np.exp(rng.uniform(-0.5, 0.5)))
+    monkeypatch.setattr(quadrature, "_peak_seed", lambda *args: (nu, g0 + 1e-4, 0, peaked))
+    reports = {r.check: r for r in quotient_min_reports(SuiteConfig(seed=7))}
+    assert reports["quotient-min-center"].passed and reports["quotient-min-value"].passed
+    line = reports["quotient-min-defect"]
+    assert not line.passed
+    if peaked:
+        assert line.max_residual > quadrature._DEFECT_TOL
+    else:
+        assert math.isnan(line.max_residual)

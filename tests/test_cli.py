@@ -175,7 +175,10 @@ def test_quotient_min_command(capsys):
     assert main(["quotient-min", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     checks = [r["check"] for r in doc["reports"]]
-    assert checks == ["quotient-min-value", "quotient-min-center", "quotient-min-concentration"]
+    assert checks == [
+        "quotient-min-value", "quotient-min-center", "quotient-min-concentration",
+        "quotient-min-defect",
+    ]
 
 
 def test_quotient_min_takes_no_samples(capsys):

@@ -185,13 +185,14 @@ def test_family_kernel_is_bitwise_the_points_first_jets(rng):
 
 @pytest.mark.parametrize("alpha, coef", [(-2.0, 2.0**10), (0.5, 1.0), (2.0, -1.0)])
 def test_chain_hessian_is_the_two_step_outer_product(rng, alpha, coef):
-    # Hyper2._chain adds f'' g g^T by one three-operand einsum, against the
+    # Hyper2._chain adds f'' g g^T into f' H a row at a time, against the
     # two-step arithmetic (outer product, scaled in place, added to f' H) on
     # h's jets at the kernel points, +-0 rows included.  The products are the
     # same, so the bytes are equal, the bubbles' power among them.  Only where
     # f' < 0 and f'' < 0 can the sign of a zero differ: there f' times a +0
-    # of H is -0, which the einsum's +0 turns into +0 and the scaled outer
-    # product's -0 leaves at -0
+    # of H is -0, which the row's +0 turns into +0 and the scaled outer
+    # product's -0 leaves at -0.  Against the three-operand einsum the bytes
+    # are equal everywhere
     pts = _kernel_points(rng)
     val, grad, hess = h_family(FamilyParams(c=1.7, nu=0.6)).jet_batch(pts, 2)
     fp = coef * alpha * val ** (alpha - 1.0)
@@ -205,13 +206,16 @@ def test_chain_hessian_is_the_two_step_outer_product(rng, alpha, coef):
         assert got.tobytes() == want.tobytes()
     else:
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    einsum = fp[:, None, None] * hess
+    einsum += np.einsum("ni,nj,n->nij", grad, grad, fpp)
+    assert got.tobytes() == einsum.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["ubar", "v", "h", "rows", "rows-power"])
 def test_kernel_directional_jets_are_the_contracted_full_jets(rng, kind):
-    # the hand kernel contracts natively, g.v and H v from q.v_q and w.v_w,
-    # and must agree with its own full jets contracted block by block, on
-    # points with +-0 coordinates too; value and full gradient are its bits
+    # the hand kernel contracts natively, g.v from q.v_q and w.v_w, and must
+    # agree with its own full gradient contracted block by block, on points
+    # with +-0 coordinates too; the value is its bits
     pts = _kernel_points(rng)
     c, nu = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, len(pts)))
     field = {
@@ -222,19 +226,15 @@ def test_kernel_directional_jets_are_the_contracted_full_jets(rng, kind):
         "rows-power": power_compose(extremals._member(c, nu, "rows"), -2.0, 3.0),
     }[kind]
     assert field.along_jets is not None
-    full = field.jet_batch(pts, 2)
+    full = field.jet_batch(pts, 1)
     for along in (rng.normal(size=(7, 2)), rng.normal(size=(4, 7, 2))):
         blocks = along.reshape(-1, 7, 2)
         n = len(pts) // len(blocks)
-        g_v = (full[1].reshape(len(blocks), n, 7) @ blocks).reshape(len(pts), 2)
-        h_v = (full[2].reshape(len(blocks), n * 7, 7) @ blocks).reshape(len(pts), 7, 2)
-        value, got_g, got_h, grad = field.jet_batch(pts, 2, along=along)
-        assert value.tobytes() == full[0].tobytes() and grad.tobytes() == full[1].tobytes()
-        for got, want in ((got_g, g_v), (got_h, h_v)):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        low = field.jet_batch(pts, 1, along=along)
-        assert low[1].tobytes() == got_g.tobytes()
+        want = (full[1].reshape(len(blocks), n, 7) @ blocks).reshape(len(pts), 2)
+        value, got = field.jet_batch(pts, 1, along=along)
+        assert value.tobytes() == full[0].tobytes()
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("npoints", [1, 2, 4])

@@ -47,7 +47,7 @@ from qheis.quadrature import (
     minimize_quotient,
     spin_rotation_map,
 )
-from qheis.quaternions import TWIST, group_inv, group_mul, quat_conj, quat_mul
+from qheis.quaternions import group_inv, group_mul, quat_conj, quat_mul
 
 # ---------------------------------------------------------------------------
 # Oracles.  Both half-line reductions of the gauge integral are instances of
@@ -758,18 +758,18 @@ def test_minimize_takes_no_certificate_quotient(monkeypatch):
 
 
 def test_profile_rule_is_built_once_and_read_only():
-    rule = quadrature._profile_rule(2, 10, 3, 0)
-    assert quadrature._profile_rule(2, 10, 3, 0) is rule
-    for name in ("r", "rho", "w", "points", "dirs", "dir_twist"):
+    rule = quadrature._profile_rule(*quadrature._PROFILE_RULE, 0)
+    assert quadrature._profile_rule(3, 12, 3, 0) is rule
+    for name in ("r", "rho", "w", "points", "dirs"):
         with pytest.raises(ValueError):
             getattr(rule, name)[0] = 1.0
-    other = quadrature._profile_rule(2, 10, 3, 1)
+    other = quadrature._profile_rule(3, 12, 3, 1)
     assert other is not rule
     assert not np.array_equal(other.points, rule.points)
 
 
-# the iteration cap is the constant _MAXITER: any maxiter at all is an
-# unknown keyword, refused before the target is evaluated
+# nothing iterates after the peak search: any maxiter at all is an unknown
+# keyword, refused before the target is evaluated
 @pytest.mark.parametrize("bad", [-1, -5, 1.0, 2.5, math.nan, "3", True, False])
 def test_minimize_rejects_a_bad_maxiter(ubar, bad):
     with pytest.raises(TypeError, match="maxiter"):
@@ -796,27 +796,23 @@ def test_minimize_says_when_its_peak_seed_failed(ubar):
     result = minimize_quotient(FamilyParams(nu=2.0), kelvin(ubar), seed=0)
     assert result.params.nu == 2.0
     assert result.converged is False
-    assert "peak seed failed, nu kept at 2" in result.message
-    # the one jet call of the refused start, and no descent after it
-    assert result.nfev == 1 and "no descent" in result.message
+    assert result.message == "peak seed failed, nu kept at 2; defect nan"
+    # the one jet call of the refused start, and no defect without a seed
+    assert result.nfev == 1 and math.isnan(result.defect)
     np.testing.assert_array_equal(result.params.center, np.zeros(7))
 
 
-def test_a_failed_peak_seed_runs_no_descent(ubar, monkeypatch):
+def test_a_failed_peak_seed_runs_no_descent(ubar):
     # from the default start the peak search of this far bubble gives no
-    # seed; the descent cannot see nu, so it must not run at all (it took 126
-    # iterations before), and nfev counts the peak search's jet calls alone
-    def forbidden(*args):
-        raise AssertionError("the descent ran after a failed peak seed")
-
-    monkeypatch.setattr(quadrature, "_bfgs", forbidden)
+    # seed: the result is the peak search's last point, unconverged with a
+    # NaN defect, and nfev counts the peak search's jet calls
     target = translate_field(ubar, np.array([12.0, -3.0, 0.0, 1.0, 0.0, 20.0, 0.0]))
     peak, _, _, calls, stopped = quadrature._newton_peak(target, np.zeros(7))
     assert stopped is False
     result = minimize_quotient(FamilyParams(), target, seed=0)
     assert result.converged is False and result.params.nu == 1.0
-    assert result.message == "peak seed failed, nu kept at 1; no descent from the peak's centre"
-    assert result.nfev == calls
+    assert result.message == "peak seed failed, nu kept at 1; defect nan"
+    assert result.nfev == calls and math.isnan(result.defect)
     np.testing.assert_array_equal(result.params.center, group_inv(peak))
 
 
@@ -828,12 +824,16 @@ def test_a_failed_peak_seed_runs_no_descent(ubar, monkeypatch):
 ], ids=["nu-80", "nu-0.01", "q-center-6", "omega-center-5.5"])
 def test_minimize_recovers_any_concentration_and_center(ubar, nu, g0):
     # every nu > 0 and every center is a family member: from the default start
-    # the search returns the measured motion, with no box to clip it
+    # the search returns the measured motion, with no box to clip it, and
+    # nothing moves it off the peak, so the centre is exact to rounding.  nfev
+    # is the peak search's jet calls alone
     target = translate_field(dilate_field(ubar, math.sqrt(nu)), g0)
+    *_, calls, stopped = quadrature._newton_peak(target, np.zeros(7))
     result = minimize_quotient(FamilyParams(), target, seed=0)
     assert result.converged, result.message
+    assert stopped and result.nfev == calls
     np.testing.assert_allclose(result.params.nu, nu, rtol=1e-12)
-    assert np.max(np.abs(np.asarray(result.params.center) - g0)) <= 1e-6
+    assert np.max(np.abs(np.asarray(result.params.center) - g0)) <= 1e-12
 
 
 def test_a_peak_search_out_of_trials_gives_no_seed(ubar):
@@ -923,87 +923,11 @@ def planted():
     return translate_field(dilate_field(ubar_field(), math.sqrt(_NU)), _G0)
 
 
-def test_center_gradient_matches_central_differences(planted):
-    rule = quadrature._profile_rule(2, 10, 3, 0)
-    rng = np.random.default_rng(2)
-    h = 1e-5
-    for _ in range(3):
-        center = _G0 + rng.uniform(-0.1, 0.1, 7)
-        value, grad = rule.objective(planted, _NU, center, 10.0, gradient=True)
-        assert value == rule.objective(planted, _NU, center, 10.0)
-        fd = np.empty(7)
-        for i in range(7):
-            e = np.zeros(7)
-            e[i] = h
-            fd[i] = (
-                rule.objective(planted, _NU, center + e, 10.0)
-                - rule.objective(planted, _NU, center - e, 10.0)
-            ) / (2.0 * h)
-        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
-
-
-def _points_first_center_gradient(rule, target, nu, center, gamma):
-    """Reference: the centre gradient assembled points-first, (m, n, 7, 3) columns.
-
-    The same chain rule as `_ProfileRule.objective`, with y_q . TWIST as one
-    (3, 4) matrix per point and the pulled-back columns formed by per-point
-    matmuls.
-    """
-    mu = nu**-0.5
-    m, n = rule.n_maps, rule.n_nodes
-    jet = quadrature._detransformed(target, nu, center).jet_batch(rule.points, 2)
-    dirs = np.swapaxes(rule.dirs, 1, 2)
-    t = jet[1].reshape(m, n, 7)
-    val = jet[0].reshape(m, n)
-    profile = val.mean(axis=0)
-    p_r, p_rho = (t @ dirs).mean(axis=0).T
-    num = float(rule.w @ (p_r**2 + 4.0 * rule.r**2 * p_rho**2))
-    mass = float(rule.w @ profile**2.5)
-    denom = mass**0.8
-    spread = float(rule.w @ val.var(axis=0))
-    h_dirs = (jet[2].reshape(m, n * 7, 7) @ dirs).reshape(m, n, 7, 2)
-    cols = np.concatenate([t[..., None], h_dirs], axis=3)
-    cols[:, :, :4] /= mu
-    cols[:, :, 4:] /= mu * mu
-    y_q = mu * rule.points[:, :4] - center[:4]
-    twist = np.tensordot(y_q, TWIST, axes=1).reshape(m, n, 3, 4)
-    pulled = np.concatenate(
-        [np.swapaxes(twist, 2, 3) @ cols[:, :, 4:] - cols[:, :, :4], -cols[:, :, 4:]], axis=2
-    )
-    dir_twist = np.einsum("mka,asb->mskb", rule.dirs[..., :4], TWIST).reshape(m, 3, 8)
-    turn = (cols[:, :, 4:, 0] @ dir_twist).reshape(m, n, 2, 4)
-    pulled[:, :, :4, 1:] += mu * np.swapaxes(turn, 2, 3)
-    d_val = pulled[..., 0]
-    d_r, d_rho = np.moveaxis(pulled[..., 1:].mean(axis=0), 2, 0)
-    d_num = 2.0 * (rule.w @ (p_r[:, None] * d_r + (4.0 * rule.r**2 * p_rho)[:, None] * d_rho))
-    d_mass = 2.5 * (rule.w @ (profile[:, None] ** 1.5 * d_val.mean(axis=0)))
-    d_spread = 2.0 * (rule.w @ ((val - profile)[..., None] * d_val).mean(axis=0))
-    d_denom = 0.8 * mass**-0.2 * d_mass
-    grad = (d_num - num * d_denom / denom) / denom
-    return grad + gamma * (d_spread - spread * d_denom / denom) / denom
-
-
-@pytest.mark.parametrize("g0, nu", [
-    (_G0, _NU),
-    (np.array([-0.4, 0.1, 0.3, -0.2, 0.5, 0.2, -0.4]), 0.7),
-    (np.array([0.1, 0.4, -0.3, 0.0, -0.3, 0.4, 0.2]), 2.3),
-])
-def test_center_gradient_matches_the_points_first_assembly(g0, nu):
-    # three planted bubbles, each read at the planted centre moved by up to 0.1
-    target = translate_field(dilate_field(ubar_field(), math.sqrt(nu)), g0)
-    rule = quadrature._profile_rule(2, 10, 3, 0)
-    center = g0 + np.random.default_rng(5).uniform(-0.1, 0.1, 7)
-    value, grad = rule.objective(target, nu, center, 10.0, gradient=True)
-    reference = _points_first_center_gradient(rule, target, nu, center, 10.0)
-    assert value == rule.objective(target, nu, center, 10.0)
-    assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
-
-
-def _full_pullback_value(rule, target, nu, center, gamma):
-    """Reference: the objective's value from the full pullback's x-jets at order 1.
+def _full_pullback_route(rule, target, nu, center):
+    """Reference: the objective's value and defect from the full pullback's x-jets at order 1.
 
     The route before the slice directions were contracted in the base's
-    coordinates: the whole x-gradient, then `@ dirs`, and the spread always.
+    coordinates: the whole x-gradient, then `@ dirs`.
     """
     m, n = rule.n_maps, rule.n_nodes
     jet = quadrature._detransformed(target, nu, center).jet_batch(rule.points, 1)
@@ -1012,7 +936,7 @@ def _full_pullback_value(rule, target, nu, center, gamma):
     p_r, p_rho = (jet[1].reshape(m, n, 7) @ np.swapaxes(rule.dirs, 1, 2)).mean(axis=0).T
     num = float(rule.w @ (p_r**2 + 4.0 * rule.r**2 * p_rho**2))
     denom = float(rule.w @ profile**2.5) ** 0.8
-    return num / denom + gamma * (float(rule.w @ val.var(axis=0)) / denom)
+    return num / denom, float(rule.w @ val.var(axis=0)) / num
 
 
 @pytest.fixture(scope="module")
@@ -1021,7 +945,7 @@ def search_cases():
 
     The Kelvin image's pullback base is a `Hyper2` lift, not a hand kernel;
     it is read near its own peak seed.  Both centres are off by up to 0.05,
-    so the rotation spread and the gradient are not zero.
+    so the rotation spread is not zero.
     """
     ubar = ubar_field()
     target, start = _kelvin_image(ubar, 0)
@@ -1036,24 +960,19 @@ def search_cases():
 def test_objective_matches_the_full_pullback_route(search_cases, case):
     # the objective contracts the slice directions with the folded motion's
     # linear part once per rotation; the full route pulls every point's
-    # gradient and Hessian back first.  They agree to rounding
+    # gradient back first.  They agree to rounding
     target, nu, center = search_cases[case]
-    search = quadrature._profile_rule(2, 10, 3, 0)
-    fine = quadrature._profile_rule(3, 12, 3, 0)
-    ref = _full_pullback_value(fine, target, nu, center, 0.0)
-    assert abs(fine.objective(target, nu, center) / ref - 1.0) <= 1e-13
-    value, grad = search.objective(target, nu, center, 10.0, gradient=True)
-    ref = _full_pullback_value(search, target, nu, center, 10.0)
-    assert abs(value / ref - 1.0) <= 1e-13
-    ref = _points_first_center_gradient(search, target, nu, center, 10.0)
-    assert np.max(np.abs(grad - ref)) <= 1e-13 * np.max(np.abs(ref))
+    rule = quadrature._profile_rule(3, 12, 3, 0)
+    value, defect = rule.objective(target, nu, center)
+    ref_value, ref_defect = _full_pullback_route(rule, target, nu, center)
+    assert abs(value / ref_value - 1.0) <= 1e-13
+    assert abs(defect / ref_defect - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("case", ["planted", "kelvin"])
 def test_objective_takes_one_jet_call_of_the_pullback_base(search_cases, case, monkeypatch):
-    # one jet_batch call of the pullback's base with every rule point, order 1
-    # for the fine value and 2 for the gradient pass, each read along the
-    # rotations' slice directions: the bench tracer's
+    # one order-1 jet_batch call of the pullback's base with every rule
+    # point, read along the rotations' slice directions: the bench tracer's
     # jets.points_jet counts these calls.  The Kelvin lift composes through
     # its inner field with the same points once more
     target, nu, center = search_cases[case]
@@ -1066,62 +985,33 @@ def test_objective_takes_one_jet_call_of_the_pullback_base(search_cases, case, m
         return jet_batch(self, points, order, along)
 
     monkeypatch.setattr(ScalarField, "jet_batch", counted)
-    for rule, gradient, order in ((quadrature._profile_rule(3, 12, 3, 0), False, 1),
-                                  (quadrature._profile_rule(2, 10, 3, 0), True, 2)):
-        calls.clear()
-        rule.objective(target, nu, center, 10.0, gradient=gradient)
-        expected = [(True, len(rule.points), order)]
-        if case == "kelvin":
-            expected.append((False, len(rule.points), order))
-        assert calls == expected
+    rule = quadrature._profile_rule(3, 12, 3, 0)
+    rule.objective(target, nu, center)
+    expected = [(True, len(rule.points), 1)]
+    if case == "kelvin":
+        expected.append((False, len(rule.points), 1))
+    assert calls == expected
 
 
 def test_objective_is_nan_where_the_target_leaves_the_rule(planted):
     # a centre of 1e200 moves the target off every node, so its mass on the
     # rule underflows to zero: the quotient is undefined, which must come back
-    # as NaN for the descent to refuse, not as a ZeroDivisionError
-    rule = quadrature._profile_rule(2, 10, 3, 0)
+    # as a NaN value and defect, which fail the certificate, not as a
+    # ZeroDivisionError
+    rule = quadrature._profile_rule(3, 12, 3, 0)
     far = np.full(7, 1e200)
     with np.errstate(all="ignore"):
-        assert math.isnan(rule.objective(planted, _NU, far, 10.0))
-        value, grad = rule.objective(planted, _NU, far, 10.0, gradient=True)
-        x, nfev, converged, message = quadrature._bfgs(
-            lambda c: rule.objective(planted, _NU, c, 10.0, gradient=True), far, 1e-8, 5
-        )
-    assert math.isnan(value) and grad.shape == (7,) and np.all(np.isnan(grad))
-    assert (nfev, converged) == (1, False) and message.startswith("non-finite objective")
-    assert x.tobytes() == far.tobytes()
-
-
-def test_bfgs_stops_where_the_line_search_finds_no_decrease():
-    # the gradient comes with the wrong sign, so the descent direction goes
-    # uphill and every halving of the step is refused
-    x, nfev, converged, message = quadrature._bfgs(
-        lambda x: (float(x @ x), -2.0 * x), np.ones(3), 1e-8, 5
-    )
-    assert converged is False and x.tobytes() == np.ones(3).tobytes()
-    assert message.startswith("line search found no decrease after 0 iterations")
-    assert nfev == 35  # the start, then alpha = 1, 1/2, ... down to 2^-33
-
-
-def test_bfgs_backtracks_to_an_armijo_step():
-    # sum sqrt(1 + 100 x^2) is nearly |10 x| away from 0, so full quasi-Newton
-    # steps overshoot and the step has to be halved to decrease enough
-    def fun(x):
-        s = np.sqrt(1.0 + 100.0 * x * x)
-        return float(s.sum()), 100.0 * x / s
-
-    x, nfev, converged, message = quadrature._bfgs(fun, np.full(3, 2.0), 1e-8, 200)
-    assert converged, message
-    assert message.endswith("after 12 iterations")
-    assert nfev == 46  # 13 without a single halving
-    assert np.max(np.abs(x)) <= 1e-9
+        value, defect = rule.objective(planted, _NU, far)
+    assert math.isnan(value) and math.isnan(defect)
+    # a constant keeps its mass but has no energy to divide the spread by
+    value, defect = rule.objective(constant_field(1.0), _NU, _G0)
+    assert value == 0.0 and math.isnan(defect)
 
 
 def test_objective_maps_the_rule_points_through_one_affine_map(planted, monkeypatch):
     # the candidate motion folds into the target's own pullback, so the
     # rule's points take one affine map, not the motion's and then the target's
-    rule = quadrature._profile_rule(2, 10, 3, 0)
+    rule = quadrature._profile_rule(3, 12, 3, 0)
     mapped = []
     call = AffineMap.__call__
 
@@ -1131,10 +1021,8 @@ def test_objective_maps_the_rule_points_through_one_affine_map(planted, monkeypa
         return call(self, points)
 
     monkeypatch.setattr(AffineMap, "__call__", counted)
-    for gradient in (False, True):
-        mapped.clear()
-        rule.objective(planted, _NU, _G0 + 0.01, 10.0, gradient=gradient)
-        assert len(mapped) == 1
+    rule.objective(planted, _NU, _G0 + 0.01)
+    assert len(mapped) == 1
 
 
 def _displaced_seed(monkeypatch):
@@ -1146,32 +1034,29 @@ def _displaced_seed(monkeypatch):
     monkeypatch.setattr(quadrature, "_peak_seed", seed)
 
 
-def test_descent_recovers_the_center_from_a_displaced_seed(planted, monkeypatch):
-    _displaced_seed(monkeypatch)
-    result = minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0)
-    assert result.converged, result.message
-    assert result.nfev > 2  # the descent really moved
-    assert np.max(np.abs(np.asarray(result.params.center) - _G0)) <= 1e-3
-    assert abs(result.value / QUOTIENT_REF - 1.0) <= 1e-4
-
-
-def test_maxiter_stops_the_descent_unconverged(planted, monkeypatch):
-    _displaced_seed(monkeypatch)
-    monkeypatch.setattr(quadrature, "_MAXITER", 1)
-    result = minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0)
-    assert result.converged is False
-    assert "maxiter 1 reached" in result.message and "gtol" in result.message
-    assert result.restarts == 1
-
-
-def test_maxiter_zero_only_evaluates_the_seed(planted, monkeypatch):
+def test_a_displaced_seed_reads_unconverged_with_its_defect(planted, monkeypatch):
+    # nothing polishes a seed that is off: the centre comes back as seeded,
+    # and the defect of the one pass says that it is off
     _displaced_seed(monkeypatch)  # its peak search counts no jet calls
-    monkeypatch.setattr(quadrature, "_MAXITER", 0)
-    start = FamilyParams(nu=_NU, center=_G0)
-    result = minimize_quotient(start, planted, seed=0)
-    assert result.converged is False and result.nfev == 1
-    assert "maxiter 0 reached" in result.message
-    np.testing.assert_array_equal(result.params.center, _G0 + 0.1)
+    result = minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0)
+    assert result.converged is False and result.nfev == 0
+    assert np.asarray(result.params.center).tobytes() == (_G0 + 0.1).tobytes()
+    assert result.message == f"defect {result.defect:.2e} not <= 1e-12 at the peak seed"
+    assert float(result.message.split()[1]) > quadrature._DEFECT_TOL
+
+
+@pytest.mark.parametrize("nu", [0.01, 1.44, 100.0])
+def test_the_defect_sees_a_centre_off_by_a_hundred_thousandth_of_a_width(nu):
+    # at the planted motion the defect is rounding; a centre moved by 1e-5
+    # bubble widths (nu^{-1/2} horizontally, nu^{-1} vertically) along one
+    # coordinate of either kind reads above _DEFECT_TOL
+    target = translate_field(dilate_field(ubar_field(), math.sqrt(nu)), _G0)
+    rule = quadrature._profile_rule(*quadrature._PROFILE_RULE, 0)
+    assert rule.objective(target, nu, _G0)[1] <= 1e-20
+    for axis, width in ((1, nu**-0.5), (5, 1.0 / nu)):
+        center = _G0.copy()
+        center[axis] += 1e-5 * width
+        assert rule.objective(target, nu, center)[1] > quadrature._DEFECT_TOL
 
 
 def test_newton_peak_recovers_planted_centers(ubar):
