@@ -1034,15 +1034,26 @@ def _displaced_seed(monkeypatch):
     monkeypatch.setattr(quadrature, "_peak_seed", seed)
 
 
-def test_a_displaced_seed_reads_unconverged_with_its_defect(planted, monkeypatch):
-    # nothing polishes a seed that is off: the centre comes back as seeded,
-    # and the defect of the one pass says that it is off
-    _displaced_seed(monkeypatch)  # its peak search counts no jet calls
-    result = minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0)
-    assert result.converged is False and result.nfev == 0
-    assert np.asarray(result.params.center).tobytes() == (_G0 + 0.1).tobytes()
-    assert result.message == f"defect {result.defect:.2e} not <= 1e-12 at the peak seed"
-    assert float(result.message.split()[1]) > quadrature._DEFECT_TOL
+@pytest.fixture
+def displaced(planted, monkeypatch):
+    # nothing polishes a seed that is off: the one pass only certifies it
+    _displaced_seed(monkeypatch)
+    return minimize_quotient(FamilyParams(nu=_NU, center=_G0), planted, seed=0)
+
+
+def test_a_displaced_seed_reads_unconverged_with_its_defect(displaced):
+    assert displaced.converged is False
+    assert displaced.message == f"defect {displaced.defect:.2e} not <= 1e-12 at the peak seed"
+    assert float(displaced.message.split()[1]) > quadrature._DEFECT_TOL
+
+
+def test_a_displaced_seed_comes_back_as_seeded(displaced):
+    assert np.asarray(displaced.params.center).tobytes() == (_G0 + 0.1).tobytes()
+    assert displaced.params.nu == _NU
+
+
+def test_a_displaced_seed_counts_only_its_peak_search_calls(displaced):
+    assert displaced.nfev == 0  # the stubbed peak search made no jet calls
 
 
 @pytest.mark.parametrize("nu", [0.01, 1.44, 100.0])
