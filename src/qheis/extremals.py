@@ -119,11 +119,11 @@ def _family_jets(c, nu):
     ValueError.  Order 2 is built points-last, in place through the (7, 7, N)
     transposed view of the (N, 7, 7) Hessian it returns.
 
-    Given directions `along`, (B, 7, d) as `ScalarField.jet_batch` checks
+    Given directions `along`, (7, d) as `ScalarField.jet_batch` checks
     them, at order 1 the kernel is the field's `along_jets` and returns
     (value, g . v) for v = (v_q; v_w),
         g . v = slope q.v_q + b w.v_w,
-    built points-last on (d, B, N / B) planes, with no (N, 7) gradient.
+    built points-last on (d, N) planes, with no (N, 7) gradient.
     """
     b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
     rows = len(b) if np.ndim(b) else None
@@ -141,23 +141,14 @@ def _family_jets(c, nu):
             return (val,)
         slope = (4.0 * c * nu) * lin
         if along is not None:
-            blocks, d = along.shape[0], along.shape[2]
-            n = len(pts) // blocks
-
-            def planes(x):  # a per-point array as (blocks, n), a scalar as is
-                return np.reshape(x, (blocks, n)) if np.ndim(x) else x
-
-            # q.v_q and w.v_w as (d, blocks, n): one matmul per part, each
-            # block of points against its own directions
-            dirs = along.transpose(0, 2, 1)
-            q_v, w_v = np.empty((2, d, blocks, n))
-            np.matmul(dirs[..., :4], q.reshape(blocks, n, 4).transpose(0, 2, 1),
-                      out=q_v.transpose(1, 0, 2))
-            np.matmul(dirs[..., 4:], w.reshape(blocks, n, 3).transpose(0, 2, 1),
-                      out=w_v.transpose(1, 0, 2))
-            g_v = planes(slope) * q_v
-            g_v += planes(b) * w_v
-            return val, g_v.reshape(d, -1).T
+            # q.v_q and w.v_w as (d, N) planes, one matmul per part; a
+            # per-point slope or b broadcasts along the points
+            g_v = along[:4].T @ q.T
+            g_v *= slope
+            w_v = along[4:].T @ w.T
+            w_v *= b
+            g_v += w_v
+            return val, g_v.T
         grad = np.empty_like(pts)
         np.multiply(slope[:, None], q, out=grad[:, :4])
         np.multiply(b_rows, w, out=grad[:, 4:7])

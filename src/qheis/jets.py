@@ -5,18 +5,20 @@ order 0 gives (value (N,),), order 1 adds the gradient (N, 7) and order 2
 the symmetric Hessian (N, 7, 7).  Each lower-order jet is bitwise the
 matching prefix of the order-2 jet, so a caller that needs only values or
 gradients asks for them and never pays for 7x7 Hessians.  A caller that
-reads a field's slopes only along d directions per point passes them as
-`along` and gets the order-1 gradient as (N, d); the family's hand kernel
-computes it natively, `power_compose` by the chain rule, and any other
-field contracts its full gradient.  Jets
-come either from hand-differentiated closed forms (the solution families)
-or from forward automatic differentiation with full 7-direction seeding
-(`Hyper2`, a truncated-Taylor number carrying value, gradient and Hessian
-through arithmetic).  Forward mode is seeded at the requested order and
-builds nothing above it; `compose` carries it through a smooth map, so a
-transform such as Kelvin's is an ordinary lifted formula.  A seed x_k
-carries its axis k with its unit gradient and zero Hessian, and a product
-with a seed is a rank-one update that skips that known zero.
+reads a field's slopes only along d directions passes them as `along`, one
+(7, d) matrix for the batch, and gets the order-1 gradient contracted with
+them as (N, d); a caller with other directions for other points makes one
+call per set.  The family's hand kernel computes the contraction natively,
+`power_compose` by the chain rule, and any other field contracts its full
+gradient.  Jets come either from hand-differentiated closed forms (the
+solution families) or from forward automatic differentiation with full
+7-direction seeding (`Hyper2`, a truncated-Taylor number carrying value,
+gradient and Hessian through arithmetic).  Forward mode is seeded at the
+requested order and builds nothing above it; `compose` carries it through
+a smooth map, so a transform such as Kelvin's is an ordinary lifted
+formula.  A seed x_k carries its axis k with its unit gradient and zero
+Hessian, and a product with a seed is a rank-one update that skips that
+known zero.
 
 An affine pullback of an affine pullback is folded on construction: the
 maps compose through `AffineMap.after` and the amplitudes multiply, so a
@@ -124,7 +126,7 @@ class ScalarField:
 
     `along_jets`, when set, is the field's native directional path:
     `along_jets(points, along)` returns what `jet_batch(points, 1, along)`
-    returns with checked (B, 7, d) directions, without building the (N, 7)
+    returns with checked (7, d) directions, without building the (N, 7)
     gradient.  Without it `jet_batch` contracts the full gradient.  The
     family's hand kernel sets it, and `power_compose` carries it when its
     base has one.
@@ -145,37 +147,29 @@ class ScalarField:
     def jet_batch(self, points: np.ndarray, order: int = 2, along=None) -> JetBatch:
         """Batch evaluation of the jets up to `order`, a whole number in 0..2.
 
-        With `along`, directions (7, d) shared by the batch or (B, 7, d) for
-        B equal consecutive blocks of the N points, order 1 gives the
-        gradient contracted with each point's block of directions:
-        (value, grad @ along (N, d)).  Another order, another shape or N
-        not a multiple of B is a ValueError, a NaN or infinite direction a
-        DomainError.
+        With `along`, directions (7, d) shared by the batch, order 1 gives
+        the gradient contracted with them: (value, grad @ along (N, d)).
+        Another order or another shape is a ValueError, a NaN or infinite
+        direction a DomainError.
         """
         order = _whole(order, "jet order", 0, 2)
         pts, _ = _as_batch(points)
         if along is None:
             return self.jets(pts, order)
-        along = _directions(along, order, len(pts))
+        along = _directions(along, order)
         if self.along_jets is not None:
             return self.along_jets(pts, along)
         val, grad = self.jets(pts, 1)
-        blocks, n = along.shape[0], len(pts) // along.shape[0]
-        return val, (grad.reshape(blocks, n, DIM) @ along).reshape(len(pts), -1)
+        return val, grad @ along
 
 
-def _directions(along, order: int, npoints: int) -> np.ndarray:
-    """`jet_batch`'s rule for directions: (7, d) or (B, 7, d) as (B, 7, d), B dividing N."""
+def _directions(along, order: int) -> np.ndarray:
+    """`jet_batch`'s rule for directions: order 1 and a finite (7, d) matrix, d >= 1."""
     if order != 1:
         raise ValueError(f"directional jets are order 1, got {order}")
     along = np.asarray(along, dtype=float)
-    shape = along.shape
-    if along.ndim == 2:
-        along = along[None]
-    if along.ndim != 3 or along.shape[1] != DIM or 0 in along.shape:
-        raise ValueError(f"directions are (7, d) or (B, 7, d), got shape {shape}")
-    if npoints % along.shape[0]:
-        raise ValueError(f"{npoints} points do not split into {along.shape[0]} equal blocks")
+    if along.ndim != 2 or along.shape[0] != DIM or 0 in along.shape:
+        raise ValueError(f"directions are (7, d), got shape {along.shape}")
     if np.count_nonzero(np.isfinite(along)) != along.size:
         raise DomainError("a direction has a NaN or infinite entry")
     return along

@@ -36,9 +36,10 @@ returns the quotient and the rotation defect, which vanishes for the
 centered bubble.  Both are plain numpy.  The pass reads the target
 through one folded pullback at the rule's own points: the candidate
 motion composes with the target's affine map, so the points take one
-affine map and the pullback's base one order-1 jet call.  The two slice
-directions of each rotation are contracted with the map's linear part
-once per rotation, so no point's gradient is pulled back whole.
+affine map, and the pullback's base takes one order-1 jet call per
+rotation.  The two slice directions of each rotation are contracted with
+the map's linear part once per rotation, so no point's gradient is pulled
+back whole.
 """
 
 from __future__ import annotations
@@ -675,21 +676,24 @@ class _ProfileRule:
 
         One order-1 pass reads the target through the one folded pullback
         amp * base(A x) that `_detransformed` builds (the candidate motion
-        composed with the target's map), at the rule's own points x: the
-        points go through A once and the base takes one jet call.  The
-        slice directions of each rotation become v = lin(A) @ dirs in the
-        base's coordinates, once per rotation, and the jet call reads the
-        base along them (`jet_batch`'s `along`, one block per rotation), so
-        the slopes are amp grad_y f . v and no point's gradient is pulled
-        back whole.
+        composed with the target's map), at the rule's own points x, one
+        rotation at a time: each rotation's points go through A and the
+        base takes one jet call of them.  The rotation's two slice
+        directions become v = lin(A) @ dirs in the base's coordinates, and
+        the call reads the base along them (`jet_batch`'s `along`), so the
+        slopes are amp grad_y f . v and no point's gradient is pulled back
+        whole.  The calls write into (m, n) value and (m, n, 2) slope
+        planes, so the pass holds one rotation's temporaries at a time.
         """
         m, n = self.n_maps, self.n_nodes
         pull = _detransformed(target, nu, center).jets  # always one folded _Pullback
         lin, amp = pull.amap.linear, pull.amplitude
         v = lin @ np.swapaxes(self.dirs, 1, 2)  # the slice directions in base coordinates, (m, 7, 2)
-        jet = pull.base.jet_batch(pull.amap(self.points), 1, along=v)
-        val = amp * jet[0].reshape(m, n)
-        slope = jet[1].reshape(m, n, 2)  # d/dr, d/drho per map
+        val = np.empty((m, n))
+        slope = np.empty((m, n, 2))  # d/dr, d/drho per map
+        for k, points in enumerate(self.points.reshape(m, n, DIM)):
+            val[k], slope[k] = pull.base.jet_batch(pull.amap(points), 1, along=v[k])
+        val *= amp
         slope *= amp
         profile = val.mean(axis=0)
         p_r, p_rho = slope.mean(axis=0).T

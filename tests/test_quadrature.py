@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -971,10 +972,11 @@ def test_objective_matches_the_full_pullback_route(search_cases, case):
 
 @pytest.mark.parametrize("case", ["planted", "kelvin"])
 def test_objective_takes_one_jet_call_of_the_pullback_base(search_cases, case, monkeypatch):
-    # one order-1 jet_batch call of the pullback's base with every rule
-    # point, read along the rotations' slice directions: the bench tracer's
-    # jets.points_jet counts these calls.  The Kelvin lift composes through
-    # its inner field with the same points once more
+    # one order-1 jet_batch call of the pullback's base per rotation, with
+    # that rotation's rule points, read along its two slice directions: the
+    # bench tracer's jets.points_jet counts these calls.  The Kelvin lift
+    # composes through its inner field with the same points once more, inside
+    # each call
     target, nu, center = search_cases[case]
     base = quadrature._detransformed(target, nu, center).jets.base
     calls = []
@@ -987,10 +989,10 @@ def test_objective_takes_one_jet_call_of_the_pullback_base(search_cases, case, m
     monkeypatch.setattr(ScalarField, "jet_batch", counted)
     rule = quadrature._profile_rule(3, 12, 3, 0)
     rule.objective(target, nu, center)
-    expected = [(True, len(rule.points), 1)]
+    expected = [(True, rule.n_nodes, 1)]
     if case == "kelvin":
-        expected.append((False, len(rule.points), 1))
-    assert calls == expected
+        expected.append((False, rule.n_nodes, 1))
+    assert calls == expected * rule.n_maps
 
 
 def test_objective_is_nan_where_the_target_leaves_the_rule(planted):
@@ -1009,20 +1011,37 @@ def test_objective_is_nan_where_the_target_leaves_the_rule(planted):
 
 
 def test_objective_maps_the_rule_points_through_one_affine_map(planted, monkeypatch):
-    # the candidate motion folds into the target's own pullback, so the
-    # rule's points take one affine map, not the motion's and then the target's
+    # the candidate motion folds into the target's own pullback, so each
+    # rotation's points take one affine map, not the motion's and then the
+    # target's: one map object, and the rotations cover the rule once
     rule = quadrature._profile_rule(3, 12, 3, 0)
     mapped = []
     call = AffineMap.__call__
 
     def counted(self, points):
-        if len(points) == len(rule.points):
-            mapped.append(self)
+        mapped.append((self, points.copy()))
         return call(self, points)
 
     monkeypatch.setattr(AffineMap, "__call__", counted)
     rule.objective(planted, _NU, _G0 + 0.01)
-    assert len(mapped) == 1
+    assert len(mapped) == rule.n_maps
+    assert all(amap is mapped[0][0] for amap, _ in mapped)
+    covered = np.concatenate([points for _, points in mapped])
+    assert covered.tobytes() == rule.points.tobytes()
+
+
+def test_objective_holds_one_rotation_at_a_time(planted):
+    # the pass writes each rotation's jets into preallocated planes, so its
+    # traced peak stays within 1.5 times the rule's points, well below the
+    # one-call pass over every rotation (about 2.7 times)
+    rule = quadrature._profile_rule(3, 12, 3, 0)
+    tracemalloc.start()
+    try:
+        rule.objective(planted, _NU, _G0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * rule.points.nbytes
 
 
 def _displaced_seed(monkeypatch):
