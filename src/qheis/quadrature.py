@@ -19,7 +19,11 @@ are reduced to two dimensions exactly: the quadrature nodes are pulled
 back through the certified affine map and the weights pick up 1/|det A|.
 Everything else goes through the Monte Carlo routine, which importance
 samples the two radii with heavy-tailed folded Student-t proposals so
-that inverse-polynomial decay keeps a finite variance.
+that inverse-polynomial decay keeps a finite variance.  Each sample is
+read by inversion from one row of seven uniforms: the radii from their
+distribution functions, the directions from the Hopf split of S^3 and
+Archimedes' rule on S^2, so no sample depends on the block size the
+samples are drawn in.
 
 The quotient of interest is
 
@@ -97,7 +101,10 @@ _MIN_DECAY_R = 4.0
 _MIN_DECAY_RHO = 3.0
 
 _EVAL_BLOCK = 1 << 17  # nodes per evaluation block, keeps jets bounded
-_MC_CHUNK = 1 << 17    # Monte Carlo samples per block, for the same reason
+# Monte Carlo samples per block.  The draws do not depend on it; a block's
+# temporaries stay small enough to be reused from the heap instead of
+# being mapped, and faulted in, afresh.
+_MC_CHUNK = 1 << 13
 
 # The reduced rule: refinement starts at 2 panels per half-line, each
 # panel a 12-node Gauss-Legendre rule.
@@ -367,18 +374,36 @@ _MC_WEIGHT = _SPHERE3 * _SPHERE2 * math.sqrt(2.0) * (0.5 * math.pi)
 def _mc_points(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k samples of the proposal: the radii r, rho and the points, (k, 7).
 
-    The draws, in this order: standard_t(2, k), standard_t(1, k),
-    standard_normal((k, 4)) and standard_normal((k, 3)).  Each Gaussian
-    row is scaled by radius / norm straight into the points; the Gaussian
-    blocks are dropped on return, before the field is evaluated.
+    One draw, rng.random((k, 7)); sample i reads row i, (a, b, s, z, e1,
+    e2, e3), by inversion, so no sample depends on how the stream is
+    split into blocks:
+
+    - r = a sqrt(2 / ((1 - a)(1 + a))), the folded t(2), whose
+      distribution function is r / sqrt(2 + r^2);
+    - rho = tan(pi b / 2), the folded Cauchy;
+    - q / r = (sqrt(1 - s) e^{i theta1}, sqrt(s) e^{i theta2}), uniform on
+      S^3 by the Hopf split;
+    - omega / rho = (sqrt(1 - h^2) e^{i theta3}, h), h = 2 z - 1, uniform
+      on S^2 by Archimedes' rule;
+    - theta_j = 2 pi (e_j - 1/2), whose (cos, sin) is
+      ((1 - t^2), 2 t) / (1 + t^2) with t = tan(pi (e_j - 1/2)): one tan
+      costs a fraction of a sin and a cos.
     """
-    r = np.abs(rng.standard_t(2, k))
-    rho = np.abs(rng.standard_t(1, k))
-    qdir = rng.standard_normal((k, 4))
-    wdir = rng.standard_normal((k, 3))
+    a, b, s, z, *angles = rng.random((k, DIM)).T
+    h = 2.0 * z - 1.0
+    # (1 - a)(1 + a), not 1 - a^2, keeps the tail's relative accuracy
+    r = a * np.sqrt(2.0 / ((1.0 - a) * (1.0 + a)))
+    rho = np.tan((0.5 * np.pi) * b)
     pts = np.empty((k, DIM))
-    np.multiply(qdir, (r / np.sqrt(np.einsum("ij,ij->i", qdir, qdir)))[:, None], out=pts[:, :4])
-    np.multiply(wdir, (rho / np.sqrt(np.einsum("ij,ij->i", wdir, wdir)))[:, None], out=pts[:, 4:])
+    circles = (r * np.sqrt(1.0 - s), r * np.sqrt(s), rho * np.sqrt((1.0 - h) * (1.0 + h)))
+    for j, (c, e) in enumerate(zip(circles, angles)):
+        t = np.tan(np.pi * (e - 0.5))
+        t2 = t * t
+        c /= 1.0 + t2
+        np.multiply(c, 1.0 - t2, out=pts[:, 2 * j])
+        t *= c
+        np.multiply(t, 2.0, out=pts[:, 2 * j + 1])
+    np.multiply(rho, h, out=pts[:, 6])
     return r, rho, pts
 
 
@@ -392,6 +417,14 @@ def _mc_weights(u: ScalarField, rng: np.random.Generator, k: int) -> np.ndarray:
     rho2 = rho * rho
     t = 1.0 + 0.5 * r2
     return vals * _MC_WEIGHT * (r2 * r) * (t * np.sqrt(t)) * (rho2 * (1.0 + rho2))
+
+
+def _stderr(total: float, total_sq: float, n: int) -> float:
+    """The standard error of a mean of n weights from their sum and sum of squares."""
+    mean = total / n
+    # np.maximum, unlike max, keeps a NaN variance NaN instead of 0.0
+    var = float(np.maximum(0.0, (total_sq - n * mean * mean) / (n - 1)))
+    return math.sqrt(var / n)
 
 
 @dataclass(frozen=True)
@@ -421,9 +454,12 @@ def integrate_mc(
     integer of at least 1000 and `seed` one of at least 0, so that the
     recorded seed reproduces the estimate; anything else raises ValueError.
 
-    The samples are drawn in blocks of at most `_MC_CHUNK` (see
-    _mc_points).  The weight is u times the reciprocal proposal density
-    _MC_WEIGHT r^3 t^{3/2} rho^2 (1 + rho^2), t = 1 + r^2/2.
+    Sample i reads row i of one stream of (samples, 7) uniforms (see
+    _mc_points); the rows are drawn in blocks of at most `_MC_CHUNK`, and
+    the block size changes no sample.  The weight is u times the
+    reciprocal proposal density _MC_WEIGHT r^3 t^{3/2} rho^2 (1 + rho^2),
+    t = 1 + r^2/2.  The warning compares the full-sample stderr with the
+    smaller of the two half-sample ones.
     """
     samples = _whole(samples, "Monte Carlo samples", 1000)
     seed = _whole(seed, "seed", 0)
@@ -445,22 +481,20 @@ def integrate_mc(
             htotsq += float(np.einsum("i,i->", wgt[:m], wgt[:m]))
         done += k
 
-    # np.maximum, unlike max, keeps a NaN variance NaN instead of 0.0
     mean = tot / samples
-    var = float(np.maximum(0.0, (totsq - samples * mean * mean) / (samples - 1)))
-    stderr = math.sqrt(var / samples)
-
-    hmean = htot / half
-    hvar = float(np.maximum(0.0, (htotsq - half * hmean * hmean) / max(1, half - 1)))
-    hstderr = math.sqrt(hvar / half)
+    stderr = _stderr(tot, totsq, samples)
+    # the second half's sums are the full sums less the first half's
+    halves = (_stderr(htot, htotsq, half), _stderr(tot - htot, totsq - htotsq, samples - half))
 
     warning = None
-    # finite variance halves the squared error when the sample doubles;
-    # a full-sample stderr above 0.9x the half-sample one says otherwise
-    if stderr > 0.9 * hstderr and stderr > 0.0:
+    # finite variance halves the squared error when the sample doubles; a
+    # full-sample stderr above 0.9x the smaller half-sample one says
+    # otherwise.  One dominant weight W reads about 2W/n in the half that
+    # holds it and W/n in the full sample: only the other half shows it.
+    if stderr > 0.9 * min(halves) and stderr > 0.0:
         warning = (
             f"standard error is not shrinking with sample size "
-            f"({stderr:.3e} full vs {hstderr:.3e} on half); "
+            f"({stderr:.3e} full vs {halves[0]:.3e} and {halves[1]:.3e} on the halves); "
             "the weight distribution looks heavy-tailed"
         )
         warnings.warn(warning, RuntimeWarning, stacklevel=2)

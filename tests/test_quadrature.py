@@ -343,31 +343,41 @@ def test_mc_translation_invariance(ubar):
 def _mc_textbook(u, samples, seed, chunk):
     """The estimate by the textbook route: u over the proposal density of the point.
 
-    The point (r theta, rho phi) has the density of r, twice scipy's t(2)
-    density, over the area 2 pi^2 r^3 of its sphere, times the same for
-    rho with t(1) and 4 pi rho^2; the directions are normalized Gaussians.
+    Row i of the uniforms, (a, b, s, z, e1, e2, e3), gives the radii as
+    scipy's t(2) and t(1) quantiles at (1 + a)/2 and (1 + b)/2 and the
+    angles theta_j = 2 pi e_j - pi; the directions are the Hopf
+    coordinates (sqrt(1-s) cos theta1, sqrt(1-s) sin theta1, sqrt(s) cos
+    theta2, sqrt(s) sin theta2) and (sqrt(1-h^2) cos theta3, sqrt(1-h^2)
+    sin theta3, h), h = 2z - 1.  The point (r theta, rho phi) has the
+    density of r, twice scipy's t(2) density, over the area 2 pi^2 r^3 of
+    its sphere, times the same for rho with t(1) and 4 pi rho^2.
     """
     rng = np.random.default_rng(seed)
     weights = []
     for lo in range(0, samples, chunk):
         k = min(chunk, samples - lo)
-        r = np.abs(rng.standard_t(2, k))
-        rho = np.abs(rng.standard_t(1, k))
-        q = rng.standard_normal((k, 4))
-        w = rng.standard_normal((k, 3))
-        pts = np.hstack([
-            r[:, None] * q / np.linalg.norm(q, axis=1)[:, None],
-            rho[:, None] * w / np.linalg.norm(w, axis=1)[:, None],
-        ])
+        a, b, s, z, *e = rng.random((k, 7)).T
+        r = stats.t.ppf((1.0 + a) / 2.0, 2)
+        rho = stats.t.ppf((1.0 + b) / 2.0, 1)
+        theta = [2.0 * math.pi * x - math.pi for x in e]
+        h = 2.0 * z - 1.0
+        q = np.stack([
+            np.sqrt(1.0 - s) * np.cos(theta[0]), np.sqrt(1.0 - s) * np.sin(theta[0]),
+            np.sqrt(s) * np.cos(theta[1]), np.sqrt(s) * np.sin(theta[1]),
+        ], axis=1)
+        w = np.stack([
+            np.sqrt(1.0 - h**2) * np.cos(theta[2]), np.sqrt(1.0 - h**2) * np.sin(theta[2]), h,
+        ], axis=1)
+        pts = np.hstack([r[:, None] * q, rho[:, None] * w])
         density_q = 2.0 * stats.t.pdf(r, 2) / (2.0 * math.pi**2 * r**3)
         density_w = 2.0 * stats.t.pdf(rho, 1) / (4.0 * math.pi * rho**2)
         weights.append(u(pts) / (density_q * density_w))
     weights = np.concatenate(weights)
-    half = weights[: samples // 2]
+    half = samples // 2
     return (
         weights.mean(),
         weights.std(ddof=1) / math.sqrt(samples),
-        half.std(ddof=1) / math.sqrt(half.size),
+        [part.std(ddof=1) / math.sqrt(part.size) for part in (weights[:half], weights[half:])],
     )
 
 
@@ -377,23 +387,90 @@ def test_mc_matches_the_textbook_importance_weight(ubar, seed, monkeypatch):
     # half-sample split (1500) falls inside the second block
     monkeypatch.setattr(quadrature, "_MC_CHUNK", 1024)
     u = power_compose(translate_field(ubar, np.array([0.4, -0.3, 0.2, 0.1, 0.5, -0.2, 0.3])), 2.5)
-    value, stderr, half_stderr = _mc_textbook(u, 3000, seed, 1024)
+    value, stderr, half_stderrs = _mc_textbook(u, 3000, seed, 1024)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mc = integrate_mc(u, 3000, seed=seed)
     np.testing.assert_allclose(mc.value, value, rtol=1e-12)
     np.testing.assert_allclose(mc.stderr, stderr, rtol=1e-12)
-    assert (mc.warning is not None) == (stderr > 0.9 * half_stderr)
+    assert (mc.warning is not None) == (stderr > 0.9 * min(half_stderrs))
+
+
+@pytest.mark.parametrize("where", [0, 1999])
+def test_mc_warns_on_one_dominant_weight_in_either_half(where):
+    # one nonzero weight W: the half that holds it reads 2W/n, the full
+    # sample W/n and the other half 0, so only the other half shows it
+    def jets(pts, order=2):
+        value = np.zeros(len(pts))
+        value[where] = 1.0
+        return (value,)
+
+    field = ScalarField(tag="one-weight", jets=jets, decay=(0.0, 0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mc = integrate_mc(field, 2000, seed=0)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert str(caught[0].message) == mc.warning
+    full, first, second = (f"{x:.3e}" for x in (mc.stderr, 2.0 * mc.stderr, 0.0))
+    halves = (first, second) if where < 1000 else (second, first)
+    assert f"({full} full vs {halves[0]} and {halves[1]} on the halves)" in mc.warning
+
+
+def _block_weights(u, samples, chunk, seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        quadrature._mc_weights(u, rng, min(chunk, samples - lo)) for lo in range(0, samples, chunk)
+    ])
+
+
+@pytest.mark.parametrize("chunk", [1024, 3000])
+def test_mc_block_size_changes_no_sample(ubar, chunk, monkeypatch):
+    # 10,000 samples split 8192 + 1808 at the default block size, and
+    # differently at each other size: the weights stay bitwise, only the
+    # order of the sums moves
+    u = power_compose(translate_field(ubar, np.array([0.4, -0.3, 0.2, 0.1, 0.5, -0.2, 0.3])), 2.5)
+    assert quadrature._MC_CHUNK not in (1024, 3000)
+    reference = _block_weights(u, 10_000, quadrature._MC_CHUNK, 5)
+    assert _block_weights(u, 10_000, chunk, 5).tobytes() == reference.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        default = integrate_mc(u, 10_000, seed=5)
+        monkeypatch.setattr(quadrature, "_MC_CHUNK", chunk)
+        blocked = integrate_mc(u, 10_000, seed=5)
+    np.testing.assert_allclose(blocked.value, default.value, rtol=1e-14)
+    np.testing.assert_allclose(blocked.stderr, default.stderr, rtol=1e-13)
+
+
+def test_mc_points_lie_at_their_radii():
+    r, rho, pts = quadrature._mc_points(np.random.default_rng(0), 100_000)
+    np.testing.assert_allclose(np.linalg.norm(pts[:, :4], axis=1), r, rtol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(pts[:, 4:], axis=1), rho, rtol=1e-15)
+
+
+def test_mc_proposal_has_the_folded_t_radii_and_uniform_directions():
+    # the folded t(2) and t(1) distribution functions are 2 F - 1; a
+    # coordinate of a uniform point of S^3 has the semicircle density
+    # (2/pi) sqrt(1 - x^2), one of S^2 is uniform on [-1, 1]
+    r, rho, pts = quadrature._mc_points(np.random.default_rng(0), 20_000)
+    readings = {
+        "r": stats.kstest(r, lambda x: 2.0 * stats.t.cdf(x, 2) - 1.0),
+        "rho": stats.kstest(rho, lambda x: 2.0 * stats.t.cdf(x, 1) - 1.0),
+    }
+    for j in range(4):
+        readings[f"q{j}"] = stats.kstest(pts[:, j] / r, stats.semicircular.cdf)
+    for j in range(3):
+        readings[f"w{j}"] = stats.kstest(pts[:, 4 + j] / rho, stats.uniform(-1.0, 2.0).cdf)
+    assert {name: ks.pvalue for name, ks in readings.items() if not ks.pvalue > 1e-3} == {}
 
 
 def test_mc_mass_reading_is_pinned(ubar):
-    # the best-constant report's reading: a change to the draws, their
-    # order or their block size moves it by far more than rounding.  The
-    # stderr keeps a tolerance: it reads 30786.680910576993 since its sums
-    # of squares left the BLAS dot for einsum, one ulp from the pin.
+    # the best-constant report's reading: a change to the draws or the
+    # order in which a row of uniforms is read moves it by far more than
+    # rounding.  The stderr keeps a tolerance: the block size moves it by
+    # an ulp, through the order of its sums.
     mc = integrate_mc(power_compose(ubar, 2.5, tag="ubar^2.5"), 200_000, seed=0)
-    assert mc.value == 8497417.487648623
-    np.testing.assert_allclose(mc.stderr, 30786.680910576997, rtol=1e-13)
+    assert mc.value == 8524571.647174142
+    np.testing.assert_allclose(mc.stderr, 30950.806259077286, rtol=1e-13)
 
 
 def test_mc_reading_does_not_depend_on_the_blas_thread_count():
