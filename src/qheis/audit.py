@@ -35,8 +35,8 @@ stored: max_residual <= tolerance, the one pass rule, which a NaN fails:
 and "all" runs them in that order.  Each check draws its whole sample at once and
 evaluates it in one batched array pass, with one exception:
 `einstein-family-torsion` draws and evaluates its members per block of
-`_FAMILY_BLOCK` members, one generator call and one field whose rows are
-the members per block, which bounds its memory at any sample count; by
+`_FAMILY_BLOCK` members, three generator calls and one field whose rows
+are the members per block, which bounds its memory at any sample count; by
 left-invariance h o tau_g0 is read as h at the moved points g0 p.  The
 only per-item loops left run over short lists of fields.  Every residual
 is reduced with one NaN-propagating reducer, so a NaN anywhere fails its
@@ -345,25 +345,17 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
 def _family_blocks(rng: np.random.Generator, npairs: int):
     """Yield the family sample as (c, nu, g0, points), `_FAMILY_BLOCK` members at a time.
 
-    Member idx reads, in stream order, log10 of (c, nu) on [-1, 1), on odd idx
-    a translation g0 on [-1, 1)^7 (even members get g0 = 0), then 20 points on
-    [-2, 2)^7.  Each block is one `rng.random` call sliced member by member and
-    mapped by a + (b - a) u, which is how `rng.uniform` maps the same numbers,
-    so every member and the generator state after the last block are those of
-    one `rng.uniform` call per field and member.  Points come as one (20m, 7)
-    array for the m members of a block.
+    A block of m members is three `rng.uniform` calls: log10 of (c, nu) on
+    [-1, 1), a translation g0 on [-1, 1)^7, which is zero on the even
+    members (counted across blocks), and 20 points a member on [-2, 2)^7,
+    as one (20m, 7) array.
     """
     for start in range(0, npairs, _FAMILY_BLOCK):
-        odd = np.arange(start, min(start + _FAMILY_BLOCK, npairs)) % 2 == 1
-        size = 142 + 7 * odd  # 2 + 140 numbers a member, 7 more for g0
-        first = np.cumsum(size) - size
-        u = rng.random(int(size.sum()))
-        c, nu = (10.0 ** (-1.0 + 2.0 * u[first[:, None] + np.arange(2)])).T
-        g0 = np.zeros((len(odd), 7))
-        g0[odd] = -1.0 + 2.0 * u[first[odd, None] + 2 + np.arange(7)]
-        at = first + 2 + 7 * odd
-        pts = -2.0 + 4.0 * u[at[:, None] + np.arange(140)]
-        yield c, nu, g0, pts.reshape(-1, 7)
+        m = min(_FAMILY_BLOCK, npairs - start)
+        c, nu = 10.0 ** rng.uniform(-1.0, 1.0, (2, m))
+        g0 = rng.uniform(-1.0, 1.0, (m, 7))
+        g0[(start + np.arange(m)) % 2 == 0] = 0.0
+        yield c, nu, g0, rng.uniform(-2.0, 2.0, (20 * m, 7))
 
 
 def _suite_conformal(config: SuiteConfig) -> list[Report]:
@@ -380,7 +372,8 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
         torsion.append(_frobenius(conformal.torsion_T0_deformed(fj)))
     checks.add(("einstein-family-torsion", npairs * 20, _max_abs(*torsion), 1e-8, "computed"))
 
-    control = frame.frame_jets(_quartic_control(), _CONTROL_POINT)
+    quartic = _quartic_control()
+    control = frame.frame_jets(quartic, _CONTROL_POINT)
     frob = float(_frobenius(conformal.torsion_T0_deformed(control))[0])
     shortfall = float(np.maximum(0.0, 1e-3 - frob))  # NaN stays NaN
     checks.add(("torsion-negative-control", 1, shortfall, 0.0, "control"))
@@ -390,7 +383,7 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
     # (sphere residual) dh: all from one FrameJet per field, the last two
     # normalised per field.
     pts = rng.uniform(-2.0, 2.0, size=(20, 7))
-    fields = family[:5] + [_quartic_control()]
+    fields = family[:5] + [quartic]
     collapse, routes, closed = [], [], []
     for h in fields:
         fj = frame.frame_jets(h, pts)

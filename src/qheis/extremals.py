@@ -116,8 +116,10 @@ def _family_jets(c, nu):
     """Hand-differentiated jets of h = c[(1 + nu r^2)^2 + nu^2 rho^2], r = |q|,
     rho = |w|, up to `order`; c and nu are scalars, or (N,) arrays giving each
     of the N rows its own member, which then read exactly N points, else
-    ValueError.  Order 2 is built points-last, in place through the (7, 7, N)
-    transposed view of the (N, 7, 7) Hessian it returns.
+    ValueError.  Orders 1 and 2 are built points-last, in place through the
+    (7, N) and (7, 7, N) transposed views of the (N, 7) gradient and the
+    (N, 7, 7) Hessian it returns, so a scalar or per-row slope and b
+    broadcast along the points.
 
     Given directions `along`, (7, d) as `ScalarField.jet_batch` checks
     them, at order 1 the kernel is the field's `along_jets` and returns
@@ -127,7 +129,6 @@ def _family_jets(c, nu):
     """
     b, e = 2.0 * c * nu * nu, 8.0 * c * nu * nu
     rows = len(b) if np.ndim(b) else None
-    b_rows = b if rows is None else b[:, None]  # per-row b against the (N, 3) w-columns
 
     def jets(pts: np.ndarray, order: int = 2, along=None):
         if rows is not None and len(pts) != rows:
@@ -149,9 +150,9 @@ def _family_jets(c, nu):
             w_v *= b
             g_v += w_v
             return val, g_v.T
-        grad = np.empty_like(pts)
-        np.multiply(slope[:, None], q, out=grad[:, :4])
-        np.multiply(b_rows, w, out=grad[:, 4:7])
+        grad = np.empty((7, len(pts))).T
+        np.multiply(q.T, slope, out=grad.T[:4])
+        np.multiply(w.T, b, out=grad.T[4:7])
         if order == 1:
             return val, grad
         qt = np.ascontiguousarray(q.T)

@@ -166,12 +166,13 @@ class BiRadialIntegrand:
 
 
 @functools.lru_cache(maxsize=32)
-def _panel_nodes(level: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [0, 1), 2^level panels.
+def _panel_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [0, 1), 2^level panels
+    of `_N_NODES` nodes each.
 
     Cached, so the arrays are read-only: every caller shares them.
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(_N_NODES)
     m = 1 << level
     half = 0.5 / m
     centers = (np.arange(m) + 0.5) / m
@@ -182,15 +183,16 @@ def _panel_nodes(level: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
-def biradial_rule(level: int, n_nodes: int = _N_NODES):
+def biradial_rule(level: int):
     """Tensor quadrature rule for dH on the (r, rho) quarter-plane.
 
-    Returns flat arrays (r, rho, weight); the weight already contains
-    the sphere areas, the r^3 rho^2 measure factors and the Jacobians of
-    the compactification t -> t/(1-t) on both axes.  `level` is an
-    integer >= 0 and `n_nodes` one >= 1; anything else is a ValueError.
+    Returns flat arrays (r, rho, weight) on 2^level panels of `_N_NODES`
+    Gauss-Legendre nodes per half-line; the weight already contains the
+    sphere areas, the r^3 rho^2 measure factors and the Jacobians of the
+    compactification t -> t/(1-t) on both axes.  `level` is an integer
+    >= 0; anything else is a ValueError.
     """
-    t, wt = _panel_nodes(_whole(level, "level", 0), _whole(n_nodes, "n_nodes", 1))
+    t, wt = _panel_nodes(_whole(level, "level", 0))
     radius = t / (1.0 - t)
     jac = 1.0 / (1.0 - t) ** 2
     w_r = _SPHERE3 * radius**3 * jac * wt
@@ -237,7 +239,7 @@ def _refine(fn, tags, tol: float) -> tuple[QuadratureResult, ...]:
     tables = [[] for _ in tags]
     accepted = [False] * len(tags)
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
-        r, rho, w = biradial_rule(level, _N_NODES)
+        r, rho, w = biradial_rule(level)
         for i, est in enumerate(_rule_sums(fn, r, rho, w)):
             if accepted[i]:
                 continue
@@ -669,7 +671,8 @@ def _detransformed(target: ScalarField, nu: float, center: np.ndarray) -> Scalar
 
 
 class _ProfileRule:
-    """Precomputed rotated-slice geometry for the search's certificate.
+    """Precomputed rotated-slice geometry for the search's certificate: the
+    level-3 reduced rule under 3 origin-fixing rotations drawn from `seed`.
 
     The objective symmetrizes a field over a fixed set of rotations and
     takes the quotient of the resulting bi-radial profile F(r, rho); for
@@ -678,16 +681,15 @@ class _ProfileRule:
     directions of each rotation are all that is needed.
     """
 
-    def __init__(self, level: int, n_nodes: int, rotations: int, seed: int):
-        self.r, self.rho, self.w = biradial_rule(level, n_nodes)
+    def __init__(self, seed: int):
+        self.r, self.rho, self.w = biradial_rule(3)
         slices = _slice_points(self.r, self.rho)
         rng = np.random.default_rng(seed)
-        maps = [spin_rotation_map(_unit_quaternion(rng), _unit_quaternion(rng))
-                for _ in range(rotations)]
+        maps = [spin_rotation_map(_unit_quaternion(rng), _unit_quaternion(rng)) for _ in range(3)]
         self.points = np.concatenate([slices @ k.linear.T for k in maps])
         # d/dr and d/drho of the rotated slice point, (maps, 2, 7)
         self.dirs = np.stack([k.linear[:, [0, 6]].T for k in maps])
-        self.n_maps = rotations
+        self.n_maps = len(maps)
         self.n_nodes = self.r.size
         for arr in (self.r, self.rho, self.w, self.points, self.dirs):
             arr.flags.writeable = False  # shared through _profile_rule
@@ -740,17 +742,15 @@ class _ProfileRule:
         return num / mass**0.8, spread / num if num > 0.0 else math.nan
 
 
-#: One `_ProfileRule` per (level, n_nodes, rotations, seed), built once per
-#: process and shared, hence read-only; a search uses one key per seed.
+#: One `_ProfileRule` per seed, built once per process and shared, hence
+#: read-only.
 _profile_rule = functools.lru_cache(maxsize=4)(_ProfileRule)
 
-# The certificate's rule, (level, nodes per panel, rotations): the level-3
-# reduced rule under 3 rotations.  At the peak seed a translated, dilated
-# ubar reads a defect of about 1e-32 and a Kelvin image of one below 1e-22;
-# a center moved by 1e-5 bubble widths (nu^{-1/2} horizontally, nu^{-1}
+# On the certificate's rule, at the peak seed, a translated, dilated ubar
+# reads a defect of about 1e-32 and a Kelvin image of one below 1e-22; a
+# center moved by 1e-5 bubble widths (nu^{-1/2} horizontally, nu^{-1}
 # vertically) in every coordinate reads 1.5e-11 to 1.3e-9 for nu from 0.01
 # to 100, so _DEFECT_TOL sits ten orders above the seeds.
-_PROFILE_RULE = (3, _N_NODES, 3)
 _DEFECT_TOL = 1e-12
 _PEAK_TRIALS = 30  # damped Newton trials of the peak search
 
@@ -888,7 +888,7 @@ def minimize_quotient(init: FamilyParams, target: ScalarField, *, seed: int = 0)
     seed = _whole(seed, "seed", 0)  # also the key of the cached rule
     center0 = np.zeros(DIM) if init.center is None else as_point(init.center).reshape(DIM)
     nu_opt, center_opt, nfev, peaked = _peak_seed(target, init.nu, center0)
-    rule = _profile_rule(*_PROFILE_RULE, seed)
+    rule = _profile_rule(seed)
     value, defect = rule.objective(target, nu_opt, center_opt)
     if peaked:
         converged = defect <= _DEFECT_TOL  # False on NaN

@@ -544,33 +544,28 @@ def test_family_torsion_runs_in_blocks_over_the_whole_sample(monkeypatch):
     assert sum(points) == 1000 * 20 + 1
 
 
-def _family_draws_per_member(rng, npairs):
-    """Reference: the family sample drawn member by member, one call per field."""
-    c, nu, g0, pts = [], [], [], []
-    for idx in range(npairs):
-        ci, nui = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
-        c.append(ci)
-        nu.append(nui)
-        g0.append(rng.uniform(-1.0, 1.0, size=7) if idx % 2 else np.zeros(7))
-        pts.append(rng.uniform(-2.0, 2.0, size=(20, 7)))
-    return np.array(c), np.array(nu), np.array(g0), np.concatenate(pts)
-
-
 @pytest.mark.parametrize("seed", [0, 5, 123456])
 @pytest.mark.parametrize("npairs", [1, 2, 5, 7, 150, 1000])
-def test_family_block_draws_equal_the_per_member_draws(seed, npairs):
-    # 7 and 150 end on an odd count and a partial block; the generator
-    # must also stand where the per-member draws leave it
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    blocks = list(audit._family_blocks(rng, npairs))
+def test_family_blocks_draw_the_stated_sample(seed, npairs):
+    # 7 and 150 end on an odd count and a partial block; the even members,
+    # counted across blocks, sit at the origin
+    blocks = list(audit._family_blocks(np.random.default_rng(seed), npairs))
     assert [len(b[0]) for b in blocks] == [
         min(audit._FAMILY_BLOCK, npairs - start) for start in range(0, npairs, audit._FAMILY_BLOCK)
     ]
-    drawn = [np.concatenate(part) for part in zip(*blocks)]
-    for got, want in zip(drawn, _family_draws_per_member(ref_rng, npairs)):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert rng.random(3).tobytes() == ref_rng.random(3).tobytes()
+    c, nu, g0, pts = (np.concatenate(part) for part in zip(*blocks))
+    for scale in (c, nu):
+        assert scale.shape == (npairs,)
+        assert np.all((0.1 <= scale) & (scale < 10.0))
+    assert g0.shape == (npairs, 7)
+    assert np.all(g0[0::2] == 0.0)
+    assert np.all((-1.0 <= g0[1::2]) & (g0[1::2] < 1.0))
+    assert [b[3].shape for b in blocks] == [(20 * len(b[0]), 7) for b in blocks]
+    assert np.all((-2.0 <= pts) & (pts < 2.0))
+    again = audit._family_blocks(np.random.default_rng(seed), npairs)
+    for block, same in zip(blocks, again, strict=True):
+        for got, want in zip(block, same):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_conformal_sample_counts_are_the_points_evaluated(monkeypatch):
