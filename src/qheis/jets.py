@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, _finite, _whole
-from .quaternions import _single, as_point
+from .quaternions import _single, as_point, group_mul
 
 __all__ = [
     "JetBatch",
@@ -594,8 +594,6 @@ def haar_jacobian_audit(g0) -> float:
     Left translations preserve Lebesgue measure on R^7 (Haar = Lebesgue);
     this checks that numerically rather than assuming it.
     """
-    from .quaternions import group_mul
-
     step = 1e-5
     g0 = _single(as_point(g0), "haar_jacobian_audit")
     jac = np.empty((DIM, DIM))

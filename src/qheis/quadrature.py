@@ -230,20 +230,16 @@ class QuadratureResult:
 def _refine(fn, tags, tol: float) -> tuple[QuadratureResult, ...]:
     """The refinement loop for the rows of one integrand on shared nodes.
 
-    fn(r, rho) returns one array of values per entry of `tags`.  Each row
-    is accepted at its own first passing level and its table ends there,
-    so it reads exactly what `integrate_biradial` gives that row alone;
-    the loop stops once every row is accepted.  The first row that no
-    level up to `_MAX_LEVEL` accepts raises AccuracyError.
+    fn(r, rho) returns one array of values per entry of `tags`.  The rows
+    stop together, at the first level where every row's own error estimate
+    passes, and every row's table ends at that level.  When no level up to
+    `_MAX_LEVEL` passes, the first row that fails at the last level raises
+    AccuracyError with its table.
     """
     tables = [[] for _ in tags]
-    accepted = [False] * len(tags)
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
         r, rho, w = biradial_rule(level)
-        for i, est in enumerate(_rule_sums(fn, r, rho, w)):
-            if accepted[i]:
-                continue
-            rows = tables[i]
+        for rows, est in zip(tables, _rule_sums(fn, r, rho, w)):
             err = math.nan
             if rows:
                 delta = abs(est - rows[-1][1])
@@ -253,10 +249,11 @@ def _refine(fn, tags, tol: float) -> tuple[QuadratureResult, ...]:
                 # NaN level and the two after it can never be accepted
                 err = float(np.maximum(raw, math.sqrt(r.size) * _ROUNDING * abs(est)))
             rows.append((level, est, err, r.size))
-            accepted[i] = err <= tol * abs(est)  # False on the first level, whose err is NaN
-        if all(accepted):
+        # False on the first level, whose err is NaN
+        passed = [rows[-1][2] <= tol * abs(rows[-1][1]) for rows in tables]
+        if all(passed):
             return tuple(QuadratureResult(rows[-1][1], rows[-1][2], tuple(rows)) for rows in tables)
-    i = accepted.index(False)
+    i = passed.index(False)
     last_level, est, err, _ = tables[i][-1]
     exc = AccuracyError(
         f"integrand '{tags[i]}' did not converge to rtol {tol:g} "
@@ -524,29 +521,6 @@ class QuotientReport:
 _energy_density = frame._gradsq
 
 
-def _energy_integrand(u: ScalarField) -> BiRadialIntegrand:
-    """|grad_H u|^2 as a reduced integrand, via the certificate.
-
-    Its `fn` also takes `jet`, the order-1 frame jet of u at the
-    pulled-back nodes, so that a pass which has it need not take another.
-    """
-    pull, scale = _node_map(u)
-    d_r, d_rho = _require_decay(u)
-
-    def fn(r: np.ndarray, rho: np.ndarray, jet: Optional[frame.FrameJet] = None) -> np.ndarray:
-        if jet is None:
-            jet = frame.frame_jets(u, pull(_slice_points(r, rho)), 1)
-        return scale * _energy_density(jet)
-
-    # each horizontal derivative gains one order in r and, through the
-    # linear-in-q frame coefficients, one in rho as well
-    return BiRadialIntegrand(
-        fn=fn,
-        decay=(2.0 * (d_r + 1.0), 2.0 * (d_rho + 1.0)),
-        tag=f"|grad({u.tag})|^2",
-    )
-
-
 @functools.cache
 def _energy_probe() -> np.ndarray:
     """The energy audit's probe: two base points, then two rotations of them, (6, 7).
@@ -594,22 +568,23 @@ def fs_quotient(
     nodes; nothing is assumed about the field beyond its certificate,
     which is itself probed first.  One order-1 frame pass per level
     gives both rows: the gradient makes the numerator and the value,
-    raised to 5/2, the mass.  Each row stops at its own first accepted
-    level, so its result is bitwise that of `integrate_biradial` on
-    `_energy_integrand(u)` or `reduced_integrand(u, 2.5)` alone.  `tol`
-    is checked as there, before anything is evaluated.
+    raised to 5/2, the mass.  The rows stop together, at the first level
+    where both pass, so the mass row is `integrate_field(u, 2.5)` carried
+    on to the numerator's level when that is the later one.  The mass
+    row's decay check covers the numerator's, whose orders 2(d + 1)
+    exceed (4, 3) once 2.5 d does.  `tol` is checked as there, before
+    anything is evaluated.
     """
     tol = _positive(tol, "tol")
     _energy_biradial_audit(u)
-    energy = _energy_integrand(u)
     mass_row = reduced_integrand(u, 2.5)
-    pull, _ = _node_map(u)
+    pull, scale = _node_map(u)
 
     def rows(r: np.ndarray, rho: np.ndarray):
         jet = frame.frame_jets(u, pull(_slice_points(r, rho)), 1)
-        return energy.fn(r, rho, jet), mass_row.fn(r, rho, jet.value)
+        return scale * _energy_density(jet), mass_row.fn(r, rho, jet.value)
 
-    num, mass = _refine(rows, (energy.tag, mass_row.tag), tol)
+    num, mass = _refine(rows, (f"|grad({u.tag})|^2", mass_row.tag), tol)
     denom = mass.value**0.8
     quotient = num.value / denom
     err = num.error / denom + 0.8 * num.value * mass.error / mass.value**1.8
@@ -733,7 +708,7 @@ class _ProfileRule:
         slope *= amp
         profile = val.mean(axis=0)
         p_r, p_rho = slope.mean(axis=0).T
-        energy = p_r**2 + 4.0 * self.r**2 * p_rho**2
+        energy = p_r**2 + frame.VERTICAL_SCALE**2 * self.r**2 * p_rho**2
         num = float(self.w @ energy)
         mass = float(self.w @ profile**2.5)
         if not mass > 0.0:  # nothing of the target left on the rule: no quotient

@@ -138,8 +138,9 @@ def _gate_integrands():
             ),
             GAUSSIAN_7D,
         ),
-        # integrating the equation against ubar by parts makes the numerator the mass
-        "numerator": (quadrature._energy_integrand(ubar), MASS),
+        # integrating the equation against ubar by parts makes the numerator the
+        # mass; the numerator is the quotient's own row, read off its one pass
+        "numerator": (lambda tol: fs_quotient(ubar, tol=tol).numerator_result, MASS),
     }
 
 
@@ -160,7 +161,7 @@ def test_error_estimate_bounds_the_true_error(name, tol, accepted):
     # the geometric estimate alone undershoots where rounding dominates
     # (gauge at level 3, numerator at level 4); the floor must cover it
     integrand, exact = _gate_integrands()[name]
-    res = integrate_biradial(integrand, tol=tol)
+    res = integrand(tol) if callable(integrand) else integrate_biradial(integrand, tol=tol)
     assert res.table[-1][0] == accepted
     assert res.error <= tol * abs(res.value)
     for level, est, err, _ in res.table:
@@ -194,6 +195,26 @@ def test_a_zero_previous_delta_falls_back_to_the_delta(monkeypatch):
     with pytest.raises(AccuracyError) as info:
         integrate_biradial(integrand, tol=1e-16)
     assert info.value.table[2][2] == abs((1.0 + 1e-3) - 1.0)
+
+
+def test_the_rows_of_one_pass_stop_together(monkeypatch):
+    # row 0 passes from level 2 on and row 1 from level 3 on: both end at 3
+    script = {}
+    monkeypatch.setattr(quadrature, "_rule_sums", lambda fn, r, rho, w: script[r.size])
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
+    levels, sizes = (1, 2, 3), (576, 2304, 9216)
+    early, late = (1.0, 1.0, 1.0), (1.0, 1.1, 1.1 + 1e-12)
+    script.update(zip(sizes, zip(early, late)))
+    first, second = quadrature._refine(None, ("early", "late"), 1e-9)
+    assert [row[:2] for row in first.table] == list(zip(levels, early))
+    assert [row[:2] for row in second.table] == list(zip(levels, late))
+    assert first.table[1][2] <= 1e-9 < second.table[1][2]
+    # a row that never passes raises with its own name and table
+    never = (1.0, 2.0, 4.0)
+    script.update(zip(sizes, zip(early, never)))
+    with pytest.raises(AccuracyError, match="'late'") as info:
+        quadrature._refine(None, ("early", "late"), 1e-9)
+    assert [row[:2] for row in info.value.table] == list(zip(levels, never))
 
 
 def test_the_cached_panel_rule_cannot_be_poisoned():
@@ -651,15 +672,16 @@ def _recorded(u, calls):
 
 
 @pytest.mark.parametrize(
-    "motion, tol, levels",
+    "motion, tol, level, extra",
     [
-        ("none", 1e-9, (3, 3)),
-        ("translate", 1e-9, (3, 3)),
-        ("dilate", 1e-9, (3, 3)),
-        ("none", 1e-11, (4, 3)),
+        ("none", 1e-9, 3, 0),
+        ("translate", 1e-9, 3, 0),
+        ("dilate", 1e-9, 3, 0),
+        # the numerator passes at level 4 only, so the mass row runs on to it
+        ("none", 1e-11, 4, 1),
     ],
 )
-def test_quotient_rows_are_the_single_integrals_from_one_pass(ubar, motion, tol, levels):
+def test_quotient_rows_stop_together_from_one_pass(ubar, motion, tol, level, extra):
     u = {
         "none": ubar,
         "translate": translate_field(ubar, np.array([0.9, 0.1, -0.5, 0.3, -0.2, 0.8, 0.4])),
@@ -667,16 +689,17 @@ def test_quotient_rows_are_the_single_integrals_from_one_pass(ubar, motion, tol,
     }[motion]
     calls = []
     rep = fs_quotient(_recorded(u, calls), tol=tol)
-    num = integrate_biradial(quadrature._energy_integrand(u), tol=tol)
-    mass = integrate_biradial(quadrature.reduced_integrand(u, 2.5), tol=tol)
-    assert rep.numerator_result.table == num.table
-    assert rep.mass_result.table == mass.table
+    num, mass = rep.numerator_result, rep.mass_result
+    assert num.table[-1][0] == mass.table[-1][0] == level
     assert (rep.numerator, rep.mass) == (num.value, mass.value)
-    assert (num.table[-1][0], mass.table[-1][0]) == levels
-    # the energy audit's six probe points, then one order-1 pass per level
-    # up to the later row's last; no value-only pass
-    nodes = [row[3] for row in max(num.table, mass.table, key=len)]
-    assert calls == [(1, 6)] + [(1, n) for n in nodes]
+    # the mass row is the single integral, carried on by `extra` levels; the
+    # first level's error is NaN, so the tables compare by repr
+    single = integrate_field(u, 2.5, tol=tol).table
+    assert len(mass.table) == len(single) + extra
+    assert repr(mass.table[: len(single)]) == repr(single)
+    # the energy audit's six probe points, then one order-1 pass per level;
+    # no value-only pass
+    assert calls == [(1, 6)] + [(1, row[3]) for row in mass.table]
 
 
 def test_quotient_invariances(ubar):
