@@ -16,7 +16,7 @@ divergence formula to Q cannot be derived in this repository, and nothing
 here computes the A_s.
 
 The rest of the module is plumbing: named check suites over the other
-modules, each returning Report records whose pass flag is derived, never
+modules, each adding Report records whose pass flag is derived, never
 stored: max_residual <= tolerance, the one pass rule, which a NaN fails:
 
 * frames: commutators, corrected-Hessian symmetry, structure constants,
@@ -31,8 +31,12 @@ stored: max_residual <= tolerance, the one pass rule, which a NaN fails:
   Monte Carlo mass, quotient invariance and the parts identity, graded
   from the one record `best-constant` computes;
 * qmatrix: the spectrum and quadratic form of the coupling matrix;
+* quotient-min: a planted, moved bubble and the search that recovers it,
+  with the search's own certificate;
 
-and "all" runs them in that order.  Each check draws its whole sample at once and
+and "all" runs the first six in that order, skipping quotient-min.  One
+runner, `run_suite`, seeds each suite's generator from the config's seed
+and hands it a fresh recorder.  Each check draws its whole sample at once and
 evaluates it in one batched array pass, with one exception:
 `einstein-family-torsion` draws and evaluates its members per block of
 `_FAMILY_BLOCK` members, three generator calls and one field whose rows
@@ -102,7 +106,6 @@ __all__ = [
     "suite_names",
     "run_suite",
     "best_constant_reports",
-    "quotient_min_reports",
     "emit",
     "reports_equal",
 ]
@@ -306,11 +309,8 @@ def _frobenius(mats: np.ndarray) -> np.ndarray:
 # Suites.
 
 
-def _suite_frames(config: SuiteConfig) -> list[Report]:
-    rng = np.random.default_rng(config.seed)
+def _suite_frames(config: SuiteConfig, rng: np.random.Generator, checks: _Checks) -> None:
     n = config.samples_or(100)
-    checks = _Checks()
-
     pts = rng.uniform(-2.0, 2.0, size=(n, 7))
     worst = _max_abs(
         *(frame.commutator_audit(a, b, pts) for a in range(4) for b in range(a + 1, 4))
@@ -339,7 +339,6 @@ def _suite_frames(config: SuiteConfig) -> list[Report]:
         rel += [_max_abs(getattr(a, k) - getattr(b, k)) / _max_abs(getattr(b, k))
                 for k in ("value", "grad", "vert", "hess")]
     checks.add(("frame-left-invariance", n * len(fields), _max_abs(rel), 1e-12, "cross-check"))
-    return checks.reports
 
 
 def _family_blocks(rng: np.random.Generator, npairs: int):
@@ -358,11 +357,8 @@ def _family_blocks(rng: np.random.Generator, npairs: int):
         yield c, nu, g0, rng.uniform(-2.0, 2.0, (20 * m, 7))
 
 
-def _suite_conformal(config: SuiteConfig) -> list[Report]:
-    rng = np.random.default_rng(config.seed)
+def _suite_conformal(config: SuiteConfig, rng: np.random.Generator, checks: _Checks) -> None:
     npairs = config.samples_or(20)
-    checks = _Checks()
-
     torsion, family = [], []
     for c, nu, g0, pts in _family_blocks(rng, npairs):
         if not family:  # the first block: its first five members, as fields
@@ -429,7 +425,6 @@ def _suite_conformal(config: SuiteConfig) -> list[Report]:
         1e-8,
         "closed-form 6 = 4(Q+2)/(Q-2), Q = 10",
     ))
-    return checks.reports
 
 
 def _relative_pde_residual(u, pts: np.ndarray) -> float:
@@ -437,12 +432,9 @@ def _relative_pde_residual(u, pts: np.ndarray) -> float:
     return _max_abs(pde_residual(fj) / fj.value**1.5)
 
 
-def _suite_extremal(config: SuiteConfig) -> list[Report]:
-    rng = np.random.default_rng(config.seed)
+def _suite_extremal(config: SuiteConfig, rng: np.random.Generator, checks: _Checks) -> None:
     n = config.samples_or(1000)
     ubar = ubar_field()
-    checks = _Checks()
-
     pts = rng.uniform(-3.0, 3.0, size=(n, 7))
     checks.add(("yamabe-pde", n, _relative_pde_residual(ubar, pts), 1e-9, "computed"))
 
@@ -453,13 +445,10 @@ def _suite_extremal(config: SuiteConfig) -> list[Report]:
 
     residual = abs(ubar(np.zeros(7)) / 1024.0 - 1.0)
     checks.add(("peak-amplitude", 1, residual, 1e-13, "closed-form"))
-    return checks.reports
 
 
-def _suite_cayley(config: SuiteConfig) -> list[Report]:
-    rng = np.random.default_rng(config.seed)
+def _suite_cayley(config: SuiteConfig, rng: np.random.Generator, checks: _Checks) -> None:
     n = config.samples_or(1000)
-    checks = _Checks()
     pts = rng.uniform(-2.0, 2.0, size=(n, 7))
     pts = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.05]
     away = pts[np.linalg.norm(pts[:, :4], axis=1) > 0.5]
@@ -479,7 +468,6 @@ def _suite_cayley(config: SuiteConfig) -> list[Report]:
 
     ku = kelvin(ubar_field())
     checks.add(("kelvin-pde", len(away), _relative_pde_residual(ku, away), 1e-8, "computed"))
-    return checks.reports
 
 
 def _best_constant_record(config: SuiteConfig):
@@ -487,10 +475,7 @@ def _best_constant_record(config: SuiteConfig):
     return best_constant_report(mc_samples=max(1000, config.samples_or(200_000)), seed=config.seed)
 
 
-def _suite_quadrature(config: SuiteConfig) -> list[Report]:
-    rng = np.random.default_rng(config.seed)
-    checks = _Checks()
-
+def _suite_quadrature(config: SuiteConfig, rng: np.random.Generator, checks: _Checks) -> None:
     gauss = integrate_biradial(
         BiRadialIntegrand(
             lambda r, rho: np.exp(-r * r - rho * rho),
@@ -526,13 +511,9 @@ def _suite_quadrature(config: SuiteConfig) -> list[Report]:
 
     residual = abs(base.numerator / base.mass - 1.0)
     checks.add(("parts-identity", 1, residual, 1e-4, "derived"))
-    return checks.reports
 
 
-def _suite_qmatrix(config: SuiteConfig) -> list[Report]:
-    rng = np.random.default_rng(config.seed)
-    checks = _Checks()
-
+def _suite_qmatrix(config: SuiteConfig, rng: np.random.Generator, checks: _Checks) -> None:
     residual = _max_abs(q_spectrum() - Q_SPECTRUM)
     checks.add(
         ("q-spectrum", 6, residual, 1e-12, "closed-form {0, 0, 2(2-sqrt2), 2(2+sqrt2), 10, 10}")
@@ -541,17 +522,46 @@ def _suite_qmatrix(config: SuiteConfig) -> list[Report]:
     n = config.samples_or(100)
     worst = quadratic_form_audit(rng.standard_normal((n, 6, 4)))
     checks.add(("q-quadratic-form", n, worst, 1e-12, "derived"))
-    return checks.reports
 
 
-_SUITES: dict[str, Callable[[SuiteConfig], list[Report]]] = {
+def _suite_quotient_min(config: SuiteConfig, rng: np.random.Generator, checks: _Checks) -> None:
+    """Plant a translated, dilated bubble and grade the search that recovers it.
+
+    Besides the planted motion, the search's own certificate is graded: its
+    rotation defect against `_DEFECT_TOL`.  A failed peak seed has a NaN
+    defect, which fails the line.
+    """
+    ubar = ubar_field()
+    g0 = rng.uniform(-0.5, 0.5, size=7)
+    nu = float(np.exp(rng.uniform(-0.5, 0.5)))
+    target = translate_field(dilate_field(ubar, math.sqrt(nu)), g0)
+    start = FamilyParams(
+        nu=nu * float(np.exp(rng.uniform(-0.15, 0.15))),
+        center=g0 + rng.uniform(-0.1, 0.1, size=7),
+    )
+    result = minimize_quotient(start, target, seed=config.seed)
+    reference = fs_quotient(ubar).quotient
+    center_res = _max_abs(np.asarray(result.params.center) - g0)
+    checks.add(
+        ("quotient-min-value", 1, abs(result.value / reference - 1.0), 1e-4, "computed"),
+        ("quotient-min-center", 1, center_res, 1e-3, "computed"),
+        ("quotient-min-concentration", 1, abs(result.params.nu / nu - 1.0), 1e-6, "computed"),
+        ("quotient-min-defect", 1, result.defect, _DEFECT_TOL, "computed"),
+    )
+
+
+_SUITES: dict[str, Callable[[SuiteConfig, np.random.Generator, _Checks], None]] = {
     "frames": _suite_frames,
     "conformal": _suite_conformal,
     "extremal": _suite_extremal,
     "cayley": _suite_cayley,
     "quadrature": _suite_quadrature,
     "qmatrix": _suite_qmatrix,
+    "quotient-min": _suite_quotient_min,
 }
+
+# "all" runs the verification suites; the planted-bubble search stays its own command
+_ALL = tuple(name for name in _SUITES if name != "quotient-min")
 
 
 def suite_names() -> tuple[str, ...]:
@@ -559,24 +569,27 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suite(name: str, config: Optional[SuiteConfig] = None) -> list[Report]:
-    """Execute one named suite (or all of them, in declaration order)."""
+    """Run one named suite, or the verification suites of "all" in order.
+
+    The runner seeds and records each suite: a suite gets a generator
+    seeded from `config.seed` and its own recorder, so its lines do not
+    depend on which suites ran before it.
+    """
     config = config or SuiteConfig()
-    if name == "all":
-        out = []
-        for suite in _SUITES.values():
-            out.extend(suite(config))
-        return out
-    try:
-        suite = _SUITES[name]
-    except KeyError:
+    if name != "all" and name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; expected one of {', '.join(suite_names())}"
-        ) from None
-    return suite(config)
+        )
+    out = []
+    for suite in _ALL if name == "all" else (name,):
+        checks = _Checks()
+        _SUITES[suite](config, np.random.default_rng(config.seed), checks)
+        out.extend(checks.reports)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Report builders for the two non-suite commands.
+# The report builder of the one non-suite command, best-constant.
 
 
 def best_constant_reports(config: Optional[SuiteConfig] = None):
@@ -599,37 +612,6 @@ def best_constant_reports(config: Optional[SuiteConfig] = None):
         for line in record.ratios
     ))
     return record, checks.reports
-
-
-def quotient_min_reports(config: Optional[SuiteConfig] = None) -> list[Report]:
-    """Plant a translated, dilated bubble and grade the search that recovers it.
-
-    Besides the planted motion, the search's own certificate is graded: its
-    rotation defect against `_DEFECT_TOL`.  A failed peak seed has a NaN
-    defect, which fails the line.
-    """
-    config = config or SuiteConfig()
-    rng = np.random.default_rng(config.seed)
-    checks = _Checks()
-    ubar = ubar_field()
-
-    g0 = rng.uniform(-0.5, 0.5, size=7)
-    nu = float(np.exp(rng.uniform(-0.5, 0.5)))
-    target = translate_field(dilate_field(ubar, math.sqrt(nu)), g0)
-    start = FamilyParams(
-        nu=nu * float(np.exp(rng.uniform(-0.15, 0.15))),
-        center=g0 + rng.uniform(-0.1, 0.1, size=7),
-    )
-    result = minimize_quotient(start, target, seed=config.seed)
-    reference = fs_quotient(ubar).quotient
-    center_res = _max_abs(np.asarray(result.params.center) - g0)
-    checks.add(
-        ("quotient-min-value", 1, abs(result.value / reference - 1.0), 1e-4, "computed"),
-        ("quotient-min-center", 1, center_res, 1e-3, "computed"),
-        ("quotient-min-concentration", 1, abs(result.params.nu / nu - 1.0), 1e-6, "computed"),
-        ("quotient-min-defect", 1, result.defect, _DEFECT_TOL, "computed"),
-    )
-    return checks.reports
 
 
 # ---------------------------------------------------------------------------

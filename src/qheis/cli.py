@@ -31,6 +31,7 @@ _SUITE_COMMANDS = {
     "verify-cayley": ("cayley", "sphere transforms: roundtrips, involution, Kelvin"),
     "qmatrix": ("qmatrix", "coupling-matrix spectrum and quadratic-form audit"),
     "all": ("all", "every suite above plus the quadrature checks"),
+    "quotient-min": ("quotient-min", "plant a moved bubble and grade the recovery search"),
 }
 
 
@@ -73,16 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification suites for the quaternionic Heisenberg toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line) in _SUITE_COMMANDS.items():
-        sub.add_parser(name, parents=[sampled], help=help_line)
+    for name, (suite, help_line) in _SUITE_COMMANDS.items():
+        parents = [common] if suite == "quotient-min" else [sampled]
+        sub.add_parser(name, parents=parents, help=help_line).set_defaults(samples=None)
     sub.add_parser(
         "best-constant", parents=[sampled],
         help="integrals, quotient, and printed-constant reconciliation",
     )
-    sub.add_parser(
-        "quotient-min", parents=[common],
-        help="plant a moved bubble and grade the recovery search",
-    ).set_defaults(samples=None)
     return parser
 
 
@@ -99,9 +97,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 text = record.as_text() + "\n"
             else:
                 text = audit.emit(reports, "json", suite="best-constant", seed=args.seed)
-        elif args.command == "quotient-min":
-            reports = audit.quotient_min_reports(config)
-            text = audit.emit(reports, args.fmt, suite="quotient-min", seed=args.seed)
         else:
             suite = _SUITE_COMMANDS[args.command][0]
             reports = audit.run_suite(suite, config)

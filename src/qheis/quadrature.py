@@ -288,7 +288,7 @@ def convergence_csv(table) -> str:
     empty on the first level, which has no delta.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["level", "estimate", "error_estimate", "cells"])
     for level, est, err, cells in table:
         writer.writerow([level, repr(est), "" if math.isnan(err) else repr(err), cells])

@@ -21,7 +21,6 @@ from qheis.audit import (
     emit,
     q_spectrum,
     quadratic_form_audit,
-    quotient_min_reports,
     reports_equal,
     run_suite,
     suite_names,
@@ -642,10 +641,11 @@ def test_recorder_laps_share_time_and_spare_informational_lines(monkeypatch):
 # Suites.
 
 
+_VERIFICATION_SUITES = ("frames", "conformal", "extremal", "cayley", "quadrature", "qmatrix")
+
+
 def test_suite_names():
-    names = suite_names()
-    assert names[-1] == "all"
-    assert {"frames", "conformal", "extremal", "cayley", "quadrature", "qmatrix"} <= set(names)
+    assert suite_names() == _VERIFICATION_SUITES + ("quotient-min", "all")
 
 
 def test_unknown_suite():
@@ -664,6 +664,22 @@ def test_suite_determinism():
     b = run_suite("frames", SuiteConfig(seed=42))
     assert reports_equal(a, b)
     assert not reports_equal(a, run_suite("frames", SuiteConfig(seed=43)))
+
+
+@pytest.mark.parametrize("name", [n for n in suite_names() if n != "all"])
+def test_every_suite_repeats_at_one_seed(name):
+    # the runner seeds each suite, so two runs at one seed agree line by line
+    config = SuiteConfig(seed=3, samples=20)
+    assert reports_equal(run_suite(name, config), run_suite(name, config))
+
+
+def test_all_is_the_verification_suites_run_one_by_one():
+    # each suite gets a fresh generator and recorder, so "all" is its
+    # suites joined in order, and the planted-bubble search is not one of them
+    config = SuiteConfig(seed=3, samples=20)
+    joined = run_suite("all", config)
+    assert reports_equal(joined, [r for n in _VERIFICATION_SUITES for r in run_suite(n, config)])
+    assert not any(r.check.startswith("quotient-min") for r in joined)
 
 
 def test_reports_equal_takes_two_nan_residuals_as_equal():
@@ -814,7 +830,7 @@ def test_report_seconds_are_measured_times():
 
 
 def test_quotient_min_reports_pass():
-    reports = quotient_min_reports(SuiteConfig(seed=7))
+    reports = run_suite("quotient-min", SuiteConfig(seed=7))
     assert [r.check for r in reports] == [
         "quotient-min-value", "quotient-min-center", "quotient-min-concentration",
         "quotient-min-defect",
@@ -834,7 +850,7 @@ def test_a_bad_peak_seed_fails_the_defect_check(monkeypatch, peaked):
     g0 = rng.uniform(-0.5, 0.5, size=7)
     nu = float(np.exp(rng.uniform(-0.5, 0.5)))
     monkeypatch.setattr(quadrature, "_peak_seed", lambda *args: (nu, g0 + 1e-4, 0, peaked))
-    reports = {r.check: r for r in quotient_min_reports(SuiteConfig(seed=7))}
+    reports = {r.check: r for r in run_suite("quotient-min", SuiteConfig(seed=7))}
     assert reports["quotient-min-center"].passed and reports["quotient-min-value"].passed
     line = reports["quotient-min-defect"]
     assert not line.passed

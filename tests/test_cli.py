@@ -143,6 +143,17 @@ def test_best_constant_csv_is_convergence_table(capsys):
     assert len(lines) >= 3
 
 
+@pytest.mark.parametrize(
+    "argv", [["best-constant", "--samples", "20000"], ["qmatrix"], ["quotient-min"]],
+    ids=lambda argv: argv[0],
+)
+def test_csv_lines_end_in_a_bare_newline(argv, capsys):
+    # the convergence table of best-constant and the report tables alike
+    assert main(argv + ["--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out and out.endswith("\n")
+
+
 def test_best_constant_text(capsys):
     assert main(["best-constant", "--samples", "20000"]) == 0
     out = capsys.readouterr().out
