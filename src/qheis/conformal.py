@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .frame import IMAT, OMEGA, FrameJet, _gradsq, corrected_hessian, sub_laplacian
+from .frame import IMAT, OMEGA, FrameJet, _gradsq, _hess, corrected_hessian, sub_laplacian
 
 __all__ = [
     "sym_part",
@@ -71,8 +71,7 @@ def _require_positive(fj: FrameJet) -> None:
 
     Every formula here reads the Hessian, so an order-1 jet is a ValueError.
     """
-    if fj.hess is None:
-        raise ValueError("the conformal formulas need an order-2 FrameJet")
+    _hess(fj)
     bad = np.flatnonzero(~(fj.value > 0.0))
     if bad.size:
         raise DomainError(
@@ -106,8 +105,6 @@ def sym_part(fj: FrameJet) -> np.ndarray:
     a survivor beyond 1e-9 means the frame conventions are broken, which is
     worth a hard stop rather than a silent symmetrization.
     """
-    if fj.hess is None:
-        raise ValueError("the conformal formulas need an order-2 FrameJet")
     s = corrected_hessian(fj)
     worst = np.max(np.abs(s - np.swapaxes(s, 1, 2)))
     if not worst <= _SYM_TOL:  # a NaN asymmetry fails too

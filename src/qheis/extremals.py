@@ -10,12 +10,12 @@ the jets of h alone: h_family (or, with per-row c and nu, one member per
 point) is that kernel, and the amplitude-normalized powers ubar (amplitude
 2^10) and the extremal v (amplitude 2^11 sqrt(3) pi^{-3/5}) are
 `power_compose` of it at exponent -2, so the power's chain rule is written
-once, in `jets`.  The kernel builds order-2 Hessians
-points-last, so each step runs over all points at once instead of over 7
-or 49 entries per point, and reads a batch's slopes along given
+once, in `jets`.  The kernel builds its gradients and Hessians as
+points-last planes, so each step runs over all points at once instead of
+over 7 or 49 entries per point, and reads a batch's slopes along given
 directions (the bubble search's slice directions) without building the
-full gradient; `power_compose` carries that path through the power.  The hand
-jets keep the quadrature and the bubble search cheap and are pinned
+full gradient; `power_compose` carries that path through the power.  The
+hand jets keep the quadrature and the bubble search cheap and are pinned
 against the forward-mode lift in the tests.
 
 The sphere <-> group dictionary is the quaternionic Cayley pair with the
@@ -116,10 +116,11 @@ def _family_jets(c, nu):
     """Hand-differentiated jets of h = c[(1 + nu r^2)^2 + nu^2 rho^2], r = |q|,
     rho = |w|, up to `order`; c and nu are scalars, or (N,) arrays giving each
     of the N rows its own member, which then read exactly N points, else
-    ValueError.  Orders 1 and 2 are built points-last, in place through the
-    (7, N) and (7, 7, N) transposed views of the (N, 7) gradient and the
-    (N, 7, 7) Hessian it returns, so a scalar or per-row slope and b
-    broadcast along the points.
+    ValueError.  Orders 1 and 2 are built points-last: the gradient and the
+    Hessian are allocated as (7, N) and (7, 7, N) planes and filled a plane
+    at a time, so a scalar or per-row slope and b broadcast along the
+    points, and they are returned as their (N, 7) and (N, 7, 7) transposed
+    views, which `frame.frame_jets` reads as planes without a copy.
 
     Given directions `along`, (7, d) as `ScalarField.jet_batch` checks
     them, at order 1 the kernel is the field's `along_jets` and returns
@@ -156,8 +157,7 @@ def _family_jets(c, nu):
         if order == 1:
             return val, grad
         qt = np.ascontiguousarray(q.T)
-        hess = np.zeros((len(pts), 7, 7))
-        view = hess.transpose(1, 2, 0)  # (7, 7, N), filled in place
+        planes = np.zeros((7, 7, len(pts)))
         # e q q^T + slope I4 on the q-block and b I3 on the w-block, added a
         # q-row at a time onto the zeros, whose +0 turns a -0 product of
         # coordinates into +0
@@ -165,10 +165,10 @@ def _family_jets(c, nu):
             row = qt[i] * qt
             row *= e
             row[i] += slope
-            view[i, :4] += row
+            planes[i, :4] += row
         for j in range(4, 7):
-            view[j, j] += b
-        return val, grad, hess
+            planes[j, j] += b
+        return val, grad, planes.transpose(2, 0, 1)
 
     return jets
 
@@ -212,15 +212,17 @@ def v_field() -> ScalarField:
 def pde_residual(fj: FrameJet) -> np.ndarray:
     """Residual laplacian(u) + u^{3/2} of the entire-solution equation, shape (N,).
 
-    Read from the order-2 FrameJet of u; a negative value is a DomainError.
+    Read from the order-2 FrameJet of u, else ValueError; a negative value
+    is a DomainError.
     """
+    laplacian = sub_laplacian(fj)
     bad = np.flatnonzero(fj.value < 0.0)
     if bad.size:
         raise DomainError(
             f"field is negative at batch index {bad[0]} (value {fj.value[bad[0]]!r}); "
             "u^(3/2) undefined"
         )
-    return sub_laplacian(fj) + fj.value**1.5
+    return laplacian + fj.value**1.5
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,18 @@ Every formula of a field's frame derivatives, here and in `conformal` and
 `extremals`, takes that one `FrameJet`: the sub-Laplacian and the
 corrected Hessian are read off it.
 The rows are [I4 | B(q)] with B linear in q, so no order builds the
-(N, 4, 7) rows.  The horizontal gradient is g_q + (q (x) g_w) K with one
-constant 12x4 matrix K.  At order 2, B comes from one constant 4x12
-matrix and rows @ H is H_q + B H_w, the q- and w-rows of the coordinate
-Hessian H: its q-columns plus its w-columns times B^T, plus a constant
-first-order term, are the frame Hessian.  `frame_rows` stays as the
-audited reference.
+(N, 4, 7) rows.  The projection runs points-last: B is built once as
+(4, 3, N) planes from one constant 4x12 matrix, and the coordinate
+gradient and Hessian are read as (7, N) and (7, 7, N) planes, which the
+family kernel returns without a copy.  The horizontal gradient is
+g_q + B g_w, three plane updates over s.  At order 2, rows @ H is
+H_q + B H_w, three more updates over the w-rows of H; its w-columns times
+B^T (three updates), its q-columns and a constant first-order term are
+the frame Hessian, built as (4, 4, N) planes and returned as their
+(N, 4, 4) view.  Every step is an elementwise product over all N points,
+not a small matrix product per point.  The jets are read and never
+written: a points-last jet read without a copy is the field's own memory.
+`frame_rows` stays as the audited reference.
 
 The covariant Hessian uses the canonical connection of the flat model, in
 which the left-invariant frame is parallel, so hess(f)(e_a, e_b) = e_a(e_b f).
@@ -72,11 +78,8 @@ _LIN = np.zeros((4, 7, 7))
 _LIN[:, 4:7, :4] = TWIST.T
 _VERTICAL = VERTICAL_SCALE * _E7[4:7]  # (3,7), constant rows
 
-# grad_a = g_a + sum_{c,s} q_c g_{w_s} TWIST[c, s, a]: _GRAD_K[(c, s), a]
-# contracts the flattened outer product q (x) g_w, shape (N, 12).
-_GRAD_K = TWIST.reshape(12, 4)
-# B[a, s] = sum_c q_c TWIST[c, s, a], the w-columns of the rows:
-# B = (q @ _ROWS_K).reshape(4, 3), with _ROWS_K[c, (a, s)].
+# B[a, s] = sum_c q_c TWIST[c, s, a], the w-columns of the rows, as
+# (4, 3, N) planes: B = (_ROWS_K.T @ q^T).reshape(4, 3, N), _ROWS_K[c, (a, s)].
 _ROWS_K = TWIST.transpose(0, 2, 1).reshape(4, 12)
 # TWIST is antisymmetric in (a, b), so [e_a, e_b] = 2 sum_s TWIST[a, s, b] d/dw_s,
 # which is -2 sum_s omega_s(e_a, e_b) xi_s for omega_s = -TWIST[:, s, :] / 2.
@@ -125,6 +128,7 @@ class FrameJet:
     hess (N, 4, 4) = e_a(e_b f), which is None at order 1.  Every block is
     contracted from the coordinate jet through the constant matrices of the
     rows' linear part, never through the (N, 4, 7) rows of `frame_rows`.
+    grad and hess are transposed views of points-last planes.
     """
 
     value: np.ndarray
@@ -143,27 +147,42 @@ def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
     order = _whole(order, "jet order", 1, 2)
     pts, _ = _as_batch(p)
     jet = f.jet_batch(pts, order)
-    value, grad = jet[0], jet[1]
-    twisted = (pts[:, :4, None] * grad[:, None, 4:7]).reshape(-1, 12)
-    fj = FrameJet(
-        value=value,
-        grad=grad[:, :4] + twisted @ _GRAD_K,
-        vert=VERTICAL_SCALE * grad[:, 4:7],
-    )
+    # points-last planes; the jets are read, never written
+    g = np.ascontiguousarray(jet[1].T)  # (7, N)
+    b = (_ROWS_K.T @ pts[:, :4].T).reshape(4, 3, -1)  # B[a, s] planes
+    grad = b[:, 0] * g[4]
+    for s in (1, 2):
+        grad += b[:, s] * g[4 + s]
+    grad += g[:4]
+    fj = FrameJet(value=jet[0], grad=grad.T, vert=VERTICAL_SCALE * jet[1][:, 4:7])
     if order == 1:
         return fj
-    hess = jet[2]
-    b = (pts[:, :4] @ _ROWS_K).reshape(-1, 4, 3)
-    row_hess = hess[:, :4, :] + b @ hess[:, 4:, :]  # rows @ hess
-    first_order = (grad[:, 4:7] @ _DC.reshape(3, 16)).reshape(-1, 4, 4)
-    return replace(
-        fj, hess=row_hess[:, :, :4] + row_hess[:, :, 4:] @ np.swapaxes(b, 1, 2) + first_order
-    )
+    h = np.ascontiguousarray(jet[2].transpose(1, 2, 0))  # (7, 7, N)
+    rows_h = b[:, 0, None] * h[4]  # rows @ H = H_q + B H_w, (4, 7, N)
+    for s in (1, 2):
+        rows_h += b[:, s, None] * h[4 + s]
+    rows_h += h[:4]
+    hess = (_DC.reshape(3, 16).T @ g[4:7]).reshape(4, 4, -1)  # the first-order term
+    for s in range(3):
+        hess += rows_h[:, 4 + s, None] * b[:, s]
+    hess += rows_h[:, :4]
+    return replace(fj, hess=hess.transpose(2, 0, 1))
+
+
+def _hess(fj: FrameJet) -> np.ndarray:
+    """The frame Hessian of fj; an order-1 FrameJet is a ValueError.
+
+    The one guard of every formula that reads the Hessian, here and in
+    `conformal` and `extremals`.
+    """
+    if fj.hess is None:
+        raise ValueError("a frame-Hessian formula needs an order-2 FrameJet, got order 1")
+    return fj.hess
 
 
 def corrected_hessian(fj: FrameJet) -> np.ndarray:
     """hess + sum_s (xi_s f) omega_s, symmetric when the conventions hold."""
-    return fj.hess + np.einsum("ns,sab->nab", fj.vert, _OMEGA_STACK)
+    return _hess(fj) + np.einsum("ns,sab->nab", fj.vert, _OMEGA_STACK)
 
 
 def _gradsq(fj: FrameJet) -> np.ndarray:
@@ -173,7 +192,7 @@ def _gradsq(fj: FrameJet) -> np.ndarray:
 
 def sub_laplacian(fj: FrameJet) -> np.ndarray:
     """(T1^2 + X1^2 + Y1^2 + Z1^2) f, the trace of the frame Hessian; shape (N,)."""
-    return np.trace(fj.hess, axis1=1, axis2=2)
+    return np.trace(_hess(fj), axis1=1, axis2=2)
 
 
 def commutator_audit(a: int, b: int, p) -> float:
@@ -182,11 +201,14 @@ def commutator_audit(a: int, b: int, p) -> float:
     The bracket is computed from the frame coefficient rows and their exact
     derivatives at p; the omegas are read off TWIST by a different formula,
     so this checks the convention at arbitrary points.  A batch of points is
-    audited whole: the result is the maximum over every point.  a and b are
-    frame indices, integers in {0, 1, 2, 3}; anything else is a ValueError.
+    audited whole: the result is the maximum over every point, so an empty
+    batch is a ValueError.  a and b are frame indices, integers in
+    {0, 1, 2, 3}; anything else is a ValueError.
     """
     a, b = (_whole(i, "frame index", 0, 3) for i in (a, b))
     pts, _ = _as_batch(p)
+    if not len(pts):
+        raise ValueError("commutator_audit needs at least one point, got an empty batch")
     rows = frame_rows(pts)
     bracket = rows[:, a] @ _LIN[b].T - rows[:, b] @ _LIN[a].T   # (N, 7)
     expected = np.zeros(7)

@@ -114,6 +114,10 @@ class ScalarField:
     (value, grad (N, 7)) for order 1 and (value, grad, hess (N, 7, 7)) for
     order 2.  It must be deterministic, equal points giving bitwise-equal
     jets, and a lower order must return bitwise the prefix of order 2.
+    Only the shapes are fixed, not the memory order: the family's hand
+    kernel returns its gradient and Hessian as transposed views of (7, N)
+    and (7, 7, N) planes, and a field built on it may pass such views on.
+    Callers read jets and must not write into them: copy first.
 
     `biradial_map`, when set, certifies that the field depends on a point p
     only through (|q|, |w|) of A(p) for the stored affine map A.  A field

@@ -5,7 +5,7 @@ import pytest
 
 from qheis import conformal, frame
 from qheis.errors import ConsistencyError, DomainError
-from qheis.extremals import FamilyParams, h_family, translate_field
+from qheis.extremals import FamilyParams, h_family, pde_residual, translate_field
 from qheis.jets import ScalarField, autodiff_lift, constant_field
 
 
@@ -276,10 +276,14 @@ def test_frame_jet_formulas_reject_a_non_positive_factor(formula, value, box_poi
 
 
 @pytest.mark.parametrize(
-    "formula", _FRAME_JET_FORMULAS + (conformal.sym_part,), ids=lambda f: f.__name__
+    "formula",
+    _FRAME_JET_FORMULAS
+    + (conformal.sym_part, frame.corrected_hessian, frame.sub_laplacian, pde_residual),
+    ids=lambda f: f.__name__,
 )
 def test_frame_jet_formulas_need_order_two(formula, box_points):
-    with pytest.raises(ValueError, match="order-2"):
+    # one guard for every reader of the Hessian, not numpy's errors on None
+    with pytest.raises(ValueError, match="needs an order-2 FrameJet"):
         formula(frame.frame_jets(h_family(FamilyParams()), box_points[:5], 1))
 
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from qheis import frame
+from qheis import extremals, frame
 from qheis.extremals import left_translation_map, ubar_field
-from qheis.jets import autodiff_lift
+from qheis.jets import ScalarField, autodiff_lift
 from test_jets import _fields_of_every_kind
 
 
@@ -124,6 +124,12 @@ def test_commutator_audit_takes_frame_indices_only(a, b):
     assert frame.commutator_audit(np.int64(3), 0, np.zeros(7)) == 0.0
 
 
+def test_commutator_audit_refuses_an_empty_batch():
+    # the maximum over no points is numpy's zero-size reduction error
+    with pytest.raises(ValueError, match="empty batch"):
+        frame.commutator_audit(0, 1, np.zeros((0, 7)))
+
+
 def test_structure_residuals_clean():
     assert np.max(list(frame.structure_residuals().values())) <= 1e-13
 
@@ -196,6 +202,56 @@ def test_row_free_order_two_blocks_match_the_frame_rows(kind):
         scale = np.max(np.abs(want), axis=(1, 2))
         err = np.max(np.abs(frame.frame_jets(f, pts, 2).hess - want), axis=(1, 2))
         assert np.all(err <= 1e-15 * scale), (seed, np.max(err / scale))
+
+
+def _relaid(f: ScalarField, layout: str) -> ScalarField:
+    """f with its gradient and Hessian handed out read-only in one memory order.
+
+    "planes": transposed views of points-last (7, N) and (7, 7, N) arrays,
+    the family kernel's order; "rows": C-ordered (N, 7) and (N, 7, 7) copies.
+    """
+
+    def jets(points, order=2):
+        out = []
+        for k, part in enumerate(f.jets(points, order)):
+            if layout == "planes" and k:
+                part = np.moveaxis(np.ascontiguousarray(np.moveaxis(part, 0, -1)), -1, 0)
+            else:
+                part = np.array(part, order="C")
+            part.setflags(write=False)
+            out.append(part)
+        return tuple(out)
+
+    return ScalarField(f"{layout}({f.tag})", jets)
+
+
+@pytest.mark.parametrize("kind", sorted(_fields_of_every_kind()))
+def test_frame_jets_read_planes_and_rows_alike(kind, box_points):
+    # the layout of a field's jets changes how they are read, not one bit
+    # of what is read off them
+    f = _fields_of_every_kind()[kind]
+    planes = frame.frame_jets(_relaid(f, "planes"), box_points)
+    rows = frame.frame_jets(_relaid(f, "rows"), box_points)
+    assert planes.hess.shape == rows.hess.shape == (100, 4, 4)
+    for name in ("value", "grad", "vert", "hess"):
+        assert getattr(planes, name).tobytes() == getattr(rows, name).tobytes(), name
+
+
+def test_the_family_kernel_hands_out_planes(box_points):
+    # frame_jets reads the kernel's gradient and Hessian without a copy
+    _, grad, hess = extremals.h_family(extremals.FamilyParams()).jet_batch(box_points, 2)
+    assert grad.T.flags.c_contiguous
+    assert hess.transpose(1, 2, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", ["planes", "rows"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_frame_jets_never_write_into_the_jets(layout, order, box_points):
+    # a contiguous view of points-last planes is the field's own memory:
+    # the jets are read-only, so any write into them raises
+    f = _relaid(extremals.h_family(extremals.FamilyParams(c=0.7, nu=1.3)), layout)
+    fj = frame.frame_jets(f, box_points, order)
+    assert (fj.hess is None) == (order == 1)
 
 
 def test_frame_jets_builds_no_rows(ubar, box_points, monkeypatch):
