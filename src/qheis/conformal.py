@@ -13,7 +13,8 @@ Every formula except `casimir_project`, which acts on matrices, is a pure
 function of one order-2 `FrameJet` of h: a caller takes
 `frame.frame_jets(h, points)` once and reads every tensor from it.  All but
 `sym_part` divide by h and raise DomainError unless it is positive at every
-point; an order-1 jet is a ValueError.
+point; an order-1 jet is a ValueError.  `sym_part` and the three formulas
+that read it take a worst case, so they refuse an empty batch (ValueError).
 
 Two identities of the divergence formula behind the sharp constant (the
 argument Jerison and Lee gave on the CR Heisenberg group) are checked by
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, _max_abs
 from .frame import IMAT, OMEGA, FrameJet, _gradsq, _hess, corrected_hessian, sub_laplacian
 
 __all__ = [
@@ -106,7 +107,7 @@ def sym_part(fj: FrameJet) -> np.ndarray:
     worth a hard stop rather than a silent symmetrization.
     """
     s = corrected_hessian(fj)
-    worst = np.max(np.abs(s - np.swapaxes(s, 1, 2)))
+    worst = _max_abs(s - np.swapaxes(s, 1, 2))
     if not worst <= _SYM_TOL:  # a NaN asymmetry fails too
         raise ConsistencyError(
             f"corrected Hessian asymmetry {worst:.3e} exceeds {_SYM_TOL}"

@@ -1,14 +1,17 @@
-"""Exception types shared across the package, and its argument rules.
+"""Exception types shared across the package, its argument rules and its reducer.
 
 Every module imports this one, so each rule is written here once: `_whole`
 for a whole number in a range (ValueError), `_positive` for a finite real
 number > 0 and `_finite` for a finite real number of any sign (both
-DomainError).  None of them takes a bool.
+DomainError).  None of them takes a bool.  `_max_abs` is the one worst
+case: an empty batch has none, so it is a ValueError naming the batch.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -26,13 +29,15 @@ class ConsistencyError(RuntimeError):
 class AccuracyError(RuntimeError):
     """Quadrature refinement did not reach the requested tolerance.
 
-    Carries the best available estimate so callers can still inspect it.
+    Carries the best available estimate and its refinement table (empty
+    when there is none) so callers can still inspect them.
     """
 
-    def __init__(self, message, value=None, error=None):
+    def __init__(self, message, value=None, error=None, table=()):
         super().__init__(message)
         self.value = value
         self.error = error
+        self.table = table
 
 
 def _whole(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -78,3 +83,15 @@ def _finite(value, name: str):
     if not math.isfinite(_real(value)):
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
     return value
+
+
+def _max_abs(*parts) -> float:
+    """Largest |entry| over every part; NaN anywhere gives NaN, no entry a ValueError.
+
+    The one reducer for worst cases: Python's max(worst, x) keeps `worst`
+    when x is NaN, so a broken check would read as a pass.
+    """
+    mags = [np.abs(part) for part in parts]
+    if not mags or not all(m.size for m in mags):
+        raise ValueError("a worst case needs at least one entry, got an empty batch")
+    return float(np.max([np.max(m) for m in mags]))

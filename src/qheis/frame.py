@@ -10,7 +10,8 @@ omega_s = -TWIST[:, s, :] / 2 and the almost complex structures their
 transposes.  A startup audit checks the quaternion relations (I_s^2 = -1,
 I1 I2 = I3, skewness, orthogonality) and raises ConsistencyError on any
 failure; `commutator_audit` compares the bracket of the rows with the
-structure constants.
+structure constants for every pair at every point in one product; like
+every worst case it refuses an empty batch (ValueError).
 
 Convention fixed by the commutators: [e_a, e_b] = -2 sum_s omega_s(e_a, e_b) xi_s
 with xi_s = 2 d/dw_s, which lands on omega_1(T1, X1) = omega_1(Y1, Z1) = 1 and
@@ -49,8 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, _whole
-from .jets import ScalarField, _as_batch, _max_abs
+from .errors import ConsistencyError, _max_abs, _whole
+from .jets import ScalarField, _as_batch
 from .quaternions import TWIST
 
 __all__ = [
@@ -100,6 +101,8 @@ def frame_rows(points) -> np.ndarray:
 # direction: the only surviving first-order term of the frame Hessian.
 _DC = TWIST.transpose(1, 0, 2).copy()
 _OMEGA_STACK = np.stack(OMEGA)
+# [e_a, e_b] = -2 sum_s omega_s(e_a, e_b) xi_s as coefficient rows, (4, 4, 7)
+_COMMUTATORS = -2.0 * np.tensordot(_OMEGA_STACK, _VERTICAL, axes=(0, 0))
 
 
 def structure_residuals() -> dict[str, float]:
@@ -195,23 +198,15 @@ def sub_laplacian(fj: FrameJet) -> np.ndarray:
     return np.trace(_hess(fj), axis1=1, axis2=2)
 
 
-def commutator_audit(a: int, b: int, p) -> float:
-    """Max-norm of [e_a, e_b](p) + 2 sum_s omega_s(e_a, e_b) xi_s.
+def commutator_audit(p) -> float:
+    """Max-norm of [e_a, e_b](p) + 2 sum_s omega_s(e_a, e_b) xi_s over every pair.
 
     The bracket is computed from the frame coefficient rows and their exact
     derivatives at p; the omegas are read off TWIST by a different formula,
-    so this checks the convention at arbitrary points.  A batch of points is
-    audited whole: the result is the maximum over every point, so an empty
-    batch is a ValueError.  a and b are frame indices, integers in
-    {0, 1, 2, 3}; anything else is a ValueError.
+    so this checks the convention at arbitrary points.  p is one point or
+    an (N, 7) batch, audited whole, every pair (a, b) at every point; an
+    empty batch is a ValueError.
     """
-    a, b = (_whole(i, "frame index", 0, 3) for i in (a, b))
-    pts, _ = _as_batch(p)
-    if not len(pts):
-        raise ValueError("commutator_audit needs at least one point, got an empty batch")
-    rows = frame_rows(pts)
-    bracket = rows[:, a] @ _LIN[b].T - rows[:, b] @ _LIN[a].T   # (N, 7)
-    expected = np.zeros(7)
-    for s in range(3):
-        expected -= 2.0 * OMEGA[s][a, b] * _VERTICAL[s]
-    return float(np.max(np.abs(bracket - expected)))
+    # lie[n, a, b] = e_a applied to the coefficients of row b at point n
+    lie = (frame_rows(p).reshape(-1, 7) @ _LIN.reshape(28, 7).T).reshape(-1, 4, 4, 7)
+    return _max_abs(lie - lie.swapaxes(1, 2) - _COMMUTATORS)

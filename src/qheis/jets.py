@@ -35,8 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, _finite, _whole
-from .quaternions import _single, as_point, group_mul
+from .errors import DomainError, _finite, _max_abs, _whole
+from .quaternions import as_point, group_mul
 
 __all__ = [
     "JetBatch",
@@ -187,15 +187,6 @@ def _as_batch(points) -> tuple[np.ndarray, bool]:
     if pts.ndim > 2:
         raise ValueError(f"points are one (7,) point or an (N, 7) batch, got shape {pts.shape}")
     return pts, False
-
-
-def _max_abs(*parts) -> float:
-    """Largest |entry| over every part; a NaN anywhere gives NaN.
-
-    The one reducer for residuals: Python's max(worst, x) keeps `worst`
-    when x is NaN, so a broken check would read as a pass.
-    """
-    return float(np.max([np.max(np.abs(part)) for part in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +584,15 @@ def power_compose(u: ScalarField, alpha: float, coefficient: float = 1.0,
 
 
 def haar_jacobian_audit(g0) -> float:
-    """|det(Jacobian of left translation by g0) - 1| by central differences of step 1e-5.
+    """Worst |det(Jacobian of left translation by g0) - 1| by central differences of step 1e-5.
 
-    Left translations preserve Lebesgue measure on R^7 (Haar = Lebesgue);
-    this checks that numerically rather than assuming it.
+    g0 is one (7,) point or an (N, 7) batch, audited whole; an empty batch
+    is a ValueError.  Left translations preserve Lebesgue measure on R^7
+    (Haar = Lebesgue); this checks that numerically rather than assuming it.
     """
     step = 1e-5
-    g0 = _single(as_point(g0), "haar_jacobian_audit")
-    jac = np.empty((DIM, DIM))
-    rng_pt = np.zeros(DIM)
-    for j in range(DIM):
-        ej = np.zeros(DIM)
-        ej[j] = step
-        jac[:, j] = (group_mul(g0, rng_pt + ej) - group_mul(g0, rng_pt - ej)) / (2 * step)
-    return float(abs(np.linalg.det(jac) - 1.0))
+    g0, _ = _as_batch(g0)
+    e = step * np.eye(DIM)
+    # row j of the difference is column j of each centre's Jacobian
+    diff = group_mul(g0[:, None], e) - group_mul(g0[:, None], -e)
+    return _max_abs(np.linalg.det(diff.swapaxes(1, 2) / (2 * step)) - 1.0)

@@ -59,7 +59,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from . import frame
-from .errors import AccuracyError, ConsistencyError, DomainError, _positive, _whole
+from .errors import AccuracyError, ConsistencyError, DomainError, _max_abs, _positive, _whole
 from .extremals import (
     FamilyParams,
     dilation_map,
@@ -255,14 +255,13 @@ def _refine(fn, tags, tol: float) -> tuple[QuadratureResult, ...]:
             return tuple(QuadratureResult(rows[-1][1], rows[-1][2], tuple(rows)) for rows in tables)
     i = passed.index(False)
     last_level, est, err, _ = tables[i][-1]
-    exc = AccuracyError(
+    raise AccuracyError(
         f"integrand '{tags[i]}' did not converge to rtol {tol:g} "
         f"by level {last_level} (error estimate {err:.3e})",
         value=est,
         error=err,
+        table=tuple(tables[i]),
     )
-    exc.table = tuple(tables[i])
-    raise exc
 
 
 def integrate_biradial(integrand: BiRadialIntegrand, tol: float = 1e-9) -> QuadratureResult:
@@ -549,7 +548,7 @@ def _energy_biradial_audit(u: ScalarField) -> None:
     # the base points and two rotations of them, in one frame pass
     density = _energy_density(frame.frame_jets(u, pull(_energy_probe()), 1)).reshape(3, -1)
     ref = density[0]
-    resid = float(np.max(np.abs(density[1:] - ref) / np.maximum(np.abs(ref), 1e-300)))
+    resid = _max_abs((density[1:] - ref) / np.maximum(np.abs(ref), 1e-300))
     if not resid <= 1e-8:  # a NaN spread fails too
         raise ConsistencyError(
             f"horizontal energy of '{u.tag}' is not bi-radial under its "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, _positive
+from .errors import ConsistencyError, DomainError, _max_abs, _positive
 
 __all__ = [
     "quat_mul",
@@ -142,7 +142,7 @@ def _audit_twist(twist: np.ndarray) -> None:
     g0, g = np.random.default_rng(0).uniform(-2.0, 2.0, (2, 8, 7))
     affine = g0 + g
     affine[:, 4:7] += np.einsum("na,asb,nb->ns", g0[:, :4], twist, g[:, :4])
-    worst = float(np.max(np.abs(group_mul(g0, g) - affine)))
+    worst = _max_abs(group_mul(g0, g) - affine)
     if not worst <= 1e-13:  # a NaN fails too
         raise ConsistencyError(f"group law is not its affine form through TWIST: {worst:.3e}")
 

@@ -337,6 +337,8 @@ _REMOVED_SETTINGS = [
     (extremals.kelvin, "tag"),
     (jets.constant_field, "tag"),
     (jets.haar_jacobian_audit, "step"),
+    (frame.commutator_audit, "a"),  # one call audits every pair
+    (frame.commutator_audit, "b"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""The package's argument rules, and that they have one home."""
+"""The package's argument rules and its reducer, and that they have one home."""
 
 import ast
 import math
@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qheis.errors import DomainError, _finite, _positive, _whole
-from qheis.extremals import FamilyParams, dilate_field, ubar_field
-from qheis.jets import power_compose
+from qheis import conformal
+from qheis.audit import quadratic_form_audit
+from qheis.errors import AccuracyError, DomainError, _finite, _max_abs, _positive, _whole
+from qheis.extremals import FamilyParams, dilate_field, pde_residual, ubar_field
+from qheis.frame import commutator_audit, frame_jets, sub_laplacian
+from qheis.jets import haar_jacobian_audit, power_compose
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qheis"
 
@@ -136,3 +139,67 @@ def test_the_argument_rules_have_one_home():
     }
     assert {name: found for name, found in uses.items() if found} == {}
     assert _rule_uses(ast.parse((SRC / "errors.py").read_text()))
+
+
+def test_accuracy_error_carries_its_table_from_construction():
+    assert AccuracyError("m").table == ()
+    rows = ((3, 1.0, 0.5, 100),)
+    exc = AccuracyError("m", value=1.0, error=0.5, table=rows)
+    assert (exc.value, exc.error, exc.table) == (1.0, 0.5, rows)
+
+
+@pytest.mark.parametrize("parts", [(), (np.zeros(0),), (1.0, np.zeros((0, 4)))],
+                         ids=["no part", "empty part", "one empty part"])
+def test_max_abs_refuses_an_empty_batch(parts):
+    with pytest.raises(ValueError, match="empty batch"):
+        _max_abs(*parts)
+
+
+def _empty_jet():
+    return frame_jets(ubar_field(), np.zeros((0, 7)))
+
+
+# Each takes a worst case over the batch; numpy's "zero-size array to
+# reduction operation" leaked from the first four.
+_WORST_CASES = {
+    "sym_part": lambda: conformal.sym_part(_empty_jet()),
+    "torsion_T0_deformed": lambda: conformal.torsion_T0_deformed(_empty_jet()),
+    "U_deformed": lambda: conformal.U_deformed(_empty_jet()),
+    "divergence_identity_casimir": lambda: conformal.divergence_identity_casimir(_empty_jet()),
+    "quadratic_form_audit": lambda: quadratic_form_audit(np.zeros((0, 6, 4))),
+    "commutator_audit": lambda: commutator_audit(np.zeros((0, 7))),
+    "haar_jacobian_audit": lambda: haar_jacobian_audit(np.zeros((0, 7))),
+}
+
+
+@pytest.mark.parametrize("call", list(_WORST_CASES.values()), ids=list(_WORST_CASES))
+def test_worst_cases_refuse_an_empty_batch(call):
+    with pytest.raises(ValueError, match="empty batch"):
+        call()
+
+
+# Pointwise formulas have a value for no point: an empty array of their shape.
+_POINTWISE = {
+    "frame_jets": (lambda fj: fj.hess, (0, 4, 4)),
+    "sub_laplacian": (sub_laplacian, (0,)),
+    "pde_residual": (pde_residual, (0,)),
+    "scal_deformed": (conformal.scal_deformed, (0,)),
+    "vector_D": (conformal.vector_D, (3, 0, 4)),
+    "yamabe_residual_sphere_norm": (conformal.yamabe_residual_sphere_norm, (0,)),
+    "divergence_identity_residual": (conformal.divergence_identity_residual, (0, 4)),
+    "divergence_total_closed_form": (conformal.divergence_total_closed_form, (0, 4)),
+}
+
+
+@pytest.mark.parametrize("formula, shape", list(_POINTWISE.values()), ids=list(_POINTWISE))
+def test_pointwise_formulas_return_empty_arrays(formula, shape):
+    assert formula(_empty_jet()).shape == shape
+
+
+def test_the_reducer_has_one_home():
+    # a hand-written worst case forgets the NaN and empty-batch rules
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert ("def _max_abs" in text) == (path.name == "errors.py"), path.name
+        if path.name in ("frame.py", "conformal.py", "quaternions.py"):
+            assert "np.max(np.abs(" not in text, path.name

@@ -28,7 +28,7 @@ from qheis.extremals import (
     v_field,
 )
 from qheis.frame import frame_jets, sub_laplacian
-from qheis.jets import AffineMap, Hyper2, ScalarField, haar_jacobian_audit, power_compose
+from qheis.jets import AffineMap, Hyper2, ScalarField, power_compose
 from qheis.quadrature import minimize_quotient, spin_rotation_map
 from qheis.quaternions import TWIST, dilation, group_inv, group_mul
 
@@ -342,7 +342,6 @@ def test_family_params_center_is_one_point(center):
 _HALF = np.full(4, 0.5)
 _NOT_ONE = {
     "left_translation_map": (lambda: left_translation_map(np.zeros((1, 1, 7))), "(1, 1, 7)"),
-    "haar_jacobian_audit": (lambda: haar_jacobian_audit(np.zeros((1, 1, 7))), "(1, 1, 7)"),
     "spin_rotation_map": (lambda: spin_rotation_map(np.full((2, 4), 0.5), _HALF), "(2, 4)"),
     "cayley-mismatched": (
         lambda: cayley_forward_batch(np.full((2, 4), 0.5), np.full((3, 4), 0.5)),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qheis import extremals
-from qheis.errors import DomainError, _positive
+from qheis.errors import DomainError, _max_abs, _positive
 from qheis.extremals import (
     FamilyParams,
     cayley_contact_factor,
@@ -33,12 +33,12 @@ from qheis.jets import (
     AffineMap,
     Hyper2,
     ScalarField,
-    _max_abs,
     affine_pullback,
     autodiff_lift,
     compose,
     constant_field,
     exp,
+    haar_jacobian_audit,
     log,
     power_compose,
     sqrt,
@@ -689,6 +689,7 @@ _BATCH_ENTRIES = {
     "frame_jets": lambda g: frame_jets(ubar_field(), g),
     "cayley_contact_factor": cayley_contact_factor,
     "cayley_inverse_batch": cayley_inverse_batch,
+    "haar_jacobian_audit": haar_jacobian_audit,
 }
 _BATCH_RULE = "one (7,) point or an (N, 7) batch, got shape "
 _BAD_BATCHES = {  # the input and the message it must raise

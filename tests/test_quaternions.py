@@ -127,6 +127,12 @@ def test_left_translation_preserves_haar():
         assert haar_jacobian_audit(rng.uniform(-2, 2, 7)) < 1e-9
 
 
+def test_haar_jacobian_audit_batch_equals_per_point_calls(rng):
+    centres = rng.uniform(-2, 2, (50, 7))
+    per_point = [haar_jacobian_audit(g0) for g0 in centres]
+    assert haar_jacobian_audit(centres) == max(per_point)
+
+
 def test_twist_is_the_group_law_on_basis_pairs():
     # TWIST[a, s, b] = 2 Im(e_a conj(e_b))_s, shared read-only
     e = np.eye(4)
