@@ -86,17 +86,17 @@ def _sphere_term(fj: FrameJet) -> np.ndarray:
     return 2.0 - 4.0 * fj.value + 3.0 * _gradsq(fj) / fj.value
 
 
-# Row-major flattening turns OMEGA[s] @ m @ IMAT[s] into kron(OMEGA[s],
-# IMAT[s]^T) @ vec(m), so flattened matrices are twisted by one product
-# with the transpose of the sum.  It is stored C-contiguous because then
-# one matrix (a BLAS gemv) and a stack (gemm) add each entry's three terms
-# in the same order; through a transposed view they did not, bitwise.
-_TWIST_T = np.ascontiguousarray(sum(np.kron(OMEGA[s], IMAT[s].T) for s in range(3)).T)
+# Row-major flattening of (4, 4, N) planes turns OMEGA[s] @ m @ IMAT[s]
+# into kron(OMEGA[s], IMAT[s]^T) @ vec(m), so the planes are twisted by one
+# (16, 16) @ (16, N) product with the sum.  It is stored Fortran-ordered
+# because then one matrix (a BLAS gemv) and a stack (gemm) add each entry's
+# three terms in the same order; C-ordered they did not, bitwise.
+_TWIST_K = np.asfortranarray(sum(np.kron(OMEGA[s], IMAT[s].T) for s in range(3)))
 
 
 def _twist(m: np.ndarray) -> np.ndarray:
-    """Average over the complex structures: sum_s m(I_s ., I_s .)."""
-    return (m.reshape(-1, 16) @ _TWIST_T).reshape(m.shape)
+    """Average over the complex structures, sum_s m(I_s ., I_s .), of (4, 4, N) planes."""
+    return (_TWIST_K @ m.reshape(16, -1)).reshape(m.shape)
 
 
 def sym_part(fj: FrameJet) -> np.ndarray:
@@ -104,15 +104,16 @@ def sym_part(fj: FrameJet) -> np.ndarray:
 
     The correction cancels the commutator part of the frame Hessian exactly;
     a survivor beyond 1e-9 means the frame conventions are broken, which is
-    worth a hard stop rather than a silent symmetrization.
+    worth a hard stop rather than a silent symmetrization.  Built as
+    (4, 4, N) planes and returned as their (N, 4, 4) view.
     """
-    s = corrected_hessian(fj)
-    worst = _max_abs(s - np.swapaxes(s, 1, 2))
+    s = corrected_hessian(fj).transpose(1, 2, 0)
+    worst = _max_abs(s - s.swapaxes(0, 1))
     if not worst <= _SYM_TOL:  # a NaN asymmetry fails too
         raise ConsistencyError(
             f"corrected Hessian asymmetry {worst:.3e} exceeds {_SYM_TOL}"
         )
-    return 0.5 * (s + np.swapaxes(s, 1, 2))
+    return (0.5 * (s + s.swapaxes(0, 1))).transpose(2, 0, 1)
 
 
 def casimir_project(m, part: str) -> np.ndarray:
@@ -122,16 +123,21 @@ def casimir_project(m, part: str) -> np.ndarray:
     complementary idempotents on the symmetric 4x4 matrices, and in this
     dimension the "[3]" image is spanned by the identity.  Accepts a single
     matrix or a stack, shaped (..., 4, 4); any other shape is a ValueError.
+    A stack is projected as (4, 4, N) planes: the (N, 4, 4) view of planes,
+    as the formulas below pass it, is read and returned without a copy.
     """
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"casimir_project needs (..., 4, 4) matrices, got shape {m.shape}")
-    tw = _twist(m)
+    planes = m.reshape(-1, 4, 4).transpose(1, 2, 0)
+    tw = _twist(planes)
     if part == "[3]":
-        return (m + tw) / 4.0
-    if part == "[-1]":
-        return (3.0 * m - tw) / 4.0
-    raise ValueError(f"unknown Casimir part {part!r}; expected '[3]' or '[-1]'")
+        out = (planes + tw) / 4.0
+    elif part == "[-1]":
+        out = (3.0 * planes - tw) / 4.0
+    else:
+        raise ValueError(f"unknown Casimir part {part!r}; expected '[3]' or '[-1]'")
+    return out.transpose(2, 0, 1).reshape(m.shape)
 
 
 def torsion_T0_deformed(fj: FrameJet) -> np.ndarray:
@@ -148,11 +154,11 @@ def U_deformed(fj: FrameJet) -> np.ndarray:
     collapse the test suite asserts, not an assumption baked in here.
     """
     _require_positive(fj)
-    outer = np.einsum("na,nb->nab", fj.grad, fj.grad)
-    inner = sym_part(fj) - 2.0 * outer / fj.value[:, None, None]
-    p3 = casimir_project(inner, "[3]")
-    tracefree = p3 - (np.trace(p3, axis1=1, axis2=2) / 4.0)[:, None, None] * _EYE4
-    return tracefree / (2.0 * fj.value[:, None, None])
+    dh = fj.grad.T  # (4, N); the tensors below are (4, 4, N) planes
+    inner = sym_part(fj).transpose(1, 2, 0) - 2.0 * (dh[:, None] * dh) / fj.value
+    p3 = casimir_project(inner.transpose(2, 0, 1), "[3]").transpose(1, 2, 0)
+    tracefree = p3 - np.trace(p3) / 4.0 * _EYE4[:, :, None]
+    return (tracefree / (2.0 * fj.value)).transpose(2, 0, 1)
 
 
 def scal_deformed(fj: FrameJet) -> np.ndarray:
@@ -183,13 +189,13 @@ def _vector_ingredients(fj: FrameJet):
     twist[s] = omega_s nabla-dh I_s applied to the gradient, (N, 4)
     mdh      = nabla-dh applied to the gradient, (N, 4)
     """
-    dh = fj.grad
+    hess, dh = _hess(fj), fj.grad
     omdh = [dh @ OMEGA[s].T for s in range(3)]
     twist = [
-        (fj.hess @ (dh @ IMAT[s].T)[:, :, None])[:, :, 0] @ OMEGA[s].T
+        (OMEGA[s] @ np.einsum("abn,bn->an", hess, IMAT[s] @ dh.T)).T
         for s in range(3)
     ]
-    mdh = np.einsum("nab,nb->na", fj.hess, dh)
+    mdh = np.einsum("abn,bn->an", hess, dh.T).T
     return dh, omdh, twist, mdh
 
 

@@ -27,15 +27,17 @@ The rows are [I4 | B(q)] with B linear in q, so no order builds the
 (N, 4, 7) rows.  The projection runs points-last: B is built once as
 (4, 3, N) planes from one constant 4x12 matrix, and the coordinate
 gradient and Hessian are read as (7, N) and (7, 7, N) planes, which the
-family kernel returns without a copy.  The horizontal gradient is
-g_q + B g_w, three plane updates over s.  At order 2, rows @ H is
-H_q + B H_w, three more updates over the w-rows of H; its w-columns times
-B^T (three updates), its q-columns and a constant first-order term are
-the frame Hessian, built as (4, 4, N) planes and returned as their
-(N, 4, 4) view.  Every step is an elementwise product over all N points,
-not a small matrix product per point.  The jets are read and never
-written: a points-last jet read without a copy is the field's own memory.
-`frame_rows` stays as the audited reference.
+family kernel returns without a copy.  Each term is one einsum over the
+B planes, contracting s in one pass over all N points: the horizontal
+gradient g_q + B g_w ("asn,sn->an"); at order 2, rows @ H = H_q + B H_w
+("asn,sjn->ajn"), and its w-columns times B^T ("asn,bsn->abn"), to which
+the constant first-order term and the q-columns are added, are the frame
+Hessian, built as (4, 4, N) planes and returned as their (N, 4, 4) view.
+The Hessian formulas (`corrected_hessian`, `sub_laplacian` and those of
+`conformal`) read those planes through `_hess`, which copies any other
+layout into them.  The jets are read and never written: a points-last
+jet read without a copy is the field's own memory.  `frame_rows` stays
+as the audited reference.
 
 The covariant Hessian uses the canonical connection of the flat model, in
 which the left-invariant frame is parallel, so hess(f)(e_a, e_b) = e_a(e_b f).
@@ -153,39 +155,42 @@ def frame_jets(f: ScalarField, p, order: int = 2) -> FrameJet:
     # points-last planes; the jets are read, never written
     g = np.ascontiguousarray(jet[1].T)  # (7, N)
     b = (_ROWS_K.T @ pts[:, :4].T).reshape(4, 3, -1)  # B[a, s] planes
-    grad = b[:, 0] * g[4]
-    for s in (1, 2):
-        grad += b[:, s] * g[4 + s]
+    grad = np.einsum("asn,sn->an", b, g[4:7])  # g_q + B g_w
     grad += g[:4]
     fj = FrameJet(value=jet[0], grad=grad.T, vert=VERTICAL_SCALE * jet[1][:, 4:7])
     if order == 1:
         return fj
     h = np.ascontiguousarray(jet[2].transpose(1, 2, 0))  # (7, 7, N)
-    rows_h = b[:, 0, None] * h[4]  # rows @ H = H_q + B H_w, (4, 7, N)
-    for s in (1, 2):
-        rows_h += b[:, s, None] * h[4 + s]
+    rows_h = np.einsum("asn,sjn->ajn", b, h[4:7])  # rows @ H = H_q + B H_w, (4, 7, N)
     rows_h += h[:4]
-    hess = (_DC.reshape(3, 16).T @ g[4:7]).reshape(4, 4, -1)  # the first-order term
-    for s in range(3):
-        hess += rows_h[:, 4 + s, None] * b[:, s]
+    hess = np.einsum("asn,bsn->abn", rows_h[:, 4:7], b)  # (H_qw + B H_ww) B^T
+    hess += (_DC.reshape(3, 16).T @ g[4:7]).reshape(4, 4, -1)  # the first-order term
     hess += rows_h[:, :4]
     return replace(fj, hess=hess.transpose(2, 0, 1))
 
 
 def _hess(fj: FrameJet) -> np.ndarray:
-    """The frame Hessian of fj; an order-1 FrameJet is a ValueError.
+    """The frame Hessian of fj as C-ordered (4, 4, N) planes; order 1 is a ValueError.
 
-    The one guard of every formula that reads the Hessian, here and in
-    `conformal` and `extremals`.
+    The one guard and the one reader of the Hessian for every formula,
+    here and in `conformal` and `extremals`.  The planes `frame_jets`
+    builds are read without a copy and any other layout is copied into
+    them, so every formula reads one memory order and gives bitwise the
+    same arrays from either layout.
     """
     if fj.hess is None:
         raise ValueError("a frame-Hessian formula needs an order-2 FrameJet, got order 1")
-    return fj.hess
+    return np.ascontiguousarray(fj.hess.transpose(1, 2, 0))
 
 
 def corrected_hessian(fj: FrameJet) -> np.ndarray:
-    """hess + sum_s (xi_s f) omega_s, symmetric when the conventions hold."""
-    return _hess(fj) + np.einsum("ns,sab->nab", fj.vert, _OMEGA_STACK)
+    """hess + sum_s (xi_s f) omega_s, symmetric when the conventions hold.
+
+    Built as (4, 4, N) planes and returned as their (N, 4, 4) view.
+    """
+    out = (_OMEGA_STACK.reshape(3, 16).T @ fj.vert.T).reshape(4, 4, -1)
+    out += _hess(fj)
+    return out.transpose(2, 0, 1)
 
 
 def _gradsq(fj: FrameJet) -> np.ndarray:
@@ -195,7 +200,7 @@ def _gradsq(fj: FrameJet) -> np.ndarray:
 
 def sub_laplacian(fj: FrameJet) -> np.ndarray:
     """(T1^2 + X1^2 + Y1^2 + Z1^2) f, the trace of the frame Hessian; shape (N,)."""
-    return np.trace(_hess(fj), axis1=1, axis2=2)
+    return np.trace(_hess(fj))
 
 
 def commutator_audit(p) -> float:

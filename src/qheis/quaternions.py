@@ -73,7 +73,8 @@ def _hamilton(a, b) -> tuple:
     """Hamilton product on 4-tuples of components (i*j = k convention).
 
     The one copy of the formula: the components may be floats, arrays or
-    forward-mode jets, so `quat_mul` and the Kelvin map share it.
+    forward-mode jets, so `quat_mul`, `group_mul` and the Kelvin map
+    share it.
     """
     aw, ax, ay, az = a
     bw, bx, by, bz = b
@@ -113,15 +114,20 @@ def quat_inv(a) -> np.ndarray:
 
 
 def group_mul(g0, g) -> np.ndarray:
-    """Group product g0 o g; left translation of g by g0."""
+    """Group product g0 o g; left translation of g by g0.
+
+    The twist 2 Im(q0 conj(q)) is read off `_hamilton` on coordinate
+    columns and written straight into the output's w-columns.
+    """
     g0 = as_point(g0)
     g = as_point(g)
-    q0, w0 = g0[..., 0:4], g0[..., 4:7]
-    q, w = g[..., 0:4], g[..., 4:7]
-    twist = quat_mul(q0, quat_conj(q))[..., 1:4]
     out = np.empty(np.broadcast_shapes(g0.shape, g.shape), dtype=float)
-    out[..., 0:4] = q0 + q
-    out[..., 4:7] = w + w0 + 2.0 * twist
+    np.add(g0[..., 0:4], g[..., 0:4], out=out[..., 0:4])
+    q0 = [g0[..., i] for i in range(4)]
+    q_conj = [g[..., 0]] + [-g[..., i] for i in range(1, 4)]
+    for s, twist in enumerate(_hamilton(q0, q_conj)[1:], start=4):
+        np.add(g[..., s], g0[..., s], out=out[..., s])
+        out[..., s] += 2.0 * twist
     return out
 
 

@@ -53,7 +53,7 @@ def test_casimir_rejects_anything_but_four_by_four(shape):
 def test_one_matrix_twist_is_the_three_product_sum(rng):
     m = rng.standard_normal((500, 4, 4)) * 10.0 ** rng.uniform(-6, 6, (500, 1, 1))
     want = sum(frame.OMEGA[s] @ m @ frame.IMAT[s] for s in range(3))
-    got = conformal._twist(m)
+    got = np.moveaxis(conformal._twist(np.moveaxis(m, 0, -1)), -1, 0)  # (4, 4, N) planes
     scale = np.max(np.abs(want), axis=(1, 2))
     assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-15 * scale)
 
@@ -285,6 +285,44 @@ def test_frame_jet_formulas_need_order_two(formula, box_points):
     # one guard for every reader of the Hessian, not numpy's errors on None
     with pytest.raises(ValueError, match="needs an order-2 FrameJet"):
         formula(frame.frame_jets(h_family(FamilyParams()), box_points[:5], 1))
+
+
+def _read_only(fj: frame.FrameJet, layout: str) -> frame.FrameJet:
+    """fj with read-only arrays, its Hessian laid out as `layout`.
+
+    "planes": the (N, 4, 4) view of C-ordered (4, 4, N) planes, as
+    `frame_jets` builds it; "rows": a C-ordered (N, 4, 4) copy.
+    """
+    if layout == "planes":
+        hess = np.ascontiguousarray(fj.hess.transpose(1, 2, 0)).transpose(2, 0, 1)
+    else:
+        hess = np.array(fj.hess, order="C")
+    parts = {"value": fj.value.copy(), "grad": fj.grad.copy(order="K"),
+             "vert": fj.vert.copy(), "hess": hess}
+    for part in parts.values():
+        part.setflags(write=False)
+    return frame.FrameJet(**parts)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    _FRAME_JET_FORMULAS + (conformal.sym_part, frame.corrected_hessian, frame.sub_laplacian),
+    ids=lambda f: f.__name__,
+)
+def test_frame_jet_formulas_read_planes_and_rows_alike(formula, rng, box_points):
+    # the layout of the frame Hessian changes how it is read, not one bit of
+    # what is read off it; read-only jets make any write into them raise
+    fields = [
+        h_family(FamilyParams(c=0.8, nu=1.7)),
+        translate_field(h_family(FamilyParams(c=3.0, nu=0.4)), rng.uniform(-1, 1, 7)),
+        quartic_control(),
+    ]
+    for h in fields:
+        fj = frame.frame_jets(h, box_points)
+        planes = formula(_read_only(fj, "planes"))
+        rows = formula(_read_only(fj, "rows"))
+        assert planes.shape == rows.shape
+        assert planes.tobytes() == rows.tobytes(), h.tag
 
 
 # ---------------------------------------------------------------------------

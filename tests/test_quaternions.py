@@ -77,6 +77,35 @@ def test_product_frozen_example():
     np.testing.assert_allclose(as_point(g), [1, 1, 0, 0, -2, 0, 0], atol=0)
 
 
+def _group_mul_by_quaternions(g0, g):
+    """(q0 + q, w0 + w + 2 Im(q0 conj(q))) through quat_mul and quat_conj."""
+    g0, g = np.asarray(g0), np.asarray(g)
+    twist = quat_mul(g0[..., :4], quat_conj(g[..., :4]))[..., 1:4]
+    out = np.empty(np.broadcast_shapes(g0.shape, g.shape))
+    out[..., :4] = g0[..., :4] + g[..., :4]
+    out[..., 4:] = g[..., 4:] + g0[..., 4:] + 2.0 * twist
+    return out
+
+
+@pytest.mark.parametrize("shapes", [((7,), (50, 7)), ((50, 7), (50, 7)), ((6, 1, 7), (1, 5, 7))])
+def test_group_mul_is_the_quaternion_product_bitwise(shapes, rng):
+    # the product reads the twist off the Hamilton formula on columns; the
+    # quaternion route is the same arithmetic, so not one bit may move
+    g0, g = (rng.uniform(-3.0, 3.0, shape) for shape in shapes)
+    got = group_mul(g0, g)
+    want = _group_mul_by_quaternions(g0, g)
+    assert got.shape == want.shape == np.broadcast_shapes(*shapes)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_group_mul_refuses_bad_points():
+    p = np.zeros(7)
+    with pytest.raises(DomainError):
+        group_mul(p, np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="7 coordinates"):
+        group_mul(np.zeros(6), p)
+
+
 @given(points7(), points7(), points7())
 @settings(max_examples=50)
 def test_group_associative(g, h, k):
