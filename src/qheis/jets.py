@@ -11,9 +11,9 @@ them as (N, d); a caller with other directions for other points makes one
 call per set.  The family's hand kernel computes the contraction natively,
 `power_compose` by the chain rule, and any other field contracts its full
 gradient.  Jets come either from hand-differentiated closed forms (the
-solution families) or from forward automatic differentiation with full
-7-direction seeding (`Hyper2`, a truncated-Taylor number carrying value,
-gradient and Hessian through arithmetic).  Forward mode is seeded at the
+solution families) or from forward automatic differentiation that seeds
+every direction at once (`Hyper2`, a truncated-Taylor number carrying value,
+gradient and Hessian through arithmetic, in the dimension of its seed).  Forward mode is seeded at the
 requested order and builds nothing above it; `compose` carries it through
 a smooth map, so a transform such as Kelvin's is an ordinary lifted
 formula.  A seed x_k carries its axis k with its unit gradient and zero
@@ -194,21 +194,23 @@ def _as_batch(points) -> tuple[np.ndarray, bool]:
 
 
 class Hyper2:
-    """Batched truncated-Taylor scalar: value (N,), gradient (N,7), Hessian (N,7,7).
+    """Batched truncated-Taylor scalar: value (N,), gradient (N, n), Hessian (N, n, n).
 
-    Parts above the order the coordinates were seeded with are None and are
-    never built: order 0 carries the value only, order 1 adds the gradient.
-    Supports +, -, *, /, ** with floats, arrays and other Hyper2 operands of
-    the same order; exp, log and sqrt are the module-level functions, which
-    a formula calls by name (numpy's ufuncs do not take a Hyper2).
-    All 7 directions are seeded at once, so one pass through a formula yields
-    the jet.  Each part is computed by the same arithmetic at every order, so
-    a lower order is bitwise the prefix of a higher one.
+    n is read off the (N, n) points of the seed.  Parts above the seeded
+    order are None and are never built: order 0 carries the value only,
+    order 1 adds the gradient.  A number operand, a float or one value per
+    point (N,), builds no jet: + and - move the value, * and / scale each
+    part.  Hyper2 operands are of the same order.  exp, log and sqrt are the
+    module-level functions, which a formula calls by name (numpy's ufuncs do
+    not take a Hyper2).  All n directions are seeded at once, so one pass
+    through a formula yields the jet.  Each part is computed by the same
+    arithmetic at every order, so a lower order is bitwise the prefix of a
+    higher one.
 
     A seed, the coordinate x_k that `seed` returns, also carries its axis k:
     its gradient is e_k and its Hessian zero.  The Hessian is still built,
     since `compose` reads the coordinates' Hessians, but a product with a
-    seed never reads it: it is the rank-one update `_seeded`, one (N, 7, 7)
+    seed never reads it: it is the rank-one update `_seeded`, one (N, n, n)
     pass instead of about six.  Any other result, a negated seed included,
     carries no axis and takes the general product.
     """
@@ -230,76 +232,60 @@ class Hyper2:
 
     @staticmethod
     def seed(points: np.ndarray, order: int) -> tuple["Hyper2", ...]:
-        """One Hyper2 per coordinate, with unit gradient seeds from order 1.
+        """One Hyper2 per coordinate of the (N, n) points, with unit gradient seeds from order 1.
 
         Each carries its axis, so a product with it skips its zero Hessian.
         """
         points = np.asarray(points, dtype=float)
-        n = points.shape[0]
+        n, dim = points.shape
         out = []
-        for i in range(DIM):
+        for i in range(dim):
             grad = hess = None
             if order >= 1:
-                grad = np.zeros((n, DIM))
+                grad = np.zeros((n, dim))
                 grad[:, i] = 1.0
             if order == 2:
-                hess = np.zeros((n, DIM, DIM))
+                hess = np.zeros((n, dim, dim))
             x = Hyper2(points[:, i].copy(), grad, hess)
             x._axis = i
             out.append(x)
         return tuple(out)
 
-    def _coerce(self, other) -> "Hyper2":
-        if isinstance(other, Hyper2):
-            return other
-        if np.isscalar(other) or isinstance(other, np.ndarray):
-            val = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape).copy()
-            n = val.shape[0]
-            return Hyper2(
-                val,
-                None if self.grad is None else np.zeros((n, DIM)),
-                None if self.hess is None else np.zeros((n, DIM, DIM)),
-            )
-        return NotImplemented
+    def _partwise(self, op, *others) -> "Hyper2":
+        """op on each part this order carries, with the matching parts of `others`."""
+        parts = zip(*((x.val, x.grad, x.hess) for x in (self, *others)))
+        return Hyper2(*(None if p[0] is None else op(*p) for p in parts))
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, Hyper2):
+            return self._partwise(np.add, other)
+        if not _is_number(other):
             return NotImplemented
-        return Hyper2(
-            self.val + o.val,
-            None if self.grad is None else self.grad + o.grad,
-            None if self.hess is None else self.hess + o.hess,
-        )
+        return Hyper2(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Hyper2(
-            -self.val,
-            None if self.grad is None else -self.grad,
-            None if self.hess is None else -self.hess,
-        )
+        return self._partwise(np.negative)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, Hyper2):
+            return self._partwise(np.subtract, other)
+        if not _is_number(other):
             return NotImplemented
-        return Hyper2(
-            self.val - o.val,
-            None if self.grad is None else self.grad - o.grad,
-            None if self.hess is None else self.hess - o.hess,
-        )
+        return Hyper2(self.val - other, self.grad, self.hess)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def __mul__(self, o):
+        if not isinstance(o, Hyper2):
+            if not _is_number(o):
+                return NotImplemented
+            # a float scales as it is, one value per point down each part's points axis
+            return self._partwise(lambda part: part * np.reshape(o, np.shape(o) + (1,) * (part.ndim - 1)))
         if self.grad is not None:
             if self._axis is not None:
                 return self._seeded(o)
@@ -336,31 +322,27 @@ class Hyper2:
             if other._axis is None:
                 hess = other.hess * xk[:, None, None]
             else:
-                hess = np.zeros((xk.shape[0], DIM, DIM))
+                hess = np.zeros(self.hess.shape)
             hess[:, k, :] += other.grad
             hess[:, :, k] += other.grad
         return Hyper2(xk * other.val, grad, hess)
 
     def _reciprocal(self) -> "Hyper2":
-        if np.any(self.val == 0.0):
-            raise DomainError("division by a zero value in forward-mode evaluation")
-        iv = 1.0 / self.val
+        iv = _inverse(self.val)
         return self._chain(iv, lambda: -(iv * iv), lambda: 2.0 * iv**3)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o._reciprocal()
+        if isinstance(other, Hyper2):
+            return self * other._reciprocal()
+        return self * _inverse(other) if _is_number(other) else NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o * self._reciprocal()
+        return self._reciprocal() * other if _is_number(other) else NotImplemented
 
     def __pow__(self, r):
         r = float(r)
         if r == 0.0:
-            return self._coerce(1.0)
+            return self._partwise(np.zeros_like) + 1.0  # whatever the value holds
         if r == 1.0:
             return self
         v = self.val
@@ -380,7 +362,7 @@ class Hyper2:
         A derivative is evaluated only when the order carries it.  The
         Hessian is f' H plus f'' g g^T, the products (g_i g_j) f'' of an
         outer product scaled afterwards, added into f' H a row at a time, so
-        no (N, 7, 7) array is built beside the base's Hessian and f' H.
+        no (N, n, n) array is built beside the base's Hessian and f' H.
         Each row is summed into zeros first, as an einsum would, so a zero
         entry of f'' g g^T is +0 even where f'' < 0.
         """
@@ -391,12 +373,24 @@ class Hyper2:
         if self.hess is not None:
             hess = d1[:, None, None] * self.hess
             d2 = fpp()[:, None]
-            for i in range(DIM):
+            for i in range(self.grad.shape[1]):
                 row = self.grad[:, i, None] * self.grad
                 row *= d2
                 row += 0.0
                 hess[:, i] += row
         return Hyper2(f, grad, hess)
+
+
+def _is_number(other) -> bool:
+    """A number operand of Hyper2: a scalar, or an array of one value per point."""
+    return np.isscalar(other) or (isinstance(other, np.ndarray) and other.ndim <= 1)
+
+
+def _inverse(v):
+    """1 / v, a DomainError if v has a zero value."""
+    if np.any(v == 0.0):
+        raise DomainError("division by a zero value in forward-mode evaluation")
+    return 1.0 / v
 
 
 def exp(x):
@@ -461,7 +455,7 @@ def compose(u: ScalarField, coords) -> Hyper2:
     if order == 2:
         # sum_k u_k y_k,ij accumulated in place, k in order: no (N,7,7,7) stack
         hess = jet[1][:, 0, None, None] * coords[0].hess
-        for k in range(1, DIM):
+        for k in range(1, len(coords)):
             hess += jet[1][:, k, None, None] * coords[k].hess
         hess += np.swapaxes(ygrad, 1, 2) @ jet[2] @ ygrad
     return Hyper2(jet[0], grad, hess)

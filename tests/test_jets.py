@@ -7,6 +7,7 @@ arithmetic they are checking.
 
 import dataclasses
 import math
+import operator
 import re
 
 import numpy as np
@@ -44,7 +45,24 @@ from qheis.jets import (
     sqrt,
 )
 from qheis.quadrature import _detransformed
-from qheis.quaternions import as_point, as_quat, group_inv
+from qheis.quaternions import _hamilton, as_point, as_quat, group_inv
+
+
+def _central_differences(value, p: np.ndarray, step: float):
+    """Gradient (n,) and Hessian (n, n) of `value` at the point p (n,) by central differences."""
+    n = p.size
+    e = step * np.eye(n)
+    at_p = value(p)
+    grad, hess = np.empty(n), np.empty((n, n))
+    for i in range(n):
+        fp, fm = value(p + e[i]), value(p - e[i])
+        grad[i] = (fp - fm) / (2 * step)
+        hess[i, i] = (fp - 2 * at_p + fm) / step**2
+        for j in range(i + 1, n):
+            cross = (value(p + e[i] + e[j]) - value(p + e[i] - e[j])
+                     - value(p - e[i] + e[j]) + value(p - e[i] - e[j]))
+            hess[i, j] = hess[j, i] = cross / (4 * step**2)
+    return grad, hess
 
 
 def finite_diff_audit(f: ScalarField, p, step: float) -> float:
@@ -55,21 +73,9 @@ def finite_diff_audit(f: ScalarField, p, step: float) -> float:
     """
     step = _positive(step, "step")
     p = as_point(p).reshape(7)
-    val, grad, hess = (part[0] for part in f.jet_batch(p, 2))
-    diffs = []
-    for i in range(7):
-        ei = np.zeros(7)
-        ei[i] = step
-        fp, fm = f(p + ei), f(p - ei)
-        diffs.append((fp - fm) / (2 * step) - grad[i])
-        d2 = (fp - 2 * val + fm) / step**2
-        diffs.append(d2 - hess[i, i])
-        for j in range(i + 1, 7):
-            ej = np.zeros(7)
-            ej[j] = step
-            cross = f(p + ei + ej) - f(p + ei - ej) - f(p - ei + ej) + f(p - ei - ej)
-            diffs.append(cross / (4 * step**2) - hess[i, j])
-    return _max_abs(diffs)
+    _, grad, hess = (part[0] for part in f.jet_batch(p, 2))
+    fd_grad, fd_hess = _central_differences(f, p, step)
+    return _max_abs(fd_grad - grad, (fd_hess - hess)[np.triu_indices(7)])
 
 
 def _transcendental():
@@ -113,11 +119,14 @@ def test_log_domain_error():
     "g, t1, message",
     [
         (lambda t1: 1.0 / t1, 0.0, "division by a zero value"),
+        (lambda t1: t1 / 0.0, 1.0, "division by a zero value"),
+        (lambda t1: t1 / np.zeros(1), 1.0, "division by a zero value"),
         (lambda t1: t1**2.5, -1.0, "non-integer power 2.5 of a non-positive value"),
         (lambda t1: t1**-2, 0.0, "negative power of zero"),
         (lambda t1: sqrt(t1), -1.0, "sqrt of a negative value"),
     ],
-    ids=["reciprocal", "real-power", "negative-power", "sqrt"],
+    ids=["reciprocal", "zero-divisor", "zero-per-point-divisor", "real-power", "negative-power",
+         "sqrt"],
 )
 def test_hyper2_refuses_values_outside_the_domain(g, t1, message):
     # without its guard each of these reads inf or NaN instead of an error
@@ -397,6 +406,17 @@ def _parts(h: Hyper2) -> list:
     return [part for part in (h.val, h.grad, h.hess) if part is not None]
 
 
+def _general(x: tuple) -> Hyper2:
+    """A jet of the seeds' order with no seed axis and no zero entry."""
+    return exp(0.3 * (x[0] * x[1] + x[2] * x[3] + x[4] * x[5] + x[6] * x[0]) + x[1])
+
+
+def _constant_jet(c: float, like: Hyper2) -> Hyper2:
+    """c as a jet of `like`'s order with zero derivatives, as the general product reads it."""
+    return Hyper2(np.full_like(like.val, c), *(None if part is None else np.zeros_like(part)
+                                               for part in (like.grad, like.hess)))
+
+
 _PAIRINGS = ["seed*general", "general*seed", "seed*same seed", "seed*other seed",
              "seed*float", "negated seed*general", "seed*partial"]
 
@@ -407,7 +427,7 @@ def test_seeded_product_is_the_general_formula(monkeypatch, order, pairing):
     pts = np.random.default_rng(15).uniform(-1.5, 1.5, (25, 7))
     x = Hyper2.seed(pts, order)
     # no zero entry in general's jets; partial's gradient is 0 in columns 0, 4-6
-    general = exp(0.3 * (x[0] * x[1] + x[2] * x[3] + x[4] * x[5] + x[6] * x[0]) + x[1])
+    general = _general(x)
     partial = exp(x[1] * x[2]) - sqrt(2.0 + x[3] * x[3])
     a, b = {
         "seed*general": (x[0], general),
@@ -422,8 +442,10 @@ def test_seeded_product_is_the_general_formula(monkeypatch, order, pairing):
     rank_one = Hyper2._seeded
     monkeypatch.setattr(Hyper2, "_seeded", lambda s, o: seeded.append(o) or rank_one(s, o))
     got = a * b
-    want = _plain(a) * (_plain(b) if isinstance(b, Hyper2) else b)
-    takes_seed_path = order >= 1 and not pairing.startswith("negated")
+    # the general formula takes a float as a jet with zero derivatives
+    want = _plain(a) * (_plain(b) if isinstance(b, Hyper2) else _constant_jet(b, a))
+    # a float is a number: it scales each part and takes no seed path
+    takes_seed_path = order >= 1 and pairing not in ("negated seed*general", "seed*float")
     assert len(seeded) == takes_seed_path
     assert got.order == want.order == order
     # the general formula adds 0 * value, or a product with a 0 entry, where
@@ -435,6 +457,86 @@ def test_seeded_product_is_the_general_formula(monkeypatch, order, pairing):
         if pairing in ("seed*general", "general*seed", "seed*same seed", "negated seed*general"):
             assert _bitwise_equal(g, w)
     assert got._axis is None  # a product is no seed
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_number_operand_builds_no_jet(order):
+    rng = np.random.default_rng(19)
+    x = _general(Hyper2.seed(rng.uniform(-1.5, 1.5, (25, 7)), order))
+    # + and - move the value and pass the derivatives on as they are
+    for shifted, val in [(x + 2.5, x.val + 2.5), (2.5 + x, x.val + 2.5), (x - 2.5, x.val - 2.5)]:
+        assert shifted.grad is x.grad and shifted.hess is x.hess
+        assert _bitwise_equal(shifted.val, val)
+    flipped = 2.5 - x
+    for got, part in zip(_parts(flipped), _parts(x), strict=True):
+        assert _bitwise_equal(got, (2.5 - part) if part is x.val else -part)
+    # * scales each part, and / multiplies by the reciprocal
+    per_point = rng.uniform(0.5, 2.0, 25)
+    for scaled, c in [(x * 2.5, 2.5), (2.5 * x, 2.5), (x / 4.0, 0.25), (x * per_point, per_point),
+                      (per_point * x, per_point), (x / per_point, 1.0 / per_point)]:
+        assert scaled.order == order
+        for got, part in zip(_parts(scaled), _parts(x), strict=True):
+            assert _bitwise_equal(got, part * np.reshape(c, np.shape(c) + (1,) * (part.ndim - 1)))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_zeroth_power_is_one_whatever_the_value(order):
+    pts = np.zeros((3, 7))
+    pts[:, 0] = [np.inf, np.nan, -np.inf]
+    one = Hyper2.seed(pts, order)[0] ** 0
+    assert one.order == order
+    np.testing.assert_array_equal(one.val, np.ones(3))
+    for part in _parts(one)[1:]:
+        np.testing.assert_array_equal(part, np.zeros_like(part))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_a_list_operand_is_a_type_error(op):
+    x = Hyper2.seed(np.ones((3, 7)), 2)[0]
+    listed = [1.0, 2.0, 3.0]
+    for a, b in ((x, listed), (listed, x)):
+        with pytest.raises(TypeError) as raised:
+            op(a, b)
+        message = str(raised.value)
+        assert "Hyper2" in message
+        # Python's own message for a list times a non-integer says "sequence"
+        assert "list" in message or (op is operator.mul and "sequence" in message)
+
+
+def _ball_bubble(zeta, a: np.ndarray):
+    """F_a(zeta) = ((1 - |a|^2) / |1 - <zeta, a>|^2)^2 on the 8 coordinates of zeta = (q, p).
+
+    <zeta, a> = q conj(a1) + p conj(a2) is built through `_hamilton`, so
+    float coordinates and Hyper2 seeds alike go through the one formula.
+    """
+    def bar(h):
+        return (h[0], -h[1], -h[2], -h[3])
+
+    pair = [s + t for s, t in zip(_hamilton(zeta[:4], bar(a[:4])), _hamilton(zeta[4:], bar(a[4:])))]
+    gap = (1.0 - pair[0], *(-c for c in pair[1:]))
+    return ((1.0 - a @ a) / sum(c * c for c in gap)) ** 2
+
+
+def test_the_seed_reads_its_dimension_off_the_points():
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=8)
+    a *= 0.6 / np.linalg.norm(a)
+    pts = rng.normal(size=(5, 8))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)  # points of S^7
+    x = Hyper2.seed(pts, 2)
+    assert len(x) == 8
+    assert all(c.grad.shape == (5, 8) and c.hess.shape == (5, 8, 8) for c in x)
+    # a product of two seeds, the rank-one update, is 8-dimensional too
+    unit = np.zeros((8, 8))
+    unit[0, 7] = unit[7, 0] = 1.0
+    np.testing.assert_array_equal((x[7] * x[0]).hess, np.broadcast_to(unit, (5, 8, 8)))
+    bubble = _ball_bubble(x, a)
+    for k, p in enumerate(pts):
+        # at step 1e-4 the differences read 1.9e-8 (gradient) and 5.1e-8 (Hessian) relative
+        fd_grad, fd_hess = _central_differences(lambda z: _ball_bubble(z, a), p, step=1e-4)
+        assert _max_abs(fd_grad - bubble.grad[k]) <= 1e-6 * _max_abs(bubble.grad[k])
+        assert _max_abs(fd_hess - bubble.hess[k]) <= 1e-5 * _max_abs(bubble.hess[k])
+        assert abs(_ball_bubble(p, a) - bubble.val[k]) <= 1e-14 * bubble.val[k]
 
 
 def _kelvin_fields():
